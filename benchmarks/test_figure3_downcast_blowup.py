@@ -18,7 +18,13 @@ from __future__ import annotations
 from conftest import write_artifact
 
 from repro.graph import SignatureGraph, graph_stats, subgraph_dot
-from repro.search import GraphSearch, count_paths
+from repro.search import GraphSearch, compile_graph, kernel_enumerate_paths
+
+def count_paths(graph, t_in, t_out, max_cost):
+    """Acyclic paths within the bound (capped at the kernel's 10,000)."""
+    compiled = compile_graph(graph)
+    return sum(1 for _ in kernel_enumerate_paths(compiled, t_in, t_out, max_cost))
+
 
 QUERY = (
     "org.eclipse.debug.ui.IDebugView",

@@ -15,7 +15,6 @@ Examples::
     python -m repro index repair graph.psnap
     python -m repro query InputStream BufferedReader --snapshot graph.psnap
     python -m repro query --batch queries.txt
-    python -m repro bench-search -o benchmarks/out/BENCH_search.json
 
 By default the bundled J2SE/Eclipse stubs and corpus are loaded; pass
 ``--api FILE`` / ``--corpus FILE`` (repeatable) to run against your own
@@ -442,37 +441,6 @@ def _cmd_bench_incremental(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench_search(args: argparse.Namespace) -> int:
-    from .eval import run_search_perf, write_bench_search
-
-    prospector = _build_prospector(args)
-    report = run_search_perf(
-        prospector,
-        batch_rounds=args.batch_rounds,
-        repeats=args.repeats,
-        stress_fan_out=args.stress_fan_out,
-    )
-    print(report.format_report())
-    if args.output:
-        write_bench_search(report, args.output)
-        print(f"wrote {args.output}")
-    if not report.identical_results:
-        print(
-            "error: kernel and reference ranked output diverged", file=sys.stderr
-        )
-        return EXIT_INPUT_ERROR
-    if args.min_speedup is not None and (
-        report.single_query_speedup < args.min_speedup
-    ):
-        print(
-            f"error: kernel speedup {report.single_query_speedup:.2f}x"
-            f" below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return EXIT_NO_RESULTS
-    return EXIT_OK
-
-
 def _lint_texts(args: argparse.Namespace) -> List[tuple]:
     """The ``(source, text)`` pairs ``lint`` should examine.
 
@@ -684,43 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_data_options(bi)
     bi.set_defaults(func=_cmd_bench_incremental)
-
-    bs = sub.add_parser(
-        "bench-search",
-        help="benchmark the compiled search kernel and batch serving"
-        " (latency percentiles, throughput, kernel-vs-reference speedup)",
-    )
-    bs.add_argument(
-        "-o",
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="also write the numbers as JSON (e.g. benchmarks/out/BENCH_search.json)",
-    )
-    bs.add_argument(
-        "--batch-rounds",
-        type=int,
-        default=3,
-        help="copies of the Table-1 set in the batch workload (default 3)",
-    )
-    bs.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N timing repeats (default 3)"
-    )
-    bs.add_argument(
-        "--stress-fan-out",
-        type=int,
-        default=16,
-        help="fan-out of the synthetic stress graph (default 16)",
-    )
-    bs.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit nonzero when kernel speedup falls below X (CI regression guard)",
-    )
-    _add_data_options(bs)
-    bs.set_defaults(func=_cmd_bench_search)
 
     ln = sub.add_parser(
         "lint",

@@ -16,15 +16,12 @@ import json
 import os
 import time
 import tracemalloc
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Sequence, Tuple
 
-from ..apispec import ApiBuilder
 from ..core import Prospector
-from ..graph import JungloidGraph, SignatureGraph, bundle_to_json, load_graph_from_json
-from ..search import GraphSearch, SearchConfig
+from ..graph import JungloidGraph, bundle_to_json, load_graph_from_json
 from ..store import SnapshotStore, atomic_write_text
-from ..typesystem import TypeRegistry, named
 from .problems import TABLE1_PROBLEMS, Table1Problem
 
 
@@ -249,7 +246,7 @@ def write_bench_store(report: StorePerfReport, path: os.PathLike) -> None:
 
 
 # ----------------------------------------------------------------------
-# Search serving: compiled kernel vs reference, batch vs one-at-a-time
+# Summary statistics
 # ----------------------------------------------------------------------
 
 def percentile(samples: Sequence[float], p: float) -> float:
@@ -259,325 +256,6 @@ def percentile(samples: Sequence[float], p: float) -> float:
     ordered = sorted(samples)
     rank = max(1, min(len(ordered), int(round(p / 100.0 * len(ordered) + 0.5))))
     return ordered[rank - 1]
-
-
-@dataclass
-class SearchPerfReport:
-    """Search latency/throughput: kernel vs reference, batch vs serial.
-
-    *Single-query latency* is measured cold — the per-target distance
-    cache is cleared before every query — because that is the first-hit
-    latency a user pays; both implementations are treated identically.
-    *Batch throughput* compares stateless one-at-a-time serving on the
-    reference implementation (nothing shared between requests) against
-    :meth:`~repro.search.GraphSearch.solve_batch` on the kernel, which
-    shares one distance map per distinct target plus batch-wide
-    path→jungloid and rank-key memos. Kernel compilation is a startup
-    cost (like a snapshot load) and is reported separately.
-    """
-
-    #: Table-1 per-query cold latencies, reference implementation.
-    reference_query_seconds: List[float] = field(default_factory=list)
-    #: Table-1 per-query cold latencies, compiled kernel.
-    kernel_query_seconds: List[float] = field(default_factory=list)
-    #: True when kernel and reference produced identical ranked output.
-    identical_results: bool = True
-    #: One-time CSR lowering cost for the graph under test.
-    compile_seconds: float = 0.0
-    #: How many copies of the query set the batch workload contains.
-    batch_rounds: int = 0
-    #: Total queries in the batch workload.
-    batch_query_count: int = 0
-    #: Stateless one-at-a-time serving of the workload (reference).
-    one_at_a_time_seconds: float = 0.0
-    #: ``solve_batch`` on the same workload (kernel).
-    batch_seconds: float = 0.0
-    #: Synthetic high-fanout stress graph: raw search cost (backward
-    #: Dijkstra + bounded enumeration, no jungloid conversion/ranking —
-    #: those are shared downstream costs identical in both modes).
-    stress_nodes: int = 0
-    stress_edges: int = 0
-    stress_paths: int = 0
-    stress_reference_seconds: float = 0.0
-    stress_kernel_seconds: float = 0.0
-
-    # -- derived -------------------------------------------------------
-
-    def _stats(self, samples: Sequence[float]) -> dict:
-        return {
-            "p50_ms": percentile(samples, 50) * 1000.0,
-            "p95_ms": percentile(samples, 95) * 1000.0,
-            "max_ms": (max(samples) if samples else 0.0) * 1000.0,
-            "total_ms": sum(samples) * 1000.0,
-        }
-
-    @property
-    def single_query_speedup(self) -> float:
-        kernel_total = sum(self.kernel_query_seconds)
-        if kernel_total <= 0:
-            return 0.0
-        return sum(self.reference_query_seconds) / kernel_total
-
-    @property
-    def one_at_a_time_qps(self) -> float:
-        if self.one_at_a_time_seconds <= 0:
-            return 0.0
-        return self.batch_query_count / self.one_at_a_time_seconds
-
-    @property
-    def batch_qps(self) -> float:
-        if self.batch_seconds <= 0:
-            return 0.0
-        return self.batch_query_count / self.batch_seconds
-
-    @property
-    def batch_throughput_speedup(self) -> float:
-        if self.batch_seconds <= 0:
-            return 0.0
-        return self.one_at_a_time_seconds / self.batch_seconds
-
-    @property
-    def stress_speedup(self) -> float:
-        if self.stress_kernel_seconds <= 0:
-            return 0.0
-        return self.stress_reference_seconds / self.stress_kernel_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "table1": {
-                "query_count": len(self.kernel_query_seconds),
-                "reference": self._stats(self.reference_query_seconds),
-                "kernel": self._stats(self.kernel_query_seconds),
-                "single_query_speedup": self.single_query_speedup,
-                "identical_results": self.identical_results,
-                "compile_ms": self.compile_seconds * 1000.0,
-            },
-            "batch": {
-                "rounds": self.batch_rounds,
-                "query_count": self.batch_query_count,
-                "one_at_a_time_seconds": self.one_at_a_time_seconds,
-                "batch_seconds": self.batch_seconds,
-                "one_at_a_time_qps": self.one_at_a_time_qps,
-                "batch_qps": self.batch_qps,
-                "throughput_speedup": self.batch_throughput_speedup,
-            },
-            "stress": {
-                "nodes": self.stress_nodes,
-                "edges": self.stress_edges,
-                "paths": self.stress_paths,
-                "reference_seconds": self.stress_reference_seconds,
-                "kernel_seconds": self.stress_kernel_seconds,
-                "speedup": self.stress_speedup,
-            },
-        }
-
-    def format_report(self) -> str:
-        ref = self._stats(self.reference_query_seconds)
-        ker = self._stats(self.kernel_query_seconds)
-        return "\n".join(
-            [
-                f"table1 ({len(self.kernel_query_seconds)} queries, cold cache per query):",
-                f"  reference: p50 {ref['p50_ms']:.2f} ms, p95 {ref['p95_ms']:.2f} ms,"
-                f" max {ref['max_ms']:.2f} ms",
-                f"  kernel:    p50 {ker['p50_ms']:.2f} ms, p95 {ker['p95_ms']:.2f} ms,"
-                f" max {ker['max_ms']:.2f} ms",
-                f"  single-query speedup: {self.single_query_speedup:.2f}x"
-                f" (compile once: {self.compile_seconds * 1000:.1f} ms)",
-                f"  identical ranked output: {self.identical_results}",
-                f"batch ({self.batch_query_count} queries ="
-                f" {self.batch_rounds}x table1):",
-                f"  one-at-a-time (reference, stateless):"
-                f" {self.one_at_a_time_seconds * 1000:.1f} ms"
-                f" ({self.one_at_a_time_qps:.0f} q/s)",
-                f"  solve_batch (kernel): {self.batch_seconds * 1000:.1f} ms"
-                f" ({self.batch_qps:.0f} q/s)",
-                f"  batch throughput speedup: {self.batch_throughput_speedup:.2f}x",
-                f"stress graph ({self.stress_nodes} nodes, {self.stress_edges} edges,"
-                f" {self.stress_paths} paths; Dijkstra + enumeration only):",
-                f"  reference {self.stress_reference_seconds * 1000:.1f} ms,"
-                f" kernel {self.stress_kernel_seconds * 1000:.1f} ms"
-                f" ({self.stress_speedup:.2f}x)",
-            ]
-        )
-
-
-def build_stress_graph(fan_out: int = 16) -> Tuple[TypeRegistry, SignatureGraph]:
-    """A synthetic high-fanout graph: Source → Mid_i → Leaf_j → Target.
-
-    Every mid node reaches every leaf (``fan_out²`` acyclic solution
-    paths of length 3) and additionally fans out to dead-end distractor
-    types that the cost bound must prune — the shape that punishes
-    per-edge Python callbacks hardest.
-    """
-    api = ApiBuilder()
-    api.cls("stress.Source")
-    api.cls("stress.Target")
-    source = api.on("stress.Source")
-    for i in range(fan_out):
-        api.cls(f"stress.Mid{i}")
-        api.cls(f"stress.Dead{i}")
-        source.method(f"toMid{i}", f"stress.Mid{i}")
-    for j in range(fan_out):
-        api.cls(f"stress.Leaf{j}")
-        api.on(f"stress.Leaf{j}").method("finish", "stress.Target")
-    for i in range(fan_out):
-        mid = api.on(f"stress.Mid{i}")
-        for j in range(fan_out):
-            mid.method(f"toLeaf{j}", f"stress.Leaf{j}")
-            mid.method(f"toDead{j}", f"stress.Dead{j}")
-    registry = api.registry
-    return registry, SignatureGraph.from_registry(registry)
-
-
-def _resolve_problems(
-    prospector: Prospector, problems: Sequence[Table1Problem]
-) -> List[Tuple[object, object]]:
-    from ..core.query import Query
-
-    pairs = []
-    for problem in problems:
-        query = Query.of(prospector.registry, problem.t_in, problem.t_out)
-        pairs.append((query.t_in, query.t_out))
-    return pairs
-
-
-def _ranked_texts(engine: GraphSearch, t_in, t_out) -> List[str]:
-    return [j.render_expression("x") for j in engine.solve(t_in, t_out)]
-
-
-def run_search_perf(
-    prospector: Prospector,
-    problems: Sequence[Table1Problem] = TABLE1_PROBLEMS,
-    batch_rounds: int = 3,
-    repeats: int = 3,
-    stress_fan_out: int = 16,
-) -> SearchPerfReport:
-    """Measure the compiled kernel and the batch layer against the
-    reference implementation on the Table-1 set plus a stress graph.
-
-    ``batch_rounds`` copies of the query set form the batch workload
-    (popular queries repeat across users — that repetition is exactly
-    what target-grouping amortizes). Every latency is best-of-``repeats``.
-    """
-    report = SearchPerfReport()
-    graph = prospector.graph
-    base_config = replace(prospector.config.search, time_budget_ms=None)
-    cost_model = prospector.config.cost_model
-
-    def make_engine(use_kernel: bool) -> GraphSearch:
-        return GraphSearch(
-            graph,
-            cost_model=cost_model,
-            config=replace(base_config, use_kernel=use_kernel),
-        )
-
-    queries = _resolve_problems(prospector, problems)
-
-    # -- one-time lowering cost (startup, like a snapshot load) --------
-    kernel_engine = make_engine(True)
-    start = time.perf_counter()
-    kernel_engine._compiled_graph()
-    report.compile_seconds = time.perf_counter() - start
-
-    # -- differential check: the speedup must not change the answers --
-    reference_engine = make_engine(False)
-    for t_in, t_out in queries:
-        if _ranked_texts(kernel_engine, t_in, t_out) != _ranked_texts(
-            reference_engine, t_in, t_out
-        ):
-            report.identical_results = False
-
-    # -- single-query cold latency ------------------------------------
-    def cold_latencies(engine: GraphSearch) -> List[float]:
-        best = [float("inf")] * len(queries)
-        for _ in range(max(1, repeats)):
-            for i, (t_in, t_out) in enumerate(queries):
-                engine._dist_cache.clear()
-                start = time.perf_counter()
-                engine.solve(t_in, t_out)
-                best[i] = min(best[i], time.perf_counter() - start)
-        return best
-
-    report.reference_query_seconds = cold_latencies(reference_engine)
-    report.kernel_query_seconds = cold_latencies(kernel_engine)
-
-    # -- batch throughput ---------------------------------------------
-    workload = queries * max(1, batch_rounds)
-    report.batch_rounds = max(1, batch_rounds)
-    report.batch_query_count = len(workload)
-
-    def serve_one_at_a_time() -> float:
-        engine = make_engine(False)
-        start = time.perf_counter()
-        for t_in, t_out in workload:
-            engine._dist_cache.clear()  # stateless: nothing shared
-            engine.solve(t_in, t_out)
-        return time.perf_counter() - start
-
-    def serve_batch() -> float:
-        engine = make_engine(True)
-        engine._compiled_graph()  # compiled at startup
-        start = time.perf_counter()
-        engine.solve_batch(workload)
-        return time.perf_counter() - start
-
-    report.one_at_a_time_seconds = min(
-        serve_one_at_a_time() for _ in range(max(1, repeats))
-    )
-    report.batch_seconds = min(serve_batch() for _ in range(max(1, repeats)))
-
-    # -- high-fanout stress graph -------------------------------------
-    # Raw search cost only (distance map + bounded enumeration): the
-    # downstream jungloid conversion and ranking are byte-identical in
-    # both modes, so including them would only dilute the comparison.
-    from ..search import (
-        compile_graph,
-        distances_for,
-        distances_to,
-        enumerate_paths,
-        kernel_enumerate_paths,
-    )
-
-    stress_registry, stress_graph = build_stress_graph(fan_out=stress_fan_out)
-    report.stress_nodes = stress_graph.node_count()
-    report.stress_edges = stress_graph.edge_count()
-    report.stress_paths = stress_fan_out * stress_fan_out
-    s_in, s_out = named("stress.Source"), named("stress.Target")
-    edge_cost = kernel_engine._edge_cost
-    compiled_stress = compile_graph(stress_graph, edge_cost=edge_cost)
-
-    def stress_reference() -> float:
-        start = time.perf_counter()
-        dist = distances_to(stress_graph, s_out, edge_cost=edge_cost)
-        bound = dist[s_in] + base_config.extra_cost
-        for _ in enumerate_paths(
-            stress_graph, s_in, s_out, bound, dist=dist, edge_cost=edge_cost
-        ):
-            pass
-        return time.perf_counter() - start
-
-    def stress_kernel() -> float:
-        start = time.perf_counter()
-        dist = distances_for(compiled_stress, s_out)
-        bound = dist.arr[compiled_stress.node_id[s_in]] + base_config.extra_cost
-        for _ in kernel_enumerate_paths(
-            compiled_stress, s_in, s_out, bound, dist=dist
-        ):
-            pass
-        return time.perf_counter() - start
-
-    report.stress_reference_seconds = min(
-        stress_reference() for _ in range(max(1, repeats))
-    )
-    report.stress_kernel_seconds = min(
-        stress_kernel() for _ in range(max(1, repeats))
-    )
-    return report
-
-
-def write_bench_search(report: SearchPerfReport, path: os.PathLike) -> None:
-    """Emit the search numbers as ``BENCH_search.json`` (atomic write)."""
-    _write_bench_json(path, report.to_dict())
 
 
 # ----------------------------------------------------------------------

@@ -27,8 +27,9 @@ from .diagnostics import (
 from .faults import (
     ByteMutator,
     CorpusText,
+    FlakyCompiler,
+    FlakyEdgeArray,
     FlakyFileSystem,
-    FlakyGraph,
     InjectedFault,
     blank_text,
     corrupt_corpus,
@@ -57,12 +58,13 @@ __all__ = [
     "CorpusDiagnostics",
     "CorpusFault",
     "CorpusText",
+    "FlakyCompiler",
+    "FlakyEdgeArray",
     "FlakyFileSystem",
     "DEGRADATION_LADDER",
     "Deadline",
     "DegradationReason",
     "ExtractionFault",
-    "FlakyGraph",
     "InjectedFault",
     "LOAD_PHASES",
     "ManualClock",

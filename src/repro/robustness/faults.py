@@ -4,9 +4,11 @@ Robustness code that is only reachable under production failures is
 untested code. These hooks make every failure mode reproducible:
 
 * :class:`ManualClock` (in :mod:`.budget`) drives deadline expiry;
-* :class:`FlakyGraph` wraps a signature/jungloid graph and raises
-  :class:`InjectedFault` after a fixed number of edge expansions, so a
-  mid-search crash happens at an exact, repeatable step;
+* :class:`FlakyCompiler` stands in for the search kernel's
+  ``compile_graph`` and swaps one CSR edge array of each snapshot for a
+  :class:`FlakyEdgeArray`, which raises :class:`InjectedFault` after a
+  fixed number of edge reads — so a mid-search crash happens at an
+  exact, repeatable step of the path that serves answers;
 * the corpus mutators corrupt ``(name, text)`` corpus entries in fixed
   ways (garbled token, truncation) so lenient-loading quarantine paths
   run against known-bad input;
@@ -17,53 +19,89 @@ untested code. These hooks make every failure mode reproducible:
   the previous-generation and rebuild rungs are reachable on demand.
 
 Nothing here is imported by production code paths; the engine and the
-loaders see only the ordinary graph / corpus interfaces.
+loaders see only the ordinary snapshot / corpus interfaces.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
 class InjectedFault(RuntimeError):
     """A deliberate failure raised by a fault-injection hook."""
 
 
-class FlakyGraph:
-    """A graph proxy whose edge iteration fails after ``fail_after`` calls.
+class FlakyEdgeArray(list):
+    """A CSR edge array whose reads fail after ``fail_after`` of them.
 
-    Delegates everything else to the wrapped graph, so it can stand in
-    for a :class:`~repro.graph.SignatureGraph` anywhere the search engine
-    expects one. ``fail_on`` selects which accessor trips ("out" for the
-    forward DFS, "in" for the backward Dijkstra).
+    Only reads of ``slots`` count (every slot when ``None``), so a test
+    can poison one node's edges: its CSR slot range with
+    ``fail_after=0``. ``reads`` records how many counted reads happened.
     """
 
-    def __init__(self, graph, fail_after: int, fail_on: str = "out"):
-        self._graph = graph
+    def __init__(self, values, fail_after: int, kind: str, slots=None):
+        super().__init__(values)
+        self.fail_after = int(fail_after)
+        self.kind = kind
+        self.slots = slots
+        self.reads = 0
+
+    def __getitem__(self, index):
+        if self.slots is None or index in self.slots:
+            self.reads += 1
+            if self.reads > self.fail_after:
+                raise InjectedFault(
+                    f"injected {self.kind}-edge fault after {self.fail_after} reads"
+                )
+        return list.__getitem__(self, index)
+
+
+class FlakyCompiler:
+    """A ``compile_graph`` stand-in whose snapshots carry a fault.
+
+    ``fail_on`` picks the edge array that trips: ``"out"`` for the
+    forward CSR (``out_target``: the enumeration DFS and the
+    shortest-path walk), ``"in"`` for the backward one (``in_source``:
+    the Dijkstra). With ``node``, only that node's edges count. Tests
+    install it over ``repro.search.engine.compile_graph``; the latest
+    snapshot is kept in :attr:`compiled`.
+    """
+
+    def __init__(
+        self,
+        compile_fn: Callable,
+        fail_after: int,
+        fail_on: str = "out",
+        node=None,
+    ):
+        if fail_on not in ("out", "in"):
+            raise ValueError(f"fail_on must be 'out' or 'in', not {fail_on!r}")
+        self.compile_fn = compile_fn
         self.fail_after = int(fail_after)
         self.fail_on = fail_on
-        self.calls = 0
+        self.node = node
+        self.compiled = None
 
-    def _tick(self, kind: str):
-        if kind == self.fail_on:
-            self.calls += 1
-            if self.calls > self.fail_after:
-                raise InjectedFault(
-                    f"injected {kind}-edge fault after {self.fail_after} expansions"
-                )
-
-    def out_edges(self, node):
-        self._tick("out")
-        return self._graph.out_edges(node)
-
-    def in_edges(self, node):
-        self._tick("in")
-        return self._graph.in_edges(node)
-
-    def __getattr__(self, name):
-        return getattr(self._graph, name)
+    def __call__(self, graph, *args, **kwargs):
+        compiled = self.compile_fn(graph, *args, **kwargs)
+        attr, start = (
+            ("out_target", compiled.out_start)
+            if self.fail_on == "out"
+            else ("in_source", compiled.in_start)
+        )
+        slots: Optional[range] = None
+        if self.node is not None:
+            nid = compiled.node_id[self.node]
+            slots = range(start[nid], start[nid + 1])
+        setattr(
+            compiled,
+            attr,
+            FlakyEdgeArray(getattr(compiled, attr), self.fail_after, self.fail_on, slots),
+        )
+        self.compiled = compiled
+        return compiled
 
 
 #: A corpus entry as the loaders consume it.

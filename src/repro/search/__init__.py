@@ -5,21 +5,14 @@ from .cluster import Cluster, cluster_results, representatives, type_chain
 from .engine import BatchQuery, GraphSearch, SearchConfig, SearchResult
 from .kernel import (
     CompiledGraph,
+    EnumerationReport,
     KernelDistances,
+    UNREACHABLE,
     compile_graph,
     distances_for,
     kernel_distances,
     kernel_enumerate_paths,
     kernel_shortest_path,
-)
-from .paths import (
-    EnumerationReport,
-    UNREACHABLE,
-    count_paths,
-    distances_to,
-    enumerate_paths,
-    shortest_length,
-    shortest_path,
 )
 from .ranking import (
     RankKey,
@@ -47,10 +40,7 @@ __all__ = [
     "ViabilityRankKey",
     "cluster_results",
     "compile_graph",
-    "count_paths",
     "distances_for",
-    "distances_to",
-    "enumerate_paths",
     "kernel_distances",
     "kernel_enumerate_paths",
     "kernel_shortest_path",
@@ -58,8 +48,6 @@ __all__ = [
     "rank",
     "rank_key",
     "representatives",
-    "shortest_length",
-    "shortest_path",
     "type_chain",
     "viability_rank_key",
 ]

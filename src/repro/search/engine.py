@@ -20,9 +20,7 @@ Serving performance comes from three layers on top of that:
 * **the compiled kernel** (:mod:`repro.search.kernel`): the live graph is
   lowered once per revision into a CSR snapshot with precomputed integer
   edge costs, and both the backward Dijkstra and the bounded enumeration
-  run as iterative integer loops. ``SearchConfig.use_kernel`` keeps the
-  reference implementation callable for differential testing; wrapped or
-  proxied graphs (fault injectors) always take the reference path.
+  run as iterative integer loops. It is the only search path.
 * **a bounded LRU distance cache** (:mod:`repro.search.cache`): one
   distance map per recently queried target, dropped wholesale when the
   graph's ``revision`` moves.
@@ -56,18 +54,13 @@ from ..typesystem import JavaType, VOID
 from .cache import DEFAULT_MAX_CACHED_TARGETS, LRUDistanceCache
 from .kernel import (
     CompiledGraph,
+    EnumerationReport,
     KernelDistances,
+    UNREACHABLE,
     compile_graph,
     distances_for,
     kernel_enumerate_paths,
     kernel_shortest_path,
-)
-from .paths import (
-    EnumerationReport,
-    UNREACHABLE,
-    distances_to,
-    enumerate_paths,
-    shortest_path,
 )
 from .ranking import RankKey, ViabilityRankKey, rank_key, viability_rank_key
 
@@ -91,9 +84,6 @@ class SearchConfig:
     #: Budget fractions reserved for the first two ladder rungs; the
     #: remainder funds the (always-affordable) shortest-path rung.
     ladder_fractions: Tuple[float, float] = (0.7, 0.95)
-    #: Route searches through the compiled CSR kernel. ``False`` forces
-    #: the reference implementation (differential testing / debugging).
-    use_kernel: bool = True
     #: Bound on the per-target distance maps retained between queries.
     max_cached_targets: int = DEFAULT_MAX_CACHED_TARGETS
     #: Demote statically INVIABLE jungloids below JUSTIFIED/PLAUSIBLE
@@ -162,9 +152,8 @@ class GraphSearch:
         self._dist_cache: LRUDistanceCache = LRUDistanceCache(
             max_targets=config.max_cached_targets
         )
-        self._dist_cache_revision = getattr(graph, "revision", 0)
+        self._dist_cache_revision = graph.revision
         self._compiled: Optional[CompiledGraph] = None
-        self._compile_failed_revision: Optional[int] = None
         #: Counting hook: fresh backward-Dijkstra runs (cache misses).
         #: Batch tests assert on this to prove distance maps are shared.
         self.distance_computes = 0
@@ -227,7 +216,10 @@ class GraphSearch:
             deadline = Deadline.after(self.config.time_budget_ms, self.clock)
         if not self.graph.has_node(t_out):
             return QueryOutcome(results=(), degraded=False)
-        dist = self._distances(t_out)
+        try:
+            dist = self._distances(t_out)
+        except Exception as exc:  # same outcome as the batch path
+            return self._faulted_outcome(t_out, exc)
         return self._solve_with_dist(sources, t_out, deadline, dist)
 
     # ------------------------------------------------------------------
@@ -308,7 +300,7 @@ class GraphSearch:
         sources: Sequence[JavaType],
         t_out: JavaType,
         deadline: Optional[Deadline],
-        dist,
+        dist: KernelDistances,
         path_memo: Optional[Dict[Tuple[int, ...], Tuple[Jungloid, str]]] = None,
     ) -> QueryOutcome:
         collected: List[SearchResult] = []
@@ -453,7 +445,7 @@ class GraphSearch:
         )
 
     # ------------------------------------------------------------------
-    # Kernel / reference dispatch
+    # Kernel calls
     # ------------------------------------------------------------------
 
     def _enumerate(
@@ -461,66 +453,30 @@ class GraphSearch:
         source: JavaType,
         t_out: JavaType,
         bound: int,
-        dist,
+        dist: KernelDistances,
         deadline: Optional[Deadline],
         report: EnumerationReport,
     ):
-        """Bounded enumeration via the kernel when ``dist`` came from it."""
-        if isinstance(dist, KernelDistances):
-            return kernel_enumerate_paths(
-                dist.compiled,
-                source,
-                t_out,
-                bound,
-                dist=dist,
-                max_paths=self.config.max_paths_per_source,
-                deadline=deadline,
-                report=report,
-                check_every=self.config.deadline_check_every,
-            )
-        return enumerate_paths(
-            self.graph,
+        """Bounded enumeration over the snapshot ``dist`` was computed on."""
+        return kernel_enumerate_paths(
+            dist.compiled,
             source,
             t_out,
             bound,
             dist=dist,
             max_paths=self.config.max_paths_per_source,
-            edge_cost=self._edge_cost,
             deadline=deadline,
             report=report,
             check_every=self.config.deadline_check_every,
         )
 
-    def _shortest_path(self, source: JavaType, t_out: JavaType, dist):
-        if isinstance(dist, KernelDistances):
-            return kernel_shortest_path(dist.compiled, source, t_out, dist=dist)
-        return shortest_path(
-            self.graph, source, t_out, dist=dist, edge_cost=self._edge_cost
-        )
+    def _shortest_path(self, source: JavaType, t_out: JavaType, dist: KernelDistances):
+        return kernel_shortest_path(dist.compiled, source, t_out, dist=dist)
 
-    def _compiled_graph(self) -> Optional[CompiledGraph]:
-        """The CSR snapshot for the current revision, or ``None``.
-
-        ``None`` when the kernel is configured off, when the graph is a
-        wrapper/proxy rather than a real :class:`SignatureGraph` (fault
-        injectors must keep seeing every edge access), or when compiling
-        this revision already failed (the reference path still works).
-        """
-        if not self.config.use_kernel:
-            return None
-        if not isinstance(self.graph, SignatureGraph):
-            return None
-        revision = getattr(self.graph, "revision", 0)
-        if self._compiled is not None and self._compiled.revision == revision:
-            return self._compiled
-        if self._compile_failed_revision == revision:
-            return None
-        try:
+    def _compiled_graph(self) -> CompiledGraph:
+        """The CSR snapshot for the current revision, compiled on demand."""
+        if self._compiled is None or self._compiled.revision != self.graph.revision:
             self._compiled = compile_graph(self.graph, edge_cost=self._edge_cost)
-        except Exception:
-            self._compile_failed_revision = revision
-            self._compiled = None
-            return None
         return self._compiled
 
     # ------------------------------------------------------------------
@@ -534,26 +490,18 @@ class GraphSearch:
         m = self._distances(t_out).get(t_in, UNREACHABLE)
         return None if m >= UNREACHABLE else m
 
-    def _distances(self, target: Node):
+    def _distances(self, target: Node) -> KernelDistances:
         """The per-target distance map, LRU-cached and revision-guarded.
 
-        Returns a :class:`KernelDistances` when the kernel is active, a
-        plain dict otherwise; both support ``get(node, default)``.
+        ``target`` must be a node of the graph (callers check first).
         """
-        revision = getattr(self.graph, "revision", 0)
+        revision = self.graph.revision
         if revision != self._dist_cache_revision:
             # The graph changed (e.g. mined paths grafted in or removed).
-            # When the graph can bound which targets the mutations touched
-            # (delta grafting records an invalidation log), drop only
-            # those maps; otherwise distances computed against the old
-            # edge set are all potentially stale — flush everything.
-            affected = None
-            probe = getattr(self.graph, "invalidated_targets_since", None)
-            if probe is not None:
-                try:
-                    affected = probe(self._dist_cache_revision)
-                except Exception:
-                    affected = None
+            # When delta grafting logged which targets the mutations
+            # touched, drop only those maps; ``None`` means part of the
+            # span is unlogged, so every map is potentially stale.
+            affected = self.graph.invalidated_targets_since(self._dist_cache_revision)
             if affected is None:
                 self._dist_cache.clear()
             else:
@@ -562,12 +510,7 @@ class GraphSearch:
         cached = self._dist_cache.get(target)
         if cached is not None:
             return cached
-        compiled = self._compiled_graph()
-        fresh = None
-        if compiled is not None:
-            fresh = distances_for(compiled, target)
-        if fresh is None:
-            fresh = distances_to(self.graph, target, edge_cost=self._edge_cost)
+        fresh = distances_for(self._compiled_graph(), target)
         self.distance_computes += 1
         self._dist_cache.put(target, fresh)
         return fresh

@@ -1,52 +1,93 @@
-"""The compiled search kernel: a CSR-lowered graph and iterative search.
+"""Bounded acyclic path search over a compiled (CSR) graph.
 
-The reference implementation in :mod:`repro.search.paths` walks the live
-:class:`~repro.graph.SignatureGraph` — a dict-of-list multigraph — with a
-recursive generator DFS, calling an ``edge_cost`` function on every edge
-it touches and hashing full type objects at every step. That is the right
-shape for explaining the algorithm and for differential testing, but it
-is the wrong shape for serving: Section 5 promises interactive answers,
-and the ROADMAP asks for throughput.
+The paper limits search to acyclic paths (all desired solutions observed
+were acyclic) and, per Section 5, constructs all paths of cost ≤ m+1,
+where m is the cost of the query's cheapest path. Cost is the ranking
+heuristic's size estimate: widening edges are free, ordinary elementary
+jungloids cost 1, and each reference-typed free variable adds the
+estimated 2 (Section 3.2's extension of the length heuristic). Using the
+same estimate for the window and for ranking keeps short-but-incomplete
+paths (constructor calls full of free variables) from shrinking the
+window below honest solutions.
 
-This module lowers the graph once per :attr:`~repro.graph.SignatureGraph.revision`
-into a flat snapshot:
+The live :class:`~repro.graph.SignatureGraph` is a dict-of-list
+multigraph; searching it directly would call an edge-cost function on
+every edge touched and hash full type objects at every step. Instead it
+is lowered once per :attr:`~repro.graph.SignatureGraph.revision` into a
+flat snapshot:
 
 * every node is interned to a dense integer id (insertion order, so the
   lowering is deterministic for a given build sequence);
 * out- and in-adjacency become contiguous parallel lists in CSR form
   (``out_start[u] .. out_start[u+1]`` indexes the edges leaving ``u``);
 * the cost model is evaluated **once per edge at compile time**, so the
-  hot loops compare precomputed integers instead of calling back into
-  Python per expansion.
+  hot loops compare precomputed integers.
 
-On top of the snapshot, the backward Dijkstra and the bounded acyclic
-path enumeration are reimplemented as iterative loops (explicit stack).
-The enumeration mirrors the reference recursion *exactly* — the same
-entry checks in the same order, the same per-edge checks, the same
-deadline polling cadence against ``EnumerationReport.expansions`` — so a
-query answered through the kernel yields byte-identical paths in the
-same order as the reference path, including under deadline truncation
-with a :class:`~repro.robustness.ManualClock`. That property is what the
-differential tests in ``tests/test_search_kernel.py`` pin down.
+On top of the snapshot:
+
+* a backward Dijkstra pass from the target gives ``dist(n)`` = minimum
+  remaining cost from ``n`` to the target;
+* a forward depth-first expansion (explicit frame stack) from the source
+  prunes any prefix whose cost plus ``dist`` exceeds the bound.
+
+The distance map is computed once per target and shared by every source —
+this is how "running all queries at once" (multi-source search, Section 5)
+costs about the same as one query. ``tests/search_oracle.py`` keeps a
+plain recursive version of both loops over the live graph; the
+differential tests hold this module to it path for path.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..graph import Edge, Node
+from ..graph import Edge, Node, SignatureGraph
 from ..robustness import Deadline
-from .paths import EdgeCost, EnumerationReport, UNREACHABLE, unit_cost
+
+#: Effectively-infinite distance for unreachable nodes.
+UNREACHABLE = 1 << 30
+
+#: An edge-cost function; the default charges 1 per non-widening edge.
+EdgeCost = Callable[[Edge], int]
+
+
+@dataclass
+class EnumerationReport:
+    """How a :func:`kernel_enumerate_paths` run ended (filled in by the
+    callee).
+
+    Generators cannot return status alongside yielded values, so callers
+    that need to know *why* enumeration stopped pass one of these in.
+    """
+
+    #: Paths actually yielded.
+    produced: int = 0
+    #: Node expansions performed by the DFS (counted whether or not a
+    #: deadline is set, so perf reports are meaningful without a budget).
+    expansions: int = 0
+    #: True when a deadline cut the enumeration short (results partial).
+    deadline_expired: bool = False
+    #: True when the ``max_paths`` cap stopped the enumeration.
+    path_cap_hit: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        return self.deadline_expired or self.path_cap_hit
+
+
+def unit_cost(edge: Edge) -> int:
+    """The plain length metric: widening free, everything else 1."""
+    return edge.search_length
 
 
 class CompiledGraph:
     """An immutable CSR snapshot of a signature/jungloid graph.
 
     ``out_edges_ref[i]`` is the live :class:`~repro.graph.Edge` object for
-    CSR slot ``i`` — paths are yielded in terms of the *same* edge objects
-    the reference enumeration yields, so everything downstream (jungloid
-    conversion, ranking, rendering) is unchanged.
+    CSR slot ``i`` — paths are yielded as the graph's own edge objects,
+    so jungloid conversion, ranking and rendering need no translation.
     """
 
     __slots__ = (
@@ -95,17 +136,16 @@ class CompiledGraph:
         return len(self.out_edges_ref)
 
 
-def compile_graph(graph, edge_cost: EdgeCost = unit_cost) -> CompiledGraph:
+def compile_graph(
+    graph: SignatureGraph, edge_cost: EdgeCost = unit_cost
+) -> CompiledGraph:
     """Lower ``graph`` into a :class:`CompiledGraph` snapshot.
 
     ``edge_cost`` is evaluated exactly once per edge, here; the search
     loops never call it again. The snapshot records ``graph.revision`` so
     callers can detect staleness after mined paths are grafted in.
     """
-    node_order = getattr(graph, "node_order", None)
-    nodes: Tuple[Node, ...] = (
-        node_order() if callable(node_order) else tuple(graph.nodes)
-    )
+    nodes = graph.node_order()
     node_id = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
 
@@ -136,7 +176,7 @@ def compile_graph(graph, edge_cost: EdgeCost = unit_cost) -> CompiledGraph:
         in_start[vid + 1] = len(in_source)
 
     return CompiledGraph(
-        revision=getattr(graph, "revision", 0),
+        revision=graph.revision,
         nodes=nodes,
         node_id=node_id,
         out_start=out_start,
@@ -152,9 +192,9 @@ def compile_graph(graph, edge_cost: EdgeCost = unit_cost) -> CompiledGraph:
 class KernelDistances:
     """A distance map backed by the kernel's flat integer array.
 
-    Quacks like the ``Dict[Node, int]`` the reference helpers produce —
-    ``get(node, default)`` returns ``default`` for unknown or unreachable
-    nodes — while the kernel loops index :attr:`arr` directly.
+    Reads like a ``Dict[Node, int]`` — ``get(node, default)`` returns
+    ``default`` for unknown or unreachable nodes — while the kernel loops
+    index :attr:`arr` directly.
     """
 
     __slots__ = ("compiled", "target", "arr")
@@ -185,9 +225,7 @@ def kernel_distances(compiled: CompiledGraph, target_id: int) -> List[int]:
     """Backward Dijkstra over the CSR in-adjacency, all in integers.
 
     Returns a dense array: ``dist[u]`` is the minimum cost from node ``u``
-    to the target, :data:`UNREACHABLE` when no path exists. Values equal
-    the reference :func:`~repro.search.paths.distances_to` exactly (same
-    edge costs, and Dijkstra's answer is pop-order independent).
+    to the target, :data:`UNREACHABLE` when no path exists.
     """
     n = len(compiled.nodes)
     dist = [UNREACHABLE] * n
@@ -230,13 +268,15 @@ def kernel_enumerate_paths(
     report: Optional[EnumerationReport] = None,
     check_every: int = 128,
 ) -> Iterator[Tuple[Edge, ...]]:
-    """Iterative twin of :func:`repro.search.paths.enumerate_paths`.
+    """Yield every acyclic path from ``source`` to ``target`` with cost
+    ≤ ``max_cost``, up to ``max_paths``.
 
-    Yields the same paths, in the same order, with the same
-    :class:`EnumerationReport` accounting (expansions counted per node
-    entry, deadline polled every ``check_every`` expansions, ``max_paths``
-    cap flagged at the same points) — the recursion is unrolled onto an
-    explicit frame stack, nothing else changes.
+    Paths are produced in a deterministic order (edge insertion order at
+    each node); ranking happens downstream. ``report`` counts expansions
+    per node entry and flags the ``max_paths`` cap. When ``deadline`` is
+    given it is polled every ``check_every`` expansions; on expiry the
+    generator stops cleanly with whatever it has yielded so far and marks
+    ``report.deadline_expired``.
     """
     if report is None:
         report = EnumerationReport()
@@ -249,7 +289,7 @@ def kernel_enumerate_paths(
         report.deadline_expired = True
         return
     if dist is None:
-        dist = KernelDistances(compiled, target, kernel_distances(compiled, tid))
+        dist = distances_for(compiled, target)
     arr = dist.arr
     if arr[sid] > max_cost:
         return
@@ -281,7 +321,7 @@ def kernel_enumerate_paths(
         node = frame[0]
         ei = frame[2]
         if ei < 0:
-            # Entry checks, in the reference recursion's order.
+            # Entry checks: path cap, stop flag, deadline poll, target.
             if produced >= max_paths:
                 report.path_cap_hit = True
                 leave()
@@ -311,7 +351,7 @@ def kernel_enumerate_paths(
         if ei >= out_start[node + 1]:
             leave()  # out-edge loop exhausted
             continue
-        # Per-edge loop body, in the reference recursion's order.
+        # Per-edge loop body: path cap, stop flag, cycle and bound pruning.
         if produced >= max_paths:
             report.path_cap_hit = True
             leave()
@@ -337,14 +377,21 @@ def kernel_shortest_path(
     target: Node,
     dist: Optional[KernelDistances] = None,
 ) -> Optional[Tuple[Edge, ...]]:
-    """Iterative twin of :func:`repro.search.paths.shortest_path`."""
+    """One cheapest path from ``source`` to ``target``, or ``None``.
+
+    Reconstructed greedily from the backward distance map: at each node
+    follow the first edge that lies on *some* cheapest path (its cost
+    plus the remaining distance equals the node's distance). Runs in
+    O(path length × out-degree) — this is the degradation ladder's
+    always-affordable bottom rung.
+    """
     node_id = compiled.node_id
     sid = node_id.get(source)
     tid = node_id.get(target)
     if sid is None or tid is None:
         return None
     if dist is None:
-        dist = KernelDistances(compiled, target, kernel_distances(compiled, tid))
+        dist = distances_for(compiled, target)
     arr = dist.arr
     if arr[sid] >= UNREACHABLE:
         return None
@@ -368,7 +415,7 @@ def kernel_shortest_path(
                 visited[nxt] = 1
                 break
         else:
-            # Every optimal edge loops back (zero-cost widening cycles);
-            # give up rather than spin — mirrors the reference.
+            # Every optimal edge loops back (possible only through
+            # zero-cost widening cycles); give up rather than spin.
             return None
     return tuple(path) if path else None

@@ -272,46 +272,3 @@ class TestQueryBatch:
         code = main(["query", "InputStream"])
         assert code == 2
         assert "--batch" in capsys.readouterr().err
-
-
-class TestBenchSearch:
-    def test_bench_search_writes_json(self, capsys, tmp_path):
-        out_file = tmp_path / "BENCH_search.json"
-        code = main(
-            [
-                "bench-search",
-                "--repeats",
-                "1",
-                "--batch-rounds",
-                "1",
-                "--stress-fan-out",
-                "2",
-                "-o",
-                str(out_file),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "single-query speedup" in out
-        recorded = json.loads(out_file.read_text())
-        assert recorded["table1"]["identical_results"] is True
-        assert recorded["table1"]["query_count"] == 20
-        assert recorded["batch"]["query_count"] == 20
-        assert recorded["stress"]["paths"] == 4
-
-    def test_min_speedup_gate_fails_loudly(self, capsys):
-        code = main(
-            [
-                "bench-search",
-                "--repeats",
-                "1",
-                "--batch-rounds",
-                "1",
-                "--stress-fan-out",
-                "2",
-                "--min-speedup",
-                "1000000",
-            ]
-        )
-        assert code == 1
-        assert "below required" in capsys.readouterr().err

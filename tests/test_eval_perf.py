@@ -138,129 +138,32 @@ class TestPercentile:
 
 
 class TestStressGraph:
+    """The high-fanout differential: kernel against the oracle."""
+
     def test_shape_scales_with_fan_out(self):
-        from repro.eval import build_stress_graph
-        from repro.search import count_paths
         from repro.typesystem import named
+
+        from .search_oracle import build_stress_graph, enumerate_paths
 
         fan = 4
         registry, graph = build_stress_graph(fan_out=fan)
         # Source, Target, java.lang.String, void, fan mids/leaves/deads.
         assert graph.node_count() == 4 + 3 * fan
-        assert (
-            count_paths(
-                graph,
-                named("stress.Source"),
-                named("stress.Target"),
-                max_cost=4,
-            )
-            == fan * fan
+        paths = enumerate_paths(
+            graph, named("stress.Source"), named("stress.Target"), max_cost=4
         )
+        assert sum(1 for _ in paths) == fan * fan
 
     def test_kernel_agrees_on_stress_graph(self):
-        from repro.eval import build_stress_graph
-        from repro.search import GraphSearch, SearchConfig
+        from repro.search import GraphSearch
         from repro.typesystem import named
+
+        from .search_oracle import OracleSearch, build_stress_graph
 
         registry, graph = build_stress_graph(fan_out=3)
         src, dst = named("stress.Source"), named("stress.Target")
-        ref = GraphSearch(graph, config=SearchConfig(use_kernel=False))
-        ker = GraphSearch(graph, config=SearchConfig(use_kernel=True))
         texts = lambda engine: [
             j.render_expression("x") for j in engine.solve(src, dst)
         ]
-        assert texts(ref) == texts(ker)
-        assert len(texts(ker)) == 9
-
-
-class TestSearchPerf:
-    def test_run_search_perf_end_to_end(self, small_prospector):
-        from repro.eval import run_search_perf
-        from repro.eval.problems import Table1Problem
-        from repro.eval.oracle import SolutionOracle
-
-        problems = [
-            Table1Problem(
-                1,
-                "toy",
-                "test",
-                "demo.io.InputStream",
-                "demo.io.BufferedReader",
-                0.1,
-                1,
-                SolutionOracle.none(),
-            )
-        ]
-        report = run_search_perf(
-            small_prospector,
-            problems,
-            batch_rounds=2,
-            repeats=1,
-            stress_fan_out=3,
-        )
-        assert report.identical_results
-        assert len(report.reference_query_seconds) == 1
-        assert len(report.kernel_query_seconds) == 1
-        assert report.compile_seconds > 0
-        assert report.batch_query_count == 2
-        assert report.one_at_a_time_seconds > 0
-        assert report.batch_seconds > 0
-        assert report.stress_nodes == 13  # 4 + 3 * fan_out
-        assert report.stress_paths == 9
-        assert report.stress_reference_seconds > 0
-        assert report.stress_kernel_seconds > 0
-        text = report.format_report()
-        assert "single-query speedup" in text
-        assert "throughput speedup" in text
-
-    def test_report_math_and_serialization(self):
-        from repro.eval import SearchPerfReport
-
-        report = SearchPerfReport(
-            reference_query_seconds=[0.004, 0.008],
-            kernel_query_seconds=[0.001, 0.002],
-            identical_results=True,
-            compile_seconds=0.005,
-            batch_rounds=3,
-            batch_query_count=60,
-            one_at_a_time_seconds=0.6,
-            batch_seconds=0.1,
-            stress_reference_seconds=0.03,
-            stress_kernel_seconds=0.01,
-        )
-        assert report.single_query_speedup == 4.0
-        assert report.one_at_a_time_qps == 100.0
-        assert report.batch_qps == 600.0
-        assert abs(report.batch_throughput_speedup - 6.0) < 1e-9
-        assert report.stress_speedup == 3.0
-        data = report.to_dict()
-        assert data["table1"]["single_query_speedup"] == 4.0
-        assert data["table1"]["identical_results"] is True
-        assert abs(data["batch"]["throughput_speedup"] - 6.0) < 1e-9
-        assert data["stress"]["speedup"] == 3.0
-
-    def test_zero_guards(self):
-        from repro.eval import SearchPerfReport
-
-        report = SearchPerfReport()
-        assert report.single_query_speedup == 0.0
-        assert report.one_at_a_time_qps == 0.0
-        assert report.batch_qps == 0.0
-        assert report.batch_throughput_speedup == 0.0
-        assert report.stress_speedup == 0.0
-
-    def test_write_bench_search(self, tmp_path):
-        import json
-
-        from repro.eval import SearchPerfReport, write_bench_search
-
-        report = SearchPerfReport(
-            kernel_query_seconds=[0.001],
-            reference_query_seconds=[0.002],
-            identical_results=True,
-        )
-        out = tmp_path / "BENCH_search.json"
-        write_bench_search(report, out)
-        recorded = json.loads(out.read_text())
-        assert recorded["table1"]["single_query_speedup"] == 2.0
-        assert recorded["table1"]["identical_results"] is True
+        assert texts(OracleSearch(graph)) == texts(GraphSearch(graph))
+        assert len(texts(GraphSearch(graph))) == 9

@@ -23,8 +23,9 @@ from repro.minijava.ast import Position
 from repro.mining import ExampleJungloid, generalize_examples, widening_chain
 from repro.search import (
     GraphSearch,
-    distances_to,
-    enumerate_paths,
+    compile_graph,
+    distances_for,
+    kernel_enumerate_paths,
     package_crossings,
     rank,
     rank_key,
@@ -36,6 +37,8 @@ from repro.typesystem import (
     named,
     package_distance,
 )
+
+from .search_oracle import distances_to, enumerate_paths
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -311,6 +314,11 @@ class TestSearchProperties:
         t_in = registry.lookup("synth.p0.C0")
         t_out = registry.lookup("synth.p1.C4")
         dist = distances_to(graph, t_out)
+        # The kernel's distance map is the oracle's, node for node.
+        compiled = compile_graph(graph)
+        kernel_dist = distances_for(compiled, t_out)
+        for node in graph.nodes:
+            assert kernel_dist.get(node) == dist.get(node)
         if t_in not in dist:
             return
         m = dist[t_in]
@@ -320,6 +328,10 @@ class TestSearchProperties:
             assert cost >= 0
         # At least one path achieves a cost within the bound.
         assert paths
+        # ... and the kernel enumerates exactly the oracle's paths.
+        assert list(
+            kernel_enumerate_paths(compiled, t_in, t_out, m, dist=kernel_dist, max_paths=50)
+        ) == paths
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.jungloids import Jungloid, downcast
 from repro.robustness import (
     DEGRADATION_LADDER,
     Deadline,
-    FlakyGraph,
+    FlakyCompiler,
     InjectedFault,
     ManualClock,
     REASON_DEADLINE,
@@ -21,10 +21,12 @@ from repro.search import (
     EnumerationReport,
     GraphSearch,
     SearchConfig,
-    distances_to,
-    enumerate_paths,
-    shortest_path,
+    compile_graph,
+    kernel_enumerate_paths,
 )
+from repro.search import engine as search_engine
+
+from .search_oracle import KERNEL, ORACLE
 
 
 def _sig_graph(registry):
@@ -35,7 +37,16 @@ def _types(registry, *names):
     return tuple(registry.lookup(n) for n in names)
 
 
+def _install(monkeypatch, **fault) -> FlakyCompiler:
+    """Make every snapshot the engine compiles carry ``fault``."""
+    flaky = FlakyCompiler(compile_graph, **fault)
+    monkeypatch.setattr(search_engine, "compile_graph", flaky)
+    return flaky
+
+
 class TestEnumerationDeadline:
+    search = ORACLE
+
     def test_expired_deadline_yields_nothing_and_reports(self, small_registry):
         graph = _sig_graph(small_registry)
         src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
@@ -43,7 +54,7 @@ class TestEnumerationDeadline:
         deadline = Deadline.after(1.0, clock)  # expired on first poll
         report = EnumerationReport()
         paths = list(
-            enumerate_paths(graph, src, dst, 5, deadline=deadline, report=report)
+            self.search.enumerate_paths(graph, src, dst, 5, deadline=deadline, report=report)
         )
         assert paths == []
         assert report.deadline_expired
@@ -53,27 +64,29 @@ class TestEnumerationDeadline:
         graph = _sig_graph(small_registry)
         src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
         report = EnumerationReport()
-        paths = list(enumerate_paths(graph, src, dst, 5, report=report))
+        paths = list(self.search.enumerate_paths(graph, src, dst, 5, report=report))
         assert paths
         assert not report.deadline_expired
 
     def test_path_cap_is_reported(self, small_registry):
         graph = _sig_graph(small_registry)
         src, dst = _types(small_registry, "demo.ui.Panel", "demo.ui.Item")
-        unbounded = list(enumerate_paths(graph, src, dst, 6))
+        unbounded = list(self.search.enumerate_paths(graph, src, dst, 6))
         assert len(unbounded) >= 2
         report = EnumerationReport()
-        capped = list(enumerate_paths(graph, src, dst, 6, max_paths=1, report=report))
+        capped = list(self.search.enumerate_paths(graph, src, dst, 6, max_paths=1, report=report))
         assert len(capped) == 1
         assert report.path_cap_hit
 
 
 class TestShortestPath:
+    search = ORACLE
+
     def test_reconstructs_a_cheapest_path(self, small_registry):
         graph = _sig_graph(small_registry)
         src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
-        dist = distances_to(graph, dst)
-        path = shortest_path(graph, src, dst, dist=dist)
+        dist = self.search.distances_to(graph, dst)
+        path = self.search.shortest_path(graph, src, dst, dist=dist)
         assert path is not None
         assert path[0].source == src and path[-1].target == dst
         cost = sum(e.search_length for e in path)
@@ -82,7 +95,15 @@ class TestShortestPath:
     def test_unreachable_returns_none(self, small_registry):
         graph = _sig_graph(small_registry)
         sel, item = _types(small_registry, "demo.ui.ISelection", "demo.ui.Item")
-        assert shortest_path(graph, sel, item) is None
+        assert self.search.shortest_path(graph, sel, item) is None
+
+
+class TestEnumerationDeadlineOnKernel(TestEnumerationDeadline):
+    search = KERNEL
+
+
+class TestShortestPathOnKernel(TestShortestPath):
+    search = KERNEL
 
 
 class TestDeadlineDegradation:
@@ -154,10 +175,13 @@ class TestDeadlineDegradation:
 
 
 class TestFaultIsolation:
-    def test_flaky_graph_degrades_instead_of_raising(self, small_registry):
-        graph = _sig_graph(small_registry)
-        flaky = FlakyGraph(graph, fail_after=2)
-        engine = GraphSearch(flaky)
+    """Faults injected into the CSR snapshot the engine searches."""
+
+    def test_flaky_graph_degrades_instead_of_raising(
+        self, small_registry, monkeypatch
+    ):
+        _install(monkeypatch, fail_after=2)
+        engine = GraphSearch(_sig_graph(small_registry))
         src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
         outcome = engine.solve_multi_outcome([src], dst)  # must not raise
         assert outcome.degraded
@@ -167,14 +191,13 @@ class TestFaultIsolation:
         assert [r.rung for r in outcome.reasons] == list(DEGRADATION_LADDER)
 
     def test_flaky_graph_raises_through_legacy_api(self, small_registry):
-        # The fault hook itself works: undegraded call sites see the error.
-        graph = _sig_graph(small_registry)
-        flaky = FlakyGraph(graph, fail_after=0)
+        # The fault hook itself works: the raw kernel call sees the error.
+        compiled = FlakyCompiler(compile_graph, fail_after=0)(_sig_graph(small_registry))
         src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
         with pytest.raises(InjectedFault):
-            list(enumerate_paths(flaky, src, dst, 5, dist=distances_to(graph, dst)))
+            list(kernel_enumerate_paths(compiled, src, dst, 5))
 
-    def test_fault_in_one_source_spares_the_others(self, small_registry):
+    def test_fault_in_one_source_spares_the_others(self, small_registry, monkeypatch):
         graph = _sig_graph(small_registry)
         src1, src2, dst = _types(
             small_registry,
@@ -184,14 +207,43 @@ class TestFaultIsolation:
         )
         healthy = GraphSearch(graph).solve_multi([src1, src2], dst)
         healthy_texts = {r.jungloid.render_expression("x") for r in healthy}
-        # The first source's walk uses 3 out_edges expansions; a budget of
-        # 4 trips the fault during the *second* source's walk.
-        flaky = FlakyGraph(graph, fail_after=4)
-        outcome = GraphSearch(flaky).solve_multi_outcome([src1, src2], dst)
+        # Count the edge reads of the first source's walk; a budget of
+        # exactly that many trips the fault during the second source's.
+        probe = _install(monkeypatch, fail_after=10**9)
+        GraphSearch(graph).solve_multi([src1], dst)
+        first_walk = probe.compiled.out_target.reads
+        _install(monkeypatch, fail_after=first_walk)
+        outcome = GraphSearch(graph).solve_multi_outcome([src1, src2], dst)
         assert outcome.degraded
+        assert all(str(src2) in r.detail for r in outcome.reasons)
         got_texts = {r.jungloid.render_expression("x") for r in outcome.results}
         assert got_texts  # the healthy portion survived
         assert got_texts <= healthy_texts
+
+    def test_distance_fault_same_in_single_and_batch(self, small_registry, monkeypatch):
+        # A fault in the backward Dijkstra must not depend on how the
+        # query is served: both paths return the same degraded outcome.
+        _install(monkeypatch, fail_after=0, fail_on="in")
+        graph = _sig_graph(small_registry)
+        src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
+        single = GraphSearch(graph).solve_multi_outcome([src], dst)
+        (batch,) = GraphSearch(graph).solve_batch([(src, dst)])
+        assert single == batch
+        assert single.degraded
+        assert [r.code for r in single.reasons] == [REASON_FAULT]
+
+    def test_compile_failure_degrades_instead_of_hiding(
+        self, small_registry, monkeypatch
+    ):
+        def broken(graph, **kwargs):
+            raise InjectedFault("compile failed")
+
+        monkeypatch.setattr(search_engine, "compile_graph", broken)
+        src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
+        outcome = GraphSearch(_sig_graph(small_registry)).solve_multi_outcome([src], dst)
+        assert outcome.degraded
+        assert outcome.results == ()
+        assert [r.code for r in outcome.reasons] == [REASON_FAULT]
 
 
 class TestDistanceCacheInvalidation:

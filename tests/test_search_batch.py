@@ -9,12 +9,13 @@ only that query.
 
 from repro.graph import SignatureGraph
 from repro.robustness import (
-    InjectedFault,
+    FlakyCompiler,
     ManualClock,
     REASON_DEADLINE,
     REASON_FAULT,
 )
-from repro.search import BatchQuery, GraphSearch, SearchConfig
+from repro.search import BatchQuery, GraphSearch, SearchConfig, compile_graph
+from repro.search import engine as search_engine
 from repro.typesystem import VOID, named
 
 
@@ -136,39 +137,25 @@ class TestDistanceSharing:
         assert search.distance_computes == 1
 
 
-class _PoisonedGraph:
-    """Proxy raising on edge access for one specific node only."""
-
-    def __init__(self, graph, poisoned_node, fail_on="out"):
-        self._graph = graph
-        self._poisoned = poisoned_node
-        self._fail_on = fail_on
-
-    def _check(self, kind, node):
-        if kind == self._fail_on and node == self._poisoned:
-            raise InjectedFault(f"poisoned {kind}-edges of {node}")
-
-    def out_edges(self, node):
-        self._check("out", node)
-        return self._graph.out_edges(node)
-
-    def in_edges(self, node):
-        self._check("in", node)
-        return self._graph.in_edges(node)
-
-    def __getattr__(self, name):
-        return getattr(self._graph, name)
+def _poison(monkeypatch, node, fail_on="out"):
+    """Compiled snapshots raise on any read of ``node``'s edges."""
+    monkeypatch.setattr(
+        search_engine,
+        "compile_graph",
+        FlakyCompiler(compile_graph, fail_after=0, fail_on=fail_on, node=node),
+    )
 
 
 class TestFaultIsolation:
-    def test_faulting_query_degrades_only_itself(self, small_registry):
+    def test_faulting_query_degrades_only_itself(self, small_registry, monkeypatch):
         # Poison the forward edges of InputStreamReader: the
         # InputStream→BufferedReader enumeration must walk through it,
         # the Panel→ISelection one never touches it.
-        graph = _PoisonedGraph(
-            _graph(small_registry), named("demo.io.InputStreamReader")
+        healthy = GraphSearch(_graph(small_registry)).solve_multi_outcome(
+            [PANEL], SELECTION
         )
-        search = GraphSearch(graph)
+        _poison(monkeypatch, named("demo.io.InputStreamReader"))
+        search = GraphSearch(_graph(small_registry))
         bad, good = search.solve_batch(
             [(IN_STREAM, BUF_READER), (PANEL, SELECTION)]
         )
@@ -176,21 +163,15 @@ class TestFaultIsolation:
         assert any(r.code == REASON_FAULT for r in bad.reasons)
         assert not good.degraded
         assert good.results
-        assert _texts(good) == _texts(
-            GraphSearch(_graph(small_registry)).solve_multi_outcome(
-                [PANEL], SELECTION
-            )
-        )
+        assert _texts(good) == _texts(healthy)
 
     def test_faulting_dijkstra_cuts_off_only_its_target_group(
-        self, small_registry
+        self, small_registry, monkeypatch
     ):
         # Poison the *backward* edges of one target: its whole group
         # faults at the distance-map stage; other targets are untouched.
-        graph = _PoisonedGraph(
-            _graph(small_registry), BUF_READER, fail_on="in"
-        )
-        search = GraphSearch(graph)
+        _poison(monkeypatch, BUF_READER, fail_on="in")
+        search = GraphSearch(_graph(small_registry))
         bad1, good, bad2 = search.solve_batch(
             [
                 (IN_STREAM, BUF_READER),

@@ -1,9 +1,9 @@
 """Differential tests for the compiled search kernel.
 
 The kernel (CSR lowering + iterative loops) must be byte-identical to
-the reference implementation in ``paths.py``: same jungloids, same
-order, same degradation outcomes — including runs a deadline truncates
-partway through. Every test here runs both backends on the same input
+the reference oracle in ``tests/search_oracle.py``: same jungloids,
+same order, same degradation outcomes — including runs a deadline
+truncates partway through. Every test here runs both on the same input
 and compares outputs structurally.
 """
 
@@ -11,7 +11,7 @@ from repro.eval import TABLE1_PROBLEMS
 from repro.core.query import Query
 from repro.graph import JungloidGraph, SignatureGraph
 from repro.jungloids import Jungloid, downcast
-from repro.robustness import Deadline, FlakyGraph, ManualClock
+from repro.robustness import Deadline, ManualClock
 from repro.search import (
     CompiledGraph,
     EnumerationReport,
@@ -20,20 +20,18 @@ from repro.search import (
     SearchConfig,
     compile_graph,
     distances_for,
-    distances_to,
-    enumerate_paths,
     kernel_enumerate_paths,
     kernel_shortest_path,
-    shortest_path,
 )
-from repro.typesystem import named
+from repro.typesystem import VOID, named
+
+from .search_oracle import OracleSearch, distances_to, enumerate_paths, shortest_path
 
 
 def _pair(graph, **overrides):
-    """A (reference, kernel) engine pair over the same graph."""
-    ref = GraphSearch(graph, config=SearchConfig(use_kernel=False, **overrides))
-    ker = GraphSearch(graph, config=SearchConfig(use_kernel=True, **overrides))
-    return ref, ker
+    """An (oracle, kernel) engine pair over the same graph."""
+    config = SearchConfig(**overrides)
+    return OracleSearch(graph, config=config), GraphSearch(graph, config=config)
 
 
 def _texts(outcome):
@@ -127,6 +125,7 @@ class TestEnumerationParity:
         assert ref == ker
         assert len(ker) == 1
         assert ref_rep.path_cap_hit and ker_rep.path_cap_hit
+        assert ref_rep.expansions == ker_rep.expansions
 
     def test_deadline_truncation_parity(self, small_registry):
         graph = SignatureGraph.from_registry(small_registry)
@@ -154,6 +153,32 @@ class TestEnumerationParity:
         assert ref_rep.deadline_expired == ker_rep.deadline_expired
         assert ref_rep.expansions == ker_rep.expansions
 
+    def test_deadline_poll_cadence_parity(self, small_registry):
+        # Polling every 4th expansion: the truncation point (and so the
+        # expansion count) moves if the kernel polls on a different one.
+        # From void, 45 expansions reach BufferedReader; the deadline
+        # expires on the fifth poll, partway through.
+        graph = SignatureGraph.from_registry(small_registry)
+        src = VOID
+        dst = named("demo.io.BufferedReader")
+        ref_rep, ker_rep = EnumerationReport(), EnumerationReport()
+        ref = list(
+            enumerate_paths(
+                graph, src, dst, 6,
+                deadline=Deadline.after(65.0, ManualClock(tick=0.010)),
+                report=ref_rep, check_every=4,
+            )
+        )
+        ker = list(
+            kernel_enumerate_paths(
+                compile_graph(graph), src, dst, 6,
+                deadline=Deadline.after(65.0, ManualClock(tick=0.010)),
+                report=ker_rep, check_every=4,
+            )
+        )
+        assert ref_rep.deadline_expired and ker_rep.deadline_expired
+        assert ref and ref == ker
+        assert ref_rep.expansions == ker_rep.expansions
     def test_shortest_path_parity(self, small_registry):
         graph = SignatureGraph.from_registry(small_registry)
         compiled = compile_graph(graph)
@@ -187,16 +212,6 @@ class TestEngineDispatch:
         dst = named("demo.io.BufferedReader")
         assert isinstance(ker._distances(dst), KernelDistances)
         assert isinstance(ref._distances(dst), dict)
-
-    def test_proxied_graph_takes_reference_path(self, small_registry):
-        graph = FlakyGraph(
-            SignatureGraph.from_registry(small_registry), fail_after=10**9
-        )
-        search = GraphSearch(graph)  # use_kernel=True by default
-        assert search._compiled_graph() is None
-        assert isinstance(
-            search._distances(named("demo.io.BufferedReader")), dict
-        )
 
     def test_compile_invalidated_on_revision_bump(self, small_registry):
         graph = JungloidGraph.build(small_registry)
@@ -254,9 +269,3 @@ class TestDifferentialTable1:
                 (r.code, r.rung) for r in b.reasons
             ]
             assert a.rungs == b.rungs
-
-    def test_kernel_flag_off_bypasses_kernel(self, standard_prospector):
-        graph = standard_prospector.search.graph
-        ref, _ = _pair(graph)
-        ref.solve(named("java.io.InputStream"), named("java.io.BufferedReader"))
-        assert ref._compiled is None

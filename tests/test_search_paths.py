@@ -1,9 +1,15 @@
-"""Tests for bounded path enumeration and weighted distances."""
+"""Tests for bounded path enumeration and weighted distances.
+
+Each class runs on the reference oracle; its ``...OnKernel`` subclass
+runs the same cases on the CSR kernel.
+"""
 
 from repro.apispec import load_api_text
 from repro.graph import SignatureGraph
-from repro.search import UNREACHABLE, count_paths, distances_to, enumerate_paths, shortest_length
+from repro.search import UNREACHABLE
 from repro.typesystem import named
+
+from .search_oracle import KERNEL, ORACLE
 
 API = """
 package java.lang;
@@ -33,37 +39,42 @@ def build():
 
 
 class TestDistances:
+    search = ORACLE
+
     def test_distance_to_self(self):
         registry, graph = build()
-        d = distances_to(graph, named("w.D"))
+        d = self.search.distances_to(graph, named("w.D"))
         assert d[named("w.D")] == 0
 
     def test_distances_count_calls(self):
         registry, graph = build()
-        d = distances_to(graph, named("w.D"))
+        d = self.search.distances_to(graph, named("w.D"))
         assert d[named("w.C")] == 1
         assert d[named("w.A")] == 2
 
     def test_widening_is_free(self):
         registry, graph = build()
-        d = distances_to(graph, named("w.A"))
+        d = self.search.distances_to(graph, named("w.A"))
         # B widens to A at no cost.
         assert d[named("w.B")] == 0
 
     def test_unreachable(self):
         registry, graph = build()
-        assert shortest_length(graph, named("w.F"), named("w.D")) == UNREACHABLE
+        d = self.search.distances_to(graph, named("w.D"))
+        assert d.get(named("w.F"), UNREACHABLE) == UNREACHABLE
 
     def test_custom_edge_cost(self):
         registry, graph = build()
-        d = distances_to(graph, named("w.D"), edge_cost=lambda e: 0 if e.is_widening else 3)
+        d = self.search.distances_to(graph, named("w.D"), edge_cost=lambda e: 0 if e.is_widening else 3)
         assert d[named("w.C")] == 3
 
 
 class TestEnumeration:
+    search = ORACLE
+
     def test_all_paths_within_bound(self):
         registry, graph = build()
-        paths = list(enumerate_paths(graph, named("w.A"), named("w.C"), max_cost=2))
+        paths = list(self.search.enumerate_paths(graph, named("w.A"), named("w.C"), max_cost=2))
         renderings = {
             SignatureGraph.path_to_jungloid(p).render_expression("x") for p in paths
         }
@@ -71,43 +82,46 @@ class TestEnumeration:
 
     def test_bound_excludes_longer(self):
         registry, graph = build()
-        paths = list(enumerate_paths(graph, named("w.A"), named("w.C"), max_cost=1))
+        paths = list(self.search.enumerate_paths(graph, named("w.A"), named("w.C"), max_cost=1))
         assert len(paths) == 1
 
     def test_paths_are_acyclic(self):
         registry, graph = build()
-        for path in enumerate_paths(graph, named("w.A"), named("w.D"), max_cost=5):
+        for path in self.search.enumerate_paths(graph, named("w.A"), named("w.D"), max_cost=5):
             nodes = [path[0].source] + [e.target for e in path]
             assert len(nodes) == len(set(nodes))
 
     def test_max_paths_cap(self):
         registry, graph = build()
         paths = list(
-            enumerate_paths(graph, named("w.A"), named("w.C"), max_cost=3, max_paths=1)
+            self.search.enumerate_paths(graph, named("w.A"), named("w.C"), max_cost=3, max_paths=1)
         )
         assert len(paths) == 1
 
     def test_no_paths_when_unreachable(self):
         registry, graph = build()
-        assert not list(enumerate_paths(graph, named("w.F"), named("w.D"), max_cost=9))
+        assert not list(self.search.enumerate_paths(graph, named("w.F"), named("w.D"), max_cost=9))
 
     def test_missing_nodes_handled(self):
         registry, graph = build()
         assert not list(
-            enumerate_paths(graph, named("x.Ghost"), named("w.D"), max_cost=3)
+            self.search.enumerate_paths(graph, named("x.Ghost"), named("w.D"), max_cost=3)
         )
 
     def test_count_paths(self):
         registry, graph = build()
-        assert count_paths(graph, named("w.A"), named("w.C"), max_cost=2) == 2
+        paths = self.search.enumerate_paths(graph, named("w.A"), named("w.C"), max_cost=2)
+        assert sum(1 for _ in paths) == 2
 
     def test_paths_end_exactly_at_target(self):
         registry, graph = build()
-        for path in enumerate_paths(graph, named("w.A"), named("w.D"), max_cost=4):
+        for path in self.search.enumerate_paths(graph, named("w.A"), named("w.D"), max_cost=4):
             assert path[-1].target == named("w.D")
 
 
 class TestExpansionCounting:
+    search = ORACLE
+
     def test_expansions_counted_without_deadline(self):
         """Regression: expansions used to be counted only when a deadline
         was set, making perf reports read zero on unbudgeted runs."""
@@ -116,7 +130,7 @@ class TestExpansionCounting:
         registry, graph = build()
         report = EnumerationReport()
         paths = list(
-            enumerate_paths(
+            self.search.enumerate_paths(
                 graph, named("w.A"), named("w.D"), max_cost=5, report=report
             )
         )
@@ -131,13 +145,13 @@ class TestExpansionCounting:
         registry, graph = build()
         plain = EnumerationReport()
         list(
-            enumerate_paths(
+            self.search.enumerate_paths(
                 graph, named("w.A"), named("w.D"), max_cost=5, report=plain
             )
         )
         budgeted = EnumerationReport()
         list(
-            enumerate_paths(
+            self.search.enumerate_paths(
                 graph,
                 named("w.A"),
                 named("w.D"),
@@ -148,3 +162,15 @@ class TestExpansionCounting:
             )
         )
         assert plain.expansions == budgeted.expansions > 0
+
+
+class TestDistancesOnKernel(TestDistances):
+    search = KERNEL
+
+
+class TestEnumerationOnKernel(TestEnumeration):
+    search = KERNEL
+
+
+class TestExpansionCountingOnKernel(TestExpansionCounting):
+    search = KERNEL
