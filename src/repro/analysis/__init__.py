@@ -10,7 +10,6 @@ stable structured diagnostics (:mod:`~repro.analysis.lint`).
 
 from .castsafety import (
     AbstractValue,
-    AnalysisConfig,
     CastAnalyzer,
     CastObservation,
     analyze_corpus,
@@ -42,7 +41,6 @@ from .verdicts import (
 
 __all__ = [
     "AbstractValue",
-    "AnalysisConfig",
     "CastAnalyzer",
     "CastFinding",
     "CastObservation",

@@ -1,15 +1,19 @@
 """Interprocedural cast-safety analysis over the MiniJava corpus.
 
-For every downcast expression in the corpus, a flow-insensitive backward
-abstract interpretation (the same slice shape as
-:class:`~repro.mining.extractor.JungloidExtractor`: assignment maps per
-method, client-call inlining, CHA caller jumps) computes which values can
-reach the cast operand in the abstract domain::
+For every downcast expression in the corpus, an abstract interpretation
+of its backward slice (:mod:`repro.mining.slicer`, the same slice mining
+walks) computes which values can reach the cast operand in the abstract
+domain::
 
     value = (definites: set of concrete types proved by allocation sites,
              unknown:   True when some flow passes through an opaque
                         source — an API call, a field, ``this``, an
                         unbound parameter, or a widened approximation)
+
+Where mining builds one chain per path, :class:`CastAnalyzer` joins the
+values of every flow, so it has no example cap. It keeps ``this``,
+fields and API calls opaque rather than following a bound receiver the
+way mining does: a verdict needs only a sound over-approximation.
 
 Each downcast yields one :class:`CastObservation` recording whether any
 witnessed flow is *compatible* with the cast target. Observations are
@@ -45,16 +49,12 @@ from ..minijava.ast import (
     NewExpr,
     NullLit,
     Position,
-    ReturnStmt,
     ThisExpr,
     VarRef,
-    method_expressions,
-    walk_statements,
 )
-from ..minijava.callgraph import CallGraph, build_call_graph
-from ..mining.dataflow import AssignmentMap, build_assignment_map
-from ..robustness import ExtractionFault
-from ..typesystem import JavaType, NamedType, TypeRegistry, is_reference
+from ..minijava.callgraph import CallGraph
+from ..mining.slicer import BackwardSlicer, Flow, SliceFrame
+from ..typesystem import NamedType, TypeRegistry
 from .verdicts import (
     CastFinding,
     CastVerdict,
@@ -63,15 +63,8 @@ from .verdicts import (
     cast_plausible,
 )
 
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Budgets bounding the abstract interpretation."""
-
-    #: Maximum interprocedural frame switches on one evaluation.
-    max_frames: int = 8
-    #: Definite-type sets wider than this widen to *unknown*.
-    max_definites: int = 16
+#: Definite-type sets wider than this widen to *unknown*.
+MAX_DEFINITES = 16
 
 
 @dataclass(frozen=True)
@@ -133,29 +126,8 @@ class CastObservation:
         return (self.operand, self.target)
 
 
-class CastAnalyzer:
-    """Runs the abstract interpretation over a resolved corpus."""
-
-    def __init__(
-        self,
-        registry: TypeRegistry,
-        units: Sequence[CompilationUnit],
-        corpus_types: Sequence[NamedType],
-        call_graph: Optional[CallGraph] = None,
-        config: AnalysisConfig = AnalysisConfig(),
-    ):
-        self.registry = registry
-        self.units = list(units)
-        self.corpus_type_set: Set[NamedType] = set(corpus_types)
-        self.call_graph = call_graph or build_call_graph(registry, units)
-        self.config = config
-        self._assignment_maps: Dict[int, AssignmentMap] = {}
-        #: Per-cast failures recorded (not raised) during analysis.
-        self.faults: List[ExtractionFault] = []
-
-    # ------------------------------------------------------------------
-    # Public entry points
-    # ------------------------------------------------------------------
+class CastAnalyzer(BackwardSlicer):
+    """Joins abstract values over the backward slice of every downcast."""
 
     def analyze_all(self) -> List[CastObservation]:
         observations: List[CastObservation] = []
@@ -164,47 +136,16 @@ class CastAnalyzer:
         return observations
 
     def analyze_unit(self, unit: CompilationUnit) -> List[CastObservation]:
-        """Observations for every downcast in ``unit``.
+        """One observation for every downcast in ``unit``.
 
         The unit of incremental re-analysis: the pipeline caches this
         per corpus file and replays only files whose content (or whose
         slicing dependencies) changed. Each cast is fault-isolated, like
         mining: one pathological slice cannot sink the pass.
         """
-        observations: List[CastObservation] = []
-        for cls in unit.classes:
-            for method in cls.methods:
-                for expr in method_expressions(method):
-                    if not isinstance(expr, CastExpr):
-                        continue
-                    if not self._is_downcast(expr):
-                        continue
-                    try:
-                        observations.append(self._observe(unit, method, expr))
-                    except Exception as exc:
-                        self.faults.append(
-                            ExtractionFault(
-                                source=unit.source,
-                                method=method.name,
-                                position=str(expr.position),
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-        return observations
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-
-    def _is_downcast(self, cast: CastExpr) -> bool:
-        target, operand = cast.resolved_type, cast.operand_type
-        if target is None or operand is None:
-            return False
-        if not (is_reference(target) and is_reference(operand)):
-            return False
-        if target == operand:
-            return False
-        return not self.registry.is_subtype(operand, target)
+        return self.slice_sites(
+            unit, self.is_downcast, lambda u, m, cast: (self._observe(u, m, cast),)
+        )
 
     def _observe(
         self, unit: CompilationUnit, method: MethodDecl, cast: CastExpr
@@ -212,7 +153,7 @@ class CastAnalyzer:
         target = cast.resolved_type
         operand_type = cast.operand_type
         assert target is not None and operand_type is not None
-        value = self._eval(cast.operand, _Frame(method), set(), frozenset())
+        value = self._eval(cast.operand, SliceFrame(method), set(), frozenset())
         allocation_proved = any(
             self.registry.is_subtype(d, target) for d in value.definites
         )
@@ -233,22 +174,10 @@ class CastAnalyzer:
     # The abstract interpreter
     # ------------------------------------------------------------------
 
-    def _assignments(self, method: MethodDecl) -> AssignmentMap:
-        amap = self._assignment_maps.get(id(method))
-        if amap is None:
-            amap = build_assignment_map(method)
-            self._assignment_maps[id(method)] = amap
-        return amap
-
-    def _widen(self, value: AbstractValue) -> AbstractValue:
-        if len(value.definites) > self.config.max_definites:
-            return UNKNOWN
-        return value
-
     def _eval(
         self,
         expr: Expr,
-        frame: "_Frame",
+        frame: SliceFrame,
         visiting: Set[Tuple[int, int]],
         inline_stack: frozenset,
     ) -> AbstractValue:
@@ -267,13 +196,35 @@ class CastAnalyzer:
                 return UNKNOWN
             return AbstractValue(frozenset({ctor.owner}), False)
         if isinstance(expr, CastExpr):
-            return self._eval_cast(expr, frame, visiting, inline_stack)
+            inner = self._eval(expr.operand, frame, visiting, inline_stack)
+            target = expr.resolved_type
+            if target is None:
+                return UNKNOWN
+            # Unknown survives the cast (the runtime check passed, so the
+            # value *is* a subtype of target — still opaque to us).
+            return AbstractValue(
+                frozenset(d for d in inner.definites if self.registry.is_subtype(d, target)),
+                inner.unknown,
+            )
         if isinstance(expr, CallExpr):
-            return self._eval_call(expr, frame, visiting, inline_stack)
+            if expr.resolved_method is None:
+                return UNKNOWN
+            # API calls (no flows) are opaque sources.
+            return self._join_flows(self.inline(expr, frame, inline_stack), visiting)
         if isinstance(expr, (FieldAccessExpr, ThisExpr)):
             return UNKNOWN
         if isinstance(expr, VarRef):
-            return self._eval_var(expr, frame, visiting, inline_stack)
+            if expr.resolved_kind == "field":
+                return UNKNOWN
+            if expr.resolved_kind == "param":
+                binding = frame.binding(expr.name)
+                if binding is not None:
+                    return self._eval(binding[0], binding[1], visiting, inline_stack)
+                flows = self.caller_arguments(expr, frame, inline_stack)
+                return self._join_flows(flows, visiting)
+            # Local variable: join every expression ever assigned to it.
+            sources = self.local_sources(frame, expr.name)
+            return self._join_flows([(s, frame, inline_stack) for s in sources], visiting)
         # Literals and operators: the static type is exact for value
         # types but casts on them are not reference downcasts anyway;
         # treat as opaque.
@@ -282,122 +233,14 @@ class CastAnalyzer:
             return AbstractValue(frozenset({t}), False)
         return UNKNOWN
 
-    def _eval_cast(
-        self, cast: CastExpr, frame: "_Frame", visiting, inline_stack
-    ) -> AbstractValue:
-        inner = self._eval(cast.operand, frame, visiting, inline_stack)
-        target = cast.resolved_type
-        if target is None:
+    def _join_flows(self, flows: Optional[List[Flow]], visiting) -> AbstractValue:
+        """Join of every flow's value; no flows at all is an opaque source."""
+        if not flows:
             return UNKNOWN
-        filtered = frozenset(
-            d for d in inner.definites if self.registry.is_subtype(d, target)
-        )
-        # Unknown survives the cast (the runtime check passed, so the
-        # value *is* a subtype of target — still opaque to us).
-        return AbstractValue(filtered, inner.unknown)
-
-    def _eval_call(
-        self, call: CallExpr, frame: "_Frame", visiting, inline_stack
-    ) -> AbstractValue:
-        method = call.resolved_method
-        if method is None:
+        value = _join([self._eval(e, f, visiting, stack) for e, f, stack in flows])
+        if len(value.definites) > MAX_DEFINITES:
             return UNKNOWN
-        is_client = (
-            isinstance(method.owner, NamedType)
-            and method.owner in self.corpus_type_set
-        )
-        body = self.call_graph.declaration_of(method)
-        if not (is_client and body is not None):
-            # API methods are opaque sources.
-            return UNKNOWN
-        if id(body) in inline_stack or frame.depth >= self.config.max_frames:
-            return UNKNOWN
-        bindings: Dict[str, Tuple[Expr, _Frame]] = {}
-        for param, arg in zip(body.params, call.args):
-            bindings[param.name] = (arg, frame)
-        callee = _Frame(body, bindings=bindings, depth=frame.depth + 1)
-        new_stack = inline_stack | {id(body)}
-        returns = _return_expressions(body)
-        if not returns:
-            return UNKNOWN
-        return self._widen(
-            _join([self._eval(r, callee, visiting, new_stack) for r in returns])
-        )
-
-    def _eval_var(
-        self, var: VarRef, frame: "_Frame", visiting, inline_stack
-    ) -> AbstractValue:
-        if var.resolved_kind == "field":
-            return UNKNOWN
-        if var.resolved_kind == "param":
-            binding = (
-                frame.bindings.get(var.name) if frame.bindings is not None else None
-            )
-            if binding is not None:
-                return self._eval(binding[0], binding[1], visiting, inline_stack)
-            return self._jump_to_callers(var, frame, visiting, inline_stack)
-        # Local variable: join every expression ever assigned to it.
-        sources = self._assignments(frame.decl).sources_of(var.name)
-        if not sources:
-            return UNKNOWN
-        return self._widen(
-            _join([self._eval(s, frame, visiting, inline_stack) for s in sources])
-        )
-
-    def _jump_to_callers(
-        self, var: VarRef, frame: "_Frame", visiting, inline_stack
-    ) -> AbstractValue:
-        """Top-frame parameter: join arguments at every CHA call site."""
-        decl = frame.decl
-        method = decl.resolved_method
-        index = next(
-            (i for i, p in enumerate(decl.params) if p.name == var.name), None
-        )
-        if method is None or index is None or frame.depth >= self.config.max_frames:
-            return UNKNOWN
-        sites = self.call_graph.call_sites_of(method)
-        if not sites or id(decl) in inline_stack:
-            return UNKNOWN
-        new_stack = inline_stack | {id(decl)}
-        values: List[AbstractValue] = []
-        for site in sites:
-            if id(site.caller) in inline_stack:
-                continue
-            if index >= len(site.call.args):
-                continue
-            caller_frame = _Frame(site.caller, depth=frame.depth + 1)
-            values.append(
-                self._eval(site.call.args[index], caller_frame, visiting, new_stack)
-            )
-        if not values:
-            return UNKNOWN
-        return self._widen(_join(values))
-
-
-class _Frame:
-    """One activation on the interprocedural evaluation path."""
-
-    __slots__ = ("decl", "bindings", "depth")
-
-    def __init__(
-        self,
-        decl: MethodDecl,
-        bindings: Optional[Dict[str, Tuple[Expr, "_Frame"]]] = None,
-        depth: int = 0,
-    ):
-        self.decl = decl
-        self.bindings = bindings  # None for a top (non-inlined) frame
-        self.depth = depth
-
-
-def _return_expressions(decl: MethodDecl) -> List[Expr]:
-    if decl.body is None:
-        return []
-    returns: List[Expr] = []
-    for stmt in walk_statements(decl.body):
-        if isinstance(stmt, ReturnStmt) and stmt.value is not None:
-            returns.append(stmt.value)
-    return returns
+        return value
 
 
 # ----------------------------------------------------------------------
@@ -468,8 +311,7 @@ def analyze_corpus(
     units: Sequence[CompilationUnit],
     corpus_types: Sequence[NamedType],
     call_graph: Optional[CallGraph] = None,
-    config: AnalysisConfig = AnalysisConfig(),
 ) -> CastVerdictIndex:
     """Convenience wrapper: analyze a resolved corpus into a verdict index."""
-    analyzer = CastAnalyzer(registry, units, corpus_types, call_graph, config)
+    analyzer = CastAnalyzer(registry, units, corpus_types, call_graph)
     return build_verdict_index(registry, analyzer.analyze_all())

@@ -33,7 +33,7 @@ is a threshold over that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..corpus.loader import resolve_and_check_lenient
 from ..minijava import (
@@ -51,7 +51,7 @@ from ..minijava import (
 )
 from ..robustness import CorpusDiagnostics, PHASE_PARSE
 from ..typesystem import TypeRegistry
-from .castsafety import AnalysisConfig, CastAnalyzer, classify_pair, group_observations
+from .castsafety import CastAnalyzer, classify_pair, group_observations
 from .verdicts import CastVerdict
 
 # ----------------------------------------------------------------------
@@ -170,7 +170,6 @@ class LintReport:
 def run_lint(
     api_registry: TypeRegistry,
     texts: Iterable[Tuple[str, str]],
-    config: AnalysisConfig = AnalysisConfig(),
     graph=None,
     verdicts=None,
 ) -> LintReport:
@@ -228,7 +227,7 @@ def run_lint(
     # Pass 4: flow analysis (JL102) — type-plausible casts whose every
     # corpus flow is definite and incompatible. Implausible pairs were
     # already reported as JL101 by the checker; skip them here.
-    analyzer = CastAnalyzer(registry, units, corpus_types, config=config)
+    analyzer = CastAnalyzer(registry, units, corpus_types)
     observations = analyzer.analyze_all()
     for pair, group in sorted(group_observations(observations).items()):
         finding = classify_pair(group)

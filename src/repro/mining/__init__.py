@@ -2,12 +2,7 @@
 
 from ..robustness import ExtractionFault
 from .dataflow import AssignmentMap, build_assignment_map, widening_chain
-from .extractor import (
-    ExampleJungloid,
-    ExtractionConfig,
-    JungloidExtractor,
-    extract_examples,
-)
+from .extractor import ExampleJungloid, JungloidExtractor, extract_examples
 from .generalize import (
     GeneralizedExample,
     IncrementalGeneralizer,
@@ -24,6 +19,7 @@ from .objstring import (
     mine_argument_examples,
     observed_argument_types,
 )
+from .slicer import ExtractionConfig
 
 __all__ = [
     "ArgumentExample",

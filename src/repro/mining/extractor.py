@@ -1,9 +1,9 @@
 """Example-jungloid extraction (Section 4.2, "Extracting Jungloids").
 
-For every downcast in the corpus we take a backward, interprocedural,
-flow-insensitive slice and follow each acyclic data-flow path until it
-reaches a zero-argument expression, collecting elementary jungloids along
-the way. Call sites are interpreted both ways the paper describes:
+For every downcast in the corpus we follow each acyclic data-flow path of
+its backward slice (:mod:`.slicer`) until it reaches a zero-argument
+expression, collecting elementary jungloids along the way. Call sites are
+interpreted both ways the paper describes:
 
 * an **API** method call is an elementary jungloid (one path per
   reference-typed flow position);
@@ -23,7 +23,7 @@ uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..jungloids import (
     ElementaryJungloid,
@@ -34,6 +34,7 @@ from ..jungloids import (
     instance_call,
     static_call,
 )
+from ..jungloids.elementary import NO_INPUT, RECEIVER
 from ..minijava.ast import (
     CallExpr,
     CastExpr,
@@ -43,17 +44,13 @@ from ..minijava.ast import (
     MethodDecl,
     NewExpr,
     Position,
-    ReturnStmt,
-    StringLit,
     ThisExpr,
     VarRef,
-    method_expressions,
-    walk_statements,
 )
-from ..minijava.callgraph import CallGraph, build_call_graph
-from ..robustness import ExtractionFault
-from ..typesystem import JavaType, NamedType, TypeRegistry, is_reference
-from .dataflow import AssignmentMap, build_assignment_map, widening_chain
+from ..minijava.callgraph import CallGraph
+from ..typesystem import JavaType, NamedType, TypeRegistry
+from .dataflow import widening_chain
+from .slicer import BackwardSlicer, ExtractionConfig, SliceFrame
 
 #: A partial chain of elementary jungloids, forward order, possibly empty.
 Chain = Tuple[ElementaryJungloid, ...]
@@ -76,60 +73,8 @@ class ExampleJungloid:
         return f"{self.jungloid.describe()}  [{self.source} {self.method_name}() @{self.cast_position}]"
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """Budgets bounding the branching backward walk."""
-
-    #: Stop after this many examples for one cast expression (paper's cap).
-    max_examples_per_cast: int = 200
-    #: Longest chain (in elementary jungloids) worth keeping.
-    max_steps: int = 12
-    #: Maximum interprocedural frame switches on one path.
-    max_frames: int = 8
-    #: Drop bare-downcast examples (they would overgeneralize the graph).
-    min_example_steps: int = 2
-    #: Propagate per-cast extraction errors instead of recording them.
-    #: Off by default: one pathological downcast must not sink ``mine()``.
-    strict: bool = False
-
-
-class _Frame:
-    """One activation on the backward walk's interprocedural path."""
-
-    __slots__ = ("decl", "bindings", "receiver_binding", "depth")
-
-    def __init__(
-        self,
-        decl: MethodDecl,
-        bindings: Optional[Dict[str, Tuple[Expr, "_Frame"]]] = None,
-        receiver_binding: Optional[Tuple[Optional[Expr], "_Frame"]] = None,
-        depth: int = 0,
-    ):
-        self.decl = decl
-        self.bindings = bindings  # None for a top (non-inlined) frame
-        self.receiver_binding = receiver_binding
-        self.depth = depth
-
-
-class JungloidExtractor:
-    """Runs the backward slice over a resolved corpus."""
-
-    def __init__(
-        self,
-        registry: TypeRegistry,
-        units: Sequence[CompilationUnit],
-        corpus_types: Sequence[NamedType],
-        call_graph: Optional[CallGraph] = None,
-        config: ExtractionConfig = ExtractionConfig(),
-    ):
-        self.registry = registry
-        self.units = list(units)
-        self.corpus_type_set: Set[NamedType] = set(corpus_types)
-        self.call_graph = call_graph or build_call_graph(registry, units)
-        self.config = config
-        self._assignment_maps: Dict[int, AssignmentMap] = {}
-        #: Per-cast failures recorded (not raised) during extraction.
-        self.faults: List[ExtractionFault] = []
+class JungloidExtractor(BackwardSlicer):
+    """Builds example jungloids along the backward slice of every downcast."""
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -158,85 +103,41 @@ class JungloidExtractor:
         and caller jumps), which is why the pipeline tracks those
         dependencies separately.
         """
-        examples: List[ExampleJungloid] = []
-        for cls in unit.classes:
-            for method in cls.methods:
-                for expr in method_expressions(method):
-                    if not isinstance(expr, CastExpr):
-                        continue
-                    try:
-                        if self._is_downcast(expr):
-                            examples.extend(
-                                self.extract_from_cast(unit, method, expr)
-                            )
-                    except Exception as exc:
-                        if self.config.strict:
-                            raise
-                        self.faults.append(
-                            ExtractionFault(
-                                source=unit.source,
-                                method=method.name,
-                                position=str(expr.position),
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-        return examples
+        return self.slice_sites(unit, self.is_downcast, self.extract_from_cast)
 
     def extract_from_cast(
         self, unit: CompilationUnit, method: MethodDecl, cast: CastExpr
     ) -> List[ExampleJungloid]:
         """All (capped) example jungloids ending at one cast expression."""
-        frame = _Frame(method)
-        results: List[ExampleJungloid] = []
+        return [
+            ExampleJungloid(
+                jungloid=Jungloid(chain),
+                source=unit.source,
+                method_name=method.name,
+                cast_position=cast.position,
+            )
+            for chain in self._chains(cast, method)
+        ]
+
+    def _chains(self, site: Expr, method: MethodDecl) -> Iterator[Chain]:
+        """Distinct chains computing ``site``, capped per site."""
         seen: Set[Chain] = set()
-        for chain in self._walk(cast, frame, set(), frozenset()):
-            if len(chain) < self.config.min_example_steps:
-                continue
-            if chain in seen:
+        for chain in self._walk(site, SliceFrame(method), set(), frozenset()):
+            if len(chain) < self.config.min_example_steps or chain in seen:
                 continue
             seen.add(chain)
-            try:
-                jungloid = Jungloid(chain)
-            except Exception:  # pragma: no cover - chains are built composable
-                continue
-            results.append(
-                ExampleJungloid(
-                    jungloid=jungloid,
-                    source=unit.source,
-                    method_name=method.name,
-                    cast_position=cast.position,
-                )
-            )
-            if len(results) >= self.config.max_examples_per_cast:
-                break
-        return results
+            yield chain
+            if len(seen) >= self.config.max_examples_per_cast:
+                return
 
     # ------------------------------------------------------------------
     # The backward walk
     # ------------------------------------------------------------------
 
-    def _is_downcast(self, cast: CastExpr) -> bool:
-        target, operand = cast.resolved_type, cast.operand_type
-        if target is None or operand is None:
-            return False
-        if not (is_reference(target) and is_reference(operand)):
-            return False
-        if target == operand:
-            return False
-        # A widening cast is redundant, not a downcast.
-        return not self.registry.is_subtype(operand, target)
-
-    def _assignments(self, method: MethodDecl) -> AssignmentMap:
-        amap = self._assignment_maps.get(id(method))
-        if amap is None:
-            amap = build_assignment_map(method)
-            self._assignment_maps[id(method)] = amap
-        return amap
-
     def _walk(
         self,
         expr: Expr,
-        frame: _Frame,
+        frame: SliceFrame,
         visiting: Set[Tuple[int, int]],
         inline_stack: frozenset,
     ) -> Iterator[Chain]:
@@ -251,13 +152,25 @@ class JungloidExtractor:
         visiting = visiting | {key}
 
         if isinstance(expr, CastExpr):
-            yield from self._walk_cast(expr, frame, visiting, inline_stack)
+            if expr.resolved_type is None or expr.operand_type is None:
+                return
+            step = downcast(expr.operand_type, expr.resolved_type)
+            yield from self._extend(expr.operand, frame, step, visiting, inline_stack)
         elif isinstance(expr, CallExpr):
             yield from self._walk_call(expr, frame, visiting, inline_stack)
         elif isinstance(expr, NewExpr):
-            yield from self._walk_new(expr, frame, visiting, inline_stack)
+            if expr.resolved_constructor is None:
+                return
+            variants = constructor_call(expr.resolved_constructor)
+            yield from self._walk_variants(expr, variants, frame, visiting, inline_stack)
         elif isinstance(expr, FieldAccessExpr):
-            yield from self._walk_field(expr, frame, visiting, inline_stack)
+            f = expr.resolved_field
+            if f is None:
+                return  # array .length etc.
+            if f.static:
+                yield (field_access(f),)
+                return
+            yield from self._extend(expr.receiver, frame, field_access(f), visiting, inline_stack)
         elif isinstance(expr, VarRef):
             yield from self._walk_var(expr, frame, visiting, inline_stack)
         elif isinstance(expr, ThisExpr):
@@ -270,30 +183,26 @@ class JungloidExtractor:
             # Literals and opaque expressions terminate the path.
             yield ()
 
-    def _walk_cast(
-        self, cast: CastExpr, frame: _Frame, visiting, inline_stack
+    def _extend(
+        self, feed: Expr, frame: SliceFrame, step: ElementaryJungloid, visiting, inline_stack
     ) -> Iterator[Chain]:
-        target = cast.resolved_type
-        operand_type = cast.operand_type
-        if target is None or operand_type is None:
-            return
-        step = downcast(operand_type, target)
-        for chain in self._walk(cast.operand, frame, visiting, inline_stack):
-            extended = self._append(chain, cast.operand, step)
+        """Chains computing ``feed``, each extended by ``step``."""
+        for chain in self._walk(feed, frame, visiting, inline_stack):
+            extended = self._append(chain, feed, step)
             if extended is not None:
                 yield extended
 
     def _walk_call(
-        self, call: CallExpr, frame: _Frame, visiting, inline_stack
+        self, call: CallExpr, frame: SliceFrame, visiting, inline_stack
     ) -> Iterator[Chain]:
         method = call.resolved_method
         if method is None:
             return
-        is_client = isinstance(method.owner, NamedType) and method.owner in self.corpus_type_set
-        body = self.call_graph.declaration_of(method)
-        if is_client and body is not None:
+        flows = self.inline(call, frame, inline_stack)
+        if flows is not None:
             # Client methods are always inlined (they are not API members).
-            yield from self._inline_call(call, body, frame, visiting, inline_stack)
+            for ret, callee, stack in flows:
+                yield from self._walk(ret, callee, visiting, stack)
             return
         # API method: interpret as an elementary jungloid.
         variants = static_call(method) if method.static else instance_call(method)
@@ -301,157 +210,65 @@ class JungloidExtractor:
 
     def _walk_variants(
         self,
-        call: CallExpr,
+        site: Expr,
         variants: Sequence[ElementaryJungloid],
-        frame: _Frame,
+        frame: SliceFrame,
         visiting,
         inline_stack,
     ) -> Iterator[Chain]:
-        from ..jungloids.elementary import NO_INPUT, RECEIVER
-
+        """Chains through each variant of an API call or constructor ``site``."""
         for variant in variants:
             if variant.flow_position == NO_INPUT:
                 yield (variant,)
                 continue
             if variant.flow_position == RECEIVER:
-                receiver = call.receiver
-                if receiver is None:
-                    receiver = _implicit_this(call, frame)
-                    if receiver is None:
-                        continue
-                feed = receiver
-            else:
-                if variant.flow_position >= len(call.args):
+                feed = site.receiver
+                if feed is None:
+                    feed = _implicit_this(site, frame)
+                if feed is None:
                     continue
-                feed = call.args[variant.flow_position]
-            for chain in self._walk(feed, frame, visiting, inline_stack):
-                extended = self._append(chain, feed, variant)
-                if extended is not None:
-                    yield extended
-
-    def _inline_call(
-        self,
-        call: CallExpr,
-        body_decl: MethodDecl,
-        frame: _Frame,
-        visiting,
-        inline_stack,
-    ) -> Iterator[Chain]:
-        if id(body_decl) in inline_stack or frame.depth >= self.config.max_frames:
-            return
-        bindings: Dict[str, Tuple[Expr, _Frame]] = {}
-        for param, arg in zip(body_decl.params, call.args):
-            bindings[param.name] = (arg, frame)
-        receiver_binding: Optional[Tuple[Optional[Expr], _Frame]] = None
-        if call.resolved_method is not None and not call.resolved_method.static:
-            receiver_binding = (call.receiver, frame)
-        callee_frame = _Frame(
-            body_decl, bindings=bindings, receiver_binding=receiver_binding, depth=frame.depth + 1
-        )
-        new_stack = inline_stack | {id(body_decl)}
-        for ret in _return_expressions(body_decl):
-            yield from self._walk(ret, callee_frame, visiting, new_stack)
-
-    def _walk_new(
-        self, new: NewExpr, frame: _Frame, visiting, inline_stack
-    ) -> Iterator[Chain]:
-        ctor = new.resolved_constructor
-        if ctor is None:
-            return
-        variants = constructor_call(ctor)
-        from ..jungloids.elementary import NO_INPUT
-
-        for variant in variants:
-            if variant.flow_position == NO_INPUT:
-                yield (variant,)
+            elif variant.flow_position < len(site.args):
+                feed = site.args[variant.flow_position]
+            else:
                 continue
-            if variant.flow_position >= len(new.args):
-                continue
-            feed = new.args[variant.flow_position]
-            for chain in self._walk(feed, frame, visiting, inline_stack):
-                extended = self._append(chain, feed, variant)
-                if extended is not None:
-                    yield extended
-
-    def _walk_field(
-        self, access: FieldAccessExpr, frame: _Frame, visiting, inline_stack
-    ) -> Iterator[Chain]:
-        f = access.resolved_field
-        if f is None:
-            return  # array .length etc.
-        step = field_access(f)
-        if f.static:
-            yield (step,)
-            return
-        for chain in self._walk(access.receiver, frame, visiting, inline_stack):
-            extended = self._append(chain, access.receiver, step)
-            if extended is not None:
-                yield extended
+            yield from self._extend(feed, frame, variant, visiting, inline_stack)
 
     def _walk_var(
-        self, var: VarRef, frame: _Frame, visiting, inline_stack
+        self, var: VarRef, frame: SliceFrame, visiting, inline_stack
     ) -> Iterator[Chain]:
         if var.resolved_kind == "field":
             f = var.resolved_field
             if f is None:
                 return
             step = field_access(f)
-            if f.static:
+            # A static field, or an implicit this.field read with no bound receiver.
+            this = frame.receiver_binding
+            if f.static or this is None or this[0] is None:
                 yield (step,)
                 return
-            # Implicit this.field read.
-            this = frame.receiver_binding
-            if this is not None and this[0] is not None:
-                for chain in self._walk(this[0], this[1], visiting, inline_stack):
-                    extended = self._append(chain, this[0], step)
-                    if extended is not None:
-                        yield extended
-            else:
-                yield (step,)
+            yield from self._extend(this[0], this[1], step, visiting, inline_stack)
             return
         if var.resolved_kind == "param":
-            binding = frame.bindings.get(var.name) if frame.bindings is not None else None
+            binding = frame.binding(var.name)
             if binding is not None:
                 yield from self._walk(binding[0], binding[1], visiting, inline_stack)
                 return
-            yield from self._jump_to_callers(var, frame, visiting, inline_stack)
+            # Top-frame parameter: continue into arguments at CHA call sites.
+            produced = False
+            for arg, caller, stack in self.caller_arguments(var, frame, inline_stack):
+                for chain in self._walk(arg, caller, visiting, stack):
+                    produced = True
+                    yield chain
+            if not produced:
+                yield ()
             return
         # Local variable: every expression ever assigned to it.
-        amap = self._assignments(frame.decl)
-        sources = amap.sources_of(var.name)
+        sources = self.local_sources(frame, var.name)
         if not sources:
             yield ()
             return
         for source in sources:
             yield from self._walk(source, frame, visiting, inline_stack)
-
-    def _jump_to_callers(
-        self, var: VarRef, frame: _Frame, visiting, inline_stack
-    ) -> Iterator[Chain]:
-        """Top-frame parameter: continue into arguments at CHA call sites."""
-        decl = frame.decl
-        method = decl.resolved_method
-        index = next((i for i, p in enumerate(decl.params) if p.name == var.name), None)
-        if method is None or index is None or frame.depth >= self.config.max_frames:
-            yield ()
-            return
-        sites = self.call_graph.call_sites_of(method)
-        if not sites or id(decl) in inline_stack:
-            yield ()
-            return
-        new_stack = inline_stack | {id(decl)}
-        produced = False
-        for site in sites:
-            if id(site.caller) in inline_stack:
-                continue
-            if index >= len(site.call.args):
-                continue
-            caller_frame = _Frame(site.caller, depth=frame.depth + 1)
-            for chain in self._walk(site.call.args[index], caller_frame, visiting, new_stack):
-                produced = True
-                yield chain
-        if not produced:
-            yield ()
 
     # ------------------------------------------------------------------
     # Chain plumbing
@@ -480,17 +297,7 @@ class JungloidExtractor:
         return chain + bridge + (step,)
 
 
-def _return_expressions(decl: MethodDecl) -> List[Expr]:
-    if decl.body is None:
-        return []
-    returns = []
-    for stmt in walk_statements(decl.body):
-        if isinstance(stmt, ReturnStmt) and stmt.value is not None:
-            returns.append(stmt.value)
-    return returns
-
-
-def _implicit_this(call: CallExpr, frame: _Frame) -> Optional[Expr]:
+def _implicit_this(call: CallExpr, frame: SliceFrame) -> Optional[Expr]:
     """Materialize the implicit ``this`` receiver of an unqualified call."""
     binding = frame.receiver_binding
     if binding is not None and binding[0] is not None:

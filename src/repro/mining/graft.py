@@ -13,11 +13,12 @@ from typing import List, Optional, Sequence
 from ..graph import JungloidGraph
 from ..jungloids import Jungloid
 from ..minijava.ast import CompilationUnit
-from ..minijava.callgraph import CallGraph, build_call_graph
+from ..minijava.callgraph import CallGraph
 from ..robustness import ExtractionFault
 from ..typesystem import NamedType, TypeRegistry
-from .extractor import ExampleJungloid, ExtractionConfig, JungloidExtractor
+from .extractor import ExampleJungloid, JungloidExtractor
 from .generalize import GeneralizedExample, generalize_examples, unique_suffixes
+from .slicer import ExtractionConfig
 
 
 @dataclass

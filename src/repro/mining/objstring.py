@@ -15,13 +15,14 @@ parameter actually take?".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..jungloids import ElementaryJungloid, Jungloid
-from ..minijava.ast import CallExpr, CompilationUnit, MethodDecl, Position, method_expressions
-from ..minijava.callgraph import CallGraph, build_call_graph
+from ..jungloids import Jungloid
+from ..minijava.ast import CallExpr, CompilationUnit, Expr, MethodDecl, Position
+from ..minijava.callgraph import CallGraph
 from ..typesystem import Method, NamedType, TypeRegistry, is_reference
-from .extractor import ExtractionConfig, JungloidExtractor, _Frame
+from .extractor import JungloidExtractor
+from .slicer import ExtractionConfig
 
 #: Default parameter types whose arguments are worth mining.
 DEFAULT_TARGET_TYPES = ("java.lang.Object", "java.lang.String")
@@ -46,7 +47,7 @@ class ArgumentExample:
 
 
 class ArgumentMiner(JungloidExtractor):
-    """Reuses the downcast extractor's walk for call-argument slices."""
+    """Builds the extractor's chains from call arguments instead of downcasts."""
 
     def __init__(
         self,
@@ -63,17 +64,20 @@ class ArgumentMiner(JungloidExtractor):
         }
 
     def mine_arguments(self) -> List[ArgumentExample]:
-        """Extract argument chains at every qualifying call site."""
+        """Extract argument chains at every qualifying call site.
+
+        Each call site is fault-isolated like a downcast in mining: an
+        error is recorded in :attr:`faults` and the other sites are still
+        mined (unless ``config.strict``).
+        """
         results: List[ArgumentExample] = []
         for unit in self.units:
-            for cls in unit.classes:
-                for method in cls.methods:
-                    for expr in method_expressions(method):
-                        if isinstance(expr, CallExpr):
-                            results.extend(self._mine_call(unit.source, method, expr))
+            results.extend(self.slice_sites(unit, _is_call, self._mine_call))
         return results
 
-    def _mine_call(self, source: str, caller: MethodDecl, call: CallExpr):
+    def _mine_call(
+        self, unit: CompilationUnit, caller: MethodDecl, call: CallExpr
+    ) -> Iterator[ArgumentExample]:
         method = call.resolved_method
         if method is None:
             return
@@ -88,24 +92,19 @@ class ArgumentMiner(JungloidExtractor):
             arg = call.args[index]
             if arg.resolved_type is None or not is_reference(arg.resolved_type):
                 continue
-            frame = _Frame(caller)
-            count = 0
-            seen: Set[Tuple[ElementaryJungloid, ...]] = set()
-            for chain in self._walk(arg, frame, set(), frozenset()):
-                if not chain or chain in seen:
-                    continue
-                seen.add(chain)
+            for chain in self._chains(arg, caller):
                 yield ArgumentExample(
                     method=method,
                     parameter_index=index,
                     jungloid=Jungloid(chain),
-                    source=source,
+                    source=unit.source,
                     caller_name=caller.name,
                     position=call.position,
                 )
-                count += 1
-                if count >= self.config.max_examples_per_cast:
-                    break
+
+
+def _is_call(expr: Expr) -> bool:
+    return isinstance(expr, CallExpr)
 
 
 def mine_argument_examples(

@@ -13,10 +13,11 @@ cached, fingerprinted artifacts:
    re-resolution is idempotent on cached ASTs); lenient quarantine
    semantics are shared with the corpus loader via
    :func:`repro.corpus.resolve_and_check_lenient`.
-4. **mine** — per-file example extraction, cached per fingerprint plus
-   the file's recorded slicing dependencies (inlined client bodies, CHA
-   caller sets, referenced corpus-type hierarchy). Only files whose
-   content *or* dependencies changed are re-sliced.
+4. **mine + analyze** — per-file example extraction and cast
+   observations, cached per fingerprint plus the file's recorded slicing
+   dependencies (inlined client bodies and CHA caller sets queried by
+   either interpretation, referenced corpus-type hierarchy). Only files
+   whose content *or* dependencies changed are re-sliced.
 5. **generalize** — an incremental reference-counted cast trie
    (:class:`repro.mining.IncrementalGeneralizer`); re-mined files'
    examples are removed/inserted, never the whole structure rebuilt.
@@ -62,7 +63,9 @@ from .fingerprint import diff_fingerprints, fingerprint_texts
 
 
 def _now_ms() -> float:
-    return time.perf_counter() * 1000.0
+    # The calling thread's CPU time, as the benchmark measures: other
+    # processes on a loaded host do not inflate a stage.
+    return time.thread_time() * 1000.0
 
 
 def _method_key(method: Method) -> str:
@@ -77,8 +80,9 @@ class _RecordingCallGraph:
 
     ``declaration_of`` queries mark client-body inlining points;
     ``call_sites_of`` queries mark interprocedural caller jumps. The
-    pipeline fingerprints both against the files involved so a change
-    anywhere in a slice's support re-mines the dependent file.
+    pipeline fingerprints the queries of both the extractor and the
+    analyzer of a file against the files involved, so a change anywhere
+    in either slice's support re-slices the file.
     """
 
     def __init__(self, inner: CallGraph):
@@ -96,6 +100,11 @@ class _RecordingCallGraph:
 
     def call_sites_in(self, decl) -> Tuple[CallSite, ...]:
         return self.inner.call_sites_in(decl)
+
+    def clear(self) -> None:
+        """Forget the queries so far (before slicing the next file)."""
+        self.decl_queries.clear()
+        self.site_queries.clear()
 
 
 def _collect_named(t, out: Set[str]) -> None:
@@ -166,7 +175,7 @@ def _referenced_corpus_types(
 
 @dataclass
 class StageTimings:
-    """Wall-clock milliseconds spent in each pipeline stage."""
+    """Milliseconds of the syncing thread's CPU time spent in each stage."""
 
     fingerprint_ms: float = 0.0
     parse_ms: float = 0.0
@@ -208,8 +217,8 @@ class PipelineUpdateStats:
     files_remined: Tuple[str, ...] = ()
     #: Healthy files whose cached examples were reused untouched.
     files_reused: int = 0
-    #: Files whose cast observations were recomputed (= files_remined:
-    #: the analysis slice has the same dependency support as mining).
+    #: Files whose cast observations were recomputed: the re-mined files,
+    #: plus any file whose observations are not cached (after a restart).
     files_reanalyzed: Tuple[str, ...] = ()
     #: Downcast observations recomputed in this sync.
     casts_reanalyzed: int = 0
@@ -578,23 +587,25 @@ class CorpusPipeline:
         stats.files_reused = len(new_records) - len(remined)
 
         # -- Stage 4c: analyze (cast observations, per-file cache) ------
-        # The cast-safety slice has the same interprocedural support as
-        # mining (assignment maps, client inlining, CHA jumps), so the
-        # mine stage's dependency validation doubles as the analysis
-        # invalidation set: exactly the re-mined files are re-analyzed.
+        # Re-mined files are re-analyzed, and the analyzer's call-graph
+        # queries join their recorded dependencies: its join reads every
+        # flow, where the extractor stops at its example cap or a fault.
         t0 = _now_ms()
         new_obs: Dict[str, Tuple[CastObservation, ...]] = {}
         reanalyzed: List[str] = []
         remined_set = set(remined)
-        analyzer = CastAnalyzer(registry, units, corpus_types, call_graph)
+        recorder = _RecordingCallGraph(call_graph)
+        analyzer = CastAnalyzer(registry, units, corpus_types, recorder, self.extraction)
         for unit in units:
             source = unit.source
             cached_obs = self._analysis_obs.get(source)
             if cached_obs is not None and source not in remined_set:
                 new_obs[source] = cached_obs
                 continue
+            recorder.clear()
             new_obs[source] = tuple(analyzer.analyze_unit(unit))
             reanalyzed.append(source)
+            _record_call_deps(new_records[source], recorder, decl_fp_map, site_fp_map)
         verdicts = build_verdict_index(
             registry, [obs for unit in units for obs in new_obs[unit.source]]
         )
@@ -749,24 +760,29 @@ class CorpusPipeline:
             registry, units, corpus_types, recorder, self.extraction
         )
         examples = extractor.extract_unit(unit)
-        decl_deps = {
-            _method_key(m): decl_fp_map.get(_method_key(m))
-            for m in recorder.decl_queries
-        }
-        site_deps = {
-            _method_key(m): site_fp_map.get(_method_key(m), ())
-            for m in recorder.site_queries
-        }
         type_deps = {}
         for name in _referenced_corpus_types(unit, registry, class_src):
             src = class_src.get(name)
             type_deps[name] = (src, fps[src]) if src is not None and src in fps else None
-        return FileMineRecord(
+        record = FileMineRecord(
             source=unit.source,
             fingerprint=fp,
             examples=examples,
             faults=list(extractor.faults),
-            decl_deps=decl_deps,
-            site_deps=site_deps,
             type_deps=type_deps,
         )
+        _record_call_deps(record, recorder, decl_fp_map, site_fp_map)
+        return record
+
+
+def _record_call_deps(
+    record: FileMineRecord,
+    recorder: _RecordingCallGraph,
+    decl_fp_map: Dict[str, Tuple[str, str]],
+    site_fp_map: Dict[str, Tuple[Tuple[str, str], ...]],
+) -> None:
+    """Add the call-graph queries ``recorder`` saw to ``record``'s deps."""
+    for m in recorder.decl_queries:
+        record.decl_deps[_method_key(m)] = decl_fp_map.get(_method_key(m))
+    for m in recorder.site_queries:
+        record.site_deps[_method_key(m)] = site_fp_map.get(_method_key(m), ())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import (
+    CastAnalyzer,
     CastVerdict,
     CastVerdictIndex,
     analyze_corpus,
@@ -12,6 +13,7 @@ from repro.analysis import (
 from repro.apispec import load_api_text
 from repro.corpus import load_corpus_texts
 from repro.jungloids import Jungloid, downcast
+from repro.mining import ExtractionConfig, JungloidExtractor
 from repro.runtime import Outcome, Runtime, eclipse_behavior_model
 
 API = """
@@ -311,3 +313,44 @@ class TestFaultIsolation:
     def test_classify_pair_requires_observations(self):
         with pytest.raises(AssertionError):
             classify_pair([])
+
+
+class TestSharedSliceBudgets:
+    """The analyzer reads the extraction budgets it shares with mining:
+    ``max_frames`` bounds it, the per-cast example cap does not."""
+
+    CLIENT_CALL = """
+        package c;
+        import lib.Base;
+        import lib.Sub;
+        import lib.Other;
+        class K {
+          Base make() {
+            return new Sub();
+          }
+          Sub get() {
+            Base b = make();
+            b = new Other();
+            Sub s = (Sub) b;
+            return s;
+          }
+        }
+        """
+
+    def observe(self, config):
+        registry = load_api_text(API)
+        program = load_corpus_texts(registry, [("k.mj", self.CLIENT_CALL)], check=False)
+        args = (program.registry, program.units, program.corpus_types)
+        (obs,) = CastAnalyzer(*args, config=config).analyze_all()
+        return obs, JungloidExtractor(*args, config=config).extract_all()
+
+    def test_max_frames_bounds_client_inlining(self):
+        obs, _ = self.observe(ExtractionConfig())
+        assert obs.allocation_proved and not obs.unknown_flow
+        obs, _ = self.observe(ExtractionConfig(max_frames=0))
+        assert not obs.allocation_proved and obs.unknown_flow
+
+    def test_join_sees_every_flow_past_the_example_cap(self):
+        obs, examples = self.observe(ExtractionConfig(max_examples_per_cast=1))
+        assert len(examples) == 1
+        assert obs.definite_types == ("lib.Other", "lib.Sub")

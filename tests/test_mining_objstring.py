@@ -1,9 +1,17 @@
 """Tests for the Object/String argument miner (Section 4.3)."""
 
+import pytest
+
+from repro import Prospector
+from repro.analysis import CastAnalyzer
 from repro.apispec import load_api_text
 from repro.corpus import load_corpus_texts
+from repro.data import standard_registry
 from repro.eval import chain_signature
 from repro.mining import (
+    ArgumentMiner,
+    ExtractionConfig,
+    JungloidExtractor,
     group_by_parameter,
     mine_argument_examples,
     observed_argument_types,
@@ -92,3 +100,75 @@ class TestArgumentMining:
         _, examples = mine()
         assert all(e.source == "k.mj" for e in examples)
         assert {e.caller_name for e in examples} == {"show", "label", "direct"}
+
+
+def deep_chain_corpus(depth=2000):
+    """A method whose 2,000-deep chain of String locals feeds both a
+    downcast and ``Class.forName``, next to a healthy ``forName`` site."""
+    copies = "\n".join(f"    String s{i} = s{i - 1};" for i in range(1, depth))
+    return f"""
+package client;
+
+public class Deep {{
+  public Class deep() {{
+    String s0 = "java.lang.Object";
+{copies}
+    Object o = s{depth - 1};
+    String name = (String) o;
+    return Class.forName(s{depth - 1});
+  }}
+
+  public Class healthy() {{
+    return Class.forName(new StringBuffer().toString());
+  }}
+}}
+"""
+
+
+class TestPerSiteFaultIsolation:
+    """A slice too deep to walk faults its own site, in every interpretation."""
+
+    @pytest.fixture(scope="class")
+    def api(self):
+        return standard_registry()
+
+    @pytest.fixture(scope="class")
+    def corpus(self, api):
+        return load_corpus_texts(api, [("deep.mj", deep_chain_corpus())])
+
+    def _args(self, corpus):
+        return corpus.registry, corpus.units, corpus.corpus_types
+
+    def test_argument_miner_records_fault_and_mines_other_sites(self, corpus):
+        miner = ArgumentMiner(*self._args(corpus))
+        examples = miner.mine_arguments()
+        assert [f.method for f in miner.faults] == ["deep"]
+        assert "RecursionError" in miner.faults[0].error
+        assert [e.caller_name for e in examples] == ["healthy"]
+        assert examples[0].jungloid.render_expression("x") == (
+            "new java.lang.StringBuffer().toString()"
+        )
+
+    def test_extractor_and_analyzer_record_the_same_fault(self, corpus):
+        extractor = JungloidExtractor(*self._args(corpus))
+        extractor.extract_all()
+        analyzer = CastAnalyzer(*self._args(corpus))
+        observations = analyzer.analyze_all()
+        assert observations == []
+        for faults in (extractor.faults, analyzer.faults):
+            assert [(f.source, f.method) for f in faults] == [("deep.mj", "deep")]
+            assert "RecursionError" in faults[0].error
+
+    def test_strict_config_propagates_in_every_interpretation(self, corpus):
+        strict = ExtractionConfig(strict=True)
+        with pytest.raises(RecursionError):
+            ArgumentMiner(*self._args(corpus), config=strict).mine_arguments()
+        with pytest.raises(RecursionError):
+            JungloidExtractor(*self._args(corpus), config=strict).extract_all()
+        with pytest.raises(RecursionError):
+            CastAnalyzer(*self._args(corpus), config=strict).analyze_all()
+
+    def test_prospector_suggests_from_the_healthy_site(self, api, corpus):
+        prospector = Prospector(api, corpus)
+        suggestions = prospector.suggest_arguments("java.lang.Class", "forName")
+        assert [s.caller_name for s in suggestions] == ["healthy"]

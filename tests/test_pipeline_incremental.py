@@ -257,6 +257,85 @@ class TestAnalysisInvalidation:
         assert "analyze_ms" in data["timings"]
 
 
+#: A cast whose second flow reaches an allocation two files away: a.mj
+#: casts what b.mj's X.f() returns, which is whatever c.mj's Y.g() returns.
+CAPPED_A = """
+package client;
+
+import demo.ui.Widget;
+import demo.ui.Item;
+
+public class A {
+  public Item pick() {
+    Widget w = new Widget();
+    w = X.f();
+    Item item = (Item) w;
+    return item;
+  }
+}
+"""
+
+CAPPED_B = """
+package client;
+
+import demo.ui.Widget;
+
+public class X {
+  public static Widget f() {
+    return Y.g();
+  }
+}
+"""
+
+
+def capped_c(allocation):
+    return f"""
+package client;
+
+import demo.ui.Widget;
+import demo.ui.Item;
+import demo.ui.Panel;
+
+public class Y {{
+  public static Widget g() {{
+    return {allocation};
+  }}
+}}
+"""
+
+
+def verdict_of(pipeline, pair):
+    pairs = pipeline.verdicts.to_dict()["pairs"]
+    return {(p["operand"], p["target"]): p["verdict"] for p in pairs}[pair]
+
+
+class TestAnalysisDependencies:
+    """A file's recorded slice dependencies cover what the analyzer read,
+    not only what the capped extractor reached."""
+
+    def test_verdicts_match_fresh_build_when_mining_stops_early(self, small_registry):
+        from repro.mining import ExtractionConfig
+
+        config = ExtractionConfig(max_examples_per_cast=1)
+        texts = [
+            ("a.mj", CAPPED_A),
+            ("b.mj", CAPPED_B),
+            ("c.mj", capped_c("new Item(new Panel())")),
+        ]
+        live = CorpusPipeline.build(small_registry, texts, extraction=config)
+        pair = ("demo.ui.Widget", "demo.ui.Item")
+        assert verdict_of(live, pair) == "justified"
+
+        edited = [("c.mj", capped_c("new Widget()"))]
+        stats = live.update(edited, ())
+        assert "a.mj" in stats.files_reanalyzed
+        fresh = CorpusPipeline.build(
+            small_registry, texts[:2] + edited, extraction=config
+        )
+        assert verdict_of(fresh, pair) == "inviable"
+        assert live.verdicts.to_dict() == fresh.verdicts.to_dict()
+
+
 class TestSelectiveInvalidation:
     def test_unaffected_target_survives_update(self, small_registry):
         texts = [("handler.mj", SMALL_CORPUS)]
