@@ -75,6 +75,7 @@ class Prospector:
         mined: Optional[Sequence[Jungloid]] = None,
         store_diagnostics: Optional[StoreDiagnostics] = None,
         pipeline: Optional[CorpusPipeline] = None,
+        graph: Optional[JungloidGraph] = None,
     ):
         self.registry = registry
         self.config = config
@@ -121,6 +122,9 @@ class Prospector:
         self.mined_jungloids: Tuple[Jungloid, ...] = tuple(mined_list)
         if self.pipeline is not None and self.pipeline.graph is not None:
             self.graph = self.pipeline.graph
+        elif graph is not None:
+            # Already built from ``mined`` (a snapshot load's audit graph).
+            self.graph = graph
         else:
             self.graph = JungloidGraph.build(
                 registry, mined_list, public_only=config.public_only
@@ -202,6 +206,9 @@ class Prospector:
             backoff_ms=backoff_ms,
             sleep=sleep,
         )
+        # The load audit built this very graph; reuse it when it has the
+        # flavour this instance serves.
+        graph = recovered.graph if recovered.public_only == config.public_only else None
         prospector = cls(
             recovered.registry,
             None,
@@ -209,6 +216,7 @@ class Prospector:
             clock,
             mined=recovered.mined,
             store_diagnostics=recovered.diagnostics,
+            graph=graph,
         )
         if recovered.analysis is not None:
             try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 from ..typesystem import (
@@ -36,6 +37,9 @@ from ..typesystem import (
 RECEIVER = -1
 #: Flow position marker: there is no input object (``void`` input).
 NO_INPUT = -2
+
+#: Stands for the input expression when a step's rendering is split.
+_HOLE = "\x00"
 
 
 class ElementaryKind(Enum):
@@ -142,6 +146,22 @@ class ElementaryJungloid:
                 )
             return f"{receiver}.{self.member.name}({', '.join(args)})"
         raise AssertionError(f"unhandled kind {self.kind}")  # pragma: no cover
+
+    @cached_property
+    def render_parts(self) -> Optional[Tuple[str, str]]:
+        """``(pre, post)`` with ``render(e) == pre + e + post`` for every
+        input expression ``e``, or ``None`` when the rendering does not
+        embed its input exactly once (a static field ignores it).
+
+        Rendering a path concatenates these instead of re-formatting
+        each step; the cache sits in the instance ``__dict__``, outside
+        the dataclass fields, so equality and hashing are unaffected.
+        """
+        text = self.render(_HOLE)
+        if text.count(_HOLE) != 1:
+            return None
+        pre, _, post = text.partition(_HOLE)
+        return pre, post
 
     def _argument_list(self, input_expr: str, names: Sequence[str], n_params: int) -> list:
         """Interleave the input expression with free-variable names."""

@@ -159,9 +159,11 @@ class Jungloid:
         access binds tighter than a cast in Java.
         """
         expr = input_expr
+        last = len(self.steps) - 1
         for i, step in enumerate(self.steps):
-            expr = step.render(expr)
-            if step.is_downcast and i < len(self.steps) - 1:
+            parts = step.render_parts
+            expr = step.render(expr) if parts is None else parts[0] + expr + parts[1]
+            if i < last and step.is_downcast:
                 expr = f"({expr})"
         return expr
 

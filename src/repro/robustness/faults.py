@@ -64,7 +64,7 @@ class FlakyCompiler:
     ``fail_on`` picks the edge array that trips: ``"out"`` for the
     forward CSR (``out_target``: the enumeration DFS and the
     shortest-path walk), ``"in"`` for the backward one (``in_source``:
-    the Dijkstra). With ``node``, only that node's edges count. Tests
+    the distance pass). With ``node``, only that node's edges count. Tests
     install it over ``repro.search.engine.compile_graph``; the latest
     snapshot is kept in :attr:`compiled`.
     """

@@ -1,6 +1,6 @@
 """A bounded LRU cache for per-target distance maps.
 
-The engine computes one backward-Dijkstra distance map per query target
+The engine computes one backward distance map per query target
 and reuses it across sources (the paper's multi-source trick) and across
 queries. The original implementation kept every map forever — fine for a
 batch experiment, a slow leak for a long-lived server answering queries

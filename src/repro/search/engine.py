@@ -19,21 +19,31 @@ Serving performance comes from three layers on top of that:
 
 * **the compiled kernel** (:mod:`repro.search.kernel`): the live graph is
   lowered once per revision into a CSR snapshot with precomputed integer
-  edge costs, and both the backward Dijkstra and the bounded enumeration
-  run as iterative integer loops. It is the only search path.
+  edge costs, and both the backward bucket-queue pass and the bounded
+  enumeration run as iterative integer loops. It is the only search path.
+  A query's distance map stops at its sources' horizon ``min(max m +
+  extra_cost, absolute_max_cost)``, the farthest the ladder looks.
 * **a bounded LRU distance cache** (:mod:`repro.search.cache`): one
-  distance map per recently queried target, dropped wholesale when the
-  graph's ``revision`` moves.
+  distance map per recently queried target, dropped when the graph's
+  ``revision`` moves. A cached map serves a later query only if its
+  horizon covers that query's sources; otherwise the wider map replaces
+  it.
 * **batch serving** (:meth:`GraphSearch.solve_batch`): a request batch is
-  grouped by target so each distinct target pays for one Dijkstra no
-  matter how many queries want it — the paper's multi-source trick
-  generalized across a batch — with path→jungloid conversion and
-  ``rank_key`` memoized across the whole batch.
+  grouped by target so each distinct target pays for one distance map
+  (over the union of the group's sources) no matter how many queries
+  want it — the paper's multi-source trick generalized across a batch —
+  with path→jungloid conversion and ranking keys memoized across the
+  whole batch.
+
+Each enumerated path is rendered once: the text that deduplicates it is
+the text its :class:`~repro.search.ranking.RankKey` ends with, and the
+key's other parts are summed from per-step parts memoized by step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..graph import Node, SignatureGraph
@@ -62,7 +72,13 @@ from .kernel import (
     kernel_enumerate_paths,
     kernel_shortest_path,
 )
-from .ranking import RankKey, ViabilityRankKey, rank_key, viability_rank_key
+from .ranking import (
+    RankKey,
+    StepRankParts,
+    ViabilityRankKey,
+    rank_key,
+    viability_rank_key,
+)
 
 
 @dataclass(frozen=True)
@@ -154,13 +170,15 @@ class GraphSearch:
         )
         self._dist_cache_revision = graph.revision
         self._compiled: Optional[CompiledGraph] = None
-        #: Counting hook: fresh backward-Dijkstra runs (cache misses).
+        #: Counting hook: fresh distance-map runs (cache misses).
         #: Batch tests assert on this to prove distance maps are shared.
         self.distance_computes = 0
         # Cross-query rank-key memo, keyed by jungloid identity; the
         # jungloid is retained so a live entry's id can never be reused.
         # Entries embed the verdict demotion, so set_verdicts clears it.
         self._rank_memo: Dict[int, Tuple[Jungloid, "_AnyRankKey"]] = {}
+        # Per-step cost, crossings and generality, filled lazily.
+        self._step_parts = StepRankParts(graph.registry, cost_model)
 
     def _edge_cost(self, edge) -> int:
         """Edge weight = the ranking heuristic's size estimate (§3.2)."""
@@ -217,7 +235,7 @@ class GraphSearch:
         if not self.graph.has_node(t_out):
             return QueryOutcome(results=(), degraded=False)
         try:
-            dist = self._distances(t_out)
+            dist = self._distances(t_out, sources)
         except Exception as exc:  # same outcome as the batch path
             return self._faulted_outcome(t_out, exc)
         return self._solve_with_dist(sources, t_out, deadline, dist)
@@ -235,16 +253,18 @@ class GraphSearch:
         """Answer a whole request batch, amortizing shared work.
 
         Queries are grouped by target so each distinct target runs one
-        backward Dijkstra for the entire batch (Section 5's multi-source
+        backward distance pass for the entire batch (Section 5's multi-source
         amortization, generalized across requests); path→jungloid
         conversion and ranking keys are memoized batch-wide. Outcomes
         come back in input order. A fault while answering one query
         degrades that query's outcome only — the rest of the batch is
         unaffected.
 
-        ``deadline``, when given, bounds the whole batch; otherwise
-        ``time_budget_ms`` (argument, falling back to the configured
-        value) is minted per query, exactly as in one-at-a-time serving.
+        Each target group shares one distance map, bounded by the union
+        of its queries' sources. ``deadline``, when given, bounds the
+        whole batch; otherwise ``time_budget_ms`` (argument, falling back
+        to the configured value) is minted per query, exactly as in
+        one-at-a-time serving.
         """
         if time_budget_ms is None:
             time_budget_ms = self.config.time_budget_ms
@@ -259,8 +279,9 @@ class GraphSearch:
                 for i in indices:
                     outcomes[i] = QueryOutcome(results=(), degraded=False)
                 continue
+            sources = [s for i in indices for s in batch[i].sources]
             try:
-                dist = self._distances(target)
+                dist = self._distances(target, sources)
             except Exception as exc:  # the whole target group is cut off
                 for i in indices:
                     outcomes[i] = self._faulted_outcome(target, exc)
@@ -303,7 +324,7 @@ class GraphSearch:
         dist: KernelDistances,
         path_memo: Optional[Dict[Tuple[int, ...], Tuple[Jungloid, str]]] = None,
     ) -> QueryOutcome:
-        collected: List[SearchResult] = []
+        collected: List[Tuple["_AnyRankKey", SearchResult]] = []
         seen_texts = set()
         reasons: List[DegradationReason] = []
         rungs_used: List[str] = [RUNG_FULL_WINDOW]
@@ -330,7 +351,9 @@ class GraphSearch:
                 if key in seen_texts:
                     continue
                 seen_texts.add(key)
-                collected.append(SearchResult(jungloid, source))
+                collected.append(
+                    (self._rank_key(jungloid, text), SearchResult(jungloid, source))
+                )
 
         def use_rung(rung: str) -> None:
             if rung not in rungs_used:
@@ -340,6 +363,20 @@ class GraphSearch:
             if not self.graph.has_node(source):
                 continue
             m = dist.get(source, UNREACHABLE)
+            if m >= UNREACHABLE and deadline is not None and dist.horizon is not None:
+                # Beyond a bounded map the source may still be reachable,
+                # past the cap: a budgeted ladder would then fall to rung
+                # 3, which ignores the cap, so it needs the complete map.
+                try:
+                    dist = self._distances(t_out)
+                except Exception as exc:
+                    reasons.append(
+                        DegradationReason(
+                            REASON_FAULT, RUNG_FULL_WINDOW, f"{source}: {exc}"
+                        )
+                    )
+                    continue
+                m = dist.get(source, UNREACHABLE)
             if m >= UNREACHABLE:
                 continue
             bound = min(m + self.config.extra_cost, self.config.absolute_max_cost)
@@ -417,9 +454,9 @@ class GraphSearch:
                         )
                     )
 
-        collected.sort(key=lambda r: self._rank_key(r.jungloid))
+        collected.sort(key=itemgetter(0))
         return QueryOutcome(
-            results=tuple(collected[: self.config.max_results]),
+            results=tuple(r for _, r in collected[: self.config.max_results]),
             degraded=bool(reasons),
             reasons=tuple(reasons),
             rungs=tuple(rungs_used),
@@ -484,15 +521,24 @@ class GraphSearch:
     # ------------------------------------------------------------------
 
     def shortest_cost(self, t_in: JavaType, t_out: JavaType) -> Optional[int]:
-        """Cheapest solution cost for a query, or None if unreachable."""
+        """Cheapest solution cost for a query, or None if unreachable.
+
+        Reads a complete map: the cost may lie past ``absolute_max_cost``.
+        """
         if not self.graph.has_node(t_out):
             return None
         m = self._distances(t_out).get(t_in, UNREACHABLE)
         return None if m >= UNREACHABLE else m
 
-    def _distances(self, target: Node) -> KernelDistances:
+    def _distances(
+        self, target: Node, sources: Optional[Sequence[Node]] = None
+    ) -> KernelDistances:
         """The per-target distance map, LRU-cached and revision-guarded.
 
+        With ``sources`` the map need only reach their horizon (see
+        :func:`~repro.search.kernel.kernel_distances`); ``None`` asks for
+        the complete map. A cached map is reused only if it covers every
+        source; otherwise the wider map is computed and replaces it.
         ``target`` must be a node of the graph (callers check first).
         """
         revision = self.graph.revision
@@ -507,10 +553,16 @@ class GraphSearch:
             else:
                 self._dist_cache.invalidate(affected)
             self._dist_cache_revision = revision
+            self._step_parts.clear()  # drop steps the graph may have lost
+        extra = self.config.extra_cost
+        cap = self.config.absolute_max_cost
         cached = self._dist_cache.get(target)
-        if cached is not None:
+        if cached is not None and (
+            cached.horizon is None
+            or (sources is not None and cached.covers(sources, extra, cap))
+        ):
             return cached
-        fresh = distances_for(self._compiled_graph(), target)
+        fresh = distances_for(self._compiled_graph(), target, sources, extra, cap)
         self.distance_computes += 1
         self._dist_cache.put(target, fresh)
         return fresh
@@ -524,12 +576,13 @@ class GraphSearch:
         self.verdicts = verdicts
         self._rank_memo.clear()
 
-    def _rank_key(self, jungloid: Jungloid) -> "_AnyRankKey":
+    def _rank_key(self, jungloid: Jungloid, text: str) -> "_AnyRankKey":
         """Memoized ranking key by jungloid identity.
 
         The paper's :func:`~repro.search.ranking.rank_key`, wrapped in a
         :class:`~repro.search.ranking.ViabilityRankKey` when analysis-
-        aware ranking is on and a verdict index is attached.
+        aware ranking is on and a verdict index is attached. ``text`` is
+        the jungloid's rendering, already made for deduplication.
         """
         memo = self._rank_memo
         entry = memo.get(id(jungloid))
@@ -537,10 +590,21 @@ class GraphSearch:
             return entry[1]
         if self.config.analysis_ranking and self.verdicts is not None:
             key: _AnyRankKey = viability_rank_key(
-                self.graph.registry, jungloid, self.verdicts, self.cost_model
+                self.graph.registry,
+                jungloid,
+                self.verdicts,
+                self.cost_model,
+                text=text,
+                parts=self._step_parts,
             )
         else:
-            key = rank_key(self.graph.registry, jungloid, self.cost_model)
+            key = rank_key(
+                self.graph.registry,
+                jungloid,
+                self.cost_model,
+                text=text,
+                parts=self._step_parts,
+            )
         if len(memo) >= _RANK_MEMO_CAP:
             memo.clear()
         memo[id(jungloid)] = (jungloid, key)

@@ -25,23 +25,28 @@ flat snapshot:
 
 On top of the snapshot:
 
-* a backward Dijkstra pass from the target gives ``dist(n)`` = minimum
-  remaining cost from ``n`` to the target;
+* a backward shortest-path pass from the target gives ``dist(n)`` =
+  minimum remaining cost from ``n`` to the target. Edge costs are small
+  non-negative integers (widening is free), so it runs on a bucket (Dial)
+  queue: one list per distance level, scanned in order;
 * a forward depth-first expansion (explicit frame stack) from the source
   prunes any prefix whose cost plus ``dist`` exceeds the bound.
 
-The distance map is computed once per target and shared by every source —
-this is how "running all queries at once" (multi-source search, Section 5)
-costs about the same as one query. ``tests/search_oracle.py`` keeps a
-plain recursive version of both loops over the live graph; the
-differential tests hold this module to it path for path.
+Enumeration never looks past its bound ``min(m + extra, cap)``, so a
+query's map may stop at the *horizon* ``min(max m + extra, cap)`` over
+its sources: nodes farther than that stay :data:`UNREACHABLE`, and every
+finite entry is exact. The distance map is computed once per target and
+shared by every source — this is how "running all queries at once"
+(multi-source search, Section 5) costs about the same as one query.
+``tests/search_oracle.py`` keeps a plain recursive version of both loops
+over the live graph; the differential tests hold this module to it path
+for path.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..graph import Edge, Node, SignatureGraph
 from ..robustness import Deadline
@@ -194,15 +199,24 @@ class KernelDistances:
 
     Reads like a ``Dict[Node, int]`` — ``get(node, default)`` returns
     ``default`` for unknown or unreachable nodes — while the kernel loops
-    index :attr:`arr` directly.
+    index :attr:`arr` directly. ``horizon`` is ``None`` for a complete
+    map; otherwise the map holds exactly the nodes within ``horizon`` of
+    the target, and a node outside it may still reach the target.
     """
 
-    __slots__ = ("compiled", "target", "arr")
+    __slots__ = ("compiled", "target", "arr", "horizon")
 
-    def __init__(self, compiled: CompiledGraph, target: Node, arr: List[int]):
+    def __init__(
+        self,
+        compiled: CompiledGraph,
+        target: Node,
+        arr: List[int],
+        horizon: Optional[int] = None,
+    ):
         self.compiled = compiled
         self.target = target
         self.arr = arr
+        self.horizon = horizon
 
     def get(self, node: Node, default=None):
         nid = self.compiled.node_id.get(node)
@@ -220,12 +234,46 @@ class KernelDistances:
     def __contains__(self, node: Node) -> bool:
         return self.get(node) is not None
 
+    def covers(self, sources: Iterable[Node], extra_cost: int, max_cost: int) -> bool:
+        """Whether this map serves the ladder for every one of ``sources``.
 
-def kernel_distances(compiled: CompiledGraph, target_id: int) -> List[int]:
-    """Backward Dijkstra over the CSR in-adjacency, all in integers.
+        A source needs every node within ``min(m + extra_cost,
+        max_cost)`` of the target; one beyond the horizon has ``m`` past
+        it, so it needs ``max_cost`` (where it enumerates nothing).
+        """
+        horizon = self.horizon
+        if horizon is None:
+            return True
+        node_id = self.compiled.node_id
+        arr = self.arr
+        for source in sources:
+            nid = node_id.get(source)
+            if nid is None:
+                continue
+            m = arr[nid]
+            need = max_cost if m >= UNREACHABLE else min(m + extra_cost, max_cost)
+            if need > horizon:
+                return False
+        return True
 
-    Returns a dense array: ``dist[u]`` is the minimum cost from node ``u``
-    to the target, :data:`UNREACHABLE` when no path exists.
+
+def kernel_distances(
+    compiled: CompiledGraph,
+    target_id: int,
+    source_ids: Optional[Iterable[int]] = None,
+    extra_cost: int = 0,
+    max_cost: int = UNREACHABLE,
+) -> Tuple[List[int], Optional[int]]:
+    """Backward shortest distances over the CSR in-adjacency, on a
+    bucket queue.
+
+    Returns ``(dist, horizon)``: ``dist[u]`` is the minimum cost from
+    node ``u`` to the target, :data:`UNREACHABLE` when no path exists.
+    With ``source_ids=None`` the map is complete and ``horizon`` is
+    ``None``. Otherwise levels are settled until every source is settled
+    (or ``max_cost`` is reached), then up to the horizon ``min(max m +
+    extra_cost, max_cost)``; tentative entries beyond it are reset to
+    :data:`UNREACHABLE`, so every finite entry is exact.
     """
     n = len(compiled.nodes)
     dist = [UNREACHABLE] * n
@@ -233,28 +281,67 @@ def kernel_distances(compiled: CompiledGraph, target_id: int) -> List[int]:
     in_start = compiled.in_start
     in_source = compiled.in_source
     in_cost = compiled.in_cost
-    heap: List[Tuple[int, int]] = [(0, target_id)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, node = pop(heap)
-        if d > dist[node]:
-            continue
-        for i in range(in_start[node], in_start[node + 1]):
-            nd = d + in_cost[i]
-            src = in_source[i]
-            if nd < dist[src]:
-                dist[src] = nd
-                push(heap, (nd, src))
-    return dist
+    if source_ids is None:
+        pending = 0
+        is_source = None
+        limit = UNREACHABLE
+    else:
+        is_source = bytearray(n)
+        for sid in source_ids:
+            is_source[sid] = 1
+        pending = sum(is_source)
+        # With no source left to settle, level 0 already decides m.
+        limit = max_cost if pending else min(extra_cost, max_cost)
+    buckets: List[List[int]] = [[target_id]]
+    level = 0
+    while level < len(buckets) and level <= limit:
+        # Zero-cost (widening) edges append to the bucket being scanned;
+        # list iteration picks the appended nodes up.
+        for node in buckets[level]:
+            if dist[node] != level:
+                continue  # superseded by a cheaper entry
+            if pending and is_source[node]:
+                pending -= 1
+                if not pending:
+                    limit = min(level + extra_cost, max_cost)
+            for e in range(in_start[node], in_start[node + 1]):
+                nd = level + in_cost[e]
+                if nd > limit:
+                    continue  # past the horizon: never settled
+                src = in_source[e]
+                if nd < dist[src]:
+                    dist[src] = nd
+                    while len(buckets) <= nd:
+                        buckets.append([])
+                    buckets[nd].append(src)
+        level += 1
+    if limit >= UNREACHABLE:
+        return dist, None
+    return [d if d <= limit else UNREACHABLE for d in dist], limit
 
 
-def distances_for(compiled: CompiledGraph, target: Node) -> Optional[KernelDistances]:
-    """Distance map to ``target``, or ``None`` when it is not a node."""
+def distances_for(
+    compiled: CompiledGraph,
+    target: Node,
+    sources: Optional[Iterable[Node]] = None,
+    extra_cost: int = 0,
+    max_cost: int = UNREACHABLE,
+) -> Optional[KernelDistances]:
+    """Distance map to ``target``, or ``None`` when it is not a node.
+
+    ``sources=None`` asks for the complete map; otherwise the map stops
+    at the horizon of those sources (see :func:`kernel_distances`).
+    Sources that are not nodes are ignored.
+    """
     tid = compiled.node_id.get(target)
     if tid is None:
         return None
-    return KernelDistances(compiled, target, kernel_distances(compiled, tid))
+    source_ids = None
+    if sources is not None:
+        node_id = compiled.node_id
+        source_ids = [node_id[s] for s in sources if s in node_id]
+    arr, horizon = kernel_distances(compiled, tid, source_ids, extra_cost, max_cost)
+    return KernelDistances(compiled, target, arr, horizon)
 
 
 def kernel_enumerate_paths(

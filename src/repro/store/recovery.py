@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..graph import JungloidGraph
 from ..jungloids import Jungloid
 from ..typesystem import TypeRegistry
 from .errors import SnapshotError, SnapshotReadError, StoreRecoveryError
@@ -120,10 +121,18 @@ class RecoveredStore:
     #: Serialized cast-verdict index carried by the snapshot, if any
     #: (``None`` after a rebuild or a pre-v3 migration).
     analysis: Optional[dict] = None
+    #: The graph the load audit built, with :attr:`public_only`
+    #: (``None`` after a rebuild).
+    graph: Optional[JungloidGraph] = None
 
     @property
     def rung_used(self) -> Optional[str]:
         return self.diagnostics.rung_used
+
+    @property
+    def public_only(self) -> bool:
+        """The manifest's graph flavour (legacy bundles were public-only)."""
+        return self.manifest.public_only if self.manifest else True
 
 
 def load_with_recovery(
@@ -158,6 +167,7 @@ def load_with_recovery(
             diagnostics=diag,
             manifest=loaded.manifest,
             analysis=loaded.analysis,
+            graph=loaded.graph,
         )
 
     if rebuild is not None:
@@ -223,11 +233,10 @@ def repair(
         sleep=sleep,
     )
     if recovered.rung_used != RUNG_CURRENT:
-        public_only = recovered.manifest.public_only if recovered.manifest else True
         store.save(
             recovered.registry,
             recovered.mined,
-            public_only=public_only,
+            public_only=recovered.public_only,
             rotate=False,
             analysis=recovered.analysis,
         )

@@ -33,9 +33,9 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..graph import (
     BundleFormatError,
@@ -46,7 +46,7 @@ from ..graph import (
 )
 from ..jungloids import Jungloid
 from ..typesystem import TypeRegistry
-from .audit import IntegrityIssue, audit_bundle
+from .audit import audit_bundle
 from .errors import (
     SnapshotCorruptError,
     SnapshotFormatError,
@@ -168,6 +168,10 @@ class LoadedSnapshot:
     #: Serialized cast-verdict index (schema v3); ``None`` when the
     #: snapshot predates the analysis or was saved without one.
     analysis: Optional[dict] = None
+    #: The graph the audit built (with the manifest's ``public_only``),
+    #: so a loader can serve from it instead of building it again;
+    #: ``None`` when the load skipped the audit.
+    graph: Optional[JungloidGraph] = None
 
 
 def payload_digest(payload: bytes) -> str:
@@ -305,8 +309,7 @@ class SnapshotStore:
                 migrated_from=1,
                 path=path,
             )
-            self._audit_or_raise(loaded, audit)
-            return loaded
+            return self._audit_or_raise(loaded, audit)
 
         version = header.get("schema_version")
         if not isinstance(version, int) or version < 1:
@@ -345,30 +348,28 @@ class SnapshotStore:
             path=path,
             analysis=analysis,
         )
-        self._audit_or_raise(loaded, audit)
-        return loaded
+        return self._audit_or_raise(loaded, audit)
 
-    def _audit_or_raise(self, loaded: LoadedSnapshot, audit: bool) -> None:
+    def _audit_or_raise(self, loaded: LoadedSnapshot, audit: bool) -> LoadedSnapshot:
+        """The full post-load audit, including a graph rebuild so edge
+        endpoints and node/edge counts are checked against the manifest.
+        Returns ``loaded`` carrying that graph."""
         if not audit:
-            return
-        issues = self.audit(loaded)
+            return loaded
+        public_only = loaded.manifest.public_only if loaded.manifest else True
+        graph = JungloidGraph.build(
+            loaded.registry, loaded.mined, public_only=public_only
+        )
+        issues = audit_bundle(
+            loaded.registry, loaded.mined, manifest=loaded.manifest, graph=graph
+        )
         if issues:
             raise SnapshotIntegrityError(
                 f"{loaded.path}: integrity audit found {len(issues)} issue(s):"
                 + "".join(f"\n  {issue}" for issue in issues),
                 issues=issues,
             )
-
-    def audit(self, loaded: LoadedSnapshot) -> List[IntegrityIssue]:
-        """The full post-load audit, including a graph rebuild so edge
-        endpoints and node/edge counts are checked against the manifest."""
-        public_only = loaded.manifest.public_only if loaded.manifest else True
-        graph = JungloidGraph.build(
-            loaded.registry, loaded.mined, public_only=public_only
-        )
-        return audit_bundle(
-            loaded.registry, loaded.mined, manifest=loaded.manifest, graph=graph
-        )
+        return replace(loaded, graph=graph)
 
     def exists(self, which: str = "current") -> bool:
         return self._path_for(which).exists()

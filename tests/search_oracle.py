@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from types import SimpleNamespace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.apispec import ApiBuilder
 from repro.graph import Edge, Node, SignatureGraph
@@ -162,11 +162,25 @@ def shortest_path(
     return tuple(path) if path else None
 
 
-class OracleSearch(GraphSearch):
-    """A :class:`GraphSearch` answering through the reference search."""
+class CompleteDistances(dict):
+    """A reference distance map, marked complete as the ladder expects."""
 
-    def _distances(self, target: Node) -> Dict[Node, int]:
-        return distances_to(self.graph, target, edge_cost=self._edge_cost)
+    horizon = None
+
+
+class OracleSearch(GraphSearch):
+    """A :class:`GraphSearch` answering through the reference search.
+
+    Its maps are always complete, whatever the query's sources, so the
+    differentials also hold the kernel's horizon-bounded maps to them.
+    """
+
+    def _distances(
+        self, target: Node, sources: Optional[Sequence[Node]] = None
+    ) -> CompleteDistances:
+        return CompleteDistances(
+            distances_to(self.graph, target, edge_cost=self._edge_cost)
+        )
 
     def _enumerate(self, source, t_out, bound, dist, deadline, report):
         return enumerate_paths(

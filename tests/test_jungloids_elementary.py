@@ -139,3 +139,36 @@ class TestFreeVariables:
             assert "free-variable" in str(err)
         else:  # pragma: no cover
             raise AssertionError("expected ValueError")
+
+
+class TestRenderParts:
+    """``render_parts`` splits a step's rendering around its input, so
+    concatenating the parts must equal rendering the step directly."""
+
+    INPUTS = ("x", "(p.C) y.get(z)", "")
+
+    def test_every_kind_on_the_bundled_graph(self, standard_prospector):
+        kinds = set()
+        templated = 0
+        for edge in standard_prospector.graph.edges():
+            step = edge.elementary
+            kinds.add(step.kind)
+            parts = step.render_parts
+            if parts is None:
+                continue
+            templated += 1
+            for expr in self.INPUTS:
+                assert parts[0] + expr + parts[1] == step.render(expr)
+        assert kinds == set(ElementaryKind)
+        assert templated > 0
+
+    def test_static_field_ignores_its_input(self):
+        e = field_access(Field(A, "DEFAULT", B, static=True))
+        assert e.render_parts is None
+        assert e.render("x") == e.render("") == "p.A.DEFAULT"
+
+    def test_parts_leave_equality_and_hash_alone(self):
+        m = Method(A, "mix", B, (Parameter("c", C),))
+        first, second = instance_call(m)[0], instance_call(m)[0]
+        assert first.render_parts is not None
+        assert first == second and hash(first) == hash(second)

@@ -22,9 +22,14 @@ from repro.jungloids import (
 from repro.minijava.ast import Position
 from repro.mining import ExampleJungloid, generalize_examples, widening_chain
 from repro.search import (
+    CompiledGraph,
+    EnumerationReport,
     GraphSearch,
+    SearchConfig,
+    UNREACHABLE,
     compile_graph,
     distances_for,
+    kernel_distances,
     kernel_enumerate_paths,
     package_crossings,
     rank,
@@ -38,7 +43,7 @@ from repro.typesystem import (
     package_distance,
 )
 
-from .search_oracle import distances_to, enumerate_paths
+from .search_oracle import OracleSearch, distances_to, enumerate_paths
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -332,6 +337,151 @@ class TestSearchProperties:
         assert list(
             kernel_enumerate_paths(compiled, t_in, t_out, m, dist=kernel_dist, max_paths=50)
         ) == paths
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A random CSR graph with small edge costs; 0 is a widening edge."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3)
+            ),
+            max_size=40,
+        )
+    )
+    out_start, out_target, out_cost = [0] * (n + 1), [], []
+    in_start, in_source, in_cost = [0] * (n + 1), [], []
+    for u in range(n):
+        for a, b, c in edges:
+            if a == u:
+                out_target.append(b)
+                out_cost.append(c)
+        out_start[u + 1] = len(out_target)
+    for v in range(n):
+        for a, b, c in edges:
+            if b == v:
+                in_source.append(a)
+                in_cost.append(c)
+        in_start[v + 1] = len(in_source)
+    nodes = tuple(f"n{i}" for i in range(n))
+    return CompiledGraph(
+        revision=0,
+        nodes=nodes,
+        node_id={node: i for i, node in enumerate(nodes)},
+        out_start=out_start,
+        out_target=out_target,
+        out_cost=out_cost,
+        out_edges_ref=(None,) * len(out_target),
+        in_start=in_start,
+        in_source=in_source,
+        in_cost=in_cost,
+    )
+
+
+def _reference_distances(compiled, target_id):
+    """Bellman-Ford over the in-adjacency: the plainest complete map."""
+    n = len(compiled.nodes)
+    dist = [UNREACHABLE] * n
+    dist[target_id] = 0
+    for _ in range(n):
+        for v in range(n):
+            if dist[v] >= UNREACHABLE:
+                continue
+            for e in range(compiled.in_start[v], compiled.in_start[v + 1]):
+                u = compiled.in_source[e]
+                dist[u] = min(dist[u], dist[v] + compiled.in_cost[e])
+    return dist
+
+
+class TestBoundedDistanceProperties:
+    """A horizon-bounded map is the complete map cut at its horizon."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weighted_graphs(),
+        st.data(),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_bounded_map_is_complete_map_cut_at_horizon(self, compiled, data, extra, cap):
+        n = compiled.node_count
+        target = data.draw(st.integers(0, n - 1), label="target")
+        sources = data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="sources")
+        complete, none = kernel_distances(compiled, target)
+        assert none is None
+        assert complete == _reference_distances(compiled, target)
+
+        bounded, horizon = kernel_distances(compiled, target, sources, extra, cap)
+        m = max((complete[s] for s in sources), default=0)
+        assert horizon == min(m + extra, cap)
+        for u in range(n):
+            if bounded[u] < UNREACHABLE:
+                assert bounded[u] == complete[u]  # finite means exact
+            if complete[u] <= horizon:
+                assert bounded[u] == complete[u]  # nothing within is missing
+            else:
+                assert bounded[u] == UNREACHABLE
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weighted_graphs(),
+        st.data(),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_covering_map_enumerates_as_the_complete_map(self, compiled, data, extra, cap):
+        """Whenever a bounded map covers a source, enumeration and the
+        shortest path over it equal those over the complete map."""
+        n = compiled.node_count
+        target = data.draw(st.integers(0, n - 1), label="target")
+        sources = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="sources")
+        probe = data.draw(st.integers(0, n - 1), label="probe")
+        name = compiled.nodes
+        full = distances_for(compiled, name[target])
+        bounded = distances_for(compiled, name[target], [name[s] for s in sources], extra, cap)
+        if not bounded.covers([name[probe]], extra, cap):
+            return
+        m = full.arr[probe]
+        bound = min(m + extra, cap) if m < UNREACHABLE else cap
+        runs = []
+        for dist in (full, bounded):
+            report = EnumerationReport()
+            paths = kernel_enumerate_paths(
+                compiled, name[probe], name[target], bound, dist=dist, report=report
+            )
+            runs.append((sum(1 for _ in paths), report.expansions))
+        assert runs[0] == runs[1]
+        if m <= cap:
+            assert bounded.arr[probe] == m
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(st.integers(min_value=0, max_value=17), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_engine_matches_oracle_with_bounded_maps(self, seed, picks, extra, cap):
+        """Ranked multi-source answers over horizon-bounded, cached maps
+        equal the oracle's over complete ones, query after query."""
+        registry = generate_synthetic_api(
+            SyntheticApiConfig(seed=seed, packages=3, classes_per_package=6, interfaces_per_package=1)
+        )
+        graph = SignatureGraph.from_registry(registry)
+        config = SearchConfig(extra_cost=extra, absolute_max_cost=cap)
+        search = GraphSearch(graph, config=config)
+        oracle = OracleSearch(graph, config=config)
+        types = sorted(graph.nodes, key=str)
+        t_out = types[picks[0] % len(types)]
+        for k in range(1, len(picks) + 1):
+            sources = [types[p * 7 % len(types)] for p in picks[:k]]
+            got = [(str(r.source_type), r.jungloid.render_expression("x"))
+                   for r in search.solve_multi(sources, t_out)]
+            want = [(str(r.source_type), r.jungloid.render_expression("x"))
+                    for r in oracle.solve_multi(sources, t_out)]
+            assert got == want
 
 
 # ----------------------------------------------------------------------

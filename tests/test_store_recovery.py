@@ -8,7 +8,8 @@ visible in the diagnostics.
 
 import pytest
 
-from repro import Prospector
+from repro import Prospector, ProspectorConfig
+from repro.graph import JungloidGraph
 from repro.robustness import (
     FlakyFileSystem,
     corrupt_file,
@@ -245,3 +246,50 @@ class TestDiagnostics:
         assert diagnostics.fault_count == 1
         assert diagnostics.degraded
         assert str(diagnostics.faults[0]) == "current-snapshot [verify]: boom"
+
+
+class TestAuditedGraphReuse:
+    """A snapshot load's audit builds the jungloid graph; the loaded
+    instance serves from that graph instead of building it again."""
+
+    @pytest.fixture()
+    def build_calls(self, monkeypatch):
+        calls = []
+        original = JungloidGraph.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(kwargs.get("public_only"))
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(JungloidGraph, "build", classmethod(counting))
+        return calls
+
+    def _answers(self, prospector):
+        return [
+            s.jungloid.render_expression("x")
+            for s in prospector.query("demo.ui.Viewer", "demo.ui.Item")
+        ]
+
+    def test_restart_builds_the_graph_once(self, saved_store, small_prospector, build_calls):
+        loaded = Prospector.from_snapshot(saved_store.path, load_stages=False)
+        assert build_calls == [True]
+        assert loaded.store_diagnostics.ok
+        assert self._answers(loaded) == self._answers(small_prospector)
+
+    def test_recovered_store_carries_the_audited_graph(self, saved_store, build_calls):
+        recovered = load_with_recovery(saved_store)
+        assert build_calls == [True]
+        assert recovered.graph is not None and recovered.public_only
+
+    def test_other_flavour_builds_its_own_graph(self, saved_store, build_calls):
+        config = ProspectorConfig(public_only=False)
+        loaded = Prospector.from_snapshot(saved_store.path, config=config, load_stages=False)
+        assert build_calls == [True, False]
+        fresh = Prospector(loaded.registry, config=config, mined=loaded.mined_jungloids)
+        assert self._answers(loaded) == self._answers(fresh)
+
+    def test_rebuild_rung_carries_no_graph(self, saved_store, small_prospector):
+        corrupt_file(saved_store.path, lambda data: truncate_bytes(data, 10))
+        saved_store.previous_path.unlink(missing_ok=True)
+        recovered = load_with_recovery(saved_store, rebuild=_rebuild_from(small_prospector))
+        assert recovered.rung_used == RUNG_REBUILD and recovered.graph is None
