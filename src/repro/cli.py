@@ -393,7 +393,8 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
             f" (of {stats.files_total} corpus files)"
         )
         print(
-            f"  re-mined {len(stats.files_remined)} file(s), reused"
+            f"  re-resolved {len(stats.files_reresolved)} file(s),"
+            f" re-mined {len(stats.files_remined)} file(s), reused"
             f" {stats.files_reused}; suffixes +{stats.suffixes_added}"
             f"/-{stats.suffixes_removed}; {stats.affected_targets}"
             f" search target(s) invalidated"

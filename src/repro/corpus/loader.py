@@ -24,6 +24,7 @@ from ..minijava import (
     CheckReport,
     CompilationUnit,
     MiniJavaError,
+    ResolutionCache,
     check_program,
     parse_minijava,
     resolve_program,
@@ -183,19 +184,23 @@ def resolve_and_check_lenient(
     units: Sequence[CompilationUnit],
     diagnostics: CorpusDiagnostics,
     check: bool = True,
+    cache: Optional[ResolutionCache] = None,
 ) -> Tuple[TypeRegistry, List[CompilationUnit], List[NamedType], Optional[CheckReport]]:
     """Resolve (and optionally check) parsed units with fault quarantine.
 
     The resolution/check half of the lenient load, factored out so the
     incremental pipeline can re-run it over cached parsed units without
-    re-reading or re-parsing anything.
+    re-reading or re-parsing anything; its ``cache`` lets every attempt
+    skip the bodies of units whose lookups did not change.
     """
-    registry, units, corpus_types = _resolve_lenient(api_registry, units, diagnostics)
+    registry, units, corpus_types = _resolve_lenient(
+        api_registry, units, diagnostics, cache
+    )
 
     report: Optional[CheckReport] = None
     if check:
         while True:
-            report = check_program(registry, units)
+            report = check_program(registry, units, cache)
             if report.ok:
                 break
             bad_sources = []
@@ -209,7 +214,7 @@ def resolve_and_check_lenient(
             # Quarantined classes are declared in the registry; rebuild it
             # from the API so their types don't linger.
             registry, units, corpus_types = _resolve_lenient(
-                api_registry, units, diagnostics
+                api_registry, units, diagnostics, cache
             )
     return registry, list(units), list(corpus_types), report
 
@@ -218,45 +223,54 @@ def _resolve_lenient(
     api_registry: TypeRegistry,
     units: Sequence[CompilationUnit],
     diagnostics: CorpusDiagnostics,
+    cache: Optional[ResolutionCache] = None,
 ):
     """Resolve as many units as possible, quarantining culprits.
 
     Healthy units are resolved *together* (corpus files may reference
     each other's classes); on failure the culprit file is identified,
-    quarantined, and resolution retried on the remainder.
+    quarantined, and resolution retried on the remainder — unless the
+    culprit search already resolved the remainder, which is then final.
     """
     remaining = list(units)
     while remaining:
         registry = clone_registry(api_registry)
         try:
-            corpus_types = resolve_program(registry, remaining)
+            corpus_types = resolve_program(registry, remaining, cache=cache)
             return registry, remaining, corpus_types
         except _RESOLVE_ERRORS as exc:
-            culprit = _resolve_culprit(api_registry, remaining)
+            culprit, resolved = _resolve_culprit(api_registry, remaining, cache)
             diagnostics.record(culprit.source, PHASE_RESOLVE, exc)
             remaining = [u for u in remaining if u is not culprit]
+            if resolved is not None:
+                registry, corpus_types = resolved
+                return registry, remaining, corpus_types
     return clone_registry(api_registry), [], []
 
 
 def _resolve_culprit(
-    api_registry: TypeRegistry, units: Sequence[CompilationUnit]
-) -> CompilationUnit:
+    api_registry: TypeRegistry,
+    units: Sequence[CompilationUnit],
+    cache: Optional[ResolutionCache] = None,
+) -> Tuple[CompilationUnit, Optional[Tuple[TypeRegistry, List[NamedType]]]]:
     """The unit to quarantine after a joint resolution failure.
 
-    Prefer a unit whose removal lets the rest resolve; fall back to the
-    first unit that cannot resolve even alone; fall back to the first
-    unit (guaranteeing progress for mutually-broken sets).
+    Prefer a unit whose removal lets the rest resolve, returned with that
+    trial's registry and corpus types; fall back to the first unit that
+    cannot resolve even alone; fall back to the first unit (guaranteeing
+    progress for mutually-broken sets). The fallbacks return no trial.
     """
     for unit in units:
         rest = [u for u in units if u is not unit]
+        registry = clone_registry(api_registry)
         try:
-            resolve_program(clone_registry(api_registry), rest)
+            corpus_types = resolve_program(registry, rest, cache=cache)
         except _RESOLVE_ERRORS:
             continue
-        return unit
+        return unit, (registry, corpus_types)
     for unit in units:
         try:
-            resolve_program(clone_registry(api_registry), [unit])
+            resolve_program(clone_registry(api_registry), [unit], cache=cache)
         except _RESOLVE_ERRORS:
-            return unit
-    return units[0]
+            return unit, None
+    return units[0], None

@@ -40,6 +40,7 @@ from .ast import (
     walk_statements,
 )
 from .errors import MjTypeError
+from .resolver import ResolutionCache
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,25 @@ class TypeChecker:
         )
 
 
-def check_program(registry: TypeRegistry, units: Sequence[CompilationUnit]) -> CheckReport:
-    """Check all units, returning the report (never raising)."""
-    return TypeChecker(registry).check_units(units)
+def check_program(
+    registry: TypeRegistry,
+    units: Sequence[CompilationUnit],
+    cache: Optional[ResolutionCache] = None,
+) -> CheckReport:
+    """Check all units, returning the report (never raising).
+
+    Call right after ``units`` resolved into ``registry`` with ``cache``:
+    a unit whose entry already holds its issues is not checked again.
+    """
+    checker = TypeChecker(registry)
+    issues = checker.report.issues
+    for unit in units:
+        cached = cache.issues_of(unit) if cache is not None else None
+        if cached is not None:
+            issues.extend(cached)
+            continue
+        start = len(issues)
+        checker.check_units([unit])
+        if cache is not None:
+            cache.record_issues(unit, tuple(issues[start:]))
+    return checker.report

@@ -9,9 +9,13 @@ cached, fingerprinted artifacts:
 2. **parse** — per-file parse cache keyed by fingerprint; only touched
    files are re-parsed (lenient mode quarantines parse failures exactly
    like :func:`repro.corpus.load_corpus_texts`).
-3. **resolve/check** — always re-run over *all* live units (cheap, and
-   re-resolution is idempotent on cached ASTs); lenient quarantine
-   semantics are shared with the corpus loader via
+3. **resolve/check** — every attempt declares *all* live units, but
+   re-resolves the bodies only of units whose
+   :class:`~repro.minijava.ResolutionCache` entry went stale: a name the
+   bodies probed binds differently, or a corpus type they read changed
+   its declaration (new AST, shadowing class, new overload, edited
+   supertype). A unit's check issues are cached on the same entry.
+   Lenient quarantine semantics are shared with the corpus loader via
    :func:`repro.corpus.resolve_and_check_lenient`.
 4. **mine + analyze** — per-file example extraction and cast
    observations, cached per fingerprint plus the file's recorded slicing
@@ -45,7 +49,13 @@ from ..corpus import CorpusProgram, clone_registry, resolve_and_check_lenient
 from ..graph import JungloidGraph
 from ..graph.jungloid_graph import MinedDelta
 from ..jungloids import Jungloid
-from ..minijava import MiniJavaError, check_program, parse_minijava, resolve_program
+from ..minijava import (
+    MiniJavaError,
+    ResolutionCache,
+    check_program,
+    parse_minijava,
+    resolve_program,
+)
 from ..minijava.ast import CastExpr, CompilationUnit, method_expressions
 from ..minijava.callgraph import CallGraph, CallSite, build_call_graph
 from ..mining import (
@@ -213,6 +223,8 @@ class PipelineUpdateStats:
     files_added: Tuple[str, ...] = ()
     files_changed: Tuple[str, ...] = ()
     files_removed: Tuple[str, ...] = ()
+    #: Loaded files whose bodies were resolved again, not reused.
+    files_reresolved: Tuple[str, ...] = ()
     #: Files actually re-sliced (content or dependency change).
     files_remined: Tuple[str, ...] = ()
     #: Healthy files whose cached examples were reused untouched.
@@ -241,6 +253,7 @@ class PipelineUpdateStats:
             "files_added": list(self.files_added),
             "files_changed": list(self.files_changed),
             "files_removed": list(self.files_removed),
+            "files_reresolved": list(self.files_reresolved),
             "files_remined": list(self.files_remined),
             "files_reused": self.files_reused,
             "files_reanalyzed": list(self.files_reanalyzed),
@@ -290,6 +303,8 @@ class CorpusPipeline:
         self._texts: List[Tuple[str, str]] = []
         self._fingerprints: Dict[str, str] = {}
         self._parse_cache: Dict[str, _ParseEntry] = {}
+        #: Body-resolution records of the parsed units (see stage 3).
+        self._resolution_cache = ResolutionCache()
         self._records: Dict[str, FileMineRecord] = {}
         self._suffix_map: Dict[SuffixKey, Jungloid] = {}
         self._pending_record_dicts: Dict[str, dict] = {}
@@ -523,22 +538,24 @@ class CorpusPipeline:
             units_all.append(unit)
         timings.parse_ms = _now_ms() - t0
 
-        # -- Stage 3: resolve + check (always over all live units) ------
+        # -- Stage 3: resolve + check (bodies only where lookups changed) -
         t0 = _now_ms()
+        cache = self._resolution_cache
+        cache.retain(units_all)
         diagnostics: Optional[CorpusDiagnostics] = None
         if self.lenient:
             diagnostics = CorpusDiagnostics()
             for source, exc in parse_faults:
                 diagnostics.record(source, PHASE_PARSE, exc)
             registry, units, corpus_types, report = resolve_and_check_lenient(
-                self.api_registry, units_all, diagnostics, check=self.check
+                self.api_registry, units_all, diagnostics, self.check, cache
             )
             diagnostics.loaded = [u.source for u in units]
         else:
             registry = clone_registry(self.api_registry)
             units = list(units_all)
-            corpus_types = resolve_program(registry, units)
-            report = check_program(registry, units) if self.check else None
+            corpus_types = resolve_program(registry, units, cache=cache)
+            report = check_program(registry, units, cache) if self.check else None
             if report is not None:
                 report.raise_if_failed()
         program = CorpusProgram(
@@ -550,6 +567,9 @@ class CorpusPipeline:
             texts=list(texts),
         )
         timings.resolve_ms = _now_ms() - t0
+        stats.files_reresolved = tuple(
+            u.source for u in units if id(u) in cache.resolved
+        )
 
         # -- Stage 4a: call graph + dependency fingerprint maps ---------
         t0 = _now_ms()

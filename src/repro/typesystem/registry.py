@@ -57,10 +57,14 @@ class TypeRegistry:
 
     def __init__(self) -> None:
         self._declarations: Dict[QualifiedName, TypeDeclaration] = {}
+        #: The same declarations keyed by dotted name, for string lookups.
+        self._by_dotted: Dict[str, TypeDeclaration] = {}
         self._by_simple: Dict[str, List[NamedType]] = {}
         self._subtype_cache: Dict[Tuple[JavaType, JavaType], bool] = {}
         self._supertypes_cache: Dict[NamedType, Tuple[NamedType, ...]] = {}
         self._subclasses: Dict[QualifiedName, Set[QualifiedName]] = {}
+        self._methods_memo: Dict[NamedType, Tuple[Method, ...]] = {}
+        self._fields_memo: Dict[NamedType, Tuple[Field, ...]] = {}
         self.object_type = self._declare_object()
 
     # ------------------------------------------------------------------
@@ -71,6 +75,7 @@ class TypeRegistry:
         obj = named(OBJECT_NAME)
         decl = TypeDeclaration(type=obj, kind=TypeKind.CLASS, superclass=None)
         self._declarations[obj.name] = decl
+        self._by_dotted[OBJECT_NAME] = decl
         self._by_simple.setdefault(obj.simple, []).append(obj)
         return obj
 
@@ -111,6 +116,7 @@ class TypeRegistry:
             abstract=abstract,
         )
         self._declarations[t.name] = decl
+        self._by_dotted[t.name.dotted] = decl
         self._by_simple.setdefault(t.simple, []).append(t)
         self._invalidate_caches()
         return t
@@ -121,6 +127,7 @@ class TypeRegistry:
             if existing.name == f.name:
                 raise DuplicateMemberError(str(f.owner), f"field {f.name}")
         decl.fields.append(f)
+        self._invalidate_members()
         return f
 
     def add_method(self, m: Method) -> Method:
@@ -129,6 +136,7 @@ class TypeRegistry:
             if existing.name == m.name and existing.parameter_types == m.parameter_types:
                 raise DuplicateMemberError(str(m.owner), m.descriptor())
         decl.methods.append(m)
+        self._invalidate_members()
         return m
 
     def add_constructor(self, c: Constructor) -> Constructor:
@@ -137,6 +145,7 @@ class TypeRegistry:
             if existing.parameter_types == c.parameter_types:
                 raise DuplicateMemberError(str(c.owner), c.descriptor())
         decl.constructors.append(c)
+        self._invalidate_members()
         return c
 
     def clone(self) -> "TypeRegistry":
@@ -162,10 +171,14 @@ class TypeRegistry:
             )
             for name, decl in self._declarations.items()
         }
+        # Both maps were filled in the same order.
+        other._by_dotted = dict(zip(self._by_dotted, other._declarations.values()))
         other._by_simple = {k: list(v) for k, v in self._by_simple.items()}
         other._subtype_cache = {}
         other._supertypes_cache = {}
         other._subclasses = {}
+        other._methods_memo = {}
+        other._fields_memo = {}
         other.object_type = self.object_type
         return other
 
@@ -173,6 +186,11 @@ class TypeRegistry:
         self._subtype_cache.clear()
         self._supertypes_cache.clear()
         self._subclasses.clear()
+        self._invalidate_members()
+
+    def _invalidate_members(self) -> None:
+        self._methods_memo.clear()
+        self._fields_memo.clear()
 
     def invalidate_caches(self) -> None:
         """Drop memoized hierarchy queries after direct declaration edits.
@@ -187,14 +205,23 @@ class TypeRegistry:
     # ------------------------------------------------------------------
 
     def __contains__(self, dotted_name: str) -> bool:
-        return QualifiedName.parse(dotted_name) in self._declarations
+        if dotted_name in self._by_dotted:
+            return True
+        QualifiedName.parse(dotted_name)  # a malformed name raises
+        return False
+
+    def get(self, dotted_name: str) -> Optional[NamedType]:
+        """The declared type with this fully qualified name, or ``None``."""
+        decl = self._by_dotted.get(dotted_name)
+        return decl.type if decl is not None else None
 
     def lookup(self, dotted_name: str) -> NamedType:
         """Look up a declared type by its fully qualified name."""
-        qn = QualifiedName.parse(dotted_name)
-        if qn not in self._declarations:
+        decl = self._by_dotted.get(dotted_name)
+        if decl is None:
+            QualifiedName.parse(dotted_name)  # a malformed name raises
             raise UnknownTypeError(dotted_name)
-        return self._declarations[qn].type
+        return decl.type
 
     def lookup_simple(self, simple_name: str) -> List[NamedType]:
         """All declared types whose simple name matches (for import resolution)."""
@@ -359,22 +386,32 @@ class TypeRegistry:
 
     def all_methods(self, t: NamedType) -> Tuple[Method, ...]:
         """Declared plus inherited methods; overrides shadow supertypes."""
+        cached = self._methods_memo.get(t)
+        if cached is not None:
+            return cached
         seen: Dict[Tuple[str, Tuple[JavaType, ...]], Method] = {}
         for owner in (t,) + self.all_supertypes(t):
             for m in self.declaration_of(owner).methods:
                 key = (m.name, m.parameter_types)
                 if key not in seen:
                     seen[key] = m
-        return tuple(seen.values())
+        result = tuple(seen.values())
+        self._methods_memo[t] = result
+        return result
 
     def all_fields(self, t: NamedType) -> Tuple[Field, ...]:
         """Declared plus inherited fields; redeclarations shadow supertypes."""
+        cached = self._fields_memo.get(t)
+        if cached is not None:
+            return cached
         seen: Dict[str, Field] = {}
         for owner in (t,) + self.all_supertypes(t):
             for f in self.declaration_of(owner).fields:
                 if f.name not in seen:
                     seen[f.name] = f
-        return tuple(seen.values())
+        result = tuple(seen.values())
+        self._fields_memo[t] = result
+        return result
 
     def find_method(
         self, t: NamedType, name: str, arity: Optional[int] = None

@@ -75,3 +75,91 @@ class TestLoadCorpus:
         )
         assert program.registry is not small_registry
         assert "c.K" in program.registry
+
+
+# ----------------------------------------------------------------------
+# Culprit search: one successful trial per culprit, reused as the result
+# ----------------------------------------------------------------------
+
+CULPRIT_A = (
+    "a.mj",
+    "package c; import demo.ui.Panel;"
+    " public class A { public Panel p() { return new Panel(); } }",
+)
+CULPRIT_B = (
+    "b.mj",
+    "package c; import demo.ui.Viewer;"
+    " public class B { public Viewer v(A a) { return a.p().getViewer(); } }",
+)
+CULPRIT_C = (
+    "c.mj",
+    "package c; public class C extends A { public Object q() { return p(); } }",
+)
+#: Fails while declaring (an unknown parameter type).
+BAD_DECL = ("bad.mj", "package c; public class Bad { public void use(Nowhere n) { } }")
+#: Fails while resolving a body (no such method on a corpus class).
+BAD_BODY = (
+    "worse.mj",
+    "package c; public class Worse { public void f() { A a = new A(); a.missing(); } }",
+)
+DUP_1 = ("d1.mj", "package c; public class D { }")
+DUP_2 = ("d2.mj", "package c; public class D { }")
+
+UNKNOWN_NOWHERE = "unknown type 'Nowhere'"
+
+#: corpus, then the quarantine, loaded files and corpus types that the
+#: lenient loader produced before the culprit trial was reused.
+CULPRIT_CASES = {
+    "broken-first": (
+        [BAD_DECL, CULPRIT_A, CULPRIT_B, CULPRIT_C],
+        [("bad.mj", "resolve", UNKNOWN_NOWHERE)],
+        ["a.mj", "b.mj", "c.mj"],
+        ["c.A", "c.B", "c.C"],
+    ),
+    "broken-middle": (
+        [CULPRIT_A, CULPRIT_B, BAD_BODY, CULPRIT_C],
+        [("worse.mj", "resolve", "no applicable method c.A.missing/0 for argument types ()")],
+        ["a.mj", "b.mj", "c.mj"],
+        ["c.A", "c.B", "c.C"],
+    ),
+    "broken-last": (
+        [CULPRIT_A, CULPRIT_B, CULPRIT_C, BAD_DECL],
+        [("bad.mj", "resolve", UNKNOWN_NOWHERE)],
+        ["a.mj", "b.mj", "c.mj"],
+        ["c.A", "c.B", "c.C"],
+    ),
+    "duplicate-class": (
+        [CULPRIT_A, DUP_1, CULPRIT_B, DUP_2, CULPRIT_C],
+        [("d1.mj", "resolve", "type already declared: c.D")],
+        ["a.mj", "b.mj", "d2.mj", "c.mj"],
+        ["c.A", "c.B", "c.D", "c.C"],
+    ),
+}
+
+
+class TestCulpritSearch:
+    @pytest.mark.parametrize("case", sorted(CULPRIT_CASES))
+    def test_quarantine_and_one_successful_resolve(self, small_registry, monkeypatch, case):
+        import repro.corpus.loader as loader
+
+        texts, faults, loaded, corpus_types = CULPRIT_CASES[case]
+        successes = []
+        resolve = loader.resolve_program
+
+        def counting(*args, **kwargs):
+            result = resolve(*args, **kwargs)
+            successes.append(result)
+            return result
+
+        monkeypatch.setattr(loader, "resolve_program", counting)
+        program = load_corpus_texts(small_registry, texts, lenient=True)
+        diagnostics = program.diagnostics
+        assert [(f.source, f.phase, f.error) for f in diagnostics.faults] == faults
+        assert diagnostics.loaded == loaded
+        assert [u.source for u in program.units] == loaded
+        assert [str(t) for t in program.corpus_types] == corpus_types
+        assert [str(t) for t in successes[0]] == corpus_types
+        # The culprit trial that resolved the survivors is the result:
+        # nothing resolves them again.
+        assert len(successes) == 1
+        assert program.check_report is not None and program.check_report.ok

@@ -4,7 +4,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.apispec import SyntheticApiConfig, generate_synthetic_api
+from repro.apispec import SyntheticApiConfig, generate_synthetic_api, load_api_text
 from repro.graph import (
     SignatureGraph,
     registry_from_dict,
@@ -21,6 +21,7 @@ from repro.jungloids import (
 )
 from repro.minijava.ast import Position
 from repro.mining import ExampleJungloid, generalize_examples, widening_chain
+from repro.pipeline import CorpusPipeline
 from repro.search import (
     CompiledGraph,
     EnumerationReport,
@@ -43,6 +44,8 @@ from repro.typesystem import (
     package_distance,
 )
 
+from .conftest import SMALL_API
+from .resolution_oracle import VERSIONS, assert_matches_fresh
 from .search_oracle import OracleSearch, distances_to, enumerate_paths
 
 # ----------------------------------------------------------------------
@@ -503,3 +506,79 @@ class TestSerializationProperties:
             assert [m.descriptor() for m in decl.methods] == [
                 m.descriptor() for m in other.methods
             ]
+
+
+# ----------------------------------------------------------------------
+# Incremental corpus resolution
+# ----------------------------------------------------------------------
+
+_EDIT_FILES = sorted(VERSIONS)
+_POSITIONS = ("start", "middle", "end")
+
+#: One corpus edit: put a version of a file in place (or insert it at a
+#: position), remove a file, or touch a file with a comment.
+corpus_edits = st.one_of(
+    st.tuples(
+        st.just("set"),
+        st.sampled_from(_EDIT_FILES),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from(_POSITIONS),
+    ),
+    st.tuples(st.just("remove"), st.sampled_from(_EDIT_FILES)),
+    st.tuples(st.just("touch"), st.sampled_from(_EDIT_FILES)),
+)
+
+
+@st.composite
+def corpus_states(draw):
+    """Some of the edit files, in random order and versions, untouched."""
+    names = draw(st.permutations(_EDIT_FILES))
+    count = draw(st.integers(min_value=2, max_value=len(names)))
+    return [
+        [name, draw(st.integers(min_value=0, max_value=len(VERSIONS[name]) - 1)), 0]
+        for name in names[:count]
+    ]
+
+
+def _apply_edit(state, edit):
+    """``state`` is a list of ``[name, version, touches]``; returns a new one."""
+    state = [list(entry) for entry in state]
+    names = [entry[0] for entry in state]
+    kind, name = edit[0], edit[1]
+    if kind == "remove":
+        return [entry for entry in state if entry[0] != name]
+    if kind == "touch":
+        for entry in state:
+            if entry[0] == name:
+                entry[2] += 1
+        return state
+    version = edit[2] % len(VERSIONS[name])
+    if name in names:
+        state[names.index(name)][1] = version
+        return state
+    at = {"start": 0, "middle": len(state) // 2, "end": len(state)}[edit[3]]
+    state.insert(at, [name, version, 0])
+    return state
+
+
+def _texts(state):
+    return [
+        (name, VERSIONS[name][version] + "// touched\n" * touches)
+        for name, version, touches in state
+    ]
+
+
+class TestIncrementalResolutionProperties:
+    """Random edit sequences: after every sync the pipeline's annotations,
+    quarantine and ranked answers equal a fresh lenient load's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(corpus_states(), st.lists(corpus_edits, min_size=1, max_size=5))
+    def test_sync_matches_fresh_load(self, state, edits):
+        registry = load_api_text(SMALL_API)
+        pipeline = CorpusPipeline.build(registry, _texts(state))
+        assert_matches_fresh(registry, pipeline, _texts(state))
+        for edit in edits:
+            state = _apply_edit(state, edit)
+            pipeline.sync(_texts(state))
+            assert_matches_fresh(registry, pipeline, _texts(state))

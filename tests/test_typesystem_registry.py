@@ -189,6 +189,53 @@ class TestMembers:
         assert stats["constructors"] == 1
 
 
+class TestMemberLookupMemo:
+    """Inherited-member lookups are memoized per type; every edit that can
+    change an answer must make the next lookup see it."""
+
+    def test_member_added_after_lookup_is_visible(self, registry):
+        leaf, base = named("a.Leaf"), named("a.Base")
+        assert registry.find_method(leaf, "extra") == ()
+        assert registry.find_field(leaf, "extra") is None
+        # Added on a supertype, after the subtype's lookups were memoized.
+        method = registry.add_method(Method(base, "extra", named("java.lang.Object")))
+        assert registry.find_method(leaf, "extra") == (method,)
+        assert registry.find_field(leaf, "extra") is None
+        field = registry.add_field(Field(base, "extra", PRIMITIVES["int"]))
+        assert registry.find_field(leaf, "extra") == field
+
+    def test_supertype_patch_is_visible_after_invalidation(self, registry):
+        other = registry.declare("c.Other")
+        registry.add_method(Method(other, "only", named("java.lang.Object")))
+        loner = registry.declare("c.Loner")
+        assert registry.find_method(loner, "only") == ()
+        registry.declaration_of(loner).superclass = other
+        registry.invalidate_caches()
+        assert [m.owner for m in registry.find_method(loner, "only")] == [other]
+
+    def test_declare_and_constructor_keep_answers(self, registry):
+        base = named("a.Base")
+        registry.add_method(Method(base, "m", named("java.lang.Object")))
+        before = registry.all_methods(base)
+        registry.declare("d.New", superclass="a.Base")
+        registry.add_constructor(Constructor(base))
+        assert registry.all_methods(base) == before
+        assert registry.all_methods(named("d.New")) == before
+
+    def test_clone_memo_is_independent(self, registry):
+        base = named("a.Base")
+        registry.all_methods(base)
+        clone = registry.clone()
+        clone.add_method(Method(base, "cloned", named("java.lang.Object")))
+        assert registry.find_method(base, "cloned") == ()
+        assert len(clone.find_method(base, "cloned")) == 1
+
+    def test_get_returns_declared_type_or_none(self, registry):
+        assert registry.get("a.Mid") == named("a.Mid")
+        assert registry.get("a.Nope") is None
+        assert registry.clone().get("b.Impl") == named("b.Impl")
+
+
 class TestVisibility:
     def test_member_visibility_recorded(self):
         r = TypeRegistry()
