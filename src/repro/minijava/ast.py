@@ -97,6 +97,9 @@ class TypeName(Expr):
     in ``JavaCore.createCompilationUnitFrom(file)``."""
 
     name: str = ""
+    #: The name chain the resolver folded into this node. Resolving the
+    #: AST again decides from it, as a fresh parse would.
+    folded_from: Optional[Expr] = field(default=None, compare=False, repr=False)
 
 
 @dataclass

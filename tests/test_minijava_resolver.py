@@ -225,6 +225,33 @@ class TestExpressionTyping:
         assert new.resolved_constructor is not None
 
 
+class TestResolveAgain:
+    """Resolving an already-resolved AST decides as on a fresh parse, even
+    where the first resolution folded a name chain into a type name."""
+
+    def test_static_call_to_instance_method_fails_every_time(self):
+        unit = parse_minijava(
+            "package c; import lib.Item; class K { String f() { return Item.getName(); } }",
+            "test.mj",
+        )
+        for _ in range(2):
+            with pytest.raises(MjResolveError):
+                resolve_program(load_api_text(API), [unit])
+
+    def test_folded_static_call_resolves_the_same(self):
+        unit = parse_minijava(
+            "package c; import lib.Registry;"
+            " class K { Registry reg() { return Registry.getDefault(); } }",
+            "test.mj",
+        )
+        for _ in range(2):
+            resolve_program(load_api_text(API), [unit])
+            call = first_method(unit).body.statements[0].value
+            assert isinstance(call.receiver, TypeName)
+            assert call.receiver.name == "Registry"
+            assert call.resolved_method.static
+
+
 class TestResolveErrors:
     def test_unknown_variable(self):
         with pytest.raises(MjResolveError):
