@@ -8,9 +8,9 @@ literals are supported because corpus code passes them as arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 from .errors import MjLexError
 
@@ -60,37 +60,34 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character operators first so maximal munch works.
-_PUNCTUATION = (
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "{",
-    "}",
-    "(",
-    ")",
-    "[",
-    "]",
-    ";",
-    ",",
-    ".",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "!",
+#: Skips whitespace and comments, then matches one token: one alternative
+#: per token class, tried in this order. ``word`` and ``int`` use Unicode
+#: classes: ``[^\W\d]`` is a superset of ``str.isalpha`` and ``\d`` a
+#: subset of ``str.isdigit``; :func:`tokenize` settles the few non-ASCII
+#: numerals on which they disagree.
+_MASTER = re.compile(
+    r"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
+    (?:
+      (?P<word>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<open_comment>/\*)
+    | (?P<punct>==|!=|<=|>=|&&|\|\||[{}()\[\];,.=<>+\-*/%!])
+    | (?P<int>\d[\dxXa-fA-FlL]*)
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<char>'(?:\\.|[^\\])')
+    | (?P<open_quote>["'])
+    | (?P<other>.)
+    | (?P<eof>\Z)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
 )
 
+#: Characters that continue an int literal besides digits.
+_INT_LETTERS = frozenset("xXabcdefABCDEFlL")
 
-@dataclass(frozen=True)
-class MjToken:
+
+class MjToken(NamedTuple):
     kind: MjTokenKind
     text: str
     line: int
@@ -106,95 +103,60 @@ class MjToken:
         return f"{self.kind.name}({self.text!r})@{self.line}:{self.column}"
 
 
+def _int_end(text: str, end: int) -> int:
+    """Where an int literal continuing at ``end`` stops: it takes digits
+    (also those the pattern's ``int`` class misses, such as ``²``) and
+    hex letters."""
+    n = len(text)
+    while end < n and (text[end].isdigit() or text[end] in _INT_LETTERS):
+        end += 1
+    return end
+
+
 def tokenize(text: str) -> List[MjToken]:
     """Tokenize mini-Java source, raising :class:`MjLexError` on bad input."""
-    return list(_tokens(text))
-
-
-def _tokens(text: str) -> Iterator[MjToken]:
-    i = 0
-    line = 1
-    column = 1
-    n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, column
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                column = 1
+    tokens: List[MjToken] = []
+    append = tokens.append
+    match = _MASTER.match
+    line, line_start = 1, 0  # line_start: index of the line's first char
+    pos = counted = 0  # ``line`` counts the newlines before ``counted``
+    while True:
+        m = match(text, pos)
+        group = m.lastgroup
+        start, end = m.span(group)
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, start) + 1
+        counted = start
+        column = start - line_start + 1
+        if group == "word":
+            word = m.group(group)
+            first = word[0]
+            if first.isalpha() or first in "_$":
+                kind = MjTokenKind.KEYWORD if word in KEYWORDS else MjTokenKind.IDENT
+                append(MjToken(kind, word, line, column))
+            elif first.isdigit():
+                end = _int_end(text, start + 1)
+                append(MjToken(MjTokenKind.INT_LIT, text[start:end], line, column))
             else:
-                column += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise MjLexError("unterminated block comment", line, column)
-            advance(end + 2 - i)
-            continue
-        if ch.isalpha() or ch in "_$":
-            start_line, start_col = line, column
-            start = i
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                advance(1)
-            word = text[start:i]
-            kind = MjTokenKind.KEYWORD if word in KEYWORDS else MjTokenKind.IDENT
-            yield MjToken(kind, word, start_line, start_col)
-            continue
-        if ch.isdigit():
-            start_line, start_col = line, column
-            start = i
-            while i < n and (text[i].isdigit() or text[i] in "xXabcdefABCDEFlL"):
-                advance(1)
-            yield MjToken(MjTokenKind.INT_LIT, text[start:i], start_line, start_col)
-            continue
-        if ch == '"':
-            start_line, start_col = line, column
-            j = i + 1
-            value = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    value.append(text[j : j + 2])
-                    j += 2
-                else:
-                    value.append(text[j])
-                    j += 1
-            if j >= n:
-                raise MjLexError("unterminated string literal", start_line, start_col)
-            advance(j + 1 - i)
-            yield MjToken(MjTokenKind.STRING_LIT, "".join(value), start_line, start_col)
-            continue
-        if ch == "'":
-            start_line, start_col = line, column
-            j = i + 1
-            if j < n and text[j] == "\\":
-                j += 2
-            else:
-                j += 1
-            if j >= n or text[j] != "'":
-                raise MjLexError("unterminated char literal", start_line, start_col)
-            value = text[i + 1 : j]
-            advance(j + 1 - i)
-            yield MjToken(MjTokenKind.CHAR_LIT, value, start_line, start_col)
-            continue
-        matched = False
-        for punct in _PUNCTUATION:
-            if text.startswith(punct, i):
-                yield MjToken(MjTokenKind.PUNCT, punct, line, column)
-                advance(len(punct))
-                matched = True
-                break
-        if matched:
-            continue
-        raise MjLexError(f"unexpected character {ch!r}", line, column)
-    yield MjToken(MjTokenKind.EOF, "", line, column)
+                raise MjLexError(f"unexpected character {first!r}", line, column)
+        elif group == "punct":
+            append(MjToken(MjTokenKind.PUNCT, m.group(group), line, column))
+        elif group == "int":
+            end = _int_end(text, end)
+            append(MjToken(MjTokenKind.INT_LIT, text[start:end], line, column))
+        elif group == "string" or group == "char":
+            kind = MjTokenKind.STRING_LIT if group == "string" else MjTokenKind.CHAR_LIT
+            append(MjToken(kind, text[start + 1 : end - 1], line, column))
+        elif group == "eof":
+            append(MjToken(MjTokenKind.EOF, "", line, column))
+            return tokens
+        elif group == "open_comment":
+            raise MjLexError("unterminated block comment", line, column)
+        elif group == "open_quote":
+            what = "string" if text[start] == '"' else "char"
+            raise MjLexError(f"unterminated {what} literal", line, column)
+        else:
+            raise MjLexError(f"unexpected character {text[start]!r}", line, column)
+        pos = end

@@ -32,12 +32,14 @@ from .errors import (
     SnapshotFormatError,
     SnapshotIntegrityError,
     SnapshotReadError,
+    StageSidecarMismatchError,
     StoreRecoveryError,
 )
 from .recovery import (
     RUNG_CURRENT,
     RUNG_PREVIOUS,
     RUNG_REBUILD,
+    STAGE_ANALYSIS,
     STAGE_READ,
     STAGE_REBUILD,
     STAGE_VERIFY,
@@ -86,6 +88,7 @@ __all__ = [
     "RecoveredStore",
     "SCHEMA_VERSION",
     "SNAPSHOT_FORMAT",
+    "STAGE_ANALYSIS",
     "STAGE_READ",
     "STAGE_REBUILD",
     "STAGE_SIDECAR_FORMAT",
@@ -100,6 +103,7 @@ __all__ = [
     "SnapshotManifest",
     "SnapshotReadError",
     "SnapshotStore",
+    "StageSidecarMismatchError",
     "StoreDiagnostics",
     "StoreFault",
     "StoreRecoveryError",

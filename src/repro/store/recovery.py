@@ -39,6 +39,8 @@ STORE_LADDER: Tuple[str, ...] = (RUNG_CURRENT, RUNG_PREVIOUS, RUNG_REBUILD)
 STAGE_READ = "read"
 STAGE_VERIFY = "verify"
 STAGE_REBUILD = "rebuild"
+#: The loaded snapshot's header ``analysis`` section failed to decode.
+STAGE_ANALYSIS = "analysis"
 
 #: A corpus rebuild: returns ``(registry, mined)`` or raises.
 Rebuild = Callable[[], Tuple[TypeRegistry, Sequence[Jungloid]]]

@@ -24,7 +24,14 @@ from .hierarchy import (
     topological_types,
 )
 from .members import Constructor, Field, Method, Parameter, Visibility
-from .names import DEFAULT_PACKAGE, QualifiedName, check_identifier, is_identifier, package_distance
+from .names import (
+    DEFAULT_PACKAGE,
+    QualifiedName,
+    check_dotted,
+    check_identifier,
+    is_identifier,
+    package_distance,
+)
 from .registry import OBJECT_NAME, TypeDeclaration, TypeRegistry
 from .types import (
     PRIMITIVES,
@@ -69,6 +76,7 @@ __all__ = [
     "Visibility",
     "VoidType",
     "array_of",
+    "check_dotted",
     "check_identifier",
     "common_supertype",
     "generality_key",

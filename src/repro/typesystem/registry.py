@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import DuplicateMemberError, DuplicateTypeError, HierarchyError, UnknownTypeError
 from .members import Constructor, Field, Method, Visibility
-from .names import QualifiedName
+from .names import QualifiedName, check_dotted
 from .types import ArrayType, JavaType, NamedType, TypeKind, named
 
 
@@ -207,7 +207,7 @@ class TypeRegistry:
     def __contains__(self, dotted_name: str) -> bool:
         if dotted_name in self._by_dotted:
             return True
-        QualifiedName.parse(dotted_name)  # a malformed name raises
+        check_dotted(dotted_name)  # a malformed name raises
         return False
 
     def get(self, dotted_name: str) -> Optional[NamedType]:
@@ -219,7 +219,7 @@ class TypeRegistry:
         """Look up a declared type by its fully qualified name."""
         decl = self._by_dotted.get(dotted_name)
         if decl is None:
-            QualifiedName.parse(dotted_name)  # a malformed name raises
+            check_dotted(dotted_name)  # a malformed name raises
             raise UnknownTypeError(dotted_name)
         return decl.type
 

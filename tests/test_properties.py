@@ -40,6 +40,7 @@ from repro.typesystem import (
     Method,
     QualifiedName,
     TypeRegistry,
+    array_of,
     named,
     package_distance,
 )
@@ -55,6 +56,9 @@ from .search_oracle import OracleSearch, distances_to, enumerate_paths
 identifier = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 package_name = st.lists(identifier, min_size=0, max_size=4).map(".".join)
 class_name = st.text(alphabet=string.ascii_uppercase, min_size=1, max_size=4)
+dotted_name = st.builds(
+    lambda pkg, simple: f"{pkg}.{simple}" if pkg else simple, package_name, class_name
+)
 
 
 @st.composite
@@ -110,6 +114,19 @@ class TestNameProperties:
     @given(package_name, package_name, package_name)
     def test_package_distance_triangle(self, a, b, c):
         assert package_distance(a, c) <= package_distance(a, b) + package_distance(b, c)
+
+    @given(dotted_name, dotted_name, st.integers(1, 3), st.integers(1, 3))
+    def test_hash_consed_identity_is_value_equality(self, a, b, dims_a, dims_b):
+        assert (named(a) is named(b)) == (a == b)
+        assert (QualifiedName.parse(a) is QualifiedName.parse(b)) == (a == b)
+        same_array = array_of(named(a), dims_a) is array_of(named(b), dims_b)
+        assert same_array == (a == b and dims_a == dims_b)
+
+    @given(dotted_name, dotted_name)
+    def test_name_order_is_package_then_simple(self, a, b):
+        x, y = QualifiedName.parse(a), QualifiedName.parse(b)
+        assert (x < y) == ((x.package, x.simple) < (y.package, y.simple))
+        assert (x <= y) == ((x.package, x.simple) <= (y.package, y.simple))
 
 
 # ----------------------------------------------------------------------
