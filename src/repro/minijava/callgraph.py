@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..typesystem import Method, NamedType, TypeRegistry
-from .ast import CallExpr, ClassDecl, CompilationUnit, MethodDecl, method_expressions
+from .ast import CallExpr, ClassDecl, CompilationUnit, Expr, MethodDecl, method_expressions
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class CallGraph:
     callers_of: Dict[Method, List[CallSite]] = field(default_factory=dict)
     #: All call sites per caller declaration.
     calls_in: Dict[int, List[CallSite]] = field(default_factory=dict)
+    #: Every expression of each body, in walk order, per declaration.
+    expressions: Dict[int, Tuple[Expr, ...]] = field(default_factory=dict)
 
     def declaration_of(self, method: Method) -> Optional[MethodDecl]:
         """The corpus body for a method, if the corpus defines one."""
@@ -48,6 +50,15 @@ class CallGraph:
 
     def call_sites_in(self, decl: MethodDecl) -> Tuple[CallSite, ...]:
         return tuple(self.calls_in.get(id(decl), ()))
+
+    def expressions_in(self, decl: MethodDecl) -> Tuple[Expr, ...]:
+        """Every expression of ``decl``'s body, as ``method_expressions``
+        yields them; the graph's walk is reused, so slices over the same
+        units do not walk the bodies again."""
+        exprs = self.expressions.get(id(decl))
+        if exprs is None:  # a body outside the graph's units
+            exprs = tuple(method_expressions(decl))
+        return exprs
 
 
 def _cha_targets(registry: TypeRegistry, method: Method) -> Tuple[Method, ...]:
@@ -79,7 +90,8 @@ def build_call_graph(
                 if m.body is not None:
                     all_decls.append(m)
     for decl in all_decls:
-        for expr in method_expressions(decl):
+        exprs = graph.expressions[id(decl)] = tuple(method_expressions(decl))
+        for expr in exprs:
             if not isinstance(expr, CallExpr) or expr.resolved_method is None:
                 continue
             targets = _cha_targets(registry, expr.resolved_method)

@@ -130,6 +130,12 @@ class TestFreeVariables:
         assert [v.type for v in via_receiver.free_variables] == [C, PRIMITIVES["int"]]
         assert [v.type for v in via_receiver.reference_free_variables()] == [C]
 
+    def test_every_parameter_type_names_its_variable(self):
+        # The fluent builder accepts a ``void`` parameter; it still gets a name.
+        m = Method(A, "odd", B, (Parameter("v", VOID), Parameter("s", STRING)))
+        names = [v.name for v in instance_call(m)[0].free_variables]
+        assert names == ["void1", "string2"]
+
     def test_render_with_wrong_free_count_raises(self):
         m = Method(A, "join", B, (Parameter("c", C),))
         e = instance_call(m)[0]

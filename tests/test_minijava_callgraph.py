@@ -1,7 +1,12 @@
 """Tests for the CHA call graph."""
 
 from repro.apispec import load_api_text
-from repro.minijava import build_call_graph, parse_minijava, resolve_program
+from repro.minijava import (
+    build_call_graph,
+    method_expressions,
+    parse_minijava,
+    resolve_program,
+)
 
 API = """
 package java.lang;
@@ -93,3 +98,19 @@ class TestCallGraph:
         sites = cg.call_sites_of(name_method)
         # Base.label, Derived.label, and Caller.makeLabel call s.name().
         assert len(sites) == 3
+
+    def test_expressions_in_is_the_body_walk(self):
+        _, unit, cg = build()
+        for cls in unit.classes:
+            for decl in cls.methods:
+                exprs = cg.expressions_in(decl)
+                assert exprs == tuple(method_expressions(decl))
+                assert exprs is cg.expressions_in(decl)  # walked once, by the build
+
+    def test_expressions_in_walks_a_body_outside_the_graph(self):
+        _, _, cg = build()
+        other = parse_minijava(CORPUS, "other.mj")
+        resolve_program(load_api_text(API), [other])
+        decl = method_decl(other, "Caller", "go")
+        assert id(decl) not in cg.expressions
+        assert cg.expressions_in(decl) == tuple(method_expressions(decl))
