@@ -397,7 +397,7 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
             f" re-mined {len(stats.files_remined)} file(s), reused"
             f" {stats.files_reused}; suffixes +{stats.suffixes_added}"
             f"/-{stats.suffixes_removed}; {stats.affected_targets}"
-            f" search target(s) invalidated"
+            f" graph node(s) with changed edges"
         )
     print(
         f"  stages: fingerprint {t.fingerprint_ms:.2f} ms,"

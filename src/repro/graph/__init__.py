@@ -17,14 +17,13 @@ from .serialize import (
     type_from_string,
     type_to_string,
 )
-from .signature_graph import INVALIDATION_LOG_CAP, SignatureGraph
+from .signature_graph import SignatureGraph
 from .stats import GraphStats, graph_stats
 
 __all__ = [
     "BundleFormatError",
     "Edge",
     "GraphStats",
-    "INVALIDATION_LOG_CAP",
     "JungloidGraph",
     "MinedDelta",
     "Node",

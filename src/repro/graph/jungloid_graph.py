@@ -11,16 +11,17 @@ demands.
 Besides one-shot construction the graph supports **delta grafting**
 (:meth:`JungloidGraph.apply_mined_delta`): the incremental pipeline
 computes which mined suffixes appeared or disappeared after a corpus
-update and splices/unsplices exactly those paths into the live graph,
-recording a selective invalidation (only query targets forward-reachable
-from the touched edges have stale distance maps) instead of forcing
-every cache downstream to flush.
+update and splices/unsplices exactly those paths into the live graph.
+The edge journal records each changed edge, so the search engine patches
+its compiled snapshot and keeps every cached distance map those edges
+cannot move instead of flushing everything downstream.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..jungloids import ElementaryJungloid, Jungloid
 from ..typesystem import TypeRegistry, VOID
@@ -39,7 +40,8 @@ class MinedDelta:
     removed: Tuple[Jungloid, ...]
     edges_added: int
     edges_removed: int
-    #: Query targets whose cached distance maps the delta invalidated.
+    #: Nodes whose adjacency the delta changed: every endpoint of an
+    #: added or removed edge.
     affected_targets: FrozenSet[Node]
     revision_before: int
     revision_after: int
@@ -142,64 +144,37 @@ class JungloidGraph(SignatureGraph):
         added: Sequence[Jungloid] = (),
         removed: Sequence[Jungloid] = (),
     ) -> MinedDelta:
-        """Apply a mined-suffix delta and record a selective invalidation.
+        """Graft ``added`` and ungraft ``removed`` as one step.
 
-        Grafts ``added`` and ungrafts ``removed`` in one atomic-looking
-        step, then records on the graph exactly which query targets had
-        their shortest-distance maps invalidated: a changed edge
-        ``u → v`` can only alter distances *to* targets reachable
-        forward from ``v``, so the affected set is the forward closure of
-        the touched edges' head nodes (computed while both the old and
-        new edges are present, which over-approximates both directions
-        of the change). An empty delta leaves the revision untouched —
-        no cache anywhere needs to move.
+        The delta is all or nothing: every removal must name a grafted
+        path (counting repeats) or :class:`KeyError` is raised before the
+        graph, its revision or its edge journal change. An empty delta
+        leaves the revision untouched, so no cache anywhere needs to move.
         """
         added = list(added)
         removed = list(removed)
-        if not added and not removed:
-            rev = self._revision
-            return MinedDelta((), (), 0, 0, frozenset(), rev, rev)
         revision_before = self._revision
-        # Graft additions first: until the removals below run, the graph
-        # holds the union of the old and new edge sets, so one forward
-        # closure covers paths that appeared and paths that vanished.
-        added_paths = [self.add_mined_path(j) for j in added]
-        seeds: Set[Node] = {e.target for p in added_paths for e in p}
-        removed_paths: List[Tuple[Edge, ...]] = []
+        if not added and not removed:
+            return MinedDelta((), (), 0, 0, frozenset(), revision_before, revision_before)
+        wanted: Counter = Counter()
         for jungloid in removed:
-            paths = self._paths_by_key.get(jungloid.steps)
-            if not paths:
+            wanted[jungloid.steps] += 1
+            if wanted[jungloid.steps] > len(self._paths_by_key.get(jungloid.steps, ())):
                 raise KeyError(f"no mined path grafted for {jungloid.describe()}")
-            removed_paths.append(paths[-1])
-        for path in removed_paths:
-            seeds.update(e.target for e in path)
-        affected = self._forward_closure(seeds)
-        for jungloid in removed:
-            self.remove_mined_path(jungloid)
-        self.record_invalidation(revision_before, affected)
+        added_paths = [self.add_mined_path(j) for j in added]
+        removed_paths = [self.remove_mined_path(j) for j in removed]
+        touched = added_paths + removed_paths
         return MinedDelta(
             added=tuple(added),
             removed=tuple(removed),
             edges_added=sum(len(p) for p in added_paths),
             edges_removed=sum(len(p) for p in removed_paths),
-            affected_targets=affected,
+            affected_targets=frozenset(
+                node for path in touched for e in path for node in (e.source, e.target)
+            ),
             revision_before=revision_before,
             revision_after=self._revision,
         )
-
-    def _forward_closure(self, seeds: Iterable[Node]) -> FrozenSet[Node]:
-        """All nodes reachable from ``seeds`` (inclusive) via out-edges."""
-        seen: Set[Node] = set()
-        stack = [s for s in seeds if self.has_node(s)]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            for edge in self._out.get(node, ()):
-                if edge.target not in seen:
-                    stack.append(edge.target)
-        return frozenset(seen)
 
     # ------------------------------------------------------------------
     # Queries

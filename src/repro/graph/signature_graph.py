@@ -10,11 +10,14 @@ nearly all downcast paths are inviable yet rank at the top.
 Every jungloid the API supports (without downcasts) corresponds exactly
 to a path in this graph, so solution jungloids for ``(t_in, t_out)`` are
 paths from ``t_in`` to ``t_out``.
+
+Every edge insertion and removal bumps the graph's revision and lands in
+a bounded edge journal (:meth:`SignatureGraph.changes_since`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..jungloids import (
     ElementaryJungloid,
@@ -38,11 +41,6 @@ from ..typesystem import (
 from .nodes import Edge, Node, node_base_type
 
 
-#: Retained selective-invalidation records; older revisions fall back to
-#: a wholesale cache flush, so the cap only bounds memory, not safety.
-INVALIDATION_LOG_CAP = 32
-
-
 class SignatureGraph:
     """Directed multigraph of elementary jungloids over reference types."""
 
@@ -52,12 +50,12 @@ class SignatureGraph:
         self._in: Dict[Node, List[Edge]] = {}
         self._nodes: Set[Node] = set()
         self._revision = 0
-        #: ``(revision_before, revision_after, affected_targets)`` records
-        #: appended by delta applications that can bound which per-target
-        #: distance maps a mutation invalidated. Revision ranges *not*
-        #: covered by a record (raw ``add_edge``/``remove_edge`` calls)
-        #: force consumers back to a conservative full flush.
-        self._invalidation_log: List[Tuple[int, int, FrozenSet[Node]]] = []
+        self._edge_count = 0
+        #: Edge journal: revision ``_journal_base + i + 1`` added (flag 1)
+        #: or removed (0) ``_journal_edges[i]``.
+        self._journal_edges: List[Edge] = []
+        self._journal_added = bytearray()
+        self._journal_base = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -116,7 +114,12 @@ class SignatureGraph:
         self.add_node(edge.target)
         self._out[edge.source].append(edge)
         self._in[edge.target].append(edge)
+        # An insertion grows the journal and the edge count alike, so it
+        # never needs a trim; the graph build makes tens of thousands.
+        self._edge_count += 1
         self._revision += 1
+        self._journal_edges.append(edge)
+        self._journal_added.append(1)
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
@@ -126,7 +129,19 @@ class SignatureGraph:
             self._in[edge.target].remove(edge)
         except (KeyError, ValueError):
             raise ValueError(f"edge not in graph: {edge}") from None
+        self._edge_count -= 1
         self._revision += 1
+        self._journal_edges.append(edge)
+        self._journal_added.append(0)
+        excess = len(self._journal_edges) - self._edge_count
+        if excess > 0:
+            # Replaying more changes than the graph has edges costs more
+            # than a full compile. Dropping the older half (not just the
+            # excess) keeps the trim amortized O(1) per mutation.
+            drop = max(excess, len(self._journal_edges) // 2)
+            del self._journal_edges[:drop]
+            del self._journal_added[:drop]
+            self._journal_base += drop
 
     def remove_node(self, node: Node) -> None:
         """Remove an isolated node (no incident edges left)."""
@@ -140,54 +155,29 @@ class SignatureGraph:
     def revision(self) -> int:
         """Mutation counter; bumps on every edge insertion or removal.
 
-        Distance caches and compiled kernel snapshots key on this so
-        that grafting mined paths into an already-queried graph
-        invalidates both stale shortest-distance maps and stale CSR
-        adjacency (see :mod:`repro.search.kernel`).
+        Compiled kernel snapshots record it, and the engine replays
+        :meth:`changes_since` that revision to patch a snapshot and to
+        evict only the distance maps the edits can move (see
+        :mod:`repro.search.kernel` and :mod:`repro.search.engine`).
         """
         return self._revision
 
     # ------------------------------------------------------------------
-    # Selective cache invalidation
+    # Edge journal
     # ------------------------------------------------------------------
 
-    def record_invalidation(self, revision_before: int, affected: Iterable[Node]) -> None:
-        """Record that the revision span ``(revision_before, revision]``
-        only invalidated per-target distance maps for ``affected`` nodes.
+    def changes_since(self, revision: int) -> Optional[List[Tuple[bool, Edge]]]:
+        """Every edge change after ``revision``, oldest first.
 
-        Delta applications (mined-path grafting/ungrafting) call this so
-        long-lived engines can keep distance maps for untouched targets
-        instead of flushing their whole LRU on every revision bump.
+        Each change is ``(added, edge)``. Returns ``None`` once the journal,
+        which never holds more than :meth:`edge_count` entries, no longer
+        reaches back to ``revision``: start over from the live graph.
         """
-        self._invalidation_log.append(
-            (revision_before, self._revision, frozenset(affected))
-        )
-        if len(self._invalidation_log) > INVALIDATION_LOG_CAP:
-            del self._invalidation_log[: -INVALIDATION_LOG_CAP]
-
-    def invalidated_targets_since(self, revision: int) -> Optional[FrozenSet[Node]]:
-        """Targets whose distance maps went stale after ``revision``.
-
-        Returns the union of affected targets when the whole revision
-        span since ``revision`` is covered by recorded delta
-        applications, or ``None`` when any part of the span is unlogged
-        (raw mutations, or records evicted past the log cap) — the
-        caller must then flush everything.
-        """
-        if revision == self._revision:
-            return frozenset()
-        affected: Set[Node] = set()
-        cursor = revision
-        for before, after, nodes in self._invalidation_log:
-            if after <= cursor:
-                continue
-            if before > cursor:
-                return None  # uncovered gap in the revision span
-            affected |= nodes
-            cursor = after
-        if cursor != self._revision:
+        start = revision - self._journal_base
+        if start < 0 or revision > self._revision:
             return None
-        return frozenset(affected)
+        added = map(bool, self._journal_added[start:])
+        return list(zip(added, self._journal_edges[start:]))
 
     def node_order(self) -> Tuple[Node, ...]:
         """Every node, in insertion order.
@@ -252,7 +242,7 @@ class SignatureGraph:
             yield from edges
 
     def edge_count(self) -> int:
-        return sum(len(edges) for edges in self._out.values())
+        return self._edge_count
 
     def node_count(self) -> int:
         return len(self._nodes)

@@ -241,7 +241,8 @@ class PipelineUpdateStats:
     suffixes_total: int = 0
     suffixes_added: int = 0
     suffixes_removed: int = 0
-    #: Query targets whose distance maps the graft delta invalidated.
+    #: Graph nodes whose adjacency the graft changed (every node on the
+    #: initial build).
     affected_targets: int = 0
     revision_before: int = 0
     revision_after: int = 0

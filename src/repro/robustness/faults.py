@@ -36,9 +36,9 @@ class InjectedFault(RuntimeError):
 class FlakyEdgeArray(list):
     """A CSR edge array whose reads fail after ``fail_after`` of them.
 
-    Only reads of ``slots`` count (every slot when ``None``), so a test
-    can poison one node's edges: its CSR slot range with
-    ``fail_after=0``. ``reads`` records how many counted reads happened.
+    Only reads of the slots ``slots()`` returns count (every slot when
+    ``None``), so a test can poison one node's edges: its CSR slot range
+    with ``fail_after=0``. ``reads`` records how many counted reads happened.
     """
 
     def __init__(self, values, fail_after: int, kind: str, slots=None):
@@ -49,7 +49,7 @@ class FlakyEdgeArray(list):
         self.reads = 0
 
     def __getitem__(self, index):
-        if self.slots is None or index in self.slots:
+        if self.slots is None or index in self.slots():
             self.reads += 1
             if self.reads > self.fail_after:
                 raise InjectedFault(
@@ -64,9 +64,10 @@ class FlakyCompiler:
     ``fail_on`` picks the edge array that trips: ``"out"`` for the
     forward CSR (``out_target``: the enumeration DFS and the
     shortest-path walk), ``"in"`` for the backward one (``in_source``:
-    the distance pass). With ``node``, only that node's edges count. Tests
-    install it over ``repro.search.engine.compile_graph``; the latest
-    snapshot is kept in :attr:`compiled`.
+    the distance pass). With ``node``, only that node's edges count, and
+    the poison follows them when a patch moves them. Tests install it over
+    ``repro.search.engine.compile_graph``; the latest snapshot is kept in
+    :attr:`compiled`.
     """
 
     def __init__(
@@ -86,15 +87,15 @@ class FlakyCompiler:
 
     def __call__(self, graph, *args, **kwargs):
         compiled = self.compile_fn(graph, *args, **kwargs)
-        attr, start = (
-            ("out_target", compiled.out_start)
+        attr, start, end = (
+            ("out_target", compiled.out_start, compiled.out_end)
             if self.fail_on == "out"
-            else ("in_source", compiled.in_start)
+            else ("in_source", compiled.in_start, compiled.in_end)
         )
-        slots: Optional[range] = None
+        slots: Optional[Callable[[], range]] = None
         if self.node is not None:
             nid = compiled.node_id[self.node]
-            slots = range(start[nid], start[nid + 1])
+            slots = lambda: range(start[nid], end[nid])  # noqa: E731 — read live
         setattr(
             compiled,
             attr,

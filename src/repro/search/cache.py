@@ -5,14 +5,15 @@ and reuses it across sources (the paper's multi-source trick) and across
 queries. The original implementation kept every map forever — fine for a
 batch experiment, a slow leak for a long-lived server answering queries
 over many targets. This cache bounds the retained maps to the most
-recently used ``max_targets`` and drops everything when the graph's
-``revision`` moves (mined paths grafted in make old distances stale).
+recently used ``max_targets``. It knows nothing of graphs: after an edit
+the engine decides which maps the changed edges can move and keeps the
+rest with :meth:`LRUDistanceCache.retain`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Generic, Hashable, Iterable, Optional, TypeVar
+from typing import Callable, Generic, Hashable, Optional, TypeVar
 
 V = TypeVar("V")
 
@@ -60,22 +61,18 @@ class LRUDistanceCache(Generic[V]):
             self.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (revision bump: all distances are stale)."""
+        """Drop every entry (the graph was recompiled: ids moved)."""
         self._entries.clear()
 
-    def invalidate(self, targets: "Iterable[Hashable]") -> int:
-        """Drop only the entries for ``targets``; returns how many fell.
-
-        Selective alternative to :meth:`clear` for delta graph updates
-        that report exactly which query targets went stale (see
-        ``SignatureGraph.invalidated_targets_since``). Entries for other
-        targets — and their LRU positions and hit statistics — survive.
-        """
-        dropped = 0
-        for target in targets:
-            if self._entries.pop(target, None) is not None:
-                dropped += 1
-        return dropped
+    def retain(self, keep: Callable[[V], bool]) -> None:
+        """Drop every entry whose value ``keep`` rejects; survivors keep
+        their LRU positions, and hit and miss counts do not move. If
+        ``keep`` raises, only the entries it already accepted remain."""
+        entries = list(self._entries.items())
+        self._entries.clear()
+        for target, value in entries:
+            if keep(value):
+                self._entries[target] = value
 
     def stats(self) -> dict:
         return {

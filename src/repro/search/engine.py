@@ -18,14 +18,16 @@ paper's tool (and exactly as this module always has).
 Serving performance comes from three layers on top of that:
 
 * **the compiled kernel** (:mod:`repro.search.kernel`): the live graph is
-  lowered once per revision into a CSR snapshot with precomputed integer
-  edge costs, and both the backward bucket-queue pass and the bounded
-  enumeration run as iterative integer loops. It is the only search path.
-  A query's distance map stops at its sources' horizon ``min(max m +
-  extra_cost, absolute_max_cost)``, the farthest the ladder looks.
+  lowered into a CSR snapshot with precomputed integer edge costs, and
+  both the backward bucket-queue pass and the bounded enumeration run as
+  iterative integer loops. It is the only search path, and an edit
+  patches it in place. A query's distance map stops at its sources'
+  horizon ``min(max m + extra_cost, absolute_max_cost)``, the farthest
+  the ladder looks.
 * **a bounded LRU distance cache** (:mod:`repro.search.cache`): one
-  distance map per recently queried target, dropped when the graph's
-  ``revision`` moves. A cached map serves a later query only if its
+  distance map per recently queried target, evicted after an edit only
+  if a changed edge can move it (the relevance test of dynamic shortest
+  paths, Ramalingam & Reps 1996). A cached map serves a later query only if its
   horizon covers that query's sources; otherwise the wider map replaces
   it.
 * **batch serving** (:meth:`GraphSearch.solve_batch`): a request batch is
@@ -168,7 +170,6 @@ class GraphSearch:
         self._dist_cache: LRUDistanceCache = LRUDistanceCache(
             max_targets=config.max_cached_targets
         )
-        self._dist_cache_revision = graph.revision
         self._compiled: Optional[CompiledGraph] = None
         #: Counting hook: fresh distance-map runs (cache misses).
         #: Batch tests assert on this to prove distance maps are shared.
@@ -511,10 +512,73 @@ class GraphSearch:
         return kernel_shortest_path(dist.compiled, source, t_out, dist=dist)
 
     def _compiled_graph(self) -> CompiledGraph:
-        """The CSR snapshot for the current revision, compiled on demand."""
-        if self._compiled is None or self._compiled.revision != self.graph.revision:
-            self._compiled = compile_graph(self.graph, edge_cost=self._edge_cost)
+        """The CSR snapshot at the graph's current revision.
+
+        After edits the snapshot is patched from the graph's edge journal
+        and keeps the maps the edits cannot move. It is compiled afresh,
+        flushing the cache, on first use, when the journal no longer
+        reaches back, or once stale slots outnumber live ones.
+        """
+        compiled = self._compiled
+        if compiled is not None and compiled.revision == self.graph.revision:
+            return compiled
+        self._step_parts.clear()  # drop steps the graph may have lost
+        changes = None if compiled is None else self.graph.changes_since(compiled.revision)
+        if changes is not None:
+            compiled.patch(self.graph, changes, self._edge_cost)
+            if compiled.stale_slots <= compiled.edge_count:
+                self._evict_moved_maps(compiled, changes)
+                return compiled
+        self._dist_cache.clear()
+        self._compiled = compile_graph(self.graph, edge_cost=self._edge_cost)
         return self._compiled
+
+    def _evict_moved_maps(self, compiled: CompiledGraph, changes) -> None:
+        """Evict each cached map that one of ``changes`` can move.
+
+        For a map ``D`` with horizon ``limit``, an added edge ``u → v`` of
+        cost ``c`` matters only if ``D[v] + c < D[u]`` and ``D[v] + c <=
+        limit``; a removed one only if it was tight (``D[u] == D[v] + c``,
+        ``D[v]`` finite) and ``u`` kept no other tight edge of positive
+        cost. Changes at removed nodes are skipped: a path into one
+        entered by a removed edge from a live node. DESIGN.md §7 argues
+        that no combination of irrelevant changes moves a map; a kept map
+        forgets removed nodes and reads new ones as unreachable.
+        """
+        graph, node_id = self.graph, compiled.node_id
+        resolved = [
+            (added, node_id[e.source], node_id[e.target], self._edge_cost(e))
+            for added, e in changes
+            if graph.has_node(e.source)
+        ]
+        touched = {node for _, e in changes for node in (e.source, e.target)}
+        dead = {node_id[node] for node in touched if not graph.has_node(node)}
+        n = compiled.node_count
+        out_end, out_target, out_cost = compiled.out_end, compiled.out_target, compiled.out_cost
+
+        def unmoved(dist: KernelDistances) -> bool:
+            arr = dist.arr
+            if node_id[dist.target] in dead:
+                return False
+            arr.extend([UNREACHABLE] * (n - len(arr)))
+            limit = UNREACHABLE if dist.horizon is None else dist.horizon
+            for added, u, v, c in resolved:
+                if arr[v] >= UNREACHABLE:
+                    continue
+                via = arr[v] + c
+                if added:
+                    if via < arr[u] and via <= limit:
+                        return False
+                elif via == arr[u] and not any(
+                    out_cost[i] and arr[out_target[i]] + out_cost[i] == via
+                    for i in range(compiled.out_start[u], out_end[u])
+                ):
+                    return False
+            for u in dead:
+                arr[u] = UNREACHABLE
+            return True
+
+        self._dist_cache.retain(unmoved)
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -533,7 +597,8 @@ class GraphSearch:
     def _distances(
         self, target: Node, sources: Optional[Sequence[Node]] = None
     ) -> KernelDistances:
-        """The per-target distance map, LRU-cached and revision-guarded.
+        """The per-target distance map, LRU-cached and kept exact across
+        graph edits (see :meth:`_compiled_graph`).
 
         With ``sources`` the map need only reach their horizon (see
         :func:`~repro.search.kernel.kernel_distances`); ``None`` asks for
@@ -541,19 +606,7 @@ class GraphSearch:
         source; otherwise the wider map is computed and replaces it.
         ``target`` must be a node of the graph (callers check first).
         """
-        revision = self.graph.revision
-        if revision != self._dist_cache_revision:
-            # The graph changed (e.g. mined paths grafted in or removed).
-            # When delta grafting logged which targets the mutations
-            # touched, drop only those maps; ``None`` means part of the
-            # span is unlogged, so every map is potentially stale.
-            affected = self.graph.invalidated_targets_since(self._dist_cache_revision)
-            if affected is None:
-                self._dist_cache.clear()
-            else:
-                self._dist_cache.invalidate(affected)
-            self._dist_cache_revision = revision
-            self._step_parts.clear()  # drop steps the graph may have lost
+        compiled = self._compiled_graph()
         extra = self.config.extra_cost
         cap = self.config.absolute_max_cost
         cached = self._dist_cache.get(target)
@@ -562,7 +615,7 @@ class GraphSearch:
             or (sources is not None and cached.covers(sources, extra, cap))
         ):
             return cached
-        fresh = distances_for(self._compiled_graph(), target, sources, extra, cap)
+        fresh = distances_for(compiled, target, sources, extra, cap)
         self.distance_computes += 1
         self._dist_cache.put(target, fresh)
         return fresh

@@ -13,15 +13,19 @@ window below honest solutions.
 The live :class:`~repro.graph.SignatureGraph` is a dict-of-list
 multigraph; searching it directly would call an edge-cost function on
 every edge touched and hash full type objects at every step. Instead it
-is lowered once per :attr:`~repro.graph.SignatureGraph.revision` into a
-flat snapshot:
+is lowered into a flat snapshot:
 
 * every node is interned to a dense integer id (insertion order, so the
   lowering is deterministic for a given build sequence);
-* out- and in-adjacency become contiguous parallel lists in CSR form
-  (``out_start[u] .. out_start[u+1]`` indexes the edges leaving ``u``);
-* the cost model is evaluated **once per edge at compile time**, so the
-  hot loops compare precomputed integers.
+* out- and in-adjacency become parallel slot lists in CSR form
+  (``out_start[u] .. out_end[u]`` indexes the edges leaving ``u``);
+* the cost model is evaluated **once per edge slot**, so the hot loops
+  compare precomputed integers.
+
+:func:`compile_graph` lowers the whole graph; after an edit,
+:meth:`CompiledGraph.patch` rewrites only the nodes it touched, keeping
+each node's edges in the graph's own order, so enumeration yields the
+same paths in the same order as a fresh compile.
 
 On top of the snapshot:
 
@@ -46,7 +50,7 @@ for path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..graph import Edge, Node, SignatureGraph
 from ..robustness import Deadline
@@ -88,11 +92,12 @@ def unit_cost(edge: Edge) -> int:
 
 
 class CompiledGraph:
-    """An immutable CSR snapshot of a signature/jungloid graph.
+    """A CSR snapshot of a signature/jungloid graph, patchable in place.
 
     ``out_edges_ref[i]`` is the live :class:`~repro.graph.Edge` object for
     CSR slot ``i`` — paths are yielded as the graph's own edge objects,
     so jungloid conversion, ranking and rendering need no translation.
+    ``edge_count`` counts live slots only.
     """
 
     __slots__ = (
@@ -100,24 +105,29 @@ class CompiledGraph:
         "nodes",
         "node_id",
         "out_start",
+        "out_end",
         "out_target",
         "out_cost",
         "out_edges_ref",
         "in_start",
+        "in_end",
         "in_source",
         "in_cost",
+        "edge_count",
     )
 
     def __init__(
         self,
         revision: int,
-        nodes: Tuple[Node, ...],
+        nodes: List[Node],
         node_id: Dict[Node, int],
         out_start: List[int],
+        out_end: List[int],
         out_target: List[int],
         out_cost: List[int],
-        out_edges_ref: Tuple[Edge, ...],
+        out_edges_ref: List[Edge],
         in_start: List[int],
+        in_end: List[int],
         in_source: List[int],
         in_cost: List[int],
     ):
@@ -125,20 +135,65 @@ class CompiledGraph:
         self.nodes = nodes
         self.node_id = node_id
         self.out_start = out_start
+        self.out_end = out_end
         self.out_target = out_target
         self.out_cost = out_cost
         self.out_edges_ref = out_edges_ref
         self.in_start = in_start
+        self.in_end = in_end
         self.in_source = in_source
         self.in_cost = in_cost
+        self.edge_count = sum(out_end[u] - out_start[u] for u in range(len(nodes)))
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
     @property
-    def edge_count(self) -> int:
-        return len(self.out_edges_ref)
+    def stale_slots(self) -> int:
+        """Out-slots no node points at any more (left behind by patches)."""
+        return len(self.out_target) - self.edge_count
+
+    def patch(
+        self,
+        graph: SignatureGraph,
+        changes: Sequence[Tuple[bool, Edge]],
+        edge_cost: EdgeCost = unit_cost,
+    ) -> None:
+        """Bring this snapshot to ``graph.revision`` in place, given
+        ``changes = graph.changes_since(self.revision)``.
+
+        New endpoints get the next ids; each touched node's live out- and
+        in-list is copied to the slot lists' tails (a removed node keeps
+        its id, with no edges). Arrays are mutated, never replaced.
+        """
+        node_id = self.node_id
+        sources = dict.fromkeys(edge.source for _, edge in changes)
+        targets = dict.fromkeys(edge.target for _, edge in changes)
+        for node in (*sources, *targets):
+            if node not in node_id:
+                node_id[node] = len(self.nodes)
+                self.nodes.append(node)
+                for ends in (self.out_start, self.out_end, self.in_start, self.in_end):
+                    ends.append(0)
+        for node in sources:
+            u = node_id[node]
+            self.edge_count -= self.out_end[u] - self.out_start[u]
+            self.out_start[u] = len(self.out_target)
+            for edge in graph.out_edges(node):
+                self.out_target.append(node_id[edge.target])
+                self.out_cost.append(edge_cost(edge))
+                self.out_edges_ref.append(edge)
+            self.out_end[u] = len(self.out_target)
+            self.edge_count += self.out_end[u] - self.out_start[u]
+        for node in targets:
+            v = node_id[node]
+            self.in_start[v] = len(self.in_source)
+            for edge in graph.in_edges(node):
+                self.in_source.append(node_id[edge.source])
+                self.in_cost.append(edge_cost(edge))
+            self.in_end[v] = len(self.in_source)
+        self.revision = graph.revision
 
 
 def compile_graph(
@@ -150,7 +205,7 @@ def compile_graph(
     loops never call it again. The snapshot records ``graph.revision`` so
     callers can detect staleness after mined paths are grafted in.
     """
-    nodes = graph.node_order()
+    nodes = list(graph.node_order())
     node_id = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
 
@@ -180,15 +235,18 @@ def compile_graph(
             in_cost.append(cost)
         in_start[vid + 1] = len(in_source)
 
+    # Contiguous slots: each node's range ends where the next one's starts.
     return CompiledGraph(
         revision=graph.revision,
         nodes=nodes,
         node_id=node_id,
-        out_start=out_start,
+        out_start=out_start[:-1],
+        out_end=out_start[1:],
         out_target=out_target,
         out_cost=out_cost,
-        out_edges_ref=tuple(out_edges_ref),
-        in_start=in_start,
+        out_edges_ref=out_edges_ref,
+        in_start=in_start[:-1],
+        in_end=in_start[1:],
         in_source=in_source,
         in_cost=in_cost,
     )
@@ -279,6 +337,7 @@ def kernel_distances(
     dist = [UNREACHABLE] * n
     dist[target_id] = 0
     in_start = compiled.in_start
+    in_end = compiled.in_end
     in_source = compiled.in_source
     in_cost = compiled.in_cost
     if source_ids is None:
@@ -304,7 +363,7 @@ def kernel_distances(
                 pending -= 1
                 if not pending:
                     limit = min(level + extra_cost, max_cost)
-            for e in range(in_start[node], in_start[node + 1]):
+            for e in range(in_start[node], in_end[node]):
                 nd = level + in_cost[e]
                 if nd > limit:
                     continue  # past the horizon: never settled
@@ -382,6 +441,7 @@ def kernel_enumerate_paths(
         return
 
     out_start = compiled.out_start
+    out_end = compiled.out_end
     out_target = compiled.out_target
     out_cost = compiled.out_cost
     out_edges_ref = compiled.out_edges_ref
@@ -435,7 +495,7 @@ def kernel_enumerate_paths(
                 continue
             frame[2] = out_start[node]
             continue
-        if ei >= out_start[node + 1]:
+        if ei >= out_end[node]:
             leave()  # out-edge loop exhausted
             continue
         # Per-edge loop body: path cap, stop flag, cycle and bound pruning.
@@ -483,6 +543,7 @@ def kernel_shortest_path(
     if arr[sid] >= UNREACHABLE:
         return None
     out_start = compiled.out_start
+    out_end = compiled.out_end
     out_target = compiled.out_target
     out_cost = compiled.out_cost
     out_edges_ref = compiled.out_edges_ref
@@ -492,7 +553,7 @@ def kernel_shortest_path(
     visited[sid] = 1
     while node != tid:
         here = arr[node]
-        for i in range(out_start[node], out_start[node + 1]):
+        for i in range(out_start[node], out_end[node]):
             nxt = out_target[i]
             if visited[nxt]:
                 continue

@@ -1,9 +1,9 @@
-"""Tests for delta grafting: un-splicing mined paths and the
-selective-invalidation log the search cache consumes."""
+"""Tests for delta grafting: un-splicing mined paths, all-or-nothing
+deltas, and the edge journal the search engine replays."""
 
 import pytest
 
-from repro.graph import INVALIDATION_LOG_CAP, JungloidGraph
+from repro.graph import JungloidGraph
 from repro.jungloids import Jungloid, downcast, instance_call
 from repro.typesystem import Method, named
 
@@ -83,54 +83,89 @@ class TestApplyMinedDelta:
         shrunk.apply_mined_delta([], [b])
         assert _edge_set(shrunk) == _edge_set(JungloidGraph.build(small_registry, [a]))
 
-    def test_affected_targets_cover_forward_closure(self, small_registry):
+    def test_affected_targets_are_the_touched_nodes(self, small_registry):
         graph = _graph(small_registry)
         delta = graph.apply_mined_delta([sel_to_item(small_registry)], [])
+        sel = small_registry.lookup("demo.ui.ISelection")
         item = small_registry.lookup("demo.ui.Item")
-        widget = small_registry.lookup("demo.ui.Widget")
-        # The new edge lands on Item; Item widens to Widget downstream.
-        assert item in delta.affected_targets
-        assert widget in delta.affected_targets
-        # A type no API member produces is unreachable from the new
-        # edge, hence unaffected.
-        assert small_registry.lookup("demo.io.InputStream") not in delta.affected_targets
+        # One edge ISelection → Item: only its endpoints' adjacency moved,
+        # not Widget, which Item widens to downstream.
+        assert delta.affected_targets == {sel, item}
+        undo = graph.apply_mined_delta([], [sel_to_item(small_registry)])
+        assert undo.affected_targets == {sel, item}
 
     def test_delta_records_selective_invalidation(self, small_registry):
+        """The journal holds exactly the delta's edges, which is what the
+        engine needs to evict only the maps they can move."""
         graph = _graph(small_registry)
         before = graph.revision
         delta = graph.apply_mined_delta([sel_to_item(small_registry)], [])
-        assert graph.invalidated_targets_since(before) == delta.affected_targets
-        assert graph.invalidated_targets_since(graph.revision) == frozenset()
+        (edge,) = graph.mined_paths[0]
+        assert graph.changes_since(before) == [(True, edge)]
+        assert delta.revision_after == before + 1
+        assert graph.changes_since(graph.revision) == []
 
     def test_log_unions_consecutive_deltas(self, small_registry):
         graph = _graph(small_registry)
         before = graph.revision
         d1 = graph.apply_mined_delta([sel_to_item(small_registry)], [])
         d2 = graph.apply_mined_delta([reader_chain(small_registry)], [])
-        assert graph.invalidated_targets_since(before) == (
-            d1.affected_targets | d2.affected_targets
+        d3 = graph.apply_mined_delta([], [sel_to_item(small_registry)])
+        changes = graph.changes_since(before)
+        sel_edge = changes[0][1]
+        assert changes == (
+            [(True, sel_edge)]
+            + [(True, e) for e in graph.mined_paths[0]]
+            + [(False, sel_edge)]
         )
+        assert len(changes) == d1.edges_added + d2.edges_added + d3.edges_removed
+
+    def test_failing_delta_changes_nothing(self, small_registry):
+        graph = _graph(small_registry)
+        graph.apply_mined_delta([reader_chain(small_registry)], [])
+        edges, revision = _edge_set(graph), graph.revision
+        journal = graph.changes_since(0)
+        # The removal names a path never grafted: the addition must not
+        # be applied either.
+        with pytest.raises(KeyError):
+            graph.apply_mined_delta(
+                [sel_to_item(small_registry)], [sel_to_item(small_registry)]
+            )
+        # Removing the one grafted reader chain twice unsplices nothing.
+        with pytest.raises(KeyError):
+            graph.apply_mined_delta(
+                [], [reader_chain(small_registry), reader_chain(small_registry)]
+            )
+        assert _edge_set(graph) == edges
+        assert graph.revision == revision
+        assert graph.changes_since(0) == journal
+        assert graph.mined_suffix_keys() == (reader_chain(small_registry).steps,)
 
 
 class TestInvalidationLogGaps:
-    def test_unlogged_mutation_forces_full_flush(self, small_registry):
-        """add_mined_path bumps the revision without logging a delta, so
-        the log has a gap and must answer None (flush everything)."""
+    def test_raw_mutations_are_journaled(self, small_registry):
+        """add_mined_path and remove_edge bypass apply_mined_delta, yet
+        the journal still covers them: no gap, so no full flush."""
         graph = _graph(small_registry)
         before = graph.revision
-        graph.add_mined_path(sel_to_item(small_registry))
-        assert graph.invalidated_targets_since(before) is None
+        (edge,) = graph.add_mined_path(sel_to_item(small_registry))
+        graph.remove_edge(edge)
+        assert graph.changes_since(before) == [(True, edge), (False, edge)]
+        assert graph.changes_since(graph.revision + 1) is None
 
     def test_log_cap_evicts_oldest_coverage(self, small_registry):
         graph = _graph(small_registry)
         before = graph.revision
         mined = sel_to_item(small_registry)
-        for _ in range(INVALIDATION_LOG_CAP + 1):
+        for _ in range(graph.edge_count()):
             graph.apply_mined_delta([mined], [])
             graph.apply_mined_delta([], [mined])
-        # Twice the cap in deltas: the early records are gone.
-        assert graph.invalidated_targets_since(before) is None
+            assert len(graph.changes_since(graph.revision - 1) or ()) == 1
+        # Twice the edge count in changes: the early ones are gone, and
+        # the journal never outgrew the graph.
+        assert graph.changes_since(before) is None
+        assert len(graph._journal_edges) <= graph.edge_count()
         # But a recent revision is still covered.
         recent = graph.revision
         graph.apply_mined_delta([mined], [])
-        assert graph.invalidated_targets_since(recent) is not None
+        assert graph.changes_since(recent) is not None

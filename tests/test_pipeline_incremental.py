@@ -4,11 +4,13 @@ a from-scratch build of the same final texts."""
 
 import pytest
 
-from repro import Prospector
+from repro import Prospector, Query
 from repro.corpus import load_corpus_texts
 from repro.eval import TABLE1_PROBLEMS
 from repro.minijava.ast import CallExpr, method_expressions
 from repro.pipeline import CorpusPipeline
+from repro.search import compile_graph, distances_for
+from repro.search import engine as search_engine
 from repro.typesystem import named
 
 from .conftest import SMALL_CORPUS
@@ -177,6 +179,71 @@ class TestTable1Differential:
         assert ranked_answers(live, queries) == ranked_answers(scratch, queries)
         live.update_corpus([(name, original)])
         assert ranked_answers(live, queries) == baseline
+
+
+def _finite(dist, graph):
+    """A map's finite entries on the nodes ``graph`` has."""
+    return {node: dist.get(node) for node in graph.nodes if dist.get(node) is not None}
+
+
+class TestEditsPatchTheSnapshot:
+    """A counter gate with no wall clock: suffix-changing edits of the
+    bundled corpus patch the compiled graph instead of recompiling it,
+    keep the cached map of every probe target they leave unchanged (on
+    the nodes left after the edit), and answer Table 1 as a fresh build
+    does, singly and in a batch."""
+
+    def test_edits_patch_and_keep_unmoved_maps(
+        self, standard_registry_and_corpus, monkeypatch
+    ):
+        registry, corpus = standard_registry_and_corpus
+        compiled_graphs = []
+
+        def counting_compile(graph, *args, **kwargs):
+            compiled_graphs.append(graph)
+            return compile_graph(graph, *args, **kwargs)
+
+        monkeypatch.setattr(search_engine, "compile_graph", counting_compile)
+        live = Prospector(registry, corpus)
+        queries = [(p.t_in, p.t_out) for p in TABLE1_PROBLEMS]
+        probes = sorted(
+            {Query.of(registry, t_in, t_out).t_out for t_in, t_out in queries}, key=str
+        )
+        texts = dict(live.pipeline.texts)
+        edits = [
+            {"removes": ["gef_canvas.mj"]},
+            {"upserts": [("gef_canvas.mj", texts["gef_canvas.mj"])]},
+            {"removes": ["resource_selection.mj", "map_entries.mj"]},
+            {"upserts": [(n, texts[n]) for n in ("map_entries.mj", "resource_selection.mj")]},
+        ]
+        kept = 0
+        for edit in edits:
+            before = {}
+            for target in probes:
+                dist = live.search._distances(target)
+                before[target] = (dist, _finite(dist, live.graph))
+            stats = live.update_corpus(**edit)
+            assert stats.suffixes_added or stats.suffixes_removed
+            fresh = compile_graph(live.graph, live.search._edge_cost)
+            live.search._compiled_graph()
+            for target, (dist, finite) in before.items():
+                left = {n: d for n, d in finite.items() if live.graph.has_node(n)}
+                if _finite(distances_for(fresh, target), live.graph) == left:
+                    assert live.search._dist_cache._entries.get(target) is dist, target
+                    kept += 1
+            scratch = Prospector(
+                registry,
+                pipeline=CorpusPipeline.build(registry, list(live.pipeline.texts)),
+            )
+            expected = ranked_answers(scratch, queries)
+            assert ranked_answers(live, queries) == expected
+            batch = live.query_batch(queries)
+            assert [
+                [s.jungloid.render_expression("x") for s in o.results] for o in batch
+            ] == expected
+        assert kept >= len(probes)
+        # One full compile, at the first query; every edit was a patch.
+        assert sum(graph is live.graph for graph in compiled_graphs) == 1
 
 
 class TestNoOpUpdates:

@@ -1,11 +1,15 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import functools
 import string
 
 from hypothesis import given, settings, strategies as st
 
+from repro import Prospector
 from repro.apispec import SyntheticApiConfig, generate_synthetic_api, load_api_text
+from repro.data import standard_setup
 from repro.graph import (
+    JungloidGraph,
     SignatureGraph,
     registry_from_dict,
     registry_to_dict,
@@ -385,16 +389,18 @@ def weighted_graphs(draw):
                 in_source.append(a)
                 in_cost.append(c)
         in_start[v + 1] = len(in_source)
-    nodes = tuple(f"n{i}" for i in range(n))
+    nodes = [f"n{i}" for i in range(n)]
     return CompiledGraph(
         revision=0,
         nodes=nodes,
         node_id={node: i for i, node in enumerate(nodes)},
-        out_start=out_start,
+        out_start=out_start[:n],
+        out_end=out_start[1:],
         out_target=out_target,
         out_cost=out_cost,
-        out_edges_ref=(None,) * len(out_target),
-        in_start=in_start,
+        out_edges_ref=[None] * len(out_target),
+        in_start=in_start[:n],
+        in_end=in_start[1:],
         in_source=in_source,
         in_cost=in_cost,
     )
@@ -409,7 +415,7 @@ def _reference_distances(compiled, target_id):
         for v in range(n):
             if dist[v] >= UNREACHABLE:
                 continue
-            for e in range(compiled.in_start[v], compiled.in_start[v + 1]):
+            for e in range(compiled.in_start[v], compiled.in_end[v]):
                 u = compiled.in_source[e]
                 dist[u] = min(dist[u], dist[v] + compiled.in_cost[e])
     return dist
@@ -507,6 +513,161 @@ class TestBoundedDistanceProperties:
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
+
+
+def _small_delta_pool():
+    """The small API plus hand-made mined paths over its UI and IO types."""
+    registry = load_api_text(SMALL_API)
+    sel, ss, item, widget = (
+        registry.lookup(f"demo.ui.{name}")
+        for name in ("ISelection", "IStructuredSelection", "Item", "Widget")
+    )
+    reader, buffered, stream = (
+        registry.lookup(f"demo.io.{name}") for name in ("Reader", "BufferedReader", "InputStream")
+    )
+    obj = named("java.lang.Object")
+    first = instance_call(Method(ss, "getFirstElement", obj))[0]
+    return registry, (
+        Jungloid((downcast(sel, item),)),
+        Jungloid((downcast(sel, ss), first, downcast(obj, item))),
+        Jungloid((downcast(widget, item),)),
+        Jungloid((downcast(reader, buffered),)),
+        Jungloid((downcast(obj, ss), first)),
+        Jungloid((downcast(obj, stream),)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _delta_pool(name):
+    if name == "small":
+        return _small_delta_pool()
+    registry, corpus = standard_setup()
+    return registry, tuple(Prospector(registry, corpus).mined_jungloids)
+
+
+#: One delta: ``(add, index)`` picks a pool path to graft, or a grafted
+#: path to remove.
+delta_ops = st.lists(st.tuples(st.booleans(), st.integers(0, 63)), min_size=1, max_size=4)
+
+
+class TestPatchedSnapshotProperties:
+    """After any sequence of mined-path deltas the engine's patched
+    snapshot enumerates exactly what a fresh compile does, and every
+    distance map it kept equals a fresh one."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(["small", "bundled"]),
+        st.lists(st.integers(0, 63), max_size=4),
+        st.lists(delta_ops, min_size=1, max_size=5),
+        st.data(),
+    )
+    def test_patched_snapshot_matches_fresh_compile(self, which, initial, deltas, data):
+        registry, pool = _delta_pool(which)
+        grafted = [pool[i % len(pool)] for i in initial]
+        graph = JungloidGraph.build(registry, grafted)
+        search = GraphSearch(graph)
+        search._compiled_graph()
+        self._fill_cache(search, graph, pool, data)
+        for ops in deltas:
+            added, removed, kept = [], [], list(grafted)
+            for add, index in ops:
+                if add or not kept:
+                    added.append(pool[index % len(pool)])
+                else:
+                    removed.append(kept.pop(index % len(kept)))
+            graph.apply_mined_delta(added, removed)
+            grafted = kept + added
+            self._sync_and_check(search, graph, data)
+            self._fill_cache(search, graph, pool, data)
+        # Churn the whole pool until stale slots outnumber live ones: the
+        # engine must fall back to a full compile and stay exact.
+        snapshot = search._compiled_graph()
+        for _ in range(50):
+            graph.apply_mined_delta(pool, [])
+            graph.apply_mined_delta([], pool)
+            assert graph.changes_since(snapshot.revision) is not None
+            self._sync_and_check(search, graph, data)
+            if search._compiled_graph() is not snapshot:
+                break
+            self._fill_cache(search, graph, pool, data)
+        assert search._compiled_graph() is not snapshot
+
+    @staticmethod
+    def _fill_cache(search, graph, pool, data):
+        """Cache a complete map and two bounded ones for drawn targets."""
+        ends = sorted({j.output_type for j in pool}, key=str)
+        nodes = list(graph.node_order())
+        target = data.draw(st.sampled_from(ends + nodes[:40]), label="target")
+        if graph.has_node(target):
+            search._distances(target)
+        fresh = compile_graph(graph, search._edge_cost)
+        for _ in range(2):
+            target = data.draw(st.sampled_from(ends + nodes[:40]), label="bounded target")
+            complete = distances_for(fresh, target)
+            # The nearest sources give small horizons, which edits cross.
+            near = [n for n in nodes if n != target and complete.get(n) is not None]
+            near = sorted(near, key=complete.get)[:4]
+            if near:
+                source = data.draw(st.sampled_from(near), label="source")
+                search._distances(target, [source])
+
+    @staticmethod
+    def _sync_and_check(search, graph, data):
+        old = search._compiled
+        cost = search._edge_cost
+        changes = graph.changes_since(old.revision)
+        # A bounded map that every changed edge ends beyond (D[v] + c
+        # past its horizon) cannot move, so it survives any patch.
+        must_keep = []
+        for dist in search._dist_cache._entries.values():
+            if dist.horizon is None or changes is None:
+                continue
+            ends = [
+                dist.arr[old.node_id[e.target]] + cost(e) if e.target in old.node_id else UNREACHABLE
+                for _, e in changes
+            ]
+            if all(end > dist.horizon for end in ends):
+                must_keep.append(dist)
+        compiled = search._compiled_graph()
+        fresh = compile_graph(graph, cost)
+        kept = list(search._dist_cache._entries.values())
+        if compiled is old:  # not compacted, which flushes everything
+            assert all(any(d is k for k in kept) for d in must_keep)
+        for dist in kept:
+            assert dist.compiled is compiled
+            want = distances_for(fresh, dist.target)
+            for node in graph.nodes:
+                expected = want.get(node)
+                if expected is not None and dist.horizon is not None and expected > dist.horizon:
+                    expected = None
+                assert dist.get(node) == expected, (dist.target, node)
+        # The same paths in the same order with the same expansions,
+        # once under a small path cap.
+        nodes = list(graph.node_order())
+        for max_paths in (3, 10_000):
+            target = data.draw(st.sampled_from(nodes), label="enumeration target")
+            complete = distances_for(fresh, target)
+            sources = [n for n in nodes if complete.get(n) is not None]
+            source = data.draw(st.sampled_from(sources), label="enumeration source")
+            m = complete[source]
+            bound = data.draw(st.integers(m, m + 2), label="bound")
+            runs = []
+            for snapshot in (compiled, fresh):
+                report = EnumerationReport()
+                paths = list(
+                    kernel_enumerate_paths(
+                        snapshot,
+                        source,
+                        target,
+                        bound,
+                        dist=distances_for(snapshot, target),
+                        max_paths=max_paths,
+                        report=report,
+                    )
+                )
+                runs.append((paths, report.expansions, report.path_cap_hit))
+            assert runs[0] == runs[1]
 
 
 class TestSerializationProperties:

@@ -7,7 +7,10 @@ across sources included), and a fault while answering one query degrades
 only that query.
 """
 
-from repro.graph import SignatureGraph
+import pytest
+
+from repro.graph import JungloidGraph, SignatureGraph
+from repro.jungloids import Jungloid, downcast
 from repro.robustness import (
     FlakyCompiler,
     ManualClock,
@@ -30,6 +33,7 @@ def _texts(outcome):
 IN_STREAM = named("demo.io.InputStream")
 BUF_READER = named("demo.io.BufferedReader")
 STRING = named("java.lang.String")
+READER = named("demo.io.Reader")
 STR_READER = named("demo.io.StringReader")
 PANEL = named("demo.ui.Panel")
 SELECTION = named("demo.ui.ISelection")
@@ -185,6 +189,26 @@ class TestFaultIsolation:
             assert any(r.code == REASON_FAULT for r in bad.reasons)
         assert not good.degraded
         assert good.results
+
+
+class TestFaultInjectionAfterGraft:
+    @pytest.mark.parametrize("fail_on, node", [("out", READER), ("in", BUF_READER)])
+    def test_poison_follows_moved_slots(self, small_registry, monkeypatch, fail_on, node):
+        # Grafting Reader → BufferedReader moves Reader's out-slots and
+        # BufferedReader's in-slots to the tail of the patched snapshot;
+        # the poison must follow them, the same way for both servings.
+        _poison(monkeypatch, node, fail_on=fail_on)
+        graph = JungloidGraph.build(small_registry)
+        single, batch = GraphSearch(graph), GraphSearch(graph)
+        for search in (single, batch):
+            search.solve_batch([(PANEL, SELECTION)])  # compiles, unpoisoned path
+        snapshots = [single._compiled_graph(), batch._compiled_graph()]
+        graph.apply_mined_delta([Jungloid((downcast(READER, BUF_READER),))], [])
+        outcome = single.solve_multi_outcome([IN_STREAM], BUF_READER)
+        assert batch.solve_batch([(IN_STREAM, BUF_READER)]) == [outcome]
+        assert [single._compiled_graph(), batch._compiled_graph()] == snapshots
+        assert outcome.degraded
+        assert any(r.code == REASON_FAULT for r in outcome.reasons)
 
 
 class TestBatchDeadlines:

@@ -45,14 +45,17 @@ class TestCompiledGraph:
         n = compiled.node_count
         assert n == graph.node_count()
         assert compiled.edge_count == graph.edge_count()
-        assert len(compiled.out_start) == n + 1
-        assert len(compiled.in_start) == n + 1
-        assert compiled.out_start[0] == 0 and compiled.in_start[0] == 0
-        assert compiled.out_start[-1] == compiled.edge_count
-        assert compiled.in_start[-1] == compiled.edge_count
-        assert all(
-            compiled.out_start[i] <= compiled.out_start[i + 1] for i in range(n)
-        )
+        for starts, ends in (
+            (compiled.out_start, compiled.out_end),
+            (compiled.in_start, compiled.in_end),
+        ):
+            assert len(starts) == len(ends) == n
+            # A fresh compile is contiguous: each node's slots end where
+            # the next node's begin, and no slot is stale.
+            assert starts[0] == 0 and ends[-1] == compiled.edge_count
+            assert all(starts[i] <= ends[i] for i in range(n))
+            assert all(ends[i] == starts[i + 1] for i in range(n - 1))
+        assert compiled.stale_slots == 0
         # node_id is the inverse of nodes.
         for i, node in enumerate(compiled.nodes):
             assert compiled.node_id[node] == i
@@ -62,7 +65,7 @@ class TestCompiledGraph:
         compiled = compile_graph(graph)
         for node in graph.nodes:
             u = compiled.node_id[node]
-            lo, hi = compiled.out_start[u], compiled.out_start[u + 1]
+            lo, hi = compiled.out_start[u], compiled.out_end[u]
             csr_edges = [compiled.out_edges_ref[i] for i in range(lo, hi)]
             assert csr_edges == list(graph.out_edges(node))
 
@@ -213,7 +216,7 @@ class TestEngineDispatch:
         assert isinstance(ker._distances(dst), KernelDistances)
         assert isinstance(ref._distances(dst), dict)
 
-    def test_compile_invalidated_on_revision_bump(self, small_registry):
+    def test_compile_patched_on_revision_bump(self, small_registry):
         graph = JungloidGraph.build(small_registry)
         search = GraphSearch(graph)
         first = search._compiled_graph()
@@ -222,9 +225,14 @@ class TestEngineDispatch:
         sel = small_registry.lookup("demo.ui.ISelection")
         item = small_registry.lookup("demo.ui.Item")
         graph.add_mined_path(Jungloid((downcast(sel, item),)))
+        # The same snapshot, patched in place from the edge journal.
         second = search._compiled_graph()
-        assert second is not first
+        assert second is first
         assert second.revision == graph.revision
+        for node in graph.nodes:
+            u = second.node_id[node]
+            slots = range(second.out_start[u], second.out_end[u])
+            assert [second.out_edges_ref[i] for i in slots] == list(graph.out_edges(node))
         # ... and the kernel sees the new edge.
         assert search.shortest_cost(sel, item) is not None
 
