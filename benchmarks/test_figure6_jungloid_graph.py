@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from conftest import write_artifact
 
-from repro.graph import JungloidGraph, graph_stats, path_dot
-from repro.mining import mine_corpus
+from repro.graph import graph_stats, path_dot
+from repro.pipeline import CorpusPipeline
 
 
 def _build(registry, corpus):
-    mining = mine_corpus(corpus.registry, corpus.units, corpus.corpus_types)
-    return JungloidGraph.build(registry, mining.suffixes)
+    return CorpusPipeline.from_program(registry, corpus).graph
 
 
 def test_figure6_typestate_nodes(registry_and_corpus, out_dir, benchmark):

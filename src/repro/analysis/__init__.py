@@ -12,7 +12,6 @@ from .castsafety import (
     AbstractValue,
     CastAnalyzer,
     CastObservation,
-    analyze_corpus,
     build_verdict_index,
     classify_pair,
     group_observations,
@@ -55,7 +54,6 @@ __all__ = [
     "SEVERITY_INFO",
     "SEVERITY_ORDER",
     "SEVERITY_WARNING",
-    "analyze_corpus",
     "build_verdict_index",
     "cast_plausible",
     "classify_pair",

@@ -52,7 +52,6 @@ from ..minijava.ast import (
     ThisExpr,
     VarRef,
 )
-from ..minijava.callgraph import CallGraph
 from ..mining.slicer import BackwardSlicer, Flow, SliceFrame
 from ..typesystem import NamedType, TypeRegistry
 from .verdicts import (
@@ -304,14 +303,3 @@ def build_verdict_index(
         for pair, group in group_observations(observations).items()
     }
     return CastVerdictIndex(registry, findings)
-
-
-def analyze_corpus(
-    registry: TypeRegistry,
-    units: Sequence[CompilationUnit],
-    corpus_types: Sequence[NamedType],
-    call_graph: Optional[CallGraph] = None,
-) -> CastVerdictIndex:
-    """Convenience wrapper: analyze a resolved corpus into a verdict index."""
-    analyzer = CastAnalyzer(registry, units, corpus_types, call_graph)
-    return build_verdict_index(registry, analyzer.analyze_all())

@@ -41,7 +41,6 @@ from .store import (
     SnapshotStore,
     StoreRecoveryError,
     atomic_write_text,
-    load_with_recovery,
     repair as repair_snapshot,
     verify_snapshot,
 )
@@ -414,34 +413,6 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench_incremental(args: argparse.Namespace) -> int:
-    from .eval import run_incremental_perf, write_bench_incremental
-
-    prospector = _build_prospector_from_data(args)
-    if prospector.pipeline is None:
-        print("error: bench-incremental needs a corpus", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    report = run_incremental_perf(prospector, repeats=args.repeats)
-    print(report.format_report())
-    if args.output:
-        write_bench_incremental(report, args.output)
-        print(f"wrote {args.output}")
-    if not report.identical_results:
-        print(
-            "error: incremental and from-scratch ranked output diverged",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
-    if args.min_speedup is not None and report.update_speedup < args.min_speedup:
-        print(
-            f"error: update speedup {report.update_speedup:.2f}x"
-            f" below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return EXIT_NO_RESULTS
-    return EXIT_OK
-
-
 def _lint_texts(args: argparse.Namespace) -> List[tuple]:
     """The ``(source, text)`` pairs ``lint`` should examine.
 
@@ -626,33 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--pretty", action="store_true")
     _add_data_options(d)
     d.set_defaults(func=_cmd_dump_bundle)
-
-    bi = sub.add_parser(
-        "bench-incremental",
-        help="benchmark incremental single-file updates vs from-scratch"
-        " rebuild (differential-checks the answers)",
-    )
-    bi.add_argument(
-        "-o",
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="also write the numbers as JSON"
-        " (e.g. benchmarks/out/BENCH_incremental.json)",
-    )
-    bi.add_argument(
-        "--repeats", type=int, default=5, help="best-of-N timing repeats (default 5)"
-    )
-    bi.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit nonzero when the update speedup falls below X"
-        " (CI regression guard)",
-    )
-    _add_data_options(bi)
-    bi.set_defaults(func=_cmd_bench_incremental)
 
     ln = sub.add_parser(
         "lint",

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis import CastVerdictIndex, JungloidVerdict, analyze_corpus
+from ..analysis import CastVerdictIndex, JungloidVerdict
 from ..corpus import CorpusProgram, load_corpus_texts
 from ..graph import JungloidGraph, graph_stats
 from ..jungloids import CostModel, DEFAULT_COST_MODEL, Jungloid
@@ -22,7 +22,6 @@ from ..mining import (
     ArgumentMiner,
     ExtractionConfig,
     MiningResult,
-    mine_corpus,
 )
 from ..robustness import (
     Clock,
@@ -43,7 +42,7 @@ from ..store import (
     save_stage_sidecar,
     try_load_stage_sidecar,
 )
-from ..typesystem import Method, TypeRegistry, VOID
+from ..typesystem import TypeRegistry
 from .context import CursorContext
 from .query import Query, TypeSpec, resolve_type_spec
 from .results import Synthesis
@@ -84,63 +83,38 @@ class Prospector:
         self.clock = clock
         #: Recovery report when this instance came from a snapshot load.
         self.store_diagnostics = store_diagnostics
-        #: The staged incremental pipeline, when the corpus carries its
-        #: raw texts (the normal load path); :meth:`update_corpus` needs it.
-        self.pipeline: Optional[CorpusPipeline] = pipeline
-        if mined is not None:
-            # Pre-mined jungloids (snapshot fast-start): skip extraction.
-            self.mining: Optional[MiningResult] = None
-            mined_list = list(mined)
-        elif pipeline is not None:
-            self.mining = pipeline.mining
-            self.corpus = pipeline.program
-            mined_list = list(pipeline.suffixes)
-        elif corpus is not None and corpus.texts:
-            self.pipeline = CorpusPipeline.from_program(
+        if pipeline is None and corpus is not None:
+            pipeline = CorpusPipeline.from_program(
                 registry,
                 corpus,
                 extraction=config.extraction,
                 public_only=config.public_only,
             )
-            self.mining = self.pipeline.mining
-            self.corpus = self.pipeline.program
-            mined_list = list(self.pipeline.suffixes)
-        elif corpus is not None:
-            # Legacy path: a hand-assembled program without source texts
-            # cannot be fingerprinted, so it mines monolithically.
-            self.mining = mine_corpus(
-                corpus.registry,
-                corpus.units,
-                corpus.corpus_types,
-                config=config.extraction,
-            )
-            mined_list = list(self.mining.suffixes)
+        #: The staged incremental pipeline, the one way a corpus becomes
+        #: a graph; :meth:`update_corpus` needs it. ``None`` for a
+        #: snapshot instance without a usable stage sidecar.
+        self.pipeline: Optional[CorpusPipeline] = pipeline
+        if pipeline is not None:
+            self.mining: Optional[MiningResult] = pipeline.mining
+            self.corpus = pipeline.program
+            mined_list = list(pipeline.suffixes)
+            self.graph = pipeline.graph
+            #: Cast-verdict index: the pipeline's, or None (snapshot
+            #: instances adopt theirs via set_verdicts).
+            self.verdicts: Optional[CastVerdictIndex] = pipeline.verdicts
         else:
+            # Pre-mined jungloids (snapshot fast-start) or no corpus at all.
             self.mining = None
-            mined_list = []
+            mined_list = list(mined or ())
+            # ``graph`` is already built from ``mined`` (a snapshot load's
+            # audit graph) when given.
+            self.graph = graph if graph is not None else JungloidGraph.build(
+                registry, mined_list, public_only=config.public_only
+            )
+            self.verdicts = None
         #: The mined jungloids the graph was spliced with — what a
         #: snapshot persists alongside the registry.
         self.mined_jungloids: Tuple[Jungloid, ...] = tuple(mined_list)
-        if self.pipeline is not None and self.pipeline.graph is not None:
-            self.graph = self.pipeline.graph
-        elif graph is not None:
-            # Already built from ``mined`` (a snapshot load's audit graph).
-            self.graph = graph
-        else:
-            self.graph = JungloidGraph.build(
-                registry, mined_list, public_only=config.public_only
-            )
-        #: Cast-verdict index, sourced best-available: the pipeline's
-        #: precomputed index, a direct analysis of a legacy corpus, or
-        #: None (snapshot instances adopt theirs via set_verdicts).
-        if self.pipeline is not None:
-            self.verdicts: Optional[CastVerdictIndex] = self.pipeline.verdicts
-        elif self.corpus is not None and self.mining is not None:
-            self.verdicts = analyze_corpus(
-                self.corpus.registry, self.corpus.units, self.corpus.corpus_types
-            )
-        else:
-            self.verdicts = None
         self._fallback_verdicts: Optional[CastVerdictIndex] = None
         self.search = GraphSearch(
             self.graph,
@@ -312,13 +286,13 @@ class Prospector:
         whose dependencies are untouched, and grafts the suffix delta
         into the live graph — unaffected distance-cache entries survive.
 
-        Requires the instance to have been built from corpus texts (or a
-        stage sidecar); raises :class:`RuntimeError` otherwise.
+        Requires the instance to have been built from a corpus (possibly
+        empty) or a stage sidecar; raises :class:`RuntimeError` otherwise.
         """
         if self.pipeline is None:
             raise RuntimeError(
                 "update_corpus needs the incremental pipeline; this instance "
-                "was built without corpus texts or a usable stage sidecar"
+                "was built without a corpus or a usable stage sidecar"
             )
         stats = self.pipeline.update(upserts, removes)
         self.mining = self.pipeline.mining

@@ -21,21 +21,13 @@ from .informal import (
 )
 from .oracle import SolutionOracle, chain_signature, step_signature
 from .perf import (
-    IncrementalPerfReport,
     PerfReport,
-    StorePerfReport,
     measure_build_memory,
     measure_bundle,
     measure_load,
     measure_queries,
-    measure_rebuild,
-    measure_snapshot_load,
     percentile,
-    run_incremental_perf,
     run_perf,
-    run_store_perf,
-    write_bench_incremental,
-    write_bench_store,
 )
 from .problems import TABLE1_PROBLEMS, Table1Problem, problem_by_id
 from .queryproc import (
@@ -72,7 +64,6 @@ __all__ = [
     "MULTIPLE",
     "OTHER",
     "PROTOTYPE_PROBLEM_IDS",
-    "IncrementalPerfReport",
     "PerfReport",
     "PrototypeReport",
     "QueryProcessingReport",
@@ -80,7 +71,6 @@ __all__ = [
     "STUCK_CASES",
     "STUDY_PROBLEMS",
     "SolutionOracle",
-    "StorePerfReport",
     "StuckCase",
     "StuckCaseReport",
     "StudyProblem",
@@ -99,23 +89,17 @@ __all__ = [
     "measure_load",
     "measure_mined_examples",
     "measure_queries",
-    "measure_rebuild",
-    "measure_snapshot_load",
     "measure_top_results",
     "percentile",
     "problem_by_id",
     "render_figure8",
     "run_analysis_eval",
-    "run_incremental_perf",
     "run_perf",
     "run_problem",
     "run_prototype_test",
     "run_query_sweep",
-    "run_store_perf",
     "run_table1",
     "simulate_user_study",
     "step_signature",
     "write_bench_analysis",
-    "write_bench_incremental",
-    "write_bench_store",
 ]

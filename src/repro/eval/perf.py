@@ -12,16 +12,13 @@ are what the benchmark asserts.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
 from ..core import Prospector
-from ..graph import JungloidGraph, bundle_to_json, load_graph_from_json
-from ..store import SnapshotStore, atomic_write_text
+from ..graph import bundle_to_json, load_graph_from_json
 from .problems import TABLE1_PROBLEMS, Table1Problem
 
 
@@ -117,135 +114,6 @@ def run_perf(
 
 
 # ----------------------------------------------------------------------
-# Cold-start: snapshot fast-start vs rebuild-from-corpus
-# ----------------------------------------------------------------------
-
-@dataclass
-class StorePerfReport:
-    """Cold-start cost with and without the durable snapshot store.
-
-    ``snapshot_load_seconds`` times the full trusted path — read,
-    checksum, parse, graph rebuild (no audit; the verify path is timed
-    separately as ``verified_load_seconds``) — and
-    ``rebuild_seconds`` times the corpus path (parse stubs + mine +
-    build). Their ratio is the cold-start speedup the snapshot buys a
-    restarting service.
-    """
-
-    snapshot_bytes: int = 0
-    snapshot_load_seconds: float = 0.0
-    verified_load_seconds: float = 0.0
-    rebuild_seconds: float = 0.0
-
-    @property
-    def speedup(self) -> float:
-        if self.snapshot_load_seconds <= 0:
-            return 0.0
-        return self.rebuild_seconds / self.snapshot_load_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "snapshot_bytes": self.snapshot_bytes,
-            "snapshot_load_seconds": self.snapshot_load_seconds,
-            "verified_load_seconds": self.verified_load_seconds,
-            "rebuild_seconds": self.rebuild_seconds,
-            "speedup": self.speedup,
-        }
-
-    def format_report(self) -> str:
-        return "\n".join(
-            [
-                f"snapshot: {self.snapshot_bytes / 1024:.1f} KiB on disk",
-                f"snapshot load (checksum + parse + graph): "
-                f"{self.snapshot_load_seconds * 1000:.1f} ms",
-                f"verified load (adds integrity audit): "
-                f"{self.verified_load_seconds * 1000:.1f} ms",
-                f"rebuild from corpus (parse + mine + graph): "
-                f"{self.rebuild_seconds * 1000:.1f} ms",
-                f"cold-start speedup: {self.speedup:.1f}x",
-            ]
-        )
-
-
-def measure_snapshot_load(
-    path: os.PathLike, repeats: int = 3, audit: bool = False
-) -> float:
-    """Best-of-N seconds to go from snapshot bytes to a query-ready graph."""
-    store = SnapshotStore(path)
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        loaded = store.load(audit=audit)
-        public_only = loaded.manifest.public_only if loaded.manifest else True
-        JungloidGraph.build(loaded.registry, loaded.mined, public_only=public_only)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def measure_rebuild(rebuild: Callable[[], object], repeats: int = 1) -> float:
-    """Best-of-N seconds for the no-snapshot cold start."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        rebuild()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_store_perf(
-    prospector: Prospector,
-    rebuild: Callable[[], object],
-    snapshot_path: os.PathLike,
-    repeats: int = 3,
-) -> StorePerfReport:
-    """Measure snapshot-load vs rebuild-from-corpus cold-start cost.
-
-    Saves a snapshot of ``prospector`` at ``snapshot_path`` (so the
-    measured load is of exactly the graph being served), then times both
-    restart paths.
-    """
-    prospector.save_snapshot(snapshot_path)
-    report = StorePerfReport()
-    report.snapshot_bytes = os.path.getsize(snapshot_path)
-    report.snapshot_load_seconds = measure_snapshot_load(
-        snapshot_path, repeats=repeats, audit=False
-    )
-    report.verified_load_seconds = measure_snapshot_load(
-        snapshot_path, repeats=repeats, audit=True
-    )
-    report.rebuild_seconds = measure_rebuild(rebuild)
-    return report
-
-
-def _write_bench_json(path: os.PathLike, payload: dict) -> None:
-    """Atomically write a ``BENCH_*.json`` payload, mirroring to the
-    repo root.
-
-    When ``path`` is the canonical ``benchmarks/out/<name>.json``
-    location, an identical copy also lands at the repo root (the
-    directory containing ``benchmarks/``) so dashboards and diff tools
-    that only look at top-level ``BENCH_*.json`` files stay in sync.
-    """
-    text = json.dumps(payload, indent=2) + "\n"
-    atomic_write_text(path, text)
-    parent = os.path.dirname(os.path.abspath(os.fspath(path)))
-    grandparent = os.path.dirname(parent)
-    if (
-        os.path.basename(parent) == "out"
-        and os.path.basename(grandparent) == "benchmarks"
-    ):
-        root = os.path.dirname(grandparent)
-        mirror = os.path.join(root, os.path.basename(os.fspath(path)))
-        atomic_write_text(mirror, text)
-
-
-def write_bench_store(report: StorePerfReport, path: os.PathLike) -> None:
-    """Emit the cold-start numbers as ``BENCH_store.json`` (atomically,
-    with the store's own write helper)."""
-    _write_bench_json(path, report.to_dict())
-
-
-# ----------------------------------------------------------------------
 # Summary statistics
 # ----------------------------------------------------------------------
 
@@ -256,169 +124,3 @@ def percentile(samples: Sequence[float], p: float) -> float:
     ordered = sorted(samples)
     rank = max(1, min(len(ordered), int(round(p / 100.0 * len(ordered) + 0.5))))
     return ordered[rank - 1]
-
-
-# ----------------------------------------------------------------------
-# Incremental pipeline: single-file update vs from-scratch rebuild
-# ----------------------------------------------------------------------
-
-@dataclass
-class IncrementalPerfReport:
-    """Cost of keeping the index fresh: graft a delta vs rebuild it all.
-
-    ``full_build_seconds`` times a from-scratch staged build (parse +
-    resolve + mine + generalize + graft) over the whole corpus;
-    ``update_seconds`` times a warm single-file edit through
-    :meth:`~repro.pipeline.CorpusPipeline.update`, which re-slices only
-    the touched file and splices the suffix delta into the live graph;
-    ``noop_seconds`` times an update whose content hashes all match
-    (fingerprint + short-circuit only). ``identical_results`` asserts
-    the point of the whole exercise: after the incremental edits the
-    ranked Table-1 answers are byte-identical to a fresh build's.
-    """
-
-    files_total: int = 0
-    full_build_seconds: float = 0.0
-    update_seconds: float = 0.0
-    noop_seconds: float = 0.0
-    files_remined: int = 0
-    files_reused: int = 0
-    #: Representative warm-update per-stage milliseconds.
-    stage_ms: dict = field(default_factory=dict)
-    identical_results: bool = True
-    answers_checked: int = 0
-
-    @property
-    def update_speedup(self) -> float:
-        if self.update_seconds <= 0:
-            return 0.0
-        return self.full_build_seconds / self.update_seconds
-
-    @property
-    def noop_speedup(self) -> float:
-        if self.noop_seconds <= 0:
-            return 0.0
-        return self.full_build_seconds / self.noop_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "files_total": self.files_total,
-            "full_build_seconds": self.full_build_seconds,
-            "update_seconds": self.update_seconds,
-            "noop_seconds": self.noop_seconds,
-            "update_speedup": self.update_speedup,
-            "noop_speedup": self.noop_speedup,
-            "files_remined": self.files_remined,
-            "files_reused": self.files_reused,
-            "stage_ms": dict(self.stage_ms),
-            "identical_results": self.identical_results,
-            "answers_checked": self.answers_checked,
-        }
-
-    def format_report(self) -> str:
-        stages = ", ".join(
-            f"{name} {ms:.2f}" for name, ms in self.stage_ms.items()
-            if name != "total_ms"
-        )
-        return "\n".join(
-            [
-                f"corpus: {self.files_total} files",
-                f"full staged build: {self.full_build_seconds * 1000:.1f} ms",
-                f"single-file update (warm): {self.update_seconds * 1000:.1f} ms"
-                f" ({self.update_speedup:.1f}x faster;"
-                f" re-mined {self.files_remined}, reused {self.files_reused})",
-                f"no-op update (hashes unchanged): {self.noop_seconds * 1000:.2f} ms"
-                f" ({self.noop_speedup:.0f}x)",
-                f"update stage ms: {stages}",
-                f"identical ranked answers after updates: {self.identical_results}"
-                f" ({self.answers_checked} queries checked)",
-            ]
-        )
-
-
-def run_incremental_perf(
-    prospector: Prospector,
-    problems: Sequence[Table1Problem] = TABLE1_PROBLEMS,
-    repeats: int = 5,
-) -> IncrementalPerfReport:
-    """Measure incremental update cost against a from-scratch build.
-
-    ``prospector`` must carry the staged pipeline (built from corpus
-    texts). The benchmark runs on private pipeline copies; the instance
-    passed in is not mutated. Updates are measured *warm* — after one
-    throwaway edit — because a long-lived index server is warm by
-    definition; each measured update flips one file's content for real
-    (append/strip a trailing comment), so nothing is a hidden no-op.
-    """
-    from ..pipeline import CorpusPipeline
-
-    pipeline = prospector.pipeline
-    if pipeline is None:
-        raise ValueError(
-            "run_incremental_perf needs a prospector built from corpus texts"
-            " (the incremental pipeline is missing)"
-        )
-    registry = prospector.registry
-    texts = list(pipeline.texts)
-    extraction = prospector.config.extraction
-    public_only = prospector.config.public_only
-    report = IncrementalPerfReport(files_total=len(texts))
-
-    def fresh_build() -> "CorpusPipeline":
-        return CorpusPipeline.build(
-            registry, texts, extraction=extraction, public_only=public_only
-        )
-
-    report.full_build_seconds = min(
-        _timed(fresh_build) for _ in range(max(1, repeats))
-    )
-
-    # Warm single-file updates: alternate one file between its original
-    # text and a commented variant so every measured sync is a real edit.
-    victim, original = max(texts, key=lambda item: len(item[1]))
-    touched = original + "\n// bench: touched\n"
-    live = fresh_build()
-    live.update([(victim, touched)], ())  # throwaway: warms caches
-    best = float("inf")
-    stats = None
-    for i in range(max(1, repeats) * 2):
-        text = original if i % 2 == 0 else touched
-        start = time.perf_counter()
-        stats = live.update([(victim, text)], ())
-        best = min(best, time.perf_counter() - start)
-    report.update_seconds = best
-    if stats is not None:
-        report.files_remined = len(stats.files_remined)
-        report.files_reused = stats.files_reused
-        report.stage_ms = stats.timings.to_dict()
-
-    # No-op: same content hash everywhere -> fingerprint + short-circuit.
-    current = dict(live.texts)[victim]
-    report.noop_seconds = min(
-        _timed(lambda: live.update([(victim, current)], ()))
-        for _ in range(max(1, repeats))
-    )
-
-    # Differential: ranked Table-1 answers after the edit dance must be
-    # byte-identical to a from-scratch build of the same final texts.
-    live.update([(victim, original)], ())
-    incremental = Prospector(registry, config=prospector.config, pipeline=live)
-    scratch = Prospector(registry, config=prospector.config, pipeline=fresh_build())
-    report.answers_checked = len(problems)
-    for problem in problems:
-        a = [s.jungloid.render_expression("x") for s in incremental.query(problem.t_in, problem.t_out)]
-        b = [s.jungloid.render_expression("x") for s in scratch.query(problem.t_in, problem.t_out)]
-        if a != b:
-            report.identical_results = False
-    return report
-
-
-def _timed(fn: Callable[[], object]) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
-def write_bench_incremental(report: IncrementalPerfReport, path: os.PathLike) -> None:
-    """Emit the numbers as ``BENCH_incremental.json`` (atomic write)."""
-    _write_bench_json(path, report.to_dict())

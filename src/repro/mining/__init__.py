@@ -1,4 +1,4 @@
-"""Jungloid mining: backward slicing, extraction, generalization, grafting."""
+"""Jungloid mining: backward slicing, extraction, generalization."""
 
 from ..robustness import ExtractionFault
 from .dataflow import AssignmentMap, build_assignment_map, widening_chain
@@ -7,10 +7,9 @@ from .generalize import (
     GeneralizedExample,
     IncrementalGeneralizer,
     generalize_examples,
-    generalize_to_suffixes,
     unique_suffixes,
 )
-from .graft import MiningResult, build_jungloid_graph, mine_corpus
+from .graft import MiningResult
 from .objstring import (
     ArgumentExample,
     ArgumentMiner,
@@ -34,13 +33,10 @@ __all__ = [
     "JungloidExtractor",
     "MiningResult",
     "build_assignment_map",
-    "build_jungloid_graph",
     "extract_examples",
     "generalize_examples",
-    "generalize_to_suffixes",
     "group_by_parameter",
     "mine_argument_examples",
-    "mine_corpus",
     "observed_argument_types",
     "unique_suffixes",
     "widening_chain",

@@ -26,7 +26,7 @@ behaves exactly as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..jungloids import ElementaryJungloid, Jungloid
@@ -198,10 +198,3 @@ def unique_suffixes(generalized: Sequence[GeneralizedExample]) -> List[Jungloid]
             seen.add(key)
             out.append(g.suffix)
     return out
-
-
-def generalize_to_suffixes(
-    examples: Sequence[ExampleJungloid], min_precast_steps: int = 1
-) -> List[Jungloid]:
-    """End-to-end: generalize then deduplicate, ready for grafting."""
-    return unique_suffixes(generalize_examples(examples, min_precast_steps))

@@ -1,24 +1,19 @@
-"""The mining pipeline: extract → generalize → graft into a jungloid graph.
+"""What mining a corpus produced: examples, generalized suffixes, faults.
 
-This is the orchestration layer the PROSPECTOR facade uses: given the API
-registry and a resolved corpus, it produces the jungloid graph whose
-typestate paths make downcast-bearing queries answerable.
+:class:`~repro.pipeline.CorpusPipeline` fills one per sync and grafts its
+suffixes into the jungloid graph, whose typestate paths make
+downcast-bearing queries answerable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
-from ..graph import JungloidGraph
 from ..jungloids import Jungloid
-from ..minijava.ast import CompilationUnit
-from ..minijava.callgraph import CallGraph
 from ..robustness import ExtractionFault
-from ..typesystem import NamedType, TypeRegistry
-from .extractor import ExampleJungloid, JungloidExtractor
-from .generalize import GeneralizedExample, generalize_examples, unique_suffixes
-from .slicer import ExtractionConfig
+from .extractor import ExampleJungloid
+from .generalize import GeneralizedExample
 
 
 @dataclass
@@ -55,38 +50,3 @@ class MiningResult:
             "mean_example_len": total_len / n,
             "mean_suffix_len": total_suffix / n,
         }
-
-
-def mine_corpus(
-    registry: TypeRegistry,
-    units: Sequence[CompilationUnit],
-    corpus_types: Sequence[NamedType],
-    config: ExtractionConfig = ExtractionConfig(),
-    call_graph: Optional[CallGraph] = None,
-    min_precast_steps: int = 1,
-) -> MiningResult:
-    """Run extraction and generalization over a resolved corpus.
-
-    ``registry`` must be the corpus-augmented registry the resolver used
-    (client classes resolvable); the mined suffixes reference API members
-    by value, so they graft cleanly onto a graph built from the pristine
-    API registry.
-    """
-    extractor = JungloidExtractor(registry, units, corpus_types, call_graph, config)
-    examples = extractor.extract_all()
-    generalized = generalize_examples(examples, min_precast_steps=min_precast_steps)
-    return MiningResult(
-        examples=examples,
-        generalized=generalized,
-        suffixes=unique_suffixes(generalized),
-        faults=list(extractor.faults),
-    )
-
-
-def build_jungloid_graph(
-    api_registry: TypeRegistry,
-    mining: MiningResult,
-    public_only: bool = True,
-) -> JungloidGraph:
-    """Build the full jungloid graph: signatures plus mined suffixes."""
-    return JungloidGraph.build(api_registry, mining.suffixes, public_only=public_only)

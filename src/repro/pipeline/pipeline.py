@@ -1,8 +1,9 @@
 """The staged, incremental corpus → jungloid-graph pipeline.
 
-:class:`CorpusPipeline` decomposes the historical
-``mine_corpus → JungloidGraph.build`` monolith into explicit stages with
-cached, fingerprinted artifacts:
+:class:`CorpusPipeline` is the one way a corpus becomes a graph (paper
+§4: slice each cast, generalize to suffixes, splice them into the
+signature graph), as explicit stages with cached, fingerprinted
+artifacts:
 
 1. **fingerprint** — SHA-256 every corpus file; diff against the last
    sync. Identical content means identical downstream artifacts.
@@ -27,8 +28,9 @@ cached, fingerprinted artifacts:
    examples are removed/inserted, never the whole structure rebuilt.
 6. **graft** — the deduplicated suffix set is diffed against the
    previous one and only the delta is spliced into the live
-   :class:`~repro.graph.JungloidGraph`, which records a *selective*
-   distance-cache invalidation (forward closure of the touched edges).
+   :class:`~repro.graph.JungloidGraph`, whose edge journal lets a search
+   engine patch its compiled graph and keep the distance maps the
+   delta cannot move.
 
 The pipeline's contract, enforced by the differential test suite: after
 any sequence of :meth:`update` calls, ranked query answers are identical
@@ -353,9 +355,10 @@ class CorpusPipeline:
 
         Load discipline is inferred from the program: a quarantine
         report means it was loaded leniently, a check report means
-        checking was on.
+        checking was on. An empty program (no units, no texts) yields an
+        empty pipeline that later updates can fill.
         """
-        if not program.texts:
+        if program.units and not program.texts:
             raise ValueError("program has no retained texts; cannot build a pipeline")
         pipeline = cls(
             api_registry,

@@ -6,7 +6,7 @@ from repro.analysis import (
     CastAnalyzer,
     CastVerdict,
     CastVerdictIndex,
-    analyze_corpus,
+    build_verdict_index,
     cast_plausible,
     classify_pair,
 )
@@ -43,9 +43,8 @@ public class SubFactory {
 def index_for(corpus_text, source="test.mj"):
     registry = load_api_text(API)
     program = load_corpus_texts(registry, [(source, corpus_text)], check=False)
-    return registry, analyze_corpus(
-        program.registry, program.units, program.corpus_types
-    )
+    analyzer = CastAnalyzer(program.registry, program.units, program.corpus_types)
+    return registry, build_verdict_index(program.registry, analyzer.analyze_all())
 
 
 def finding(index, operand, target):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.eval import run_analysis_eval, write_bench_analysis
-from repro.eval.perf import _write_bench_json
+from repro.eval.analysis import _write_bench_json
 
 
 @pytest.fixture(scope="module")

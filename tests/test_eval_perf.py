@@ -62,60 +62,6 @@ class TestPerfReport:
         assert report.max_query_seconds == 0.0
 
 
-class TestStorePerf:
-    def test_run_store_perf_end_to_end(self, small_prospector, tmp_path):
-        from repro.eval import run_store_perf
-
-        def rebuild():
-            from repro import Prospector
-
-            return Prospector(small_prospector.registry, small_prospector.corpus)
-
-        report = run_store_perf(
-            small_prospector, rebuild, tmp_path / "graph.psnap", repeats=1
-        )
-        assert report.snapshot_bytes > 500
-        assert report.snapshot_load_seconds > 0
-        assert report.verified_load_seconds >= report.snapshot_load_seconds * 0.1
-        assert report.rebuild_seconds > 0
-        assert report.speedup == (
-            report.rebuild_seconds / report.snapshot_load_seconds
-        )
-
-    def test_report_serializes_and_formats(self):
-        from repro.eval import StorePerfReport
-
-        report = StorePerfReport(
-            snapshot_bytes=1024,
-            snapshot_load_seconds=0.01,
-            verified_load_seconds=0.02,
-            rebuild_seconds=0.10,
-        )
-        data = report.to_dict()
-        assert data["snapshot_bytes"] == 1024
-        assert data["speedup"] == 10.0
-        text = report.format_report()
-        assert "snapshot load" in text
-        assert "rebuild" in text
-
-    def test_write_bench_store(self, tmp_path):
-        import json
-
-        from repro.eval import StorePerfReport, write_bench_store
-
-        report = StorePerfReport(
-            snapshot_bytes=2048,
-            snapshot_load_seconds=0.005,
-            verified_load_seconds=0.006,
-            rebuild_seconds=0.05,
-        )
-        out = tmp_path / "BENCH_store.json"
-        write_bench_store(report, out)
-        recorded = json.loads(out.read_text())
-        assert recorded["snapshot_bytes"] == 2048
-        assert recorded["speedup"] == 10.0
-
-
 class TestPercentile:
     def test_nearest_rank(self):
         from repro.eval import percentile

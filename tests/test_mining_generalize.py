@@ -7,7 +7,6 @@ from repro.mining import (
     ExampleJungloid,
     GeneralizedExample,
     generalize_examples,
-    generalize_to_suffixes,
     unique_suffixes,
 )
 from repro.typesystem import Method, named
@@ -107,11 +106,13 @@ class TestSuffixSets:
         assert len(unique_suffixes(gens)) == 1
 
     def test_generalize_to_suffixes_end_to_end(self):
-        suffixes = generalize_to_suffixes(
-            [
-                example(MAKE_A, GET_TARGETS, GET, CAST_T),
-                example(MAKE_A, GET_PROPS, GET, CAST_U),
-            ]
+        suffixes = unique_suffixes(
+            generalize_examples(
+                [
+                    example(MAKE_A, GET_TARGETS, GET, CAST_T),
+                    example(MAKE_A, GET_PROPS, GET, CAST_U),
+                ]
+            )
         )
         assert {chain_signature(s) for s in suffixes} == {
             ("A.getTargets", "H.get", "cast T"),

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Prospector, Query
 from repro.corpus import load_corpus_texts
+from repro.data import corpus_texts, standard_corpus
 from repro.eval import TABLE1_PROBLEMS
 from repro.minijava.ast import CallExpr, method_expressions
 from repro.pipeline import CorpusPipeline
@@ -179,6 +180,44 @@ class TestTable1Differential:
         assert ranked_answers(live, queries) == ranked_answers(scratch, queries)
         live.update_corpus([(name, original)])
         assert ranked_answers(live, queries) == baseline
+
+
+def answer_key(results):
+    """Rank, source, rendering and verdict of a ranked answer."""
+    return [
+        (s.rank, str(s.source_type), s.jungloid.render_expression("x"),
+         s.verdict.verdict if s.verdict is not None else None)
+        for s in results
+    ]
+
+
+class TestEmptyCorpusStart:
+    """An instance built from an empty corpus takes its first files
+    through :meth:`Prospector.update_corpus`."""
+
+    def test_filled_by_updates_answers_like_a_fresh_build(
+        self, standard_registry_and_corpus
+    ):
+        registry, _ = standard_registry_and_corpus
+        live = Prospector(registry, load_corpus_texts(registry, []))
+        assert live.mined_jungloids == ()
+        stats = live.update_corpus(corpus_texts())
+        assert len(stats.files_added) == len(corpus_texts())
+        fresh = Prospector(registry, standard_corpus(registry))
+        pairs = [(p.t_in, p.t_out) for p in TABLE1_PROBLEMS]
+        for t_in, t_out in pairs:
+            assert answer_key(live.query(t_in, t_out)) == answer_key(
+                fresh.query(t_in, t_out)
+            ), (t_in, t_out)
+        live_batch = [answer_key(o.results) for o in live.query_batch(pairs)]
+        fresh_batch = [answer_key(o.results) for o in fresh.query_batch(pairs)]
+        assert live_batch == fresh_batch
+
+    def test_program_with_units_but_no_texts_is_refused(self, small_registry):
+        program = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
+        program.texts = []
+        with pytest.raises(ValueError):
+            Prospector(small_registry, program)
 
 
 def _finite(dist, graph):

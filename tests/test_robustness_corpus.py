@@ -5,7 +5,8 @@ import pytest
 
 from repro.corpus import CorpusLoadError, load_corpus_files, load_corpus_texts
 from repro.minijava import MiniJavaError, MjTypeError
-from repro.mining import ExtractionConfig, JungloidExtractor, mine_corpus
+from repro.mining import ExtractionConfig, JungloidExtractor
+from repro.pipeline import CorpusPipeline
 from repro.robustness import (
     PHASE_CHECK,
     PHASE_PARSE,
@@ -123,9 +124,7 @@ class TestLenientMining:
         texts = corrupt_corpus([GOOD, GOOD_2], ["reader.mj"], garble_text)
         program = load_corpus_texts(small_registry, texts, lenient=True)
         assert program.diagnostics.quarantined_sources() == ["reader.mj"]
-        mining = mine_corpus(
-            program.registry, program.units, program.corpus_types
-        )
+        mining = CorpusPipeline.from_program(small_registry, program).mining
         # The healthy file still yields the paper's example jungloids.
         assert mining.example_count >= 2
         assert mining.suffix_count >= 1
@@ -212,22 +211,18 @@ class TestExtractorFaultIsolation:
         with pytest.raises(RuntimeError):
             extractor.extract_all()
 
-    def test_mine_corpus_reports_faults(
+    def test_pipeline_mining_reports_faults(
         self, small_registry, small_corpus, monkeypatch
     ):
         def exploding(self, unit, method, cast):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(JungloidExtractor, "extract_from_cast", exploding)
-        mining = mine_corpus(
-            small_corpus.registry, small_corpus.units, small_corpus.corpus_types
-        )
+        mining = CorpusPipeline.from_program(small_registry, small_corpus).mining
         assert mining.example_count == 0
         assert mining.fault_count >= 1
 
-    def test_healthy_corpus_mines_without_faults(self, small_corpus):
-        mining = mine_corpus(
-            small_corpus.registry, small_corpus.units, small_corpus.corpus_types
-        )
+    def test_healthy_corpus_mines_without_faults(self, small_registry, small_corpus):
+        mining = CorpusPipeline.from_program(small_registry, small_corpus).mining
         assert mining.fault_count == 0
         assert mining.example_count >= 2
