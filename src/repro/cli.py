@@ -146,15 +146,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     prospector = _build_prospector(args)
     if args.batch is not None:
         return _cmd_query_batch(args, prospector)
-    outcome = None
-    if args.time_budget_ms is not None:
-        outcome = prospector.query_outcome(
-            args.t_in, args.t_out, time_budget_ms=args.time_budget_ms
-        )
-        results = list(outcome.results)
-    else:
-        results = prospector.query(args.t_in, args.t_out)
-    if outcome is not None and outcome.degraded:
+    outcome = prospector.query_outcome(
+        args.t_in, args.t_out, time_budget_ms=args.time_budget_ms
+    )
+    results = outcome.results
+    if outcome.degraded:
         print(f"warning: degraded answer ({outcome.reason})", file=sys.stderr)
     if not results:
         print(f"no jungloids found for ({args.t_in}, {args.t_out})")
@@ -173,7 +169,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             snippet = r.code(args.input_var, args.result_var)
             for line in snippet.lines:
                 print(f"      {line}")
-    if outcome is not None and outcome.degraded:
+    if outcome.degraded:
         return EXIT_DEGRADED
     return EXIT_OK
 
@@ -196,15 +192,9 @@ def _cmd_complete(args: argparse.Namespace) -> int:
         target_name=args.target_name,
         visible=_parse_visible(prospector.registry, args.visible),
     )
-    outcome = None
-    if args.time_budget_ms is not None:
-        outcome = prospector.complete_outcome(
-            context, time_budget_ms=args.time_budget_ms
-        )
-        results = list(outcome.results)
-    else:
-        results = prospector.complete(context)
-    if outcome is not None and outcome.degraded:
+    outcome = prospector.complete_outcome(context, time_budget_ms=args.time_budget_ms)
+    results = outcome.results
+    if outcome.degraded:
         print(f"warning: degraded answer ({outcome.reason})", file=sys.stderr)
     if not results:
         print(f"no completions for {args.t_out}")
@@ -212,7 +202,7 @@ def _cmd_complete(args: argparse.Namespace) -> int:
     for r in results[: args.top]:
         var = context.variable_of_type(r.jungloid.input_type)
         print(f"#{r.rank}  {r.inline(var.name if var else '')}")
-    if outcome is not None and outcome.degraded:
+    if outcome.degraded:
         return EXIT_DEGRADED
     return EXIT_OK
 

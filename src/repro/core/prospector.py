@@ -298,22 +298,8 @@ class Prospector:
         self.mining = self.pipeline.mining
         self.corpus = self.pipeline.program
         self.mined_jungloids = tuple(self.pipeline.suffixes)
-        self.graph = self.pipeline.graph
-        if self.search.graph is not self.graph:
-            self.search = GraphSearch(
-                self.graph,
-                cost_model=self.config.cost_model,
-                config=self.config.search,
-                clock=self.clock,
-                verdicts=self.pipeline.verdicts,
-            )
-            self.verdicts = self.pipeline.verdicts
-            self._fallback_verdicts = None
-        else:
-            # Same graph object, possibly new verdicts: swap the index
-            # (this also clears the rank-key memo, whose entries embed
-            # the previous index's demotion buckets).
-            self.set_verdicts(self.pipeline.verdicts)
+        # The pipeline grafts into the graph self.search already serves.
+        self.set_verdicts(self.pipeline.verdicts)
         self._argument_examples_cache = None
         return stats
 
@@ -322,11 +308,8 @@ class Prospector:
     # ------------------------------------------------------------------
 
     def set_verdicts(self, verdicts: Optional[CastVerdictIndex]) -> None:
-        """Attach (or replace) the cast-verdict index.
-
-        Propagates to the search engine, which clears its rank-key memo
-        — stale keys would embed the old index's demotion buckets.
-        """
+        """Attach (or replace) the cast-verdict index; the search engine
+        ranks by it from the next query on."""
         self.verdicts = verdicts
         self._fallback_verdicts = None
         self.search.set_verdicts(verdicts)
@@ -365,9 +348,7 @@ class Prospector:
 
     def query(self, t_in: TypeSpec, t_out: TypeSpec) -> List[Synthesis]:
         """Answer a jungloid query; results are ranked best-first."""
-        q = Query.of(self.registry, t_in, t_out)
-        results = self.search.solve_multi([q.t_in], q.t_out)
-        return self._package(results)
+        return list(self.query_outcome(t_in, t_out).results)
 
     def query_outcome(
         self,
@@ -384,10 +365,7 @@ class Prospector:
         the results equal :meth:`query` exactly.
         """
         q = Query.of(self.registry, t_in, t_out)
-        if deadline is None and time_budget_ms is not None:
-            deadline = Deadline.after(time_budget_ms, self.clock)
-        outcome = self.search.solve_multi_outcome([q.t_in], q.t_out, deadline=deadline)
-        return outcome.with_results(self._package(outcome.results))
+        return self._outcome([q.t_in], q.t_out, time_budget_ms, deadline)
 
     def query_batch(
         self,
@@ -398,10 +376,10 @@ class Prospector:
 
         The serving layer groups the batch by target so every distinct
         target pays for a single backward distance map (Section 5's
-        multi-source trick generalized across requests) and memoizes
-        ranking work batch-wide. Outcomes come back in input order, each
-        carrying ranked :class:`Synthesis` results; a fault or deadline
-        on one query degrades only that query's outcome.
+        multi-source trick generalized across requests). Outcomes come
+        back in input order, each carrying ranked :class:`Synthesis`
+        results; a fault or deadline on one query degrades only that
+        query's outcome.
         """
         resolved = [Query.of(self.registry, a, b) for a, b in pairs]
         outcomes = self.search.solve_batch(
@@ -424,8 +402,7 @@ class Prospector:
         Runs the multi-source search (all visible variables plus ``void``)
         in one pass, as Section 5 describes.
         """
-        results = self.search.solve_multi(context.source_types(), context.target_type)
-        return self._package(results)
+        return list(self.complete_outcome(context).results)
 
     def complete_outcome(
         self,
@@ -434,11 +411,21 @@ class Prospector:
         deadline: Optional[Deadline] = None,
     ) -> QueryOutcome:
         """Budget-aware content assist (see :meth:`query_outcome`)."""
+        return self._outcome(
+            context.source_types(), context.target_type, time_budget_ms, deadline
+        )
+
+    def _outcome(
+        self,
+        sources: Sequence,
+        target,
+        time_budget_ms: Optional[float],
+        deadline: Optional[Deadline],
+    ) -> QueryOutcome:
+        """One query through the engine, its results packaged."""
         if deadline is None and time_budget_ms is not None:
             deadline = Deadline.after(time_budget_ms, self.clock)
-        outcome = self.search.solve_multi_outcome(
-            context.source_types(), context.target_type, deadline=deadline
-        )
+        outcome = self.search.solve_multi_outcome(sources, target, deadline=deadline)
         return outcome.with_results(self._package(outcome.results))
 
     def _package(self, results) -> List[Synthesis]:

@@ -48,7 +48,6 @@ from .outcome import (
     RUNG_FULL_WINDOW,
     RUNG_SHORTEST_PATH,
     RUNG_ZERO_EXTRA,
-    full_outcome,
 )
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "corrupt_file",
     "flip_byte",
     "format_faults",
-    "full_outcome",
     "garble_text",
     "truncate_bytes",
     "truncate_text",

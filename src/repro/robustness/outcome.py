@@ -88,8 +88,3 @@ class QueryOutcome:
         if self.reasons:
             parts.append(str(self.reasons[0]))
         return "; ".join(parts)
-
-
-def full_outcome(results: Sequence[Any]) -> QueryOutcome:
-    """A non-degraded outcome (the unlimited-budget fast path)."""
-    return QueryOutcome(results=tuple(results), degraded=False)

@@ -8,12 +8,12 @@ share one backward distance map, so they cost about the same as a single
 query.
 
 Interactivity (~1s answers, Section 5) is enforced by an optional
-wall-clock budget: :meth:`GraphSearch.solve_multi_outcome` runs the
-degradation ladder — full ``m+extra`` window, then ``extra_cost=0``
-window, then a single shortest path per source — and wraps whatever it
-gathered in a :class:`~repro.robustness.QueryOutcome` instead of raising
-or hanging. With no budget configured the engine behaves exactly as the
-paper's tool (and exactly as this module always has).
+wall-clock budget: each query runs the degradation ladder — full
+``m+extra`` window, then ``extra_cost=0`` window, then a single shortest
+path per source — and wraps whatever it gathered in a
+:class:`~repro.robustness.QueryOutcome` instead of raising or hanging.
+With no budget configured the engine behaves exactly as the paper's
+tool.
 
 Serving performance comes from three layers on top of that:
 
@@ -33,9 +33,8 @@ Serving performance comes from three layers on top of that:
 * **batch serving** (:meth:`GraphSearch.solve_batch`): a request batch is
   grouped by target so each distinct target pays for one distance map
   (over the union of the group's sources) no matter how many queries
-  want it — the paper's multi-source trick generalized across a batch —
-  with path→jungloid conversion and ranking keys memoized across the
-  whole batch.
+  want it — the paper's multi-source trick generalized across a batch.
+  It is the only serving path: a single query is a batch of one.
 
 Each enumerated path is rendered once: the text that deduplicates it is
 the text its :class:`~repro.search.ranking.RankKey` ends with, and the
@@ -44,7 +43,7 @@ key's other parts are summed from per-step parts memoized by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -74,13 +73,13 @@ from .kernel import (
     kernel_enumerate_paths,
     kernel_shortest_path,
 )
-from .ranking import (
-    RankKey,
-    StepRankParts,
-    ViabilityRankKey,
-    rank_key,
-    viability_rank_key,
-)
+from .ranking import StepRankParts, ViabilityRankKey, viability_rank_key
+
+#: Cap on raw paths enumerated per source node.
+MAX_PATHS_PER_SOURCE = 4000
+#: Budget fractions reserved for the first two ladder rungs; the
+#: remainder funds the (always-affordable) shortest-path rung.
+LADDER_FRACTIONS = (0.7, 0.95)
 
 
 @dataclass(frozen=True)
@@ -91,22 +90,14 @@ class SearchConfig:
     extra_cost: int = 1
     #: Hard cap on the cost of any path, guarding degenerate graphs.
     absolute_max_cost: int = 10
-    #: Cap on raw paths enumerated per source node.
-    max_paths_per_source: int = 4000
     #: Cap on ranked results returned to the caller.
     max_results: int = 100
     #: Wall-clock budget per query in milliseconds; ``None`` = unlimited.
     time_budget_ms: Optional[float] = None
     #: How many DFS expansions between deadline polls.
     deadline_check_every: int = 128
-    #: Budget fractions reserved for the first two ladder rungs; the
-    #: remainder funds the (always-affordable) shortest-path rung.
-    ladder_fractions: Tuple[float, float] = (0.7, 0.95)
     #: Bound on the per-target distance maps retained between queries.
     max_cached_targets: int = DEFAULT_MAX_CACHED_TARGETS
-    #: Demote statically INVIABLE jungloids below JUSTIFIED/PLAUSIBLE
-    #: ones in the ranked order (no effect without a verdict index).
-    analysis_ranking: bool = True
 
 
 @dataclass(frozen=True)
@@ -146,9 +137,6 @@ BatchQueryLike = Union[
     Tuple[Sequence[JavaType], JavaType],
 ]
 
-#: Entries kept in the cross-query rank-key memo before it is reset.
-_RANK_MEMO_CAP = 8192
-
 
 class GraphSearch:
     """Answers jungloid queries against a signature or jungloid graph."""
@@ -165,7 +153,8 @@ class GraphSearch:
         self.cost_model = cost_model
         self.config = config
         self.clock = clock
-        #: Optional CastVerdictIndex consulted by analysis-aware ranking.
+        #: Optional CastVerdictIndex; ranking demotes the jungloids it
+        #: finds INVIABLE below all others.
         self.verdicts = verdicts
         self._dist_cache: LRUDistanceCache = LRUDistanceCache(
             max_targets=config.max_cached_targets
@@ -174,10 +163,6 @@ class GraphSearch:
         #: Counting hook: fresh distance-map runs (cache misses).
         #: Batch tests assert on this to prove distance maps are shared.
         self.distance_computes = 0
-        # Cross-query rank-key memo, keyed by jungloid identity; the
-        # jungloid is retained so a live entry's id can never be reused.
-        # Entries embed the verdict demotion, so set_verdicts clears it.
-        self._rank_memo: Dict[int, Tuple[Jungloid, "_AnyRankKey"]] = {}
         # Per-step cost, crossings and generality, filled lazily.
         self._step_parts = StepRankParts(graph.registry, cost_model)
 
@@ -186,23 +171,13 @@ class GraphSearch:
         return self.cost_model.step_total(edge.elementary)
 
     # ------------------------------------------------------------------
-    # Single query
+    # Queries: every one is served by solve_batch
     # ------------------------------------------------------------------
 
     def solve(self, t_in: JavaType, t_out: JavaType) -> List[Jungloid]:
         """All ranked solution jungloids for the query ``(t_in, t_out)``."""
         results = self.solve_multi([t_in], t_out)
         return [r.jungloid for r in results]
-
-    def solve_outcome(
-        self, t_in: JavaType, t_out: JavaType, deadline: Optional[Deadline] = None
-    ) -> QueryOutcome:
-        """Budget-aware single query; results are :class:`SearchResult`."""
-        return self.solve_multi_outcome([t_in], t_out, deadline=deadline)
-
-    # ------------------------------------------------------------------
-    # Multi-source query (code-completion mode)
-    # ------------------------------------------------------------------
 
     def solve_multi(
         self, sources: Sequence[JavaType], t_out: JavaType
@@ -221,29 +196,9 @@ class GraphSearch:
         t_out: JavaType,
         deadline: Optional[Deadline] = None,
     ) -> QueryOutcome:
-        """Like :meth:`solve_multi`, but deadline-aware and fault-isolated.
-
-        Runs the degradation ladder per source: the full ``m + extra``
-        window first; if the deadline cuts it short (or edge iteration
-        faults), the cheaper ``extra_cost=0`` window; and finally one
-        greedy shortest path, which always completes. The outcome carries
-        ``degraded`` plus a structured reason per cut. With no deadline
-        and no faults the results are identical to the historical
-        :meth:`solve_multi`.
-        """
-        if deadline is None and self.config.time_budget_ms is not None:
-            deadline = Deadline.after(self.config.time_budget_ms, self.clock)
-        if not self.graph.has_node(t_out):
-            return QueryOutcome(results=(), degraded=False)
-        try:
-            dist = self._distances(t_out, sources)
-        except Exception as exc:  # same outcome as the batch path
-            return self._faulted_outcome(t_out, exc)
-        return self._solve_with_dist(sources, t_out, deadline, dist)
-
-    # ------------------------------------------------------------------
-    # Batch serving
-    # ------------------------------------------------------------------
+        """Like :meth:`solve_multi`, but deadline-aware and fault-isolated:
+        a batch of one (see :meth:`solve_batch`)."""
+        return self.solve_batch([BatchQuery(tuple(sources), t_out)], deadline=deadline)[0]
 
     def solve_batch(
         self,
@@ -254,32 +209,43 @@ class GraphSearch:
         """Answer a whole request batch, amortizing shared work.
 
         Queries are grouped by target so each distinct target runs one
-        backward distance pass for the entire batch (Section 5's multi-source
-        amortization, generalized across requests); path→jungloid
-        conversion and ranking keys are memoized batch-wide. Outcomes
-        come back in input order. A fault while answering one query
-        degrades that query's outcome only — the rest of the batch is
-        unaffected.
+        backward distance pass for the entire batch (Section 5's
+        multi-source amortization, generalized across requests), bounded
+        by the union of the group's sources. Outcomes come back in input
+        order.
 
-        Each target group shares one distance map, bounded by the union
-        of its queries' sources. ``deadline``, when given, bounds the
-        whole batch; otherwise ``time_budget_ms`` (argument, falling back
-        to the configured value) is minted per query, exactly as in
-        one-at-a-time serving.
+        Each query runs the degradation ladder per source: the full
+        ``m + extra`` window first; if the deadline cuts it short (or
+        edge iteration faults), the cheaper ``extra_cost=0`` window; and
+        finally one greedy shortest path, which always completes. Its
+        outcome carries ``degraded`` plus a structured reason per cut. A
+        fault while answering one query degrades that query's outcome
+        only; the rest of the batch is unaffected.
+
+        ``deadline``, when given, bounds the whole batch; otherwise
+        ``time_budget_ms`` (argument, falling back to the configured
+        value) is minted per query. The first query of a target group
+        mints its deadline before the group's distance map, so a lone
+        query's budget covers its map; the others mint theirs as they
+        start.
         """
         if time_budget_ms is None:
             time_budget_ms = self.config.time_budget_ms
+
+        def mint() -> Optional[Deadline]:
+            if deadline is None and time_budget_ms is not None:
+                return Deadline.after(time_budget_ms, self.clock)
+            return deadline
+
         batch = [BatchQuery.of(q) for q in queries]
-        outcomes: List[Optional[QueryOutcome]] = [None] * len(batch)
-        path_memo: Dict[Tuple[int, ...], Tuple[Jungloid, str]] = {}
+        outcomes: List[QueryOutcome] = [QueryOutcome()] * len(batch)
         groups: Dict[Node, List[int]] = {}
         for i, query in enumerate(batch):
             groups.setdefault(query.target, []).append(i)
         for target, indices in groups.items():
             if not self.graph.has_node(target):
-                for i in indices:
-                    outcomes[i] = QueryOutcome(results=(), degraded=False)
-                continue
+                continue  # empty and not degraded
+            first = mint()
             sources = [s for i in indices for s in batch[i].sources]
             try:
                 dist = self._distances(target, sources)
@@ -287,21 +253,15 @@ class GraphSearch:
                 for i in indices:
                     outcomes[i] = self._faulted_outcome(target, exc)
                 continue
-            for i in indices:
-                per_query = deadline
-                if per_query is None and time_budget_ms is not None:
-                    per_query = Deadline.after(time_budget_ms, self.clock)
+            for n, i in enumerate(indices):
+                per_query = first if n == 0 else mint()
                 try:
                     outcomes[i] = self._solve_with_dist(
-                        batch[i].sources,
-                        target,
-                        per_query,
-                        dist,
-                        path_memo=path_memo,
+                        batch[i].sources, target, per_query, dist
                     )
                 except Exception as exc:  # isolate: one query, not the batch
                     outcomes[i] = self._faulted_outcome(target, exc)
-        return [o if o is not None else QueryOutcome() for o in outcomes]
+        return outcomes
 
     @staticmethod
     def _faulted_outcome(target: Node, exc: Exception) -> QueryOutcome:
@@ -314,7 +274,7 @@ class GraphSearch:
         )
 
     # ------------------------------------------------------------------
-    # Core ladder (shared by single-query and batch paths)
+    # The degradation ladder for one query
     # ------------------------------------------------------------------
 
     def _solve_with_dist(
@@ -323,38 +283,33 @@ class GraphSearch:
         t_out: JavaType,
         deadline: Optional[Deadline],
         dist: KernelDistances,
-        path_memo: Optional[Dict[Tuple[int, ...], Tuple[Jungloid, str]]] = None,
     ) -> QueryOutcome:
-        collected: List[Tuple["_AnyRankKey", SearchResult]] = []
+        collected: List[Tuple[ViabilityRankKey, SearchResult]] = []
         seen_texts = set()
         reasons: List[DegradationReason] = []
         rungs_used: List[str] = [RUNG_FULL_WINDOW]
-        sub_full = deadline.fraction(self.config.ladder_fractions[0]) if deadline else None
-        sub_zero = deadline.fraction(self.config.ladder_fractions[1]) if deadline else None
+        sub_full = deadline.fraction(LADDER_FRACTIONS[0]) if deadline else None
+        sub_zero = deadline.fraction(LADDER_FRACTIONS[1]) if deadline else None
 
         def collect(source: JavaType, paths: Iterable) -> None:
             for path in paths:
-                if path_memo is not None:
-                    # Keyed by edge identity: edges are owned by the graph
-                    # and outlive the batch, so ids are stable.
-                    memo_key = tuple(map(id, path))
-                    entry = path_memo.get(memo_key)
-                    if entry is None:
-                        jungloid = SignatureGraph.path_to_jungloid(path)
-                        text = jungloid.render_expression("x")
-                        path_memo[memo_key] = (jungloid, text)
-                    else:
-                        jungloid, text = entry
-                else:
-                    jungloid = SignatureGraph.path_to_jungloid(path)
-                    text = jungloid.render_expression("x")
-                key = (source, text)
-                if key in seen_texts:
+                jungloid = SignatureGraph.path_to_jungloid(path)
+                text = jungloid.render_expression("x")
+                dedup = (source, text)
+                if dedup in seen_texts:
                     continue
-                seen_texts.add(key)
-                collected.append(
-                    (self._rank_key(jungloid, text), SearchResult(jungloid, source))
+                seen_texts.add(dedup)
+                # The paper's key behind the verdict index's demotion
+                # bucket (0 with no index); ``text`` is its tie-break.
+                key = viability_rank_key(
+                    self.graph.registry,
+                    jungloid,
+                    self.verdicts,
+                    self.cost_model,
+                    text=text,
+                    parts=self._step_parts,
                 )
+                collected.append((key, SearchResult(jungloid, source)))
 
         def use_rung(rung: str) -> None:
             if rung not in rungs_used:
@@ -464,24 +419,6 @@ class GraphSearch:
             elapsed_ms=deadline.elapsed_ms() if deadline is not None else None,
         )
 
-    def solve_from_context(
-        self, visible_types: Sequence[JavaType], t_out: JavaType
-    ) -> List[SearchResult]:
-        """The completion reduction (Section 1): every visible variable's
-        type is a source, plus ``void`` for constructor/static chains."""
-        return self.solve_multi(list(visible_types) + [VOID], t_out)
-
-    def solve_from_context_outcome(
-        self,
-        visible_types: Sequence[JavaType],
-        t_out: JavaType,
-        deadline: Optional[Deadline] = None,
-    ) -> QueryOutcome:
-        """Budget-aware variant of :meth:`solve_from_context`."""
-        return self.solve_multi_outcome(
-            list(visible_types) + [VOID], t_out, deadline=deadline
-        )
-
     # ------------------------------------------------------------------
     # Kernel calls
     # ------------------------------------------------------------------
@@ -502,7 +439,7 @@ class GraphSearch:
             t_out,
             bound,
             dist=dist,
-            max_paths=self.config.max_paths_per_source,
+            max_paths=MAX_PATHS_PER_SOURCE,
             deadline=deadline,
             report=report,
             check_every=self.config.deadline_check_every,
@@ -621,62 +558,9 @@ class GraphSearch:
         return fresh
 
     def set_verdicts(self, verdicts) -> None:
-        """Swap the verdict index used by analysis-aware ranking.
-
-        Clears the rank-key memo: cached keys embed the demotion bucket
-        of the *previous* index and would silently misrank otherwise.
-        """
+        """Swap the verdict index ranking demotes by; ``None`` ranks in
+        the paper's order."""
         self.verdicts = verdicts
-        self._rank_memo.clear()
-
-    def _rank_key(self, jungloid: Jungloid, text: str) -> "_AnyRankKey":
-        """Memoized ranking key by jungloid identity.
-
-        The paper's :func:`~repro.search.ranking.rank_key`, wrapped in a
-        :class:`~repro.search.ranking.ViabilityRankKey` when analysis-
-        aware ranking is on and a verdict index is attached. ``text`` is
-        the jungloid's rendering, already made for deduplication.
-        """
-        memo = self._rank_memo
-        entry = memo.get(id(jungloid))
-        if entry is not None and entry[0] is jungloid:
-            return entry[1]
-        if self.config.analysis_ranking and self.verdicts is not None:
-            key: _AnyRankKey = viability_rank_key(
-                self.graph.registry,
-                jungloid,
-                self.verdicts,
-                self.cost_model,
-                text=text,
-                parts=self._step_parts,
-            )
-        else:
-            key = rank_key(
-                self.graph.registry,
-                jungloid,
-                self.cost_model,
-                text=text,
-                parts=self._step_parts,
-            )
-        if len(memo) >= _RANK_MEMO_CAP:
-            memo.clear()
-        memo[id(jungloid)] = (jungloid, key)
-        return key
-
-    def with_config(self, **overrides) -> "GraphSearch":
-        """A copy of this search with config fields overridden."""
-        return GraphSearch(
-            self.graph,
-            self.cost_model,
-            replace(self.config, **overrides),
-            clock=self.clock,
-            verdicts=self.verdicts,
-        )
-
-
-#: Either ranking key shape; one GraphSearch instance only ever mixes
-#: them across a set_verdicts/config boundary, never within one sort.
-_AnyRankKey = Union[RankKey, ViabilityRankKey]
 
 
 def _unique(items: Iterable[JavaType]) -> List[JavaType]:

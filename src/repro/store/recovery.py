@@ -121,8 +121,8 @@ class RecoveredStore:
     diagnostics: StoreDiagnostics
     manifest: Optional[SnapshotManifest] = None
     #: Serialized cast-verdict index carried by the snapshot, if any
-    #: (``None`` after a rebuild or a pre-v3 migration).
-    analysis: Optional[dict] = None
+    #: (``None`` after a rebuild or a pre-v3 migration), undecoded.
+    analysis: Optional[object] = None
     #: The graph the load audit built, with :attr:`public_only`
     #: (``None`` after a rebuild).
     graph: Optional[JungloidGraph] = None

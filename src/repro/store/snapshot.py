@@ -165,9 +165,10 @@ class LoadedSnapshot:
     manifest: Optional[SnapshotManifest]  #: None for migrated legacy bundles
     migrated_from: Optional[int]  #: source schema version, if migrated
     path: Path
-    #: Serialized cast-verdict index (schema v3); ``None`` when the
-    #: snapshot predates the analysis or was saved without one.
-    analysis: Optional[dict] = None
+    #: The header's serialized cast-verdict index (schema v3), as read:
+    #: the loader that decodes it rejects a malformed one. ``None`` when
+    #: the snapshot predates the analysis or was saved without one.
+    analysis: Optional[object] = None
     #: The graph the audit built (with the manifest's ``public_only``),
     #: so a loader can serve from it instead of building it again;
     #: ``None`` when the load skipped the audit.
@@ -337,16 +338,13 @@ class SnapshotStore:
             # Checksum passed but the payload is still bad: the writer
             # persisted garbage. Treat as corruption, not a format error.
             raise SnapshotCorruptError(f"{path}: {exc}") from exc
-        analysis = header.get("analysis")
-        if not isinstance(analysis, dict):
-            analysis = None  # absent in v2, or malformed: recompute lazily
         loaded = LoadedSnapshot(
             registry=registry,
             mined=tuple(mined),
             manifest=manifest,
             migrated_from=version if version != SCHEMA_VERSION else None,
             path=path,
-            analysis=analysis,
+            analysis=header.get("analysis"),
         )
         return self._audit_or_raise(loaded, audit)
 

@@ -31,6 +31,7 @@ from repro.search import (
     kernel_enumerate_paths,
     kernel_shortest_path,
 )
+from repro.search.engine import MAX_PATHS_PER_SOURCE
 from repro.search.kernel import EdgeCost, unit_cost
 from repro.typesystem import TypeRegistry
 
@@ -189,7 +190,7 @@ class OracleSearch(GraphSearch):
             t_out,
             bound,
             dist=dist,
-            max_paths=self.config.max_paths_per_source,
+            max_paths=MAX_PATHS_PER_SOURCE,
             edge_cost=self._edge_cost,
             deadline=deadline,
             report=report,

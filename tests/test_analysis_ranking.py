@@ -4,14 +4,12 @@ import pytest
 
 from repro import Prospector
 from repro.analysis import CastVerdict
-from repro.core.prospector import ProspectorConfig
 from repro.eval import TABLE1_PROBLEMS
 from repro.graph import SignatureGraph
 from repro.jungloids import DEFAULT_COST_MODEL, Jungloid, downcast
 from repro.search import (
     GraphSearch,
     RankKey,
-    SearchConfig,
     ViabilityRankKey,
     rank_key,
     viability_rank_key,
@@ -63,10 +61,18 @@ class TestEngineIntegration:
             registry.lookup("demo.ui.Panel"), registry.lookup("demo.ui.Item")
         )
         assert results  # plain path still answers
+        keys = [rank_key(registry, j) for j in results]
+        assert keys == sorted(keys)
 
-    def test_flag_off_matches_verdict_free_order(self, standard_prospector):
+    def test_no_verdicts_matches_verdict_free_order(self, standard_prospector):
         registry = standard_prospector.registry
-        off = standard_prospector.search.with_config(analysis_ranking=False)
+        off = GraphSearch(
+            standard_prospector.graph,
+            cost_model=standard_prospector.config.cost_model,
+            config=standard_prospector.config.search,
+            verdicts=standard_prospector.verdicts,
+        )
+        off.set_verdicts(None)
         bare = GraphSearch(
             standard_prospector.graph,
             cost_model=standard_prospector.config.cost_model,
@@ -96,7 +102,7 @@ class TestEngineIntegration:
         demotions = [verdicts.demotion_rank(j) for j in results]
         assert demotions == sorted(demotions)
 
-    def test_set_verdicts_clears_rank_memo(self, standard_prospector):
+    def test_set_verdicts_reranks_the_next_query(self, standard_prospector):
         registry = standard_prospector.registry
         verdicts = standard_prospector.verdicts
         graph = SignatureGraph.from_registry(registry, include_downcasts=True)
@@ -116,19 +122,14 @@ class TestEngineIntegration:
 class TestTable1Unchanged:
     """Analysis-aware ranking must not move the paper's answers: on the
     bundled corpus no Table-1 result is INVIABLE, so the ranked output
-    is byte-identical with the flag on and off."""
+    is byte-identical with and without the verdict index."""
 
     def test_table1_answers_byte_identical(self, standard_registry_and_corpus):
         registry, corpus = standard_registry_and_corpus
         on = Prospector(registry, corpus)
-        off = Prospector(
-            registry,
-            corpus,
-            config=ProspectorConfig(
-                search=SearchConfig(analysis_ranking=False)
-            ),
-        )
-        assert on.config.search.analysis_ranking is True
+        off = Prospector(registry, corpus)
+        assert on.verdicts is not None
+        off.search.set_verdicts(None)  # packaging still carries verdicts
         for problem in TABLE1_PROBLEMS:
             a = [
                 s.jungloid.render_expression("x")

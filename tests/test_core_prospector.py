@@ -144,10 +144,12 @@ class TestUpdateCorpus:
             small_registry,
             load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)]),
         )
+        search = live.search
         stats = live.update_corpus(
             upserts=[("handler.mj", SMALL_CORPUS + "\n// note\n")]
         )
         assert stats.files_remined == ("handler.mj",)
+        assert live.search is search  # the graft lands in the served graph
         fresh = Prospector(
             small_registry,
             load_corpus_texts(

@@ -3,7 +3,7 @@ pipeline runs them."""
 
 from repro.eval import chain_signature
 from repro.pipeline import CorpusPipeline
-from repro.search import GraphSearch
+from repro.search import GraphSearch, SearchConfig
 
 
 class TestMineCorpus:
@@ -29,7 +29,7 @@ class TestGrafting:
     def test_graph_answers_downcast_query(self, small_registry, small_prospector):
         # The Item(Panel) constructor gives a cheap (wrong-intent) answer,
         # so widen the window beyond m+1 to reach the mined route.
-        search = GraphSearch(small_prospector.graph).with_config(extra_cost=4)
+        search = GraphSearch(small_prospector.graph, config=SearchConfig(extra_cost=4))
         panel = small_registry.lookup("demo.ui.Panel")
         item = small_registry.lookup("demo.ui.Item")
         results = search.solve(panel, item)

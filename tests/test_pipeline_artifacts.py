@@ -1,6 +1,7 @@
 """Tests for stage artifacts: fingerprints, per-file record round-trips,
 the snapshot stage sidecar, and incremental restarts."""
 
+import itertools
 import json
 
 import pytest
@@ -170,10 +171,12 @@ class TestProspectorRestart:
         assert self.answers(second) == self.answers(first)
         # The restart can update incrementally: untouched files reuse
         # their persisted records.
+        search = second.search
         stats = second.update_corpus(
             upserts=[("handler.mj", SMALL_CORPUS + "\n// touched\n")]
         )
         assert stats.files_remined == ("handler.mj",)
+        assert second.search is search  # the graft lands in the served graph
         assert self.answers(second) == self.answers(first)
 
     def test_damaged_sidecar_degrades_to_query_only(self, tmp_path, small_registry):
@@ -227,13 +230,14 @@ class TestProspectorRestart:
         first.save_snapshot(snap)
         head, _, payload = snap.read_bytes().partition(b"\n")
         header = json.loads(head)
-        header["analysis"] = {"pairs": [{"operand": "demo.ui.Viewer"}]}
-        snap.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
-
-        for load_stages in (True, False):
+        # A section from_dict rejects, and sections that are no object.
+        sections = ({"pairs": [{"operand": "demo.ui.Viewer"}]}, ["not", "an", "object"], "garbage", 42)
+        for section, load_stages in itertools.product(sections, (True, False)):
+            header["analysis"] = section
+            snap.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
             second = Prospector.from_snapshot(snap, load_stages=load_stages)
             diagnostics = second.store_diagnostics
-            assert not diagnostics.ok
+            assert not diagnostics.ok, section
             assert [fault.stage for fault in diagnostics.faults] == [STAGE_ANALYSIS]
             assert "[analysis]: analysis section unusable" in diagnostics.summary()
             if load_stages:  # the sidecar's verdicts replace the lost ones

@@ -2,9 +2,9 @@
 
 The engine renders each enumerated path once, reuses that text as the
 key's tie-break, and sums the other parts from per-step memos. This
-contract holds it to :func:`~repro.search.viability_rank_key` (or
-:func:`~repro.search.rank_key`) computed from the jungloid alone, on
-Table 1 and on the scale benchmark's probe queries.
+contract holds it to :func:`~repro.search.viability_rank_key` computed
+from the jungloid alone, on Table 1 and on the scale benchmark's probe
+queries.
 """
 
 import importlib
@@ -16,7 +16,7 @@ import pytest
 from repro.eval import TABLE1_PROBLEMS
 from repro.graph import JungloidGraph
 from repro.jungloids import Jungloid, downcast
-from repro.search import GraphSearch, rank_key, viability_rank_key
+from repro.search import GraphSearch, viability_rank_key
 from repro.search import engine as search_engine
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -36,11 +36,6 @@ class KeySpy:
             spy.keys[id(jungloid)] = key
             return key
 
-        def plain(registry, jungloid, *args, **kwargs):
-            key = rank_key(registry, jungloid, *args, **kwargs)
-            spy.keys[id(jungloid)] = key
-            return key
-
         def enumerate_paths(*args, **kwargs):
             for path in search_engine_enumerate(*args, **kwargs):
                 spy.paths += 1
@@ -53,9 +48,14 @@ class KeySpy:
         search_engine_enumerate = search_engine.kernel_enumerate_paths
         original_render = Jungloid.render_expression
         monkeypatch.setattr(search_engine, "viability_rank_key", viability)
-        monkeypatch.setattr(search_engine, "rank_key", plain)
         monkeypatch.setattr(search_engine, "kernel_enumerate_paths", enumerate_paths)
         monkeypatch.setattr(Jungloid, "render_expression", render)
+
+
+def fresh_search(prospector):
+    """A new engine over ``prospector``'s graph: empty per-step memos."""
+    search = prospector.search
+    return GraphSearch(search.graph, search.cost_model, search.config, verdicts=search.verdicts)
 
 
 def check_query(spy, search, t_in, t_out):
@@ -67,10 +67,7 @@ def check_query(spy, search, t_in, t_out):
     registry = search.graph.registry
     for result in results:
         jungloid = result.jungloid
-        if search.verdicts is not None:
-            alone = viability_rank_key(registry, jungloid, search.verdicts, search.cost_model)
-        else:
-            alone = rank_key(registry, jungloid, search.cost_model)
+        alone = viability_rank_key(registry, jungloid, search.verdicts, search.cost_model)
         assert spy.keys[id(jungloid)] == alone
     ordered = [spy.keys[id(r.jungloid)] for r in results]
     assert ordered == sorted(ordered)
@@ -92,7 +89,7 @@ def scale_probe():
 class TestEngineKeyEqualsPaperKey:
     def test_table1(self, standard_prospector, monkeypatch):
         spy = KeySpy(monkeypatch)
-        search = standard_prospector.search.with_config()  # fresh memos
+        search = fresh_search(standard_prospector)
         assert search.verdicts is not None
         results = 0
         for problem in TABLE1_PROBLEMS:
@@ -115,7 +112,7 @@ class TestEngineKeyEqualsPaperKey:
     def test_scale_probe(self, scale_probe, monkeypatch):
         prospector, probe = scale_probe
         spy = KeySpy(monkeypatch)
-        search = prospector.search.with_config()
+        search = fresh_search(prospector)
         paths = 0
         for t_in, t_out in probe:
             check_query(spy, search, prospector.type(t_in), prospector.type(t_out))
@@ -124,13 +121,13 @@ class TestEngineKeyEqualsPaperKey:
 
     def test_batch_renders_at_most_once_per_path(self, standard_prospector, monkeypatch):
         spy = KeySpy(monkeypatch)
-        search = standard_prospector.search.with_config()
+        search = fresh_search(standard_prospector)
         pairs = [
             (standard_prospector.type(p.t_in), standard_prospector.type(p.t_out))
             for p in TABLE1_PROBLEMS
         ]
         search.solve_batch(pairs + pairs)
-        assert 0 < spy.renders <= spy.paths
+        assert 0 < spy.renders == spy.paths
 
 
 class TestVerdictsStillDemote:

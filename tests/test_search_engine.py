@@ -101,7 +101,7 @@ class TestMultiSource:
 
     def test_void_source_finds_factories(self):
         registry, search = build()
-        results = search.solve_from_context([], named("e.End"))
+        results = search.solve_multi([VOID], named("e.End"))
         texts = [r.jungloid.render_expression("") for r in results]
         assert "e.Factory.makeEnd()" in texts
         assert any(r.is_void_source for r in results)
@@ -118,17 +118,19 @@ class TestMultiSource:
         registry, search = build()
         from repro.search import rank_key
 
-        results = search.solve_from_context([named("e.Start")], named("e.End"))
+        results = search.solve_multi([named("e.Start"), VOID], named("e.End"))
         keys = [rank_key(search.graph.registry, r.jungloid) for r in results]
         assert keys == sorted(keys)
 
 
 class TestConfig:
-    def test_with_config(self):
-        registry, search = build()
-        widened = search.with_config(extra_cost=3)
-        assert widened.config.extra_cost == 3
-        assert widened.graph is search.graph
+    def test_wider_window_keeps_every_narrow_result(self):
+        registry, narrow = build(SearchConfig(extra_cost=0))
+        _, wide = build(SearchConfig(extra_cost=3))
+        texts = lambda search: {
+            j.render_expression("x") for j in search.solve(named("e.Start"), named("e.End"))
+        }
+        assert texts(narrow) < texts(wide)
 
     def test_distance_cache_reused(self):
         registry, search = build()

@@ -188,7 +188,7 @@ class TestSchemaVersions:
         )
         assert a.payload_sha256 == b.payload_sha256
 
-    def test_malformed_analysis_loads_as_none(self, tmp_path, small_registry):
+    def test_malformed_analysis_is_passed_through(self, tmp_path, small_registry):
         store = SnapshotStore(tmp_path / "graph.psnap")
         store.save(small_registry)
         raw = store.path.read_bytes()
@@ -198,7 +198,8 @@ class TestSchemaVersions:
         store.path.write_bytes(
             json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
         )
-        assert store.load().analysis is None
+        # Undecoded: the Prospector's decode records it as a fault.
+        assert store.load().analysis == "not-a-dict"
 
 
 class TestInjectableReader:
