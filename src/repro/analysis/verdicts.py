@@ -256,7 +256,7 @@ class CastVerdictIndex:
         return rank
 
     # ------------------------------------------------------------------
-    # Persistence (snapshot schema v3 carries this dict in the header)
+    # Persistence (snapshot schema v3+ carries this dict in the header)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:

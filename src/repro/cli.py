@@ -36,7 +36,6 @@ from .eval import classify_stuck_cases, run_prototype_test, run_table1, simulate
 from .graph import BundleFormatError, bundle_to_json, graph_stats
 from .minijava import MiniJavaError
 from .store import (
-    RUNG_CURRENT,
     SnapshotError,
     SnapshotStore,
     StoreRecoveryError,
@@ -318,7 +317,7 @@ def _cmd_index_repair(args: argparse.Namespace) -> int:
     except StoreRecoveryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if recovered.rung_used == RUNG_CURRENT:
+    if recovered.diagnostics.ok:
         print(f"{args.path}: already sound, nothing to repair")
     else:
         print(recovered.diagnostics.summary(), file=sys.stderr)

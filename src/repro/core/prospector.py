@@ -166,9 +166,9 @@ class Prospector:
         :class:`~repro.store.StoreRecoveryError` only if every rung
         fails.
 
-        A header ``analysis`` section that fails to decode leaves the
-        instance verdict-less and is recorded as a
-        :data:`~repro.store.STAGE_ANALYSIS` fault.
+        A header ``analysis`` section that fails its manifest digest or
+        fails to decode leaves the instance verdict-less and is recorded
+        as a :data:`~repro.store.STAGE_ANALYSIS` fault.
 
         When ``load_stages`` is true and a stage sidecar saved with the
         loaded snapshot generation sits next to it, the incremental

@@ -71,13 +71,9 @@ class JungloidGraph(SignatureGraph):
         mined: Iterable[Jungloid] = (),
         public_only: bool = True,
     ) -> "JungloidGraph":
-        """Build the signature graph and splice every mined jungloid in."""
-        base = SignatureGraph.from_registry(registry, public_only=public_only)
-        graph = cls(registry)
-        for node in base.nodes:
-            graph.add_node(node)
-        for edge in base.edges():
-            graph.add_edge(edge)
+        """Build the signature graph in place and splice every mined
+        jungloid in: each edge is added once, to the graph that serves."""
+        graph = cls.from_registry(registry, public_only=public_only)
         for jungloid in mined:
             graph.add_mined_path(jungloid)
         return graph

@@ -17,7 +17,7 @@ a bounded edge journal (:meth:`SignatureGraph.changes_since`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..jungloids import (
     ElementaryJungloid,
@@ -46,9 +46,10 @@ class SignatureGraph:
 
     def __init__(self, registry: TypeRegistry):
         self.registry = registry
+        #: Adjacency; the keys of ``_out`` (and ``_in``) are the nodes,
+        #: in insertion order.
         self._out: Dict[Node, List[Edge]] = {}
         self._in: Dict[Node, List[Edge]] = {}
-        self._nodes: Set[Node] = set()
         self._revision = 0
         self._edge_count = 0
         #: Edge journal: revision ``_journal_base + i + 1`` added (flag 1)
@@ -103,10 +104,9 @@ class SignatureGraph:
         return graph
 
     def add_node(self, node: Node) -> Node:
-        if node not in self._nodes:
-            self._nodes.add(node)
-            self._out.setdefault(node, [])
-            self._in.setdefault(node, [])
+        if node not in self._out:
+            self._out[node] = []
+            self._in[node] = []
         return node
 
     def add_edge(self, edge: Edge) -> Edge:
@@ -147,7 +147,6 @@ class SignatureGraph:
         """Remove an isolated node (no incident edges left)."""
         if self._out.get(node) or self._in.get(node):
             raise ValueError(f"node still has incident edges: {node}")
-        self._nodes.discard(node)
         self._out.pop(node, None)
         self._in.pop(node, None)
 
@@ -180,11 +179,11 @@ class SignatureGraph:
         return list(zip(added, self._journal_edges[start:]))
 
     def node_order(self) -> Tuple[Node, ...]:
-        """Every node, in insertion order.
+        """Every node, in insertion order, as a tuple.
 
-        :attr:`nodes` is a set, so its iteration order is hash-driven;
-        the search kernel interns node ids against this stable order so
-        a compiled snapshot is deterministic for a given build sequence.
+        The search kernel interns node ids against this order. It never
+        depends on hashes, so a given build sequence compiles to the same
+        snapshot in every process.
         """
         return tuple(self._out)
 
@@ -206,7 +205,7 @@ class SignatureGraph:
         return self.add_edge(Edge(t_in, t_out, elementary))
 
     def _add_widening_edges(self) -> None:
-        for node in list(self._nodes):
+        for node in list(self._out):
             t = node_base_type(node)
             if node == VOID or isinstance(node, type(None)):
                 continue
@@ -217,7 +216,7 @@ class SignatureGraph:
 
     def _add_all_downcast_edges(self) -> None:
         """Figure-3 ablation: a downcast edge for every strict subtype pair."""
-        for node in list(self._nodes):
+        for node in list(self._out):
             if not isinstance(node, NamedType):
                 continue
             for sub in self.registry.all_subtypes(node):
@@ -228,8 +227,9 @@ class SignatureGraph:
     # ------------------------------------------------------------------
 
     @property
-    def nodes(self) -> Set[Node]:
-        return self._nodes
+    def nodes(self) -> AbstractSet[Node]:
+        """Every node, in insertion order (a live view)."""
+        return self._out.keys()
 
     def out_edges(self, node: Node) -> Tuple[Edge, ...]:
         return tuple(self._out.get(node, ()))
@@ -244,11 +244,16 @@ class SignatureGraph:
     def edge_count(self) -> int:
         return self._edge_count
 
+    def adjacency_edge_count(self) -> int:
+        """The edges in the out-lists, counted afresh rather than read
+        from the running :meth:`edge_count` (what a load audit checks)."""
+        return sum(map(len, self._out.values()))
+
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._out)
 
     def has_node(self, node: Node) -> bool:
-        return node in self._nodes
+        return node in self._out
 
     def downcast_edge_count(self) -> int:
         return sum(1 for e in self.edges() if e.is_downcast)

@@ -218,23 +218,33 @@ def _call_variants(
     """All elementary jungloids induced by one method/constructor.
 
     One variant per reference-typed flow position (receiver or parameter);
-    a single ``void``-input variant when nothing can flow in.
+    a single ``void``-input variant when nothing can flow in. The
+    variants share one :class:`FreeVariable` per parameter (and one for
+    the receiver, made only when a parameter can take the flow); each
+    variant's tuple is a slice of these, in declaration order.
     """
     params = member.parameters
+    free_params = tuple(
+        FreeVariable(_free_name_for(p.type, i + 1), p.type) for i, p in enumerate(params)
+    )
     variants = []
     positions = []
     if receiver_type is not None:
         positions.append((RECEIVER, receiver_type))
-    for i, p in enumerate(params):
-        if is_reference(p.type):
-            positions.append((i, p.type))
+    flows = [(i, p.type) for i, p in enumerate(params) if is_reference(p.type)]
+    positions.extend(flows)
+    free_receiver: Tuple[FreeVariable, ...] = ()
+    if receiver_type is not None and flows:
+        free_receiver = (FreeVariable(_free_name_for(receiver_type, 0), receiver_type),)
     for flow_position, input_type in positions:
-        free = []
-        if receiver_type is not None and flow_position != RECEIVER:
-            free.append(FreeVariable(_free_name_for(receiver_type, 0), receiver_type))
-        for i, p in enumerate(params):
-            if i != flow_position:
-                free.append(FreeVariable(_free_name_for(p.type, i + 1), p.type))
+        if flow_position == RECEIVER:
+            free = free_params
+        else:
+            free = (
+                free_receiver
+                + free_params[:flow_position]
+                + free_params[flow_position + 1 :]
+            )
         variants.append(
             ElementaryJungloid(
                 kind=kind,
@@ -242,13 +252,10 @@ def _call_variants(
                 output_type=output_type,
                 member=member,
                 flow_position=flow_position,
-                free_variables=tuple(free),
+                free_variables=free,
             )
         )
     if not positions:
-        free = tuple(
-            FreeVariable(_free_name_for(p.type, i + 1), p.type) for i, p in enumerate(params)
-        )
         variants.append(
             ElementaryJungloid(
                 kind=kind,
@@ -256,7 +263,7 @@ def _call_variants(
                 output_type=output_type,
                 member=member,
                 flow_position=NO_INPUT,
-                free_variables=free,
+                free_variables=free_params,
             )
         )
     return tuple(variants)

@@ -67,6 +67,7 @@ from .snapshot import (
     SNAPSHOT_FORMAT,
     SnapshotManifest,
     SnapshotStore,
+    analysis_digest,
     atomic_write_bytes,
     atomic_write_text,
     payload_digest,
@@ -107,6 +108,7 @@ __all__ = [
     "StoreDiagnostics",
     "StoreFault",
     "StoreRecoveryError",
+    "analysis_digest",
     "atomic_write_bytes",
     "atomic_write_text",
     "audit_bundle",

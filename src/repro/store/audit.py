@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
-from ..graph import graph_stats
 from ..graph.nodes import node_base_type
 from ..jungloids import ElementaryKind, Jungloid
 from ..typesystem import NamedType, TypeKind, TypeRegistry
@@ -173,17 +172,26 @@ def audit_mined(
 
 
 def audit_graph(registry: TypeRegistry, graph: "JungloidGraph") -> List[IntegrityIssue]:
-    """Check that every edge endpoint resolves in the registry."""
+    """Check that every edge endpoint resolves in the registry.
+
+    Every endpoint is a node, so the check runs once per node; the edges
+    are walked only to name the ones that touch an undeclared node, one
+    issue per such endpoint, in edge order.
+    """
+    undeclared = {
+        node for node in graph.nodes if not registry.is_declared(node_base_type(node))
+    }
+    if not undeclared:
+        return []
     issues: List[IntegrityIssue] = []
     for edge in graph.edges():
         for node in (edge.source, edge.target):
-            base = node_base_type(node)
-            if not registry.is_declared(base):
+            if node in undeclared:
                 issues.append(
                     IntegrityIssue(
                         KIND_UNRESOLVED_ENDPOINT,
                         str(edge),
-                        f"endpoint type {base} not in registry",
+                        f"endpoint type {node_base_type(node)} not in registry",
                     )
                 )
     return issues
@@ -211,9 +219,8 @@ def audit_counts(
     check("type_count", manifest.type_count, len(registry))
     check("mined_count", manifest.mined_count, len(mined))
     if graph is not None:
-        stats = graph_stats(graph)
-        check("node_count", manifest.node_count, stats.nodes)
-        check("edge_count", manifest.edge_count, stats.edges)
+        check("node_count", manifest.node_count, graph.node_count())
+        check("edge_count", manifest.edge_count, graph.adjacency_edge_count())
     return issues
 
 

@@ -39,7 +39,8 @@ STORE_LADDER: Tuple[str, ...] = (RUNG_CURRENT, RUNG_PREVIOUS, RUNG_REBUILD)
 STAGE_READ = "read"
 STAGE_VERIFY = "verify"
 STAGE_REBUILD = "rebuild"
-#: The loaded snapshot's header ``analysis`` section failed to decode.
+#: The loaded snapshot's header ``analysis`` section failed its
+#: manifest digest or failed to decode; the load serves without it.
 STAGE_ANALYSIS = "analysis"
 
 #: A corpus rebuild: returns ``(registry, mined)`` or raises.
@@ -163,12 +164,14 @@ def load_with_recovery(
             continue
         diag.rung_used = rung
         diag.migrated_from = loaded.migrated_from
+        if loaded.analysis_fault is not None:
+            diag.record(rung, STAGE_ANALYSIS, loaded.analysis_fault)
         return RecoveredStore(
             registry=loaded.registry,
             mined=loaded.mined,
             diagnostics=diag,
             manifest=loaded.manifest,
-            analysis=loaded.analysis,
+            analysis=None if loaded.analysis_fault is not None else loaded.analysis,
             graph=loaded.graph,
         )
 
@@ -210,6 +213,8 @@ def verify_snapshot(store: SnapshotStore, which: str = "current") -> StoreDiagno
         return diag
     diag.rung_used = rung
     diag.migrated_from = loaded.migrated_from
+    if loaded.analysis_fault is not None:
+        diag.record(rung, STAGE_ANALYSIS, loaded.analysis_fault)
     return diag
 
 
@@ -220,8 +225,8 @@ def repair(
     backoff_ms: float = 50.0,
     sleep: Optional[Sleep] = None,
 ) -> RecoveredStore:
-    """Recover via the ladder, then rewrite the current snapshot if it
-    was not the rung that answered.
+    """Recover via the ladder, then rewrite the current snapshot unless
+    it loaded cleanly (a refused ``analysis`` section is dropped).
 
     The rewrite uses ``rotate=False``: when recovery came *from* the
     previous generation, rotating the damaged current file over it would
@@ -234,7 +239,7 @@ def repair(
         backoff_ms=backoff_ms,
         sleep=sleep,
     )
-    if recovered.rung_used != RUNG_CURRENT:
+    if not recovered.diagnostics.ok:
         store.save(
             recovered.registry,
             recovered.mined,

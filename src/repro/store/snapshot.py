@@ -6,7 +6,7 @@ on that artifact being *loadable* after any crash. This module gives the
 JSON bundle of :mod:`repro.graph.serialize` a durable envelope:
 
 * **Layout** — a snapshot file is one compact JSON header line
-  (``{"format": "prospector-snapshot", "schema_version": 2,
+  (``{"format": "prospector-snapshot", "schema_version": 4,
   "manifest": {...}}``) followed by the raw bundle JSON bytes. Keeping
   the payload as verbatim bytes (not re-embedded JSON) means the
   manifest's SHA-256 can be checked before any parsing happens, so a
@@ -21,10 +21,13 @@ JSON bundle of :mod:`repro.graph.serialize` a durable envelope:
   JSON file (what ``dump-bundle`` writes); :meth:`SnapshotStore.load`
   recognizes and upgrades it in memory, recording the migration.
   Version 2 is the headered format without the optional ``analysis``
-  key; version 3 (current) may carry the serialized cast-verdict index
-  in the header, leaving the payload bytes — and therefore the
-  manifest's checksum discipline — untouched. v1/v2 files load as
-  migrations with ``analysis=None`` (verdicts are recomputed lazily).
+  key; version 3 may carry the serialized cast-verdict index in the
+  header, leaving the payload bytes untouched. Version 4 (current) also
+  records the section's digest in the manifest (``analysis_sha256``,
+  over its canonical JSON), so an edited section is caught too.
+  v1/v2 files load as migrations with ``analysis=None`` (verdicts are
+  recomputed lazily); a v3 file loads as a migration with its section
+  unchecked.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from ..graph import (
     JungloidGraph,
     bundle_from_json,
     bundle_to_json,
-    graph_stats,
 )
 from ..jungloids import Jungloid
 from ..typesystem import TypeRegistry
@@ -57,8 +59,11 @@ from .errors import (
 #: Magic string in the header line.
 SNAPSHOT_FORMAT = "prospector-snapshot"
 #: Current schema version. Version 1 is the bare legacy bundle;
-#: version 2 lacks the optional header ``analysis`` key.
-SCHEMA_VERSION = 3
+#: version 2 lacks the optional header ``analysis`` key; version 3
+#: carries it without a digest.
+SCHEMA_VERSION = 4
+#: The first version whose manifest covers the ``analysis`` section.
+ANALYSIS_DIGEST_VERSION = 4
 #: Suffix of the retained previous generation.
 PREVIOUS_SUFFIX = ".prev"
 
@@ -124,6 +129,9 @@ class SnapshotManifest:
     edge_count: int
     public_only: bool = True
     created_unix: float = 0.0
+    #: :func:`analysis_digest` of the header's ``analysis`` section;
+    #: ``None`` when the snapshot carries none.
+    analysis_sha256: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -135,10 +143,16 @@ class SnapshotManifest:
             "edge_count": self.edge_count,
             "public_only": self.public_only,
             "created_unix": self.created_unix,
+            "analysis_sha256": self.analysis_sha256,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SnapshotManifest":
+        analysis_sha256 = data.get("analysis_sha256")
+        if analysis_sha256 is not None and not isinstance(analysis_sha256, str):
+            raise SnapshotFormatError(
+                f"manifest field malformed: analysis_sha256 {analysis_sha256!r}"
+            )
         try:
             return cls(
                 payload_sha256=str(data["payload_sha256"]),
@@ -149,6 +163,7 @@ class SnapshotManifest:
                 edge_count=int(data["edge_count"]),
                 public_only=bool(data.get("public_only", True)),
                 created_unix=float(data.get("created_unix", 0.0)),
+                analysis_sha256=analysis_sha256,
             )
         except KeyError as exc:
             raise SnapshotFormatError(f"manifest missing key {exc.args[0]!r}") from exc
@@ -165,10 +180,14 @@ class LoadedSnapshot:
     manifest: Optional[SnapshotManifest]  #: None for migrated legacy bundles
     migrated_from: Optional[int]  #: source schema version, if migrated
     path: Path
-    #: The header's serialized cast-verdict index (schema v3), as read:
+    #: The header's serialized cast-verdict index (schema v3+), as read:
     #: the loader that decodes it rejects a malformed one. ``None`` when
     #: the snapshot predates the analysis or was saved without one.
     analysis: Optional[object] = None
+    #: Why the ``analysis`` section fails the manifest's digest (schema
+    #: v4); ``None`` when it matches or the schema predates the digest.
+    #: A section with a fault must not be used.
+    analysis_fault: Optional[str] = None
     #: The graph the audit built (with the manifest's ``public_only``),
     #: so a loader can serve from it instead of building it again;
     #: ``None`` when the load skipped the audit.
@@ -177,6 +196,31 @@ class LoadedSnapshot:
 
 def payload_digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
+
+
+def analysis_digest(section: object) -> str:
+    """SHA-256 of a header ``analysis`` section's canonical JSON (sorted
+    keys, no whitespace), so re-serializing the header keeps it."""
+    canonical = json.dumps(section, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _analysis_fault(manifest: SnapshotManifest, section: object) -> Optional[str]:
+    """Why ``section`` fails ``manifest.analysis_sha256``, or ``None``."""
+    expected = manifest.analysis_sha256
+    if section is None:
+        if expected is None:
+            return None
+        return "analysis section unusable: the manifest digests a section the header lacks"
+    if expected is None:
+        return "analysis section unusable: the manifest has no analysis_sha256"
+    actual = analysis_digest(section)
+    if actual != expected:
+        return (
+            "analysis section unusable: SHA-256 mismatch"
+            f" (expected {expected[:12]}…, got {actual[:12]}…)"
+        )
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -225,22 +269,23 @@ class SnapshotStore:
         damaged current file never clobbers a good previous generation.
         ``analysis`` is the serialized cast-verdict index
         (:meth:`~repro.analysis.verdicts.CastVerdictIndex.to_dict`); it
-        rides in the header, so the payload checksum is unaffected.
+        rides in the header under its own manifest digest, so the
+        payload checksum is unaffected.
         """
         mined = list(mined)
         if graph is None:
             graph = JungloidGraph.build(registry, mined, public_only=public_only)
-        stats = graph_stats(graph)
         payload = bundle_to_json(registry, mined).encode("utf-8")
         manifest = SnapshotManifest(
             payload_sha256=payload_digest(payload),
             payload_bytes=len(payload),
             type_count=len(registry),
             mined_count=len(mined),
-            node_count=stats.nodes,
-            edge_count=stats.edges,
+            node_count=graph.node_count(),
+            edge_count=graph.adjacency_edge_count(),
             public_only=public_only,
             created_unix=time.time(),
+            analysis_sha256=None if analysis is None else analysis_digest(analysis),
         )
         header_dict = {
             "format": SNAPSHOT_FORMAT,
@@ -338,13 +383,19 @@ class SnapshotStore:
             # Checksum passed but the payload is still bad: the writer
             # persisted garbage. Treat as corruption, not a format error.
             raise SnapshotCorruptError(f"{path}: {exc}") from exc
+        analysis = header.get("analysis")
         loaded = LoadedSnapshot(
             registry=registry,
             mined=tuple(mined),
             manifest=manifest,
             migrated_from=version if version != SCHEMA_VERSION else None,
             path=path,
-            analysis=header.get("analysis"),
+            analysis=analysis,
+            analysis_fault=(
+                _analysis_fault(manifest, analysis)
+                if version >= ANALYSIS_DIGEST_VERSION
+                else None
+            ),
         )
         return self._audit_or_raise(loaded, audit)
 

@@ -4,6 +4,7 @@ from repro.jungloids import (
     NO_INPUT,
     RECEIVER,
     ElementaryKind,
+    FreeVariable,
     constructor_call,
     downcast,
     field_access,
@@ -18,6 +19,7 @@ from repro.typesystem import (
     Parameter,
     PRIMITIVES,
     VOID,
+    is_reference,
     named,
 )
 
@@ -145,6 +147,51 @@ class TestFreeVariables:
             assert "free-variable" in str(err)
         else:  # pragma: no cover
             raise AssertionError("expected ValueError")
+
+
+def parent_free_variables(member, receiver_type):
+    """Each variant's free variables as built before the variants shared
+    them: fresh objects per variant, in flow-position order."""
+    positions = [RECEIVER] if receiver_type is not None else []
+    positions += [i for i, p in enumerate(member.parameters) if is_reference(p.type)]
+    result = []
+    for flow in positions or [NO_INPUT]:
+        free = []
+        if receiver_type is not None and flow != RECEIVER:
+            free.append(FreeVariable(receiver_type.variable_stem + "0", receiver_type))
+        for i, p in enumerate(member.parameters):
+            if i != flow:
+                free.append(FreeVariable(p.type.variable_stem + str(i + 1), p.type))
+        result.append(tuple(free))
+    return result
+
+
+class TestSharedFreeVariables:
+    def test_variants_share_one_variable_per_parameter(self):
+        m = Method(A, "mix", B, (Parameter("c", C), Parameter("s", STRING),
+                                 Parameter("n", PRIMITIVES["int"])))
+        via_receiver, via_c, via_s = instance_call(m)
+        receiver_var, c_var = via_s.free_variables[:2]
+        assert via_c.free_variables[0] is receiver_var
+        assert via_receiver.free_variables[0] is c_var
+        assert via_receiver.free_variables[1] is via_c.free_variables[1]
+        assert via_receiver.free_variables[2] is via_c.free_variables[2]
+        assert via_s.free_variables[2] is via_c.free_variables[2]
+
+    def test_free_variables_equal_the_parent_construction(self, standard_prospector):
+        shared = 0  # members with two or more parameter flows
+        for decl in standard_prospector.registry.all_declarations():
+            for m in decl.methods:
+                receiver = None if m.static else m.owner
+                variants = static_call(m) if m.static else instance_call(m)
+                got = [v.free_variables for v in variants]
+                assert got == parent_free_variables(m, receiver), m
+                shared += len(got) - (receiver is not None) > 1
+            for c in decl.constructors:
+                got = [v.free_variables for v in constructor_call(c)]
+                assert got == parent_free_variables(c, None), c
+                shared += len(got) > 1
+        assert shared > 10
 
 
 class TestRenderParts:

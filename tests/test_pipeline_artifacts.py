@@ -247,6 +247,29 @@ class TestProspectorRestart:
                 assert second.verdicts is None
                 assert sorted(render(second, query)) == sorted(render(first, query))
 
+    def test_edited_verdict_is_a_store_fault(self, tmp_path, small_registry):
+        # A valid-JSON edit of one verdict: only the manifest's digest of
+        # the section can tell it from the saved one.
+        corpus = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
+        first = Prospector(small_registry, corpus)
+        snap = tmp_path / "g.snap"
+        first.save_snapshot(snap)
+        head, _, payload = snap.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        pair = header["analysis"]["pairs"][0]
+        assert pair["verdict"] == "justified"
+        pair["verdict"] = "inviable"
+        snap.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+        for load_stages in (True, False):
+            second = Prospector.from_snapshot(snap, load_stages=load_stages)
+            diagnostics = second.store_diagnostics
+            assert [fault.stage for fault in diagnostics.faults] == [STAGE_ANALYSIS]
+            assert "SHA-256 mismatch" in diagnostics.summary()
+            if load_stages:  # the sidecar's verdicts, not the edited ones
+                assert second.verdicts.to_dict() == first.verdicts.to_dict()
+            else:
+                assert second.verdicts is None
+
 
 def render(prospector, query):
     return [s.jungloid.render_expression("x") for s in prospector.query(*query)]

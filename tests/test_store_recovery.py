@@ -6,6 +6,8 @@ damage and a query still answers via the ladder, with the rung taken
 visible in the diagnostics.
 """
 
+import json
+
 import pytest
 
 from repro import Prospector, ProspectorConfig
@@ -20,6 +22,7 @@ from repro.store import (
     RUNG_CURRENT,
     RUNG_PREVIOUS,
     RUNG_REBUILD,
+    STAGE_ANALYSIS,
     SnapshotStore,
     StoreDiagnostics,
     StoreRecoveryError,
@@ -211,6 +214,17 @@ class TestRepair:
         # NOT clobbered by the damaged file.
         assert not verify_snapshot(saved_store).faults
         assert saved_store.previous_path.read_bytes() == prev_before
+
+    def test_repair_drops_an_edited_analysis_section(self, saved_store):
+        head, _, payload = saved_store.path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["analysis"]["pairs"][0]["verdict"] = "inviable"
+        saved_store.path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert [f.stage for f in verify_snapshot(saved_store).faults] == [STAGE_ANALYSIS]
+        recovered = repair(saved_store)
+        assert recovered.rung_used == RUNG_CURRENT and recovered.analysis is None
+        assert verify_snapshot(saved_store).ok
+        assert saved_store.load().analysis is None
 
     def test_repair_rebuilds_when_no_previous(self, saved_store, small_prospector):
         corrupt_file(saved_store.path, lambda b: truncate_bytes(b, 20))

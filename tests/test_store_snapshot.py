@@ -13,6 +13,7 @@ from repro.store import (
     SnapshotManifest,
     SnapshotReadError,
     SnapshotStore,
+    analysis_digest,
     atomic_write_bytes,
     atomic_write_text,
     payload_digest,
@@ -200,6 +201,89 @@ class TestSchemaVersions:
         )
         # Undecoded: the Prospector's decode records it as a fault.
         assert store.load().analysis == "not-a-dict"
+
+
+def rewrite_header(store, edit):
+    """Apply ``edit`` to the parsed header and write it back, payload as is."""
+    head, _, payload = store.path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    edit(header)
+    store.path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+class TestAnalysisDigest:
+    @pytest.fixture()
+    def store(self, tmp_path, small_prospector):
+        store = SnapshotStore(tmp_path / "graph.psnap")
+        store.save(
+            small_prospector.registry,
+            small_prospector.mined_jungloids,
+            analysis=small_prospector.verdicts.to_dict(),
+        )
+        return store
+
+    def test_manifest_digests_the_section(self, store, small_prospector):
+        loaded = store.load()
+        analysis = small_prospector.verdicts.to_dict()
+        assert SCHEMA_VERSION == 4
+        assert loaded.manifest.analysis_sha256 == analysis_digest(analysis)
+        assert loaded.analysis == analysis and loaded.analysis_fault is None
+
+    def test_no_section_no_digest(self, tmp_path, small_registry):
+        store = SnapshotStore(tmp_path / "graph.psnap")
+        assert store.save(small_registry).analysis_sha256 is None
+        loaded = store.load()
+        assert loaded.analysis is None and loaded.analysis_fault is None
+
+    def test_digest_ignores_key_order_and_whitespace(self, store):
+        # rewrite_header also re-serializes with spaces after separators.
+        def reorder(header):
+            header["analysis"]["pairs"] = [
+                dict(reversed(list(pair.items()))) for pair in header["analysis"]["pairs"]
+            ]
+
+        rewrite_header(store, reorder)
+        assert store.load().analysis_fault is None
+
+    def test_edited_verdict_is_a_fault(self, store):
+        def edit(header):
+            assert header["analysis"]["pairs"][0]["verdict"] == "justified"
+            header["analysis"]["pairs"][0]["verdict"] = "inviable"
+
+        rewrite_header(store, edit)
+        loaded = store.load()
+        assert loaded.analysis["pairs"][0]["verdict"] == "inviable"  # as read
+        assert "SHA-256 mismatch" in loaded.analysis_fault
+
+    def test_missing_digest_is_a_fault(self, store):
+        rewrite_header(store, lambda header: header["manifest"].pop("analysis_sha256"))
+        assert "no analysis_sha256" in store.load().analysis_fault
+
+    def test_dropped_section_is_a_fault(self, store):
+        rewrite_header(store, lambda header: header.pop("analysis"))
+        loaded = store.load()
+        assert loaded.analysis is None
+        assert "lacks" in loaded.analysis_fault
+
+    def test_v3_section_loads_unchecked(self, store):
+        def downgrade(header):
+            header["schema_version"] = 3
+            header["manifest"].pop("analysis_sha256")
+            header["analysis"]["pairs"][0]["verdict"] = "inviable"
+
+        rewrite_header(store, downgrade)
+        loaded = store.load()
+        assert loaded.migrated_from == 3
+        assert loaded.analysis_fault is None
+        assert loaded.analysis["pairs"][0]["verdict"] == "inviable"
+
+    def test_malformed_digest_is_a_format_error(self, store):
+        def corrupt(header):
+            header["manifest"]["analysis_sha256"] = 7
+
+        rewrite_header(store, corrupt)
+        with pytest.raises(SnapshotFormatError, match="analysis_sha256"):
+            store.load()
 
 
 class TestInjectableReader:
