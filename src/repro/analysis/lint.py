@@ -35,21 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..corpus.loader import resolve_and_check_lenient
+from ..corpus.loader import load_corpus_texts
 from ..minijava import (
     AssignStmt,
-    CompilationUnit,
     LocalVarDecl,
-    MiniJavaError,
     Position,
     VarRef,
     check_program,
-    parse_minijava,
     statement_expressions,
     walk_expressions,
     walk_statements,
 )
-from ..robustness import CorpusDiagnostics, PHASE_PARSE
+from ..robustness import PHASE_PARSE
 from ..typesystem import TypeRegistry
 from .castsafety import CastAnalyzer, classify_pair, group_observations
 from .verdicts import CastVerdict
@@ -184,24 +181,13 @@ def run_lint(
     choice because grafting is comparatively expensive.
     """
     report = LintReport()
-    texts = list(texts)
 
-    # Pass 1: parse (JL001).
-    load_diags = CorpusDiagnostics()
-    units: List[CompilationUnit] = []
-    for source, text in texts:
-        try:
-            units.append(parse_minijava(text, source))
-        except MiniJavaError as exc:
-            load_diags.record(source, PHASE_PARSE, exc)
-
-    # Pass 2: resolve leniently, check=False (JL002). Checking here with
-    # quarantine on would eject precisely the files whose type issues we
-    # want to surface.
-    registry, units, corpus_types, _ = resolve_and_check_lenient(
-        api_registry, units, load_diags, check=False
-    )
-    for fault in load_diags.faults:
+    # Passes 1-2: parse (JL001) and resolve leniently (JL002), with
+    # check=False: checking here with quarantine on would eject precisely
+    # the files whose type issues we want to surface.
+    program = load_corpus_texts(api_registry, texts, check=False, lenient=True)
+    registry, units = program.registry, program.units
+    for fault in program.diagnostics.faults:
         code = "JL001" if fault.phase == PHASE_PARSE else "JL002"
         report.record(
             Diagnostic(code=code, message=fault.error, source=fault.source)
@@ -227,7 +213,7 @@ def run_lint(
     # Pass 4: flow analysis (JL102) — type-plausible casts whose every
     # corpus flow is definite and incompatible. Implausible pairs were
     # already reported as JL101 by the checker; skip them here.
-    analyzer = CastAnalyzer(registry, units, corpus_types)
+    analyzer = CastAnalyzer(registry, units, program.corpus_types)
     observations = analyzer.analyze_all()
     for pair, group in sorted(group_observations(observations).items()):
         finding = classify_pair(group)

@@ -36,6 +36,7 @@ from .eval import classify_stuck_cases, run_prototype_test, run_table1, simulate
 from .graph import BundleFormatError, bundle_to_json, graph_stats
 from .minijava import MiniJavaError
 from .store import (
+    RUNG_CURRENT,
     SnapshotError,
     SnapshotStore,
     StoreRecoveryError,
@@ -321,7 +322,10 @@ def _cmd_index_repair(args: argparse.Namespace) -> int:
         print(f"{args.path}: already sound, nothing to repair")
     else:
         print(recovered.diagnostics.summary(), file=sys.stderr)
-        print(f"{args.path}: rewritten from {recovered.rung_used}")
+        if recovered.rung_used == RUNG_CURRENT:
+            print(f"{args.path}: rewritten without its analysis section")
+        else:
+            print(f"{args.path}: rewritten from {recovered.rung_used}")
     return EXIT_OK
 
 
@@ -353,12 +357,12 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
 
     prospector = Prospector.from_snapshot(args.path, rebuild=_rebuild)
     if prospector.pipeline is None:
-        # No usable stage sidecar (old snapshot, or damaged): degrade to
+        # No usable stage file (old snapshot, or damaged): degrade to
         # a full rebuild from the corpus, which recreates the pipeline —
         # the update below then runs against it and the save writes a
-        # fresh sidecar, so the *next* update is incremental again.
+        # fresh stage file, so the *next* update is incremental again.
         print(
-            f"note: no stage sidecar for {args.path};"
+            f"note: no usable stage file for {args.path};"
             " rebuilding from corpus (next update will be incremental)",
             file=sys.stderr,
         )
@@ -643,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     iu = ix_sub.add_parser(
         "update",
         help="apply corpus file edits to an existing snapshot incrementally"
-        " (re-mines only touched files via the stage sidecar)",
+        " (re-mines only touched files via the stage file)",
     )
     iu.add_argument("path", help="snapshot file to update in place")
     iu.add_argument(

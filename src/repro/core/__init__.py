@@ -4,7 +4,7 @@ from .compose import ComposedSnippet, CompositionStep, complete_free_variables
 from .context import CursorContext, VisibleVariable
 from .prospector import Prospector, ProspectorConfig
 from .query import Query, TypeSpec, resolve_type_spec
-from .results import Synthesis, number_results
+from .results import Synthesis
 
 __all__ = [
     "ComposedSnippet",
@@ -17,6 +17,5 @@ __all__ = [
     "TypeSpec",
     "VisibleVariable",
     "complete_free_variables",
-    "number_results",
     "resolve_type_spec",
 ]

@@ -79,7 +79,6 @@ class Prospector:
     ):
         self.registry = registry
         self.config = config
-        self.corpus = corpus
         self.clock = clock
         #: Recovery report when this instance came from a snapshot load.
         self.store_diagnostics = store_diagnostics
@@ -91,31 +90,31 @@ class Prospector:
                 public_only=config.public_only,
             )
         #: The staged incremental pipeline, the one way a corpus becomes
-        #: a graph; :meth:`update_corpus` needs it. ``None`` for a
-        #: snapshot instance without a usable stage sidecar.
+        #: a graph and the one owner of the corpus state; :meth:`update_corpus`
+        #: needs it. ``None`` without a corpus, and for a snapshot
+        #: instance without a usable stage file.
         self.pipeline: Optional[CorpusPipeline] = pipeline
         if pipeline is not None:
-            self.mining: Optional[MiningResult] = pipeline.mining
-            self.corpus = pipeline.program
-            mined_list = list(pipeline.suffixes)
+            self._snapshot_mined: Tuple[Jungloid, ...] = ()
             self.graph = pipeline.graph
             #: Cast-verdict index: the pipeline's, or None (snapshot
             #: instances adopt theirs via set_verdicts).
             self.verdicts: Optional[CastVerdictIndex] = pipeline.verdicts
         else:
             # Pre-mined jungloids (snapshot fast-start) or no corpus at all.
-            self.mining = None
-            mined_list = list(mined or ())
+            self._snapshot_mined = tuple(mined or ())
             # ``graph`` is already built from ``mined`` (a snapshot load's
             # audit graph) when given.
             self.graph = graph if graph is not None else JungloidGraph.build(
-                registry, mined_list, public_only=config.public_only
+                registry, self._snapshot_mined, public_only=config.public_only
             )
             self.verdicts = None
-        #: The mined jungloids the graph was spliced with — what a
-        #: snapshot persists alongside the registry.
-        self.mined_jungloids: Tuple[Jungloid, ...] = tuple(mined_list)
         self._fallback_verdicts: Optional[CastVerdictIndex] = None
+        #: The program the argument examples were mined from, and them.
+        self._arguments: Tuple[Optional[CorpusProgram], List[ArgumentExample]] = (
+            None,
+            [],
+        )
         self.search = GraphSearch(
             self.graph,
             cost_model=config.cost_model,
@@ -155,7 +154,6 @@ class Prospector:
         max_rebuild_attempts: int = 3,
         backoff_ms: float = 50.0,
         sleep: Optional[Callable[[float], None]] = None,
-        load_stages: bool = True,
     ) -> "Prospector":
         """Fast-start from a persisted snapshot, surviving damage.
 
@@ -166,22 +164,21 @@ class Prospector:
         :class:`~repro.store.StoreRecoveryError` only if every rung
         fails.
 
-        A header ``analysis`` section that fails its manifest digest or
-        fails to decode leaves the instance verdict-less and is recorded
-        as a :data:`~repro.store.STAGE_ANALYSIS` fault.
-
-        When ``load_stages`` is true and a stage sidecar saved with the
-        loaded snapshot generation sits next to it, the incremental
-        pipeline is rehydrated from it so :meth:`update_corpus` stays
-        incremental across restarts. A missing, damaged or unbound
-        sidecar (one saved with another generation, as after a fall
-        back to ``<path>.prev``) silently degrades to a query-only
-        instance (updates then rebuild from scratch) — the sidecar is
-        an accelerator, never a correctness dependency.
+        When the stage file next to the snapshot hashes to the loaded
+        manifest's ``stages_sha256``, the incremental pipeline is
+        rehydrated from it over the audit graph, so :meth:`update_corpus`
+        stays incremental across restarts and the pipeline's verdicts
+        serve. A missing, damaged or foreign stage file (one saved with
+        another generation, as after a fall back to ``<path>.prev``)
+        leaves a query-only instance (updates then rebuild from
+        scratch) — the stage file is an accelerator, never a correctness
+        dependency. Such an instance serves the header ``analysis``
+        section's verdicts; a section that fails its manifest digest or
+        fails to decode leaves it verdict-less and is recorded as a
+        :data:`~repro.store.STAGE_ANALYSIS` fault.
         """
-        store = SnapshotStore(path)
         recovered: RecoveredStore = load_with_recovery(
-            store,
+            SnapshotStore(path),
             rebuild=rebuild,
             max_rebuild_attempts=max_rebuild_attempts,
             backoff_ms=backoff_ms,
@@ -190,6 +187,20 @@ class Prospector:
         # The load audit built this very graph; reuse it when it has the
         # flavour this instance serves.
         graph = recovered.graph if recovered.public_only == config.public_only else None
+        pipeline = None
+        if recovered.manifest is not None:
+            data = try_load_stage_sidecar(path, recovered.manifest.stages_sha256)
+            if data is not None:
+                try:
+                    pipeline = CorpusPipeline.from_artifacts(
+                        recovered.registry,
+                        data,
+                        graph=graph,
+                        extraction=config.extraction,
+                        public_only=config.public_only,
+                    )
+                except Exception:  # noqa: BLE001 — serve the snapshot's answers
+                    pass
         prospector = cls(
             recovered.registry,
             None,
@@ -197,14 +208,13 @@ class Prospector:
             clock,
             mined=recovered.mined,
             store_diagnostics=recovered.diagnostics,
+            pipeline=pipeline,
             graph=graph,
         )
-        if recovered.analysis is not None:
+        if pipeline is None and recovered.analysis is not None:
             try:
                 prospector.set_verdicts(
-                    CastVerdictIndex.from_dict(
-                        prospector.registry, recovered.analysis
-                    )
+                    CastVerdictIndex.from_dict(recovered.registry, recovered.analysis)
                 )
             except Exception as exc:  # noqa: BLE001 — serve verdict-less
                 recovered.diagnostics.record(
@@ -212,62 +222,31 @@ class Prospector:
                     STAGE_ANALYSIS,
                     f"analysis section unusable: {exc!r}",
                 )
-        if load_stages and recovered.manifest is not None:
-            prospector._adopt_stage_sidecar(path, recovered.manifest.payload_sha256)
         return prospector
-
-    def _adopt_stage_sidecar(self, path: os.PathLike, snapshot_sha256: str) -> bool:
-        """Rehydrate :attr:`pipeline` from a snapshot's stage sidecar.
-
-        ``snapshot_sha256`` is the payload digest of the generation
-        actually loaded; a sidecar saved with another one is refused.
-        Best-effort: any damage or format drift leaves the instance as
-        loaded (snapshot answers stay authoritative) and returns False.
-        """
-        data = try_load_stage_sidecar(path, snapshot_sha256)
-        if data is None:
-            return False
-        try:
-            pipeline = CorpusPipeline.from_artifacts(
-                self.registry,
-                data,
-                graph=self.graph,
-                extraction=self.config.extraction,
-                public_only=self.config.public_only,
-            )
-        except Exception:
-            return False
-        self.pipeline = pipeline
-        self.mining = pipeline.mining
-        self.corpus = pipeline.program
-        self.mined_jungloids = tuple(pipeline.suffixes)
-        if pipeline.verdicts is not None:
-            self.set_verdicts(pipeline.verdicts)
-        self._argument_examples_cache = None
-        return True
 
     def save_snapshot(self, path: os.PathLike, rotate: bool = True) -> SnapshotManifest:
         """Persist the registry + mined jungloids atomically (with
         checksum manifest and a retained previous generation).
 
         When the instance carries an incremental pipeline, its stage
-        artifacts are persisted alongside in a ``.stages`` sidecar so a
-        later ``index update`` against this snapshot re-mines only
-        touched files."""
-        store = SnapshotStore(path)
-        manifest = store.save(
+        artifacts are written first to the ``.stages`` file, whose
+        SHA-256 the snapshot's manifest then records, so a later
+        ``index update`` against this snapshot re-mines only touched
+        files."""
+        stages_sha256 = (
+            save_stage_sidecar(path, self.pipeline.to_stage_dict())
+            if self.pipeline is not None
+            else None
+        )
+        return SnapshotStore(path).save(
             self.registry,
             self.mined_jungloids,
             graph=self.graph,
             public_only=self.config.public_only,
             rotate=rotate,
             analysis=self.verdicts.to_dict() if self.verdicts is not None else None,
+            stages_sha256=stages_sha256,
         )
-        if self.pipeline is not None:
-            save_stage_sidecar(
-                path, self.pipeline.to_stage_dict(), manifest.payload_sha256
-            )
-        return manifest
 
     # ------------------------------------------------------------------
     # Incremental corpus updates
@@ -287,21 +266,35 @@ class Prospector:
         into the live graph — unaffected distance-cache entries survive.
 
         Requires the instance to have been built from a corpus (possibly
-        empty) or a stage sidecar; raises :class:`RuntimeError` otherwise.
+        empty) or a stage file; raises :class:`RuntimeError` otherwise.
         """
         if self.pipeline is None:
             raise RuntimeError(
                 "update_corpus needs the incremental pipeline; this instance "
-                "was built without a corpus or a usable stage sidecar"
+                "was built without a corpus or a usable stage file"
             )
         stats = self.pipeline.update(upserts, removes)
-        self.mining = self.pipeline.mining
-        self.corpus = self.pipeline.program
-        self.mined_jungloids = tuple(self.pipeline.suffixes)
         # The pipeline grafts into the graph self.search already serves.
         self.set_verdicts(self.pipeline.verdicts)
-        self._argument_examples_cache = None
         return stats
+
+    @property
+    def corpus(self) -> Optional[CorpusProgram]:
+        """The pipeline's current corpus program, if there is a pipeline."""
+        return self.pipeline.program if self.pipeline is not None else None
+
+    @property
+    def mining(self) -> Optional[MiningResult]:
+        """The pipeline's current mining result, if there is a pipeline."""
+        return self.pipeline.mining if self.pipeline is not None else None
+
+    @property
+    def mined_jungloids(self) -> Tuple[Jungloid, ...]:
+        """The mined jungloids the graph was spliced with — what a
+        snapshot persists alongside the registry."""
+        if self.pipeline is not None:
+            return self.pipeline.suffixes
+        return self._snapshot_mined
 
     # ------------------------------------------------------------------
     # Static viability analysis
@@ -454,17 +447,18 @@ class Prospector:
     # ------------------------------------------------------------------
 
     def _argument_examples(self) -> List[ArgumentExample]:
-        if self.corpus is None:
+        """The current corpus program's argument examples, mined once per
+        program (an update replaces the program)."""
+        corpus = self.corpus
+        if corpus is None:
             return []
-        cached = getattr(self, "_argument_examples_cache", None)
-        if cached is None:
-            cached = ArgumentMiner(
-                self.corpus.registry,
-                self.corpus.units,
-                self.corpus.corpus_types,
+        program, examples = self._arguments
+        if program is not corpus:
+            examples = ArgumentMiner(
+                corpus.registry, corpus.units, corpus.corpus_types
             ).mine_arguments()
-            self._argument_examples_cache = cached
-        return cached
+            self._arguments = (corpus, examples)
+        return examples
 
     def suggest_arguments(
         self, owner: TypeSpec, method_name: str, parameter_index: int = 0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.verdicts import JungloidVerdict
 from ..jungloids import FreeVariable, JavaSnippet, Jungloid, render_inline, render_statements
@@ -47,12 +47,3 @@ class Synthesis:
     def __str__(self) -> str:
         return f"#{self.rank} {self.jungloid.describe()}"
 
-
-def number_results(
-    jungloids: Sequence[Jungloid], source_types: Sequence[JavaType]
-) -> List[Synthesis]:
-    """Attach 1-based ranks to an already-sorted result list."""
-    return [
-        Synthesis(rank=i + 1, jungloid=j, source_type=s)
-        for i, (j, s) in enumerate(zip(jungloids, source_types))
-    ]

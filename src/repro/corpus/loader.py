@@ -72,6 +72,11 @@ class CorpusProgram:
     #: (including quarantined files). The incremental pipeline needs the
     #: originals to fingerprint and re-slice on :meth:`update_corpus`.
     texts: List[Tuple[str, str]] = field(default_factory=list)
+    #: The records of the load's body resolution, which a pipeline built
+    #: from this program adopts instead of resolving the bodies again.
+    resolution_cache: Optional[ResolutionCache] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def class_count(self) -> int:
@@ -96,20 +101,35 @@ def load_corpus_texts(
     instead of raising.
     """
     texts = list(texts)
-    if lenient:
-        return _load_corpus_texts_lenient(api_registry, texts, check=check)
-    registry = clone_registry(api_registry)
-    units = [parse_minijava(text, source) for source, text in texts]
-    corpus_types = resolve_program(registry, units)
-    report = check_program(registry, units) if check else None
-    if report is not None:
-        report.raise_if_failed()
+    diagnostics = CorpusDiagnostics() if lenient else None
+    units: List[CompilationUnit] = []
+    for source, text in texts:
+        try:
+            units.append(parse_minijava(text, source))
+        except MiniJavaError as exc:
+            if diagnostics is None:
+                raise
+            diagnostics.record(source, PHASE_PARSE, exc)
+    cache = ResolutionCache()
+    if diagnostics is not None:
+        registry, units, corpus_types, report = resolve_and_check_lenient(
+            api_registry, units, diagnostics, check, cache
+        )
+        diagnostics.loaded = [u.source for u in units]
+    else:
+        registry = clone_registry(api_registry)
+        corpus_types = resolve_program(registry, units, cache=cache)
+        report = check_program(registry, units, cache) if check else None
+        if report is not None:
+            report.raise_if_failed()
     return CorpusProgram(
         units=units,
         registry=registry,
         corpus_types=corpus_types,
         check_report=report,
+        diagnostics=diagnostics,
         texts=texts,
+        resolution_cache=cache,
     )
 
 
@@ -151,34 +171,6 @@ def load_corpus_files(
 # ----------------------------------------------------------------------
 
 
-def _load_corpus_texts_lenient(
-    api_registry: TypeRegistry, texts: Iterable[Tuple[str, str]], check: bool
-) -> CorpusProgram:
-    texts = list(texts)
-    diagnostics = CorpusDiagnostics()
-
-    units: List[CompilationUnit] = []
-    for source, text in texts:
-        try:
-            units.append(parse_minijava(text, source))
-        except MiniJavaError as exc:
-            diagnostics.record(source, PHASE_PARSE, exc)
-
-    registry, units, corpus_types, report = resolve_and_check_lenient(
-        api_registry, units, diagnostics, check=check
-    )
-
-    diagnostics.loaded = [u.source for u in units]
-    return CorpusProgram(
-        units=units,
-        registry=registry,
-        corpus_types=corpus_types,
-        check_report=report,
-        diagnostics=diagnostics,
-        texts=texts,
-    )
-
-
 def resolve_and_check_lenient(
     api_registry: TypeRegistry,
     units: Sequence[CompilationUnit],
@@ -188,10 +180,10 @@ def resolve_and_check_lenient(
 ) -> Tuple[TypeRegistry, List[CompilationUnit], List[NamedType], Optional[CheckReport]]:
     """Resolve (and optionally check) parsed units with fault quarantine.
 
-    The resolution/check half of the lenient load, factored out so the
-    incremental pipeline can re-run it over cached parsed units without
-    re-reading or re-parsing anything; its ``cache`` lets every attempt
-    skip the bodies of units whose lookups did not change.
+    The resolution/check half of the lenient load, shared with the
+    incremental pipeline, which re-runs it over cached parsed units
+    without re-reading or re-parsing anything; its ``cache`` lets every
+    attempt skip the bodies of units whose lookups did not change.
     """
     registry, units, corpus_types = _resolve_lenient(
         api_registry, units, diagnostics, cache

@@ -5,7 +5,7 @@ See :mod:`.pipeline` for the stage breakdown. The public surface:
 * :class:`CorpusPipeline` — build once, then :meth:`~CorpusPipeline.update`
   with file-level edits; only touched artifacts recompute.
 * :class:`FileMineRecord` / stage (de)serializers — the persistable
-  per-file artifacts the snapshot sidecar stores.
+  per-file artifacts a snapshot's stage file stores.
 * fingerprint helpers — content hashing and diffing for corpus files.
 """
 

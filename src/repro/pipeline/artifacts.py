@@ -15,7 +15,7 @@ cached examples are still valid:
   and widening chains read the hierarchy those files define).
 
 Records serialize to plain JSON dicts so the snapshot store can persist
-the whole stage as a sidecar; examples round-trip through the member
+the whole stage as its stage file; examples round-trip through the member
 serializers in :mod:`repro.graph.serialize`, which means deserialization
 needs the corpus-augmented registry (mined steps may reference client
 types) — the pipeline re-resolves its cached texts first and only then
@@ -121,6 +121,7 @@ def stages_to_dict(
     extraction_config: dict,
     min_precast_steps: int,
     lenient: bool,
+    check: bool,
 ) -> dict:
     """The persistable form of the pipeline's staged state."""
     return {
@@ -130,6 +131,7 @@ def stages_to_dict(
         "extraction_config": dict(extraction_config),
         "min_precast_steps": int(min_precast_steps),
         "lenient": bool(lenient),
+        "check": bool(check),
     }
 
 

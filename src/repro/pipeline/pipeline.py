@@ -355,8 +355,12 @@ class CorpusPipeline:
 
         Load discipline is inferred from the program: a quarantine
         report means it was loaded leniently, a check report means
-        checking was on. An empty program (no units, no texts) yields an
-        empty pipeline that later updates can fill.
+        checking was on. The program must have been loaded against
+        ``api_registry``: the pipeline adopts its parsed units and its
+        :class:`~repro.minijava.ResolutionCache`, so the initial sync
+        re-resolves no body the loader resolved. An empty program (no
+        units, no texts) yields an empty pipeline that later updates can
+        fill.
         """
         if program.units and not program.texts:
             raise ValueError("program has no retained texts; cannot build a pipeline")
@@ -368,8 +372,10 @@ class CorpusPipeline:
             check=program.check_report is not None,
             public_only=public_only,
         )
-        # Seed the parse cache with the program's already-parsed units so
-        # the initial sync only re-resolves (idempotent) and mines.
+        # Seed the parse and resolution caches with the program's so the
+        # initial sync only re-declares and mines.
+        if program.resolution_cache is not None:
+            pipeline._resolution_cache = program.resolution_cache
         fps = fingerprint_texts(program.texts)
         for unit in program.units:
             if unit.source in fps:
@@ -384,7 +390,6 @@ class CorpusPipeline:
         data: dict,
         graph: Optional[JungloidGraph] = None,
         extraction: Optional[ExtractionConfig] = None,
-        check: bool = True,
         public_only: bool = True,
     ) -> "CorpusPipeline":
         """Rebuild a pipeline from persisted stage artifacts.
@@ -394,7 +399,7 @@ class CorpusPipeline:
         it — empty when the artifacts and snapshot agree, corrective
         when they drifted. Cached mined examples are revalidated against
         their recorded dependency fingerprints before reuse, so a
-        tampered or stale sidecar degrades to re-mining, never to wrong
+        tampered or stale stage file degrades to re-mining, never to wrong
         answers. Passing ``extraction`` different from the persisted
         config discards the cached examples (they were mined under other
         budgets).
@@ -410,7 +415,7 @@ class CorpusPipeline:
             extraction=config,
             min_precast_steps=int(data["min_precast_steps"]),
             lenient=bool(data.get("lenient", True)),
-            check=check,
+            check=bool(data.get("check", True)),
             public_only=public_only,
         )
         if config == stored:
@@ -450,6 +455,7 @@ class CorpusPipeline:
             asdict(self.extraction),
             self.min_precast_steps,
             self.lenient,
+            self.check,
         )
 
     # ------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .diagnostics import (
     PHASE_PARSE,
     PHASE_READ,
     PHASE_RESOLVE,
-    format_faults,
 )
 from .faults import (
     ByteMutator,
@@ -31,7 +30,6 @@ from .faults import (
     FlakyEdgeArray,
     FlakyFileSystem,
     InjectedFault,
-    blank_text,
     corrupt_corpus,
     corrupt_file,
     flip_byte,
@@ -78,11 +76,9 @@ __all__ = [
     "RUNG_SHORTEST_PATH",
     "RUNG_ZERO_EXTRA",
     "SYSTEM_CLOCK",
-    "blank_text",
     "corrupt_corpus",
     "corrupt_file",
     "flip_byte",
-    "format_faults",
     "garble_text",
     "truncate_bytes",
     "truncate_text",

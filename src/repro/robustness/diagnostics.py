@@ -10,7 +10,7 @@ caller can audit exactly what was left out of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 #: Corpus-loading phases, in pipeline order.
 PHASE_READ = "read"
@@ -92,8 +92,3 @@ class ExtractionFault:
 
     def __str__(self) -> str:
         return f"{self.source} {self.method}() @{self.position}: {self.error}"
-
-
-def format_faults(faults: Sequence[object]) -> str:
-    """Multi-line rendering shared by CLI notices and test assertions."""
-    return "\n".join(str(f) for f in faults)

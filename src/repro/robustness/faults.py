@@ -122,11 +122,6 @@ def truncate_text(text: str, keep_fraction: float = 0.5) -> str:
     return text[: int(len(text) * keep_fraction)]
 
 
-def blank_text(text: str) -> str:
-    """Replace the file with whitespace (parses to an empty unit or fails)."""
-    return " \n"
-
-
 # ----------------------------------------------------------------------
 # Byte-level injectors for the snapshot store
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .errors import (
     SnapshotFormatError,
     SnapshotIntegrityError,
     SnapshotReadError,
-    StageSidecarMismatchError,
     StoreRecoveryError,
 )
 from .recovery import (
@@ -52,10 +51,7 @@ from .recovery import (
     verify_snapshot,
 )
 from .stages import (
-    STAGE_SIDECAR_FORMAT,
     STAGE_SIDECAR_SUFFIX,
-    STAGE_SIDECAR_VERSION,
-    load_stage_sidecar,
     save_stage_sidecar,
     stage_sidecar_path,
     try_load_stage_sidecar,
@@ -92,9 +88,7 @@ __all__ = [
     "STAGE_ANALYSIS",
     "STAGE_READ",
     "STAGE_REBUILD",
-    "STAGE_SIDECAR_FORMAT",
     "STAGE_SIDECAR_SUFFIX",
-    "STAGE_SIDECAR_VERSION",
     "STAGE_VERIFY",
     "STORE_LADDER",
     "SnapshotCorruptError",
@@ -104,7 +98,6 @@ __all__ = [
     "SnapshotManifest",
     "SnapshotReadError",
     "SnapshotStore",
-    "StageSidecarMismatchError",
     "StoreDiagnostics",
     "StoreFault",
     "StoreRecoveryError",
@@ -115,7 +108,6 @@ __all__ = [
     "audit_counts",
     "audit_graph",
     "audit_mined",
-    "load_stage_sidecar",
     "load_with_recovery",
     "payload_digest",
     "repair",

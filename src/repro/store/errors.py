@@ -41,12 +41,6 @@ class SnapshotIntegrityError(SnapshotError):
         self.issues: List[object] = list(issues or [])
 
 
-class StageSidecarMismatchError(SnapshotError):
-    """A stage sidecar is intact but was saved with another snapshot
-    generation than the one loaded, so its artifacts describe another
-    corpus."""
-
-
 class StoreRecoveryError(SnapshotError):
     """Every rung of the recovery ladder failed.
 

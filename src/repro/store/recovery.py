@@ -104,6 +104,9 @@ class StoreDiagnostics:
                 head = f"store failed: {len(tried)} rung(s) exhausted"
         elif self.ok:
             head = "store ok: current snapshot loaded"
+        elif self.rung_used == RUNG_CURRENT:
+            # The current rung's only faults are refused analysis sections.
+            head = "store degraded: current snapshot loaded without its analysis section"
         else:
             head = f"store degraded: recovered via {self.rung_used}"
         if self.migrated_from is not None:
@@ -230,7 +233,9 @@ def repair(
 
     The rewrite uses ``rotate=False``: when recovery came *from* the
     previous generation, rotating the damaged current file over it would
-    destroy the only good copy.
+    destroy the only good copy. It reuses the graph the load audit built
+    and keeps the loaded manifest's ``stages_sha256``, so a stage file
+    that belongs to the recovered generation stays adopted.
     """
     recovered = load_with_recovery(
         store,
@@ -240,11 +245,14 @@ def repair(
         sleep=sleep,
     )
     if not recovered.diagnostics.ok:
+        manifest = recovered.manifest
         store.save(
             recovered.registry,
             recovered.mined,
+            graph=recovered.graph,
             public_only=recovered.public_only,
             rotate=False,
             analysis=recovered.analysis,
+            stages_sha256=manifest.stages_sha256 if manifest is not None else None,
         )
     return recovered

@@ -6,7 +6,7 @@ on that artifact being *loadable* after any crash. This module gives the
 JSON bundle of :mod:`repro.graph.serialize` a durable envelope:
 
 * **Layout** — a snapshot file is one compact JSON header line
-  (``{"format": "prospector-snapshot", "schema_version": 4,
+  (``{"format": "prospector-snapshot", "schema_version": 5,
   "manifest": {...}}``) followed by the raw bundle JSON bytes. Keeping
   the payload as verbatim bytes (not re-embedded JSON) means the
   manifest's SHA-256 can be checked before any parsing happens, so a
@@ -22,12 +22,16 @@ JSON bundle of :mod:`repro.graph.serialize` a durable envelope:
   recognizes and upgrades it in memory, recording the migration.
   Version 2 is the headered format without the optional ``analysis``
   key; version 3 may carry the serialized cast-verdict index in the
-  header, leaving the payload bytes untouched. Version 4 (current) also
-  records the section's digest in the manifest (``analysis_sha256``,
-  over its canonical JSON), so an edited section is caught too.
+  header, leaving the payload bytes untouched. Version 4 also records
+  the section's digest in the manifest (``analysis_sha256``, over its
+  canonical JSON), so an edited section is caught too. Version 5
+  (current) also records the SHA-256 of the stage file saved with it
+  (``stages_sha256``; see :mod:`.stages`), so the manifest alone binds
+  the snapshot to its stage file.
   v1/v2 files load as migrations with ``analysis=None`` (verdicts are
   recomputed lazily); a v3 file loads as a migration with its section
-  unchecked.
+  unchecked; a v4 file loads as a migration whose stage file is not
+  adopted.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ from .errors import (
 SNAPSHOT_FORMAT = "prospector-snapshot"
 #: Current schema version. Version 1 is the bare legacy bundle;
 #: version 2 lacks the optional header ``analysis`` key; version 3
-#: carries it without a digest.
-SCHEMA_VERSION = 4
+#: carries it without a digest; version 4 lacks ``stages_sha256``.
+SCHEMA_VERSION = 5
 #: The first version whose manifest covers the ``analysis`` section.
 ANALYSIS_DIGEST_VERSION = 4
 #: Suffix of the retained previous generation.
@@ -132,6 +136,9 @@ class SnapshotManifest:
     #: :func:`analysis_digest` of the header's ``analysis`` section;
     #: ``None`` when the snapshot carries none.
     analysis_sha256: Optional[str] = None
+    #: SHA-256 of the stage file saved with this snapshot; ``None``
+    #: when it was saved without one (or predates schema 5).
+    stages_sha256: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -144,15 +151,15 @@ class SnapshotManifest:
             "public_only": self.public_only,
             "created_unix": self.created_unix,
             "analysis_sha256": self.analysis_sha256,
+            "stages_sha256": self.stages_sha256,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SnapshotManifest":
-        analysis_sha256 = data.get("analysis_sha256")
-        if analysis_sha256 is not None and not isinstance(analysis_sha256, str):
-            raise SnapshotFormatError(
-                f"manifest field malformed: analysis_sha256 {analysis_sha256!r}"
-            )
+        digests = {key: data.get(key) for key in ("analysis_sha256", "stages_sha256")}
+        for key, digest in digests.items():
+            if digest is not None and not isinstance(digest, str):
+                raise SnapshotFormatError(f"manifest field malformed: {key} {digest!r}")
         try:
             return cls(
                 payload_sha256=str(data["payload_sha256"]),
@@ -163,7 +170,7 @@ class SnapshotManifest:
                 edge_count=int(data["edge_count"]),
                 public_only=bool(data.get("public_only", True)),
                 created_unix=float(data.get("created_unix", 0.0)),
-                analysis_sha256=analysis_sha256,
+                **digests,
             )
         except KeyError as exc:
             raise SnapshotFormatError(f"manifest missing key {exc.args[0]!r}") from exc
@@ -261,6 +268,7 @@ class SnapshotStore:
         public_only: bool = True,
         rotate: bool = True,
         analysis: Optional[dict] = None,
+        stages_sha256: Optional[str] = None,
     ) -> SnapshotManifest:
         """Write an atomic checksummed snapshot; returns its manifest.
 
@@ -270,7 +278,9 @@ class SnapshotStore:
         ``analysis`` is the serialized cast-verdict index
         (:meth:`~repro.analysis.verdicts.CastVerdictIndex.to_dict`); it
         rides in the header under its own manifest digest, so the
-        payload checksum is unaffected.
+        payload checksum is unaffected. ``stages_sha256`` is the digest
+        :func:`~repro.store.stages.save_stage_sidecar` returned for the
+        stage file written just before.
         """
         mined = list(mined)
         if graph is None:
@@ -286,6 +296,7 @@ class SnapshotStore:
             public_only=public_only,
             created_unix=time.time(),
             analysis_sha256=None if analysis is None else analysis_digest(analysis),
+            stages_sha256=stages_sha256,
         )
         header_dict = {
             "format": SNAPSHOT_FORMAT,

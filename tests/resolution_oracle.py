@@ -2,9 +2,10 @@
 
 The incremental pipeline re-resolves only the units whose recorded
 lookups changed. Its contract is that after any sync the program looks
-exactly like a fresh lenient ``load_corpus_texts`` of the same texts:
-the same annotations on every unit, the same quarantine, and the same
-ranked answers with verdicts. This module renders each of those as
+exactly like a fresh lenient load of the same texts that resolves every
+body from scratch (:func:`fresh_program`, which uses no
+``ResolutionCache``): the same annotations on every unit, the same
+quarantine, and the same ranked answers with verdicts. This module renders each of those as
 plain values, and holds a small edit corpus over ``SMALL_API`` whose
 files call each other's classes, extend a class from another file,
 shadow simple names, overload a called method, and break.
@@ -15,7 +16,9 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro import Prospector
-from repro.corpus import load_corpus_texts
+from repro.corpus import CorpusProgram, resolve_and_check_lenient
+from repro.minijava import MiniJavaError, parse_minijava
+from repro.robustness import PHASE_PARSE, CorpusDiagnostics
 from repro.minijava.ast import statement_expressions, walk_expressions, walk_statements
 
 from .conftest import SMALL_CORPUS
@@ -79,9 +82,32 @@ def ranked_answers(prospector, queries=QUERIES) -> List[list]:
     ]
 
 
+def fresh_program(registry, texts: Sequence[Tuple[str, str]]) -> CorpusProgram:
+    """A lenient load of ``texts`` that resolves every body from scratch."""
+    diagnostics = CorpusDiagnostics()
+    units = []
+    for source, text in texts:
+        try:
+            units.append(parse_minijava(text, source))
+        except MiniJavaError as exc:
+            diagnostics.record(source, PHASE_PARSE, exc)
+    resolved, units, corpus_types, report = resolve_and_check_lenient(
+        registry, units, diagnostics
+    )
+    diagnostics.loaded = [u.source for u in units]
+    return CorpusProgram(
+        units=units,
+        registry=resolved,
+        corpus_types=corpus_types,
+        check_report=report,
+        diagnostics=diagnostics,
+        texts=list(texts),
+    )
+
+
 def assert_matches_fresh(registry, pipeline, texts: Sequence[Tuple[str, str]]) -> None:
     """The pipeline's program and answers equal a fresh lenient load's."""
-    fresh = load_corpus_texts(registry, texts, lenient=True)
+    fresh = fresh_program(registry, texts)
     live = pipeline.program
     assert [u.source for u in live.units] == [u.source for u in fresh.units]
     assert quarantine(live) == quarantine(fresh)

@@ -95,6 +95,22 @@ class TestIndexRepair:
         assert "rewritten from previous-generation" in captured.out
         assert main(["index", "verify", str(snap)]) == 0
 
+    def test_repair_names_a_dropped_analysis_section(self, tmp_path, data_files, capsys):
+        api, corpus = data_files
+        snap = _build(tmp_path, api, corpus)
+        head, _, payload = snap.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        pair = header["analysis"]["pairs"][0]
+        pair["verdict"] = "plausible" if pair["verdict"] != "plausible" else "inviable"
+        snap.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["index", "repair", str(snap)]) == 0
+        captured = capsys.readouterr()
+        assert "without its analysis section" in captured.err
+        assert "recovered via" not in captured.err
+        assert f"{snap}: rewritten without its analysis section" in captured.out
+        assert main(["index", "verify", str(snap)]) == 0
+
     def test_repair_by_corpus_rebuild(self, tmp_path, data_files, capsys):
         api, corpus = data_files
         snap = _build(tmp_path, api, corpus)
@@ -106,6 +122,38 @@ class TestIndexRepair:
         assert code == 0
         assert "rewritten from rebuild-from-corpus" in captured.out
         assert main(["index", "verify", str(snap)]) == 0
+
+
+class TestIndexUpdate:
+    def _update(self, snap, api, corpus, capsys):
+        code = main(
+            [
+                "index", "update", str(snap),
+                "--set", str(corpus),
+                "--api", str(api), "--corpus", str(corpus),
+            ]
+        )
+        assert code == 0
+        return capsys.readouterr()
+
+    def test_v4_snapshot_rebuilds_once_then_updates_incrementally(
+        self, tmp_path, data_files, capsys
+    ):
+        api, corpus = data_files
+        snap = _build(tmp_path, api, corpus)
+        head, _, payload = snap.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["schema_version"] = 4
+        header["manifest"].pop("stages_sha256")
+        snap.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        capsys.readouterr()
+        corpus.write_text(MINI_CORPUS + "// touched\n")
+        assert "rebuilding from corpus" in self._update(snap, api, corpus, capsys).err
+        assert json.loads(snap.read_bytes().partition(b"\n")[0])["schema_version"] == 5
+        corpus.write_text(MINI_CORPUS)
+        captured = self._update(snap, api, corpus, capsys)
+        assert "rebuilding" not in captured.err
+        assert "re-mined 1 file(s)" in captured.out
 
 
 class TestQuerySnapshot:

@@ -1,5 +1,5 @@
 """Tests for stage artifacts: fingerprints, per-file record round-trips,
-the snapshot stage sidecar, and incremental restarts."""
+the snapshot's stage file, and incremental restarts."""
 
 import itertools
 import json
@@ -21,10 +21,8 @@ from repro.pipeline import (
 from repro.store import (
     RUNG_PREVIOUS,
     STAGE_ANALYSIS,
-    SnapshotCorruptError,
     SnapshotStore,
-    StageSidecarMismatchError,
-    load_stage_sidecar,
+    payload_digest,
     save_stage_sidecar,
     stage_sidecar_path,
     try_load_stage_sidecar,
@@ -109,44 +107,81 @@ class TestFromArtifacts:
         assert reborn.last_stats.files_remined == ("handler.mj",)
 
 
-#: A stand-in snapshot payload digest for sidecars saved outside a store.
-GENERATION = "a" * 64
+#: Type-bad (it assigns an Object to a Panel), but it resolves.
+TYPE_BAD = """
+package client;
+import demo.ui.Panel;
+import demo.ui.Viewer;
+import demo.ui.Widget;
+import demo.ui.Item;
+public class Loose {
+  public Item pick(Viewer viewer, Widget w) {
+    Panel panel = viewer.getInput();
+    Item item = (Item) w;
+    return item;
+  }
+}
+"""
+
+
+class TestCheckSurvivesARestart:
+    def test_unchecked_corpus_stays_unchecked(self, tmp_path, small_registry):
+        texts = [("handler.mj", SMALL_CORPUS), ("loose.mj", TYPE_BAD)]
+        checked = load_corpus_texts(small_registry, texts, lenient=True)
+        assert checked.diagnostics.quarantined_sources() == ["loose.mj"]
+        first = Prospector(
+            small_registry,
+            load_corpus_texts(small_registry, texts, check=False, lenient=True),
+        )
+        assert first.corpus_diagnostics.quarantined_sources() == []
+        snap = tmp_path / "g.snap"
+        first.save_snapshot(snap)
+        second = Prospector.from_snapshot(snap)
+        assert second.pipeline is not None and not second.pipeline.check
+        assert second.corpus_diagnostics.quarantined_sources() == []
+        query = ("demo.ui.Widget", "demo.ui.Item")
+        assert render(second, query) == render(first, query)
 
 
 class TestSidecar:
     def test_save_load_round_trip(self, tmp_path, small_pipeline):
         snap = tmp_path / "g.snap"
         payload = small_pipeline.to_stage_dict()
-        written = save_stage_sidecar(snap, payload, GENERATION)
-        assert written == stage_sidecar_path(snap)
-        assert load_stage_sidecar(snap, GENERATION) == json.loads(json.dumps(payload))
+        digest = save_stage_sidecar(snap, payload)
+        assert digest == payload_digest(stage_sidecar_path(snap).read_bytes())
+        assert try_load_stage_sidecar(snap, digest) == json.loads(json.dumps(payload))
 
     def test_missing_and_damaged_sidecars(self, tmp_path, small_pipeline):
         snap = tmp_path / "g.snap"
-        assert try_load_stage_sidecar(snap, GENERATION) is None
-        path = save_stage_sidecar(snap, small_pipeline.to_stage_dict(), GENERATION)
+        assert try_load_stage_sidecar(snap, "a" * 64) is None
+        digest = save_stage_sidecar(snap, small_pipeline.to_stage_dict())
+        assert try_load_stage_sidecar(snap, None) is None  # no manifest digest
+        path = stage_sidecar_path(snap)
         raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF  # flip one payload byte
+        raw[len(raw) // 2] ^= 0xFF  # flip one byte
         path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotCorruptError):
-            load_stage_sidecar(snap, GENERATION)
-        assert try_load_stage_sidecar(snap, GENERATION) is None
+        assert try_load_stage_sidecar(snap, digest) is None
 
     def test_sidecar_is_bound_to_its_snapshot_generation(self, tmp_path, small_pipeline):
+        # The manifest's digest is the binding: a stage file written for
+        # another generation, or edited into valid JSON, is refused.
         snap = tmp_path / "g.snap"
-        save_stage_sidecar(snap, small_pipeline.to_stage_dict(), GENERATION)
-        assert load_stage_sidecar(snap, GENERATION)
-        with pytest.raises(StageSidecarMismatchError):
-            load_stage_sidecar(snap, "b" * 64)
-        assert try_load_stage_sidecar(snap, "b" * 64) is None
+        data = small_pipeline.to_stage_dict()
+        digest = save_stage_sidecar(snap, data)
+        assert try_load_stage_sidecar(snap, digest)
+        data["texts"][0][1] += "\n// edited\n"
+        newer = save_stage_sidecar(snap, data)
+        assert newer != digest
+        assert try_load_stage_sidecar(snap, digest) is None
+        assert try_load_stage_sidecar(snap, newer) == data
 
     def test_truncated_sidecar_rejected(self, tmp_path, small_pipeline):
         snap = tmp_path / "g.snap"
-        path = save_stage_sidecar(snap, small_pipeline.to_stage_dict(), GENERATION)
+        digest = save_stage_sidecar(snap, small_pipeline.to_stage_dict())
+        path = stage_sidecar_path(snap)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
-        with pytest.raises(SnapshotCorruptError):
-            load_stage_sidecar(snap, GENERATION)
+        assert try_load_stage_sidecar(snap, digest) is None
 
 
 class TestProspectorRestart:
@@ -207,12 +242,10 @@ class TestProspectorRestart:
 
         second = Prospector.from_snapshot(snap)
         assert second.store_diagnostics.rung_used == RUNG_PREVIOUS
-        assert second.pipeline is None  # B's intact sidecar is refused
-        assert load_stage_sidecar(snap, newer.payload_sha256)
-        with pytest.raises(StageSidecarMismatchError):
-            load_stage_sidecar(
-                snap, SnapshotStore(snap).load("previous").manifest.payload_sha256
-            )
+        assert second.pipeline is None  # B's intact stage file is refused
+        assert try_load_stage_sidecar(snap, newer.stages_sha256)
+        previous = SnapshotStore(snap).load("previous").manifest
+        assert try_load_stage_sidecar(snap, previous.stages_sha256) is None
         registry = load_api_text(SMALL_API)
         fresh = Prospector(registry, load_corpus_texts(registry, [("handler.mj", SMALL_CORPUS)]))
         assert render(second, query) == render(fresh, query) == mined_answer
@@ -232,15 +265,18 @@ class TestProspectorRestart:
         header = json.loads(head)
         # A section from_dict rejects, and sections that are no object.
         sections = ({"pairs": [{"operand": "demo.ui.Viewer"}]}, ["not", "an", "object"], "garbage", 42)
-        for section, load_stages in itertools.product(sections, (True, False)):
+        for adopted, section in itertools.product((True, False), sections):
+            if not adopted:
+                stage_sidecar_path(snap).unlink(missing_ok=True)
             header["analysis"] = section
             snap.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
-            second = Prospector.from_snapshot(snap, load_stages=load_stages)
+            second = Prospector.from_snapshot(snap)
+            assert (second.pipeline is not None) == adopted
             diagnostics = second.store_diagnostics
             assert not diagnostics.ok, section
             assert [fault.stage for fault in diagnostics.faults] == [STAGE_ANALYSIS]
             assert "[analysis]: analysis section unusable" in diagnostics.summary()
-            if load_stages:  # the sidecar's verdicts replace the lost ones
+            if adopted:  # the pipeline's verdicts replace the lost ones
                 assert second.verdicts is not None
                 assert render(second, query) == render(first, query)
             else:
@@ -260,12 +296,15 @@ class TestProspectorRestart:
         assert pair["verdict"] == "justified"
         pair["verdict"] = "inviable"
         snap.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
-        for load_stages in (True, False):
-            second = Prospector.from_snapshot(snap, load_stages=load_stages)
+        for adopted in (True, False):
+            if not adopted:
+                stage_sidecar_path(snap).unlink()
+            second = Prospector.from_snapshot(snap)
+            assert (second.pipeline is not None) == adopted
             diagnostics = second.store_diagnostics
             assert [fault.stage for fault in diagnostics.faults] == [STAGE_ANALYSIS]
             assert "SHA-256 mismatch" in diagnostics.summary()
-            if load_stages:  # the sidecar's verdicts, not the edited ones
+            if adopted:  # the pipeline's verdicts, not the edited ones
                 assert second.verdicts.to_dict() == first.verdicts.to_dict()
             else:
                 assert second.verdicts is None

@@ -15,7 +15,13 @@ from repro.search import engine as search_engine
 from repro.typesystem import named
 
 from .conftest import SMALL_CORPUS
-from .resolution_oracle import VERSIONS, assert_matches_fresh
+from .resolution_oracle import (
+    VERSIONS,
+    annotation_dump,
+    assert_matches_fresh,
+    quarantine,
+)
+from .resolution_oracle import ranked_answers as ranked_answers_with_verdicts
 
 #: A second client for the small corpus: same API, a different route to
 #: an Item plus a reader-side chain, so edits move real mined suffixes.
@@ -493,6 +499,30 @@ class TestIncrementalResolution:
         assert pipeline.last_stats.files_reresolved == tuple(s for s, _ in texts)
         assert pipeline.last_stats.to_dict()["files_reresolved"] == [s for s, _ in texts]
         assert_matches_fresh(small_registry, pipeline, texts)
+
+    @pytest.mark.parametrize("lenient", [True, False])
+    def test_a_loaded_corpus_is_resolved_once(self, small_registry, lenient):
+        # The pipeline adopts the loader's resolution records: its initial
+        # sync re-resolves nothing, and answers like a staged build.
+        texts = _edit_texts(*self.BASE)
+        if lenient:  # one file fails to resolve, one to check
+            texts += _edit_texts(("x.mj", 0), ("s.mj", 0))
+        program = load_corpus_texts(small_registry, texts, lenient=lenient)
+        loaded = Prospector(small_registry, program)
+        assert loaded.pipeline.last_stats.files_reresolved == ()
+        built = CorpusPipeline.build(small_registry, texts, lenient=lenient)
+        assert annotation_dump(loaded.corpus.units) == annotation_dump(built.program.units)
+        assert ranked_answers_with_verdicts(loaded) == ranked_answers_with_verdicts(
+            Prospector(small_registry, pipeline=built)
+        )
+        if lenient:
+            assert quarantine(loaded.corpus) == quarantine(built.program)
+            assert {"x.mj", "s.mj"} <= set(loaded.corpus.diagnostics.quarantined_sources())
+            assert_matches_fresh(small_registry, loaded.pipeline, texts)
+
+    def test_bundled_corpus_is_resolved_once(self, standard_prospector):
+        stats = standard_prospector.pipeline.last_stats
+        assert stats.files_reresolved == () and stats.files_total == 12
 
     def test_comment_touch_re_resolves_one_file(self, small_registry):
         texts = _edit_texts(*self.BASE)

@@ -1,0 +1,175 @@
+"""Every route to a serving instance answers like a fresh build.
+
+An instance can get its graph from a fresh build, an update, a restart
+from the current snapshot generation, a fall back to ``<path>.prev``
+after a torn save, or a restart whose stage file is missing, edited, or
+from a schema-4 snapshot's sidecar. After each, the ranked answers and
+their verdicts must equal a fresh build of the texts that generation
+holds. The snapshot's manifest binds it to its stage file, so a stage
+file whose bytes do not hash to the loaded manifest's ``stages_sha256``
+must never be adopted: adopting one would serve another corpus.
+"""
+
+import json
+
+import pytest
+
+from repro import Prospector
+from repro.apispec import load_api_text
+from repro.corpus import load_corpus_texts
+from repro.store import (
+    RUNG_CURRENT,
+    RUNG_PREVIOUS,
+    SnapshotStore,
+    payload_digest,
+    stage_sidecar_path,
+)
+
+from .conftest import SMALL_API, SMALL_CORPUS
+from .resolution_oracle import QUERIES, VERSIONS, ranked_answers
+
+#: The queries, plus one whose answer ``h.mj`` mines.
+ROUTE_QUERIES = QUERIES + (("demo.ui.Viewer", "demo.ui.Item"),)
+
+#: Generation A; generation B drops ``h.mj`` and edits ``c.mj``.
+TEXTS_A = [
+    ("a.mj", VERSIONS["a.mj"][0]),
+    ("b.mj", VERSIONS["b.mj"][0]),
+    ("c.mj", VERSIONS["c.mj"][0]),
+    ("h.mj", SMALL_CORPUS),
+]
+TEXTS_B = [
+    ("a.mj", VERSIONS["a.mj"][0]),
+    ("b.mj", VERSIONS["b.mj"][0]),
+    ("c.mj", VERSIONS["c.mj"][1]),
+]
+
+
+def fresh_answers(texts):
+    registry = load_api_text(SMALL_API)
+    fresh = Prospector(registry, load_corpus_texts(registry, texts, lenient=True))
+    return ranked_answers(fresh, ROUTE_QUERIES)
+
+
+def answers(prospector):
+    return ranked_answers(prospector, ROUTE_QUERIES)
+
+
+@pytest.fixture(scope="module")
+def want():
+    a, b = fresh_answers(TEXTS_A), fresh_answers(TEXTS_B)
+    assert a != b  # otherwise adopting the wrong generation would not show
+    return {"A": a, "B": b}
+
+
+@pytest.fixture()
+def snap(tmp_path):
+    """Generation A saved, updated to B and saved again: A is ``.prev``
+    and the stage file is B's."""
+    registry = load_api_text(SMALL_API)
+    live = Prospector(registry, load_corpus_texts(registry, TEXTS_A, lenient=True))
+    path = tmp_path / "graph.psnap"
+    live.save_snapshot(path)
+    live.update_corpus(
+        upserts=[("c.mj", VERSIONS["c.mj"][1])], removes=["h.mj"]
+    )
+    live.save_snapshot(path)
+    return path
+
+
+def restart(path, rung=RUNG_CURRENT):
+    loaded = Prospector.from_snapshot(path)
+    assert loaded.store_diagnostics.rung_used == rung
+    assert not loaded.store_diagnostics.faults or rung != RUNG_CURRENT
+    return loaded
+
+
+def edit_header(path, edit):
+    head, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+class TestRoutes:
+    def test_fresh_build_and_update(self, want):
+        registry = load_api_text(SMALL_API)
+        live = Prospector(registry, load_corpus_texts(registry, TEXTS_A, lenient=True))
+        assert answers(live) == want["A"]
+        live.update_corpus(
+            upserts=[("c.mj", VERSIONS["c.mj"][1])], removes=["h.mj"]
+        )
+        assert answers(live) == want["B"]
+
+    def test_current_generation_adopts_its_stage_file(self, snap, want):
+        loaded = restart(snap)
+        assert loaded.pipeline is not None
+        assert loaded.pipeline.last_stats.files_remined == ()
+        assert answers(loaded) == want["B"]
+        # ... and updates incrementally from there.
+        stats = loaded.update_corpus(upserts=[("h.mj", SMALL_CORPUS)])
+        assert stats.files_remined == ("h.mj",)
+        assert answers(loaded) == fresh_answers(TEXTS_B + [("h.mj", SMALL_CORPUS)])
+
+    def test_fall_back_to_previous_refuses_the_newer_stage_file(self, snap, want):
+        # Tear B's payload but keep its header, whose stages_sha256 still
+        # names the stage file on disk.
+        head, _, payload = snap.read_bytes().partition(b"\n")
+        snap.write_bytes(head + b"\n" + payload[: len(payload) // 2])
+        loaded = restart(snap, RUNG_PREVIOUS)
+        assert answers(loaded) == want["A"]
+        assert loaded.pipeline is None
+
+    def test_missing_stage_file(self, snap, want):
+        stage_sidecar_path(snap).unlink()
+        loaded = restart(snap)
+        assert answers(loaded) == want["B"]
+        assert loaded.pipeline is None
+
+    def test_stage_file_with_a_valid_json_edit(self, snap, want):
+        path = stage_sidecar_path(snap)
+        data = json.loads(path.read_bytes())
+        data["texts"].append(["h.mj", SMALL_CORPUS])
+        path.write_bytes(json.dumps(data, separators=(",", ":")).encode("utf-8"))
+        assert fresh_answers(TEXTS_B + [("h.mj", SMALL_CORPUS)]) != want["B"]
+        loaded = restart(snap)
+        assert answers(loaded) == want["B"]
+        assert loaded.pipeline is None
+
+    def test_v4_snapshot_with_a_v2_sidecar(self, snap, want):
+        manifest = SnapshotStore(snap).load().manifest
+
+        def downgrade(header):
+            header["schema_version"] = 4
+            header["manifest"].pop("stages_sha256")
+
+        edit_header(snap, downgrade)
+        # The schema-2 sidecar envelope: a header line bound to the
+        # snapshot's payload digest, then the stage JSON.
+        path = stage_sidecar_path(snap)
+        payload = path.read_bytes()
+        envelope = {
+            "format": "prospector-stage-sidecar",
+            "schema_version": 2,
+            "payload_sha256": payload_digest(payload),
+            "payload_bytes": len(payload),
+            "snapshot_sha256": manifest.payload_sha256,
+        }
+        path.write_bytes(json.dumps(envelope).encode("utf-8") + b"\n" + payload)
+        loaded = restart(snap)
+        assert loaded.store_diagnostics.migrated_from == 4
+        assert loaded.pipeline is None
+        assert answers(loaded) == want["B"]
+
+    def test_only_the_loaded_manifest_binds(self, snap):
+        # Whatever the route, an adopted stage file hashes to the
+        # manifest of the generation that served.
+        for rung, tear in ((RUNG_CURRENT, False), (RUNG_PREVIOUS, True)):
+            if tear:
+                raw = snap.read_bytes()
+                snap.write_bytes(raw[: len(raw) - 7])
+            loaded = restart(snap, rung)
+            which = "current" if rung == RUNG_CURRENT else "previous"
+            manifest = SnapshotStore(snap).load(which).manifest
+            digest = payload_digest(stage_sidecar_path(snap).read_bytes())
+            assert (loaded.pipeline is not None) == (digest == manifest.stages_sha256)

@@ -28,8 +28,11 @@ from repro.store import (
     StoreRecoveryError,
     load_with_recovery,
     repair,
+    stage_sidecar_path,
     verify_snapshot,
 )
+
+from .conftest import SMALL_CORPUS
 
 
 @pytest.fixture()
@@ -37,6 +40,28 @@ def saved_store(tmp_path, small_prospector):
     store = SnapshotStore(tmp_path / "graph.psnap")
     small_prospector.save_snapshot(store.path)
     return store
+
+
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """The ``public_only`` flag of every ``JungloidGraph.build`` call."""
+    calls = []
+    original = JungloidGraph.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(kwargs.get("public_only"))
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(JungloidGraph, "build", classmethod(counting))
+    return calls
+
+
+def edit_a_verdict(store):
+    """A valid-JSON edit of one verdict in the header's analysis section."""
+    head, _, payload = store.path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    header["analysis"]["pairs"][0]["verdict"] = "inviable"
+    store.path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
 
 def _rebuild_from(prospector):
@@ -216,15 +241,29 @@ class TestRepair:
         assert saved_store.previous_path.read_bytes() == prev_before
 
     def test_repair_drops_an_edited_analysis_section(self, saved_store):
-        head, _, payload = saved_store.path.read_bytes().partition(b"\n")
-        header = json.loads(head)
-        header["analysis"]["pairs"][0]["verdict"] = "inviable"
-        saved_store.path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        edit_a_verdict(saved_store)
         assert [f.stage for f in verify_snapshot(saved_store).faults] == [STAGE_ANALYSIS]
         recovered = repair(saved_store)
         assert recovered.rung_used == RUNG_CURRENT and recovered.analysis is None
         assert verify_snapshot(saved_store).ok
         assert saved_store.load().analysis is None
+
+    def test_repairing_an_analysis_fault_builds_no_second_graph(
+        self, saved_store, build_calls
+    ):
+        edit_a_verdict(saved_store)
+        repair(saved_store)
+        assert build_calls == [True]  # the load audit's graph is saved
+        # The rewrite keeps the stage file bound, so the next update is
+        # incremental.
+        build_calls.clear()
+        loaded = Prospector.from_snapshot(saved_store.path)
+        assert loaded.store_diagnostics.ok and loaded.pipeline is not None
+        stats = loaded.update_corpus(
+            upserts=[("handler.mj", SMALL_CORPUS + "\n// touched\n")]
+        )
+        assert stats.files_remined == ("handler.mj",) and not stats.initial
+        assert build_calls == [True]
 
     def test_repair_rebuilds_when_no_previous(self, saved_store, small_prospector):
         corrupt_file(saved_store.path, lambda b: truncate_bytes(b, 20))
@@ -254,6 +293,11 @@ class TestDiagnostics:
         assert "snapshot damaged" in summary
         assert "current-snapshot" in summary
 
+    def test_summary_names_a_dropped_analysis_section(self, saved_store):
+        edit_a_verdict(saved_store)
+        head = verify_snapshot(saved_store).summary().splitlines()[0]
+        assert head == "store degraded: current snapshot loaded without its analysis section"
+
     def test_record_and_counts(self):
         diagnostics = StoreDiagnostics()
         diagnostics.record(RUNG_CURRENT, "verify", "boom")
@@ -266,18 +310,6 @@ class TestAuditedGraphReuse:
     """A snapshot load's audit builds the jungloid graph; the loaded
     instance serves from that graph instead of building it again."""
 
-    @pytest.fixture()
-    def build_calls(self, monkeypatch):
-        calls = []
-        original = JungloidGraph.build.__func__
-
-        def counting(cls, *args, **kwargs):
-            calls.append(kwargs.get("public_only"))
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(JungloidGraph, "build", classmethod(counting))
-        return calls
-
     def _answers(self, prospector):
         return [
             s.jungloid.render_expression("x")
@@ -285,10 +317,17 @@ class TestAuditedGraphReuse:
         ]
 
     def test_restart_builds_the_graph_once(self, saved_store, small_prospector, build_calls):
-        loaded = Prospector.from_snapshot(saved_store.path, load_stages=False)
-        assert build_calls == [True]
-        assert loaded.store_diagnostics.ok
-        assert self._answers(loaded) == self._answers(small_prospector)
+        # The adopted pipeline grafts into the audit graph; without a
+        # stage file the instance serves that graph itself.
+        for adopted in (True, False):
+            if not adopted:
+                stage_sidecar_path(saved_store.path).unlink()
+            build_calls.clear()
+            loaded = Prospector.from_snapshot(saved_store.path)
+            assert (loaded.pipeline is not None) == adopted
+            assert build_calls == [True]
+            assert loaded.store_diagnostics.ok
+            assert self._answers(loaded) == self._answers(small_prospector)
 
     def test_recovered_store_carries_the_audited_graph(self, saved_store, build_calls):
         recovered = load_with_recovery(saved_store)
@@ -297,10 +336,15 @@ class TestAuditedGraphReuse:
 
     def test_other_flavour_builds_its_own_graph(self, saved_store, build_calls):
         config = ProspectorConfig(public_only=False)
-        loaded = Prospector.from_snapshot(saved_store.path, config=config, load_stages=False)
-        assert build_calls == [True, False]
-        fresh = Prospector(loaded.registry, config=config, mined=loaded.mined_jungloids)
-        assert self._answers(loaded) == self._answers(fresh)
+        for adopted in (True, False):
+            if not adopted:
+                stage_sidecar_path(saved_store.path).unlink()
+            build_calls.clear()
+            loaded = Prospector.from_snapshot(saved_store.path, config=config)
+            assert (loaded.pipeline is not None) == adopted
+            assert build_calls == [True, False]
+            fresh = Prospector(loaded.registry, config=config, mined=loaded.mined_jungloids)
+            assert self._answers(loaded) == self._answers(fresh)
 
     def test_rebuild_rung_carries_no_graph(self, saved_store, small_prospector):
         corrupt_file(saved_store.path, lambda data: truncate_bytes(data, 10))

@@ -225,7 +225,7 @@ class TestAnalysisDigest:
     def test_manifest_digests_the_section(self, store, small_prospector):
         loaded = store.load()
         analysis = small_prospector.verdicts.to_dict()
-        assert SCHEMA_VERSION == 4
+        assert SCHEMA_VERSION == 5
         assert loaded.manifest.analysis_sha256 == analysis_digest(analysis)
         assert loaded.analysis == analysis and loaded.analysis_fault is None
 
@@ -283,6 +283,35 @@ class TestAnalysisDigest:
 
         rewrite_header(store, corrupt)
         with pytest.raises(SnapshotFormatError, match="analysis_sha256"):
+            store.load()
+
+
+class TestStagesDigest:
+    def test_manifest_records_the_stage_digest(self, tmp_path, small_registry):
+        store = SnapshotStore(tmp_path / "graph.psnap")
+        assert store.save(small_registry).stages_sha256 is None
+        digest = "c" * 64
+        assert store.save(small_registry, stages_sha256=digest).stages_sha256 == digest
+        assert store.load().manifest.stages_sha256 == digest
+
+    def test_v4_header_loads_as_a_migration(self, tmp_path, small_registry):
+        store = SnapshotStore(tmp_path / "graph.psnap")
+        store.save(small_registry, stages_sha256="c" * 64)
+
+        def downgrade(header):
+            header["schema_version"] = 4
+            header["manifest"].pop("stages_sha256")
+
+        rewrite_header(store, downgrade)
+        loaded = store.load()
+        assert loaded.migrated_from == 4
+        assert loaded.manifest.stages_sha256 is None
+
+    def test_malformed_stage_digest_is_a_format_error(self, tmp_path, small_registry):
+        store = SnapshotStore(tmp_path / "graph.psnap")
+        store.save(small_registry)
+        rewrite_header(store, lambda header: header["manifest"].update(stages_sha256=[1]))
+        with pytest.raises(SnapshotFormatError, match="stages_sha256"):
             store.load()
 
 
