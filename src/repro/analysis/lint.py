@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..corpus.loader import load_corpus_texts
+from ..corpus.loader import CorpusProgram, load_corpus_texts
 from ..minijava import (
     AssignStmt,
     LocalVarDecl,
@@ -169,6 +169,7 @@ def run_lint(
     texts: Iterable[Tuple[str, str]],
     graph=None,
     verdicts=None,
+    program: Optional[CorpusProgram] = None,
 ) -> LintReport:
     """Lint ``(source, text)`` corpus files against an API registry.
 
@@ -178,14 +179,18 @@ def run_lint(
     resolved set. Pass an already-built jungloid ``graph`` (and
     optionally its ``verdicts`` index) to additionally run the
     graph-level checks (JL202/JL203); building one is the caller's
-    choice because grafting is comparatively expensive.
+    choice because grafting is comparatively expensive. A caller that
+    already loaded ``texts`` the way passes 1–2 do
+    (``load_corpus_texts(..., check=False, lenient=True)``) passes that
+    ``program``, and nothing is parsed or resolved again.
     """
     report = LintReport()
 
     # Passes 1-2: parse (JL001) and resolve leniently (JL002), with
     # check=False: checking here with quarantine on would eject precisely
     # the files whose type issues we want to surface.
-    program = load_corpus_texts(api_registry, texts, check=False, lenient=True)
+    if program is None:
+        program = load_corpus_texts(api_registry, texts, check=False, lenient=True)
     registry, units = program.registry, program.units
     for fault in program.diagnostics.faults:
         code = "JL001" if fault.phase == PHASE_PARSE else "JL002"

@@ -27,14 +27,15 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .analysis import SEVERITY_ORDER, run_lint
+from .analysis import SEVERITY_ORDER, lint_graph, run_lint
 from .apispec import ApiSpecError, load_api_files
 from .core import CursorContext, Prospector
-from .corpus import CorpusLoadError, load_corpus_files
+from .corpus import CorpusLoadError, load_corpus_files, load_corpus_texts
 from .data import corpus_texts, standard_corpus, standard_registry
 from .eval import classify_stuck_cases, run_prototype_test, run_table1, simulate_user_study
 from .graph import BundleFormatError, bundle_to_json, graph_stats
 from .minijava import MiniJavaError
+from .pipeline import CorpusPipeline
 from .store import (
     RUNG_CURRENT,
     SnapshotError,
@@ -432,14 +433,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if not texts:
         print("error: no corpus to lint (--no-corpus?)", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    graph = verdicts = None
+    program = load_corpus_texts(registry, texts, check=False, lenient=True)
+    report = run_lint(registry, texts, program=program)
     if args.graph:
-        from .corpus import load_corpus_texts
-
-        program = load_corpus_texts(registry, texts, lenient=True)
-        prospector = Prospector(registry, program)
-        graph, verdicts = prospector.graph, prospector.verdicts
-    report = run_lint(registry, texts, graph=graph, verdicts=verdicts)
+        # The graph's load checks (and quarantines) where lint does not,
+        # but reuses the lint load's parses and body resolutions. It
+        # declares the units again, so it runs after the lint passes.
+        pipeline = CorpusPipeline.from_program(registry, program, check=True)
+        prospector = Prospector(registry, pipeline=pipeline)
+        for diagnostic in lint_graph(prospector.graph, prospector.verdicts):
+            report.record(diagnostic)
     for diagnostic in report.diagnostics:
         print(diagnostic)
     counts = report.to_dict()["counts"]

@@ -13,6 +13,14 @@ Two loading disciplines:
   are quarantined into a :class:`~repro.robustness.CorpusDiagnostics`
   report (file, phase, error) and the healthy remainder loads normally —
   noisy corpora are the normal case for mining, not an error.
+
+A :class:`~repro.minijava.ResolutionCache` also remembers each file the
+resolve phase quarantined, when everything the file had looked up when
+it failed came back empty. The next lenient resolution with that cache
+leaves such a file out of its joint attempt while its AST is the same,
+its lookups still find nothing, no other file looks up a name it
+declares, and the rest resolves: the culprit search would then pick it
+again with the same error and the same registry, so it is not run.
 """
 
 from __future__ import annotations
@@ -26,9 +34,11 @@ from ..minijava import (
     MiniJavaError,
     ResolutionCache,
     check_program,
+    failure_of,
     parse_minijava,
     resolve_program,
 )
+from ..minijava.resolver import STEP_NAMES
 from ..robustness import (
     CorpusDiagnostics,
     PHASE_CHECK,
@@ -223,16 +233,29 @@ def _resolve_lenient(
     each other's classes); on failure the culprit file is identified,
     quarantined, and resolution retried on the remainder — unless the
     culprit search already resolved the remainder, which is then final.
+    Files the cache remembers as quarantined are first left out, when
+    that provably decides the same (see :func:`_resolve_without_held`).
     """
     remaining = list(units)
+    if cache is not None:
+        held = _resolve_without_held(api_registry, remaining, cache)
+        if held is not None:
+            registry, remaining, corpus_types, records = held
+            for record in records:
+                diagnostics.record(record.unit.source, PHASE_RESOLVE, record.error)
+            return registry, remaining, corpus_types
+        for unit in remaining:
+            cache.quarantined.pop(id(unit), None)
     while remaining:
         registry = clone_registry(api_registry)
         try:
             corpus_types = resolve_program(registry, remaining, cache=cache)
             return registry, remaining, corpus_types
         except _RESOLVE_ERRORS as exc:
-            culprit, resolved = _resolve_culprit(api_registry, remaining, cache)
+            culprit, resolved = _resolve_culprit(api_registry, remaining, exc, cache)
             diagnostics.record(culprit.source, PHASE_RESOLVE, exc)
+            if cache is not None:
+                _remember(cache, culprit, exc)
             remaining = [u for u in remaining if u is not culprit]
             if resolved is not None:
                 registry, corpus_types = resolved
@@ -243,14 +266,16 @@ def _resolve_lenient(
 def _resolve_culprit(
     api_registry: TypeRegistry,
     units: Sequence[CompilationUnit],
+    error: Exception,
     cache: Optional[ResolutionCache] = None,
 ) -> Tuple[CompilationUnit, Optional[Tuple[TypeRegistry, List[NamedType]]]]:
     """The unit to quarantine after a joint resolution failure.
 
     Prefer a unit whose removal lets the rest resolve, returned with that
-    trial's registry and corpus types; fall back to the first unit that
-    cannot resolve even alone; fall back to the first unit (guaranteeing
-    progress for mutually-broken sets). The fallbacks return no trial.
+    trial's registry and corpus types; fall back to the unit the joint
+    attempt's ``error`` was raised in (with two broken files no single
+    removal helps, and that unit is one of them); fall back to the first
+    unit (guaranteeing progress). The fallbacks return no trial.
     """
     for unit in units:
         rest = [u for u in units if u is not unit]
@@ -260,9 +285,110 @@ def _resolve_culprit(
         except _RESOLVE_ERRORS:
             continue
         return unit, (registry, corpus_types)
-    for unit in units:
-        try:
-            resolve_program(clone_registry(api_registry), [unit], cache=cache)
-        except _RESOLVE_ERRORS:
-            return unit, None
+    failure = failure_of(error)
+    if failure is not None and any(u is failure.unit for u in units):
+        return failure.unit, None
     return units[0], None
+
+
+# ----------------------------------------------------------------------
+# The quarantine memo
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Held:
+    """A quarantined unit whose every lookup, when it failed, found nothing."""
+
+    unit: CompilationUnit
+    error: str
+    #: The attempt step it failed in; held units are reported in
+    #: (step, corpus order), the order the culprit search raises them.
+    step: int
+    #: Qualified names it probed and simple names it searched.
+    names: Tuple[str, ...]
+    simples: Tuple[str, ...]
+    #: Qualified names of the classes it declares.
+    declares: Tuple[str, ...]
+
+
+def _remember(cache: ResolutionCache, culprit: CompilationUnit, error: Exception) -> None:
+    """Memoize ``culprit``'s quarantine if its failure depends on misses only.
+
+    The failure must have been raised in the culprit itself, after its
+    names were declared (a duplicate declaration depends on other files),
+    with every probe so far a miss: its resolution up to the error then
+    read nothing but its own AST, so while those probes keep missing it
+    fails again at the same point with the same error.
+    """
+    failure = failure_of(error)
+    if failure is None or failure.unit is not culprit or failure.step == STEP_NAMES:
+        return
+    names: List[str] = []
+    simples: List[str] = []
+    for trace in failure.traces:
+        if any(t is not None for t in trace.names.values()):
+            return
+        if any(trace.simples.values()):
+            return
+        names.extend(trace.names)
+        simples.extend(trace.simples)
+    cache.quarantined[id(culprit)] = _Held(
+        unit=culprit,
+        error=str(error),
+        step=failure.step,
+        names=tuple(names),
+        simples=tuple(simples),
+        declares=tuple(str(cls.qualified_name) for cls in culprit.classes),
+    )
+
+
+def _resolve_without_held(
+    api_registry: TypeRegistry,
+    units: Sequence[CompilationUnit],
+    cache: ResolutionCache,
+) -> Optional[Tuple[TypeRegistry, List[CompilationUnit], List[NamedType], List[_Held]]]:
+    """Resolve ``units`` without the ones the cache holds as quarantined.
+
+    Returns ``None`` (and the caller runs the culprit search) unless the
+    rest resolves and a joint attempt provably fails only in the held
+    units, each with its remembered error: every name a held unit
+    probed still finds nothing, counting the names every held unit
+    declares; no other unit probed a name a held unit declares; and no
+    name is declared twice. A held unit's AST is the one it failed with,
+    since the memo is keyed by AST.
+    """
+    held = [
+        (index, cache.quarantined[id(u)])
+        for index, u in enumerate(units)
+        if id(u) in cache.quarantined
+    ]
+    if not held:
+        return None
+    declared = [name for _, h in held for name in h.declares]
+    declared_set = set(declared)
+    if len(declared_set) != len(declared):
+        return None
+    declared_simple = {name.rpartition(".")[2] for name in declared}
+    rest = [u for u in units if id(u) not in cache.quarantined]
+    registry = clone_registry(api_registry)
+    try:
+        corpus_types = resolve_program(registry, rest, cache=cache)
+    except _RESOLVE_ERRORS:
+        return None
+    for _, h in held:
+        if any(registry.get(name) is not None for name in h.declares):
+            return None
+        for name in h.names:
+            if name in declared_set or registry.get(name) is not None:
+                return None
+        for simple in h.simples:
+            if simple in declared_simple or registry.lookup_simple(simple):
+                return None
+    for trace in cache.lookups:
+        if any(name in trace.names for name in declared_set):
+            return None
+        if any(simple in trace.simples for simple in declared_simple):
+            return None
+    held.sort(key=lambda item: (item[1].step, item[0]))
+    return registry, rest, corpus_types, [h for _, h in held]

@@ -7,12 +7,18 @@ conservatively with CHA, exactly as the paper describes ("a conservative
 approximation of the call graph based on the type hierarchy"): a virtual
 call on static type ``T`` may dispatch to the declared method and to any
 override on a subtype of ``T``.
+
+A rebuild after a corpus edit reuses the previous graph
+(:func:`build_call_graph` with ``previous``): a unit whose bodies were
+not resolved again keeps its body walks and call sites, and a CHA target
+set is recomputed only when a corpus class beneath its method's owner
+changed its supertypes or declared methods, or came or went.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..typesystem import Method, NamedType, TypeRegistry
 from .ast import CallExpr, ClassDecl, CompilationUnit, Expr, MethodDecl, method_expressions
@@ -27,6 +33,25 @@ class CallSite:
     targets: Tuple[Method, ...]
 
 
+#: A call's CHA target set: its resolved method, then overrides below it.
+Targets = Tuple[Method, ...]
+#: One method body: its declaration, its expressions in walk order, its call sites.
+Body = Tuple[MethodDecl, Tuple[Expr, ...], Tuple[CallSite, ...]]
+#: One declared class: its type, direct supertypes, declared methods and
+#: all supertypes, as the graph's registry had them.
+ClassShape = Tuple[NamedType, tuple, Tuple[Method, ...], Tuple[NamedType, ...]]
+
+
+@dataclass(frozen=True)
+class UnitCalls:
+    """One unit's share of a call graph; a rebuild reuses it as one object
+    while the unit keeps its annotations and its call targets."""
+
+    unit: CompilationUnit
+    bodies: Tuple[Body, ...]
+    classes: Tuple[ClassShape, ...]
+
+
 @dataclass
 class CallGraph:
     """Corpus-wide mapping between declared methods and call sites."""
@@ -39,6 +64,12 @@ class CallGraph:
     calls_in: Dict[int, List[CallSite]] = field(default_factory=dict)
     #: Every expression of each body, in walk order, per declaration.
     expressions: Dict[int, Tuple[Expr, ...]] = field(default_factory=dict)
+    #: Each unit's share, by ``id(unit)``, in corpus order.
+    units: Dict[int, UnitCalls] = field(default_factory=dict, repr=False, compare=False)
+    #: CHA target sets per owner type, then per resolved method.
+    targets: Dict[NamedType, Dict[Method, Targets]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def declaration_of(self, method: Method) -> Optional[MethodDecl]:
         """The corpus body for a method, if the corpus defines one."""
@@ -76,27 +107,144 @@ def _cha_targets(registry: TypeRegistry, method: Method) -> Tuple[Method, ...]:
     return tuple(targets)
 
 
-def build_call_graph(
-    registry: TypeRegistry, units: Sequence[CompilationUnit]
-) -> CallGraph:
-    """Build the corpus call graph from resolved compilation units."""
-    graph = CallGraph()
-    all_decls: List[MethodDecl] = []
-    for unit in units:
+class _Builder:
+    """Call sites with their CHA targets, memoized per resolved method."""
+
+    def __init__(self, registry: TypeRegistry, targets: Dict[NamedType, Dict[Method, Targets]]):
+        self.registry = registry
+        self.targets = targets
+
+    def targets_of(self, method: Method) -> Targets:
+        memo = self.targets.setdefault(method.owner, {})
+        found = memo.get(method)
+        if found is None:
+            found = memo[method] = _cha_targets(self.registry, method)
+        return found
+
+    def walk(self, unit: CompilationUnit) -> Tuple[Body, ...]:
+        bodies = []
         for cls in unit.classes:
-            for m in cls.methods:
-                if m.resolved_method is not None and m.body is not None:
-                    graph.methods[m.resolved_method] = m
-                if m.body is not None:
-                    all_decls.append(m)
-    for decl in all_decls:
-        exprs = graph.expressions[id(decl)] = tuple(method_expressions(decl))
-        for expr in exprs:
-            if not isinstance(expr, CallExpr) or expr.resolved_method is None:
+            for decl in cls.methods:
+                if decl.body is None:
+                    continue
+                exprs = tuple(method_expressions(decl))
+                sites = tuple(
+                    CallSite(decl, expr, self.targets_of(expr.resolved_method))
+                    for expr in exprs
+                    if isinstance(expr, CallExpr) and expr.resolved_method is not None
+                )
+                bodies.append((decl, exprs, sites))
+        return tuple(bodies)
+
+    def retarget(self, calls: UnitCalls, affected: Set[NamedType]) -> UnitCalls:
+        """``calls`` with the targets of calls into ``affected`` owners
+        recomputed; the same object when none of them moved."""
+        bodies = []
+        moved = False
+        for decl, exprs, sites in calls.bodies:
+            new_sites = []
+            for site in sites:
+                if site.call.resolved_method.owner in affected:
+                    targets = self.targets_of(site.call.resolved_method)
+                    if targets != site.targets:
+                        site = CallSite(decl, site.call, targets)
+                        moved = True
+                new_sites.append(site)
+            bodies.append((decl, exprs, tuple(new_sites)))
+        return UnitCalls(calls.unit, tuple(bodies), calls.classes) if moved else calls
+
+    def classes(self, unit: CompilationUnit) -> Tuple[ClassShape, ...]:
+        shapes = []
+        for cls in unit.classes:
+            t = self.registry.get(str(cls.qualified_name))
+            if t is None:
                 continue
-            targets = _cha_targets(registry, expr.resolved_method)
-            site = CallSite(caller=decl, call=expr, targets=targets)
-            graph.calls_in.setdefault(id(decl), []).append(site)
-            for target in targets:
-                graph.callers_of.setdefault(target, []).append(site)
+            decl = self.registry.declaration_of(t)
+            above = (decl.superclass, decl.interfaces)
+            shapes.append((t, above, tuple(decl.methods), _supertypes(self.registry, t)))
+        return tuple(shapes)
+
+
+def _supertypes(registry: TypeRegistry, t: NamedType) -> Tuple[NamedType, ...]:
+    """Every declared type above ``t``; unlike ``all_supertypes`` it
+    tolerates a cyclic or dangling hierarchy, which a lenient load that
+    skips checking can keep."""
+    seen: Dict[NamedType, None] = {}
+    stack = [t]
+    while stack:
+        for sup in registry.direct_supertypes(stack.pop()):
+            if sup not in seen and sup is not t and registry.is_declared(sup):
+                seen[sup] = None
+                stack.append(sup)
+    return tuple(seen)
+
+
+def build_call_graph(
+    registry: TypeRegistry,
+    units: Sequence[CompilationUnit],
+    previous: Optional[CallGraph] = None,
+    resolved: Collection[int] = (),
+) -> CallGraph:
+    """Build the corpus call graph from resolved compilation units.
+
+    ``previous`` is the graph built after the units' previous resolution
+    and ``resolved`` the ids of the units whose bodies were resolved
+    since. A unit outside ``resolved`` keeps its walks and call sites
+    from ``previous``. A CHA target set is reused unless its method's
+    owner is a class whose supertypes or declared methods changed, was
+    added or removed, or is a supertype of such a class before or after
+    the change. Without ``previous`` everything is built afresh.
+    """
+    graph = CallGraph()
+    old_units = previous.units if previous is not None else {}
+    if previous is not None:
+        # An owner's memo depends only on the classes below it, the same
+        # in both graphs while it is not affected, so the graphs share it.
+        graph.targets = dict(previous.targets)
+    builder = _Builder(registry, graph.targets)
+
+    kept: Dict[int, UnitCalls] = {}
+    fresh: List[CompilationUnit] = []
+    for unit in units:
+        calls = old_units.get(id(unit))
+        if calls is not None and id(unit) not in resolved:
+            kept[id(unit)] = calls
+        else:
+            fresh.append(unit)
+    shapes = {id(unit): builder.classes(unit) for unit in fresh}
+
+    # Classes that came, went or changed shape, and what lies above them.
+    before: Dict[NamedType, ClassShape] = {}
+    for key, calls in old_units.items():
+        if key not in kept:
+            for shape in calls.classes:
+                before[shape[0]] = shape
+    after = {shape[0]: shape for unit_shapes in shapes.values() for shape in unit_shapes}
+    affected: Set[NamedType] = set()
+    for t in set(before) | set(after):
+        old, new = before.get(t), after.get(t)
+        if old != new:
+            affected.add(t)
+            for shape in (old, new):
+                if shape is not None:
+                    affected.update(shape[3])
+    for owner in affected:
+        graph.targets.pop(owner, None)
+
+    for unit in units:
+        calls = kept.get(id(unit))
+        if calls is None:
+            calls = UnitCalls(unit, builder.walk(unit), shapes[id(unit)])
+        elif affected:
+            calls = builder.retarget(calls, affected)
+        graph.units[id(unit)] = calls
+        for decl, exprs, sites in calls.bodies:
+            if decl.resolved_method is not None:
+                graph.methods[decl.resolved_method] = decl
+            graph.expressions[id(decl)] = exprs
+            if sites:
+                graph.calls_in[id(decl)] = list(sites)
+            for site in sites:
+                for target in site.targets:
+                    graph.callers_of.setdefault(target, []).append(site)
     return graph

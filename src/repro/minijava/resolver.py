@@ -12,11 +12,16 @@ declarations of the corpus types it reads. A :class:`ResolutionCache`
 records both per unit, so a later attempt over the same parsed AST skips
 the unit's bodies when every lookup still gives the same answer: its
 annotations are then already what resolving it again would write.
+
+A failed attempt names the unit it failed in: the raised error carries a
+:class:`ResolutionFailure` (see :func:`failure_of`) with the step and
+what that unit had looked up by then, which the lenient loader uses to
+pick and remember its culprit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..typesystem import (
     ArrayType,
@@ -65,7 +70,7 @@ from .ast import (
     VarRef,
     WhileStmt,
 )
-from .errors import MjResolveError
+from .errors import MiniJavaError, MjResolveError
 from .symbols import Scope
 
 _VISIBILITY = {
@@ -111,6 +116,37 @@ class _Entry:
         self.issues: Optional[tuple] = None
 
 
+class ResolutionFailure(NamedTuple):
+    """Where a resolution attempt failed.
+
+    ``step`` is the declaration step the error was raised in
+    (:data:`STEP_NAMES`, :data:`STEP_SUPERTYPES`, :data:`STEP_MEMBERS`)
+    or :data:`STEP_BODIES`; ``traces`` hold every name ``unit`` had
+    probed in that attempt when it failed (its declaration trace, then
+    its partial body trace).
+    """
+
+    unit: CompilationUnit
+    step: int
+    traces: Tuple[_Trace, ...]
+
+
+#: The steps of one attempt, in the order every unit passes through them.
+STEP_NAMES, STEP_SUPERTYPES, STEP_MEMBERS, STEP_BODIES = range(4)
+
+#: Errors a resolution attempt raises for a bad corpus, as opposed to bugs.
+_MODEL_ERRORS = (MiniJavaError, TypeSystemError)
+
+
+def failure_of(error: BaseException) -> Optional[ResolutionFailure]:
+    """The failure a resolution attempt attached to ``error``, if any."""
+    return getattr(error, "resolution_failure", None)
+
+
+def _blame(error: BaseException, unit: CompilationUnit, step: int, *traces: _Trace) -> None:
+    error.resolution_failure = ResolutionFailure(unit, step, traces)  # type: ignore[attr-defined]
+
+
 class ResolutionCache:
     """Per-unit records of body resolution, keyed by parsed AST.
 
@@ -127,11 +163,18 @@ class ResolutionCache:
         self._entries: Dict[int, _Entry] = {}
         #: Units whose bodies were resolved, not reused, since :meth:`retain`.
         self.resolved: Set[int] = set()
+        #: Every trace of the last attempt: each unit's declaration trace,
+        #: then each body trace, fresh or reused (complete after success).
+        self.lookups: List[_Trace] = []
+        #: The lenient loader's quarantine memo, one record per parsed
+        #: AST it quarantined (see :mod:`repro.corpus.loader`).
+        self.quarantined: Dict[int, object] = {}
 
     def retain(self, units: Iterable[CompilationUnit]) -> None:
         """Keep only the entries of ``units``; restart the resolved log."""
         live = {id(u) for u in units}
         self._entries = {k: e for k, e in self._entries.items() if k in live}
+        self.quarantined = {k: q for k, q in self.quarantined.items() if k in live}
         self.resolved.clear()
 
     def take(self, unit: CompilationUnit) -> Optional[_Entry]:
@@ -164,8 +207,9 @@ class UnitEnvironment:
             simple = imp.rpartition(".")[2]
             self._imports[simple] = imp
         #: Where name lookups are recorded; the resolver swaps in a fresh
-        #: trace before it resolves the unit's bodies.
-        self.trace = _Trace()
+        #: trace before it resolves the unit's bodies, and the first one
+        #: stays as ``declaration_trace``.
+        self.trace = self.declaration_trace = _Trace()
 
     def probe(self, dotted_name: str) -> Optional[NamedType]:
         """The type declared under a qualified name, or ``None``; recorded."""
@@ -248,32 +292,48 @@ class Resolver:
 
     def declare_units(self, units: Sequence[CompilationUnit]) -> List[NamedType]:
         """Declare every corpus class/interface into the registry."""
+        if self.cache is not None:
+            self.cache.lookups = []
         for unit in units:
-            for cls in unit.classes:
-                assert cls.qualified_name is not None
-                self.registry.declare(
-                    cls.qualified_name,
-                    kind=TypeKind.INTERFACE if cls.is_interface else TypeKind.CLASS,
-                )
+            try:
+                for cls in unit.classes:
+                    assert cls.qualified_name is not None
+                    self.registry.declare(
+                        cls.qualified_name,
+                        kind=TypeKind.INTERFACE if cls.is_interface else TypeKind.CLASS,
+                    )
+            except _MODEL_ERRORS as exc:
+                _blame(exc, unit, STEP_NAMES)
+                raise
         # Supertypes and members need every corpus type declared first, but
         # the registry fixes supertypes at declare time — so corpus classes
         # record them via a patch pass on the declaration objects.
         for unit in units:
             env = self._env(unit)
-            for cls in unit.classes:
-                decl = self.registry.declaration_of(
-                    self.registry.lookup(cls.qualified_name)  # type: ignore[arg-type]
-                )
-                if cls.extends is not None:
-                    decl.superclass = env.resolve_type_name(cls.extends.name)
-                decl.interfaces = tuple(
-                    env.resolve_type_name(i.name) for i in cls.implements
-                )
+            try:
+                for cls in unit.classes:
+                    decl = self.registry.declaration_of(
+                        self.registry.lookup(cls.qualified_name)  # type: ignore[arg-type]
+                    )
+                    if cls.extends is not None:
+                        decl.superclass = env.resolve_type_name(cls.extends.name)
+                    decl.interfaces = tuple(
+                        env.resolve_type_name(i.name) for i in cls.implements
+                    )
+            except _MODEL_ERRORS as exc:
+                _blame(exc, unit, STEP_SUPERTYPES, env.trace)
+                raise
         self.registry.invalidate_caches()  # hierarchy changed
         for unit in units:
             env = self._env(unit)
-            for cls in unit.classes:
-                self._declare_members(env, cls)
+            try:
+                for cls in unit.classes:
+                    self._declare_members(env, cls)
+            except _MODEL_ERRORS as exc:
+                _blame(exc, unit, STEP_MEMBERS, env.trace)
+                raise
+            if self.cache is not None:
+                self.cache.lookups.append(env.trace)
         self._corpus = set(self._corpus_types)
         return list(self._corpus_types)
 
@@ -338,15 +398,21 @@ class Resolver:
 
     def resolve_units(self, units: Sequence[CompilationUnit]) -> None:
         for unit in units:
-            if self.cache is None:
-                self._resolve_bodies(unit)
-                continue
-            entry = self.cache.take(unit)
+            entry = self.cache.take(unit) if self.cache is not None else None
             if entry is not None and self._still_valid(entry):
                 self.cache.put(entry)
+                self.cache.lookups.append(entry.trace)
                 continue
-            trace = self._resolve_bodies(unit)
+            try:
+                trace = self._resolve_bodies(unit)
+            except _MODEL_ERRORS as exc:
+                env = self._env(unit)
+                _blame(exc, unit, STEP_BODIES, env.declaration_trace, env.trace)
+                raise
+            if self.cache is None:
+                continue
             self.cache.resolved.add(id(unit))
+            self.cache.lookups.append(trace)
             digests = {t: self._digest(t) for t in trace.reads if t in self._corpus}
             if None not in digests.values():
                 self.cache.put(_Entry(unit, trace, digests))

@@ -15,19 +15,26 @@ artifacts:
    :class:`~repro.minijava.ResolutionCache` entry went stale: a name the
    bodies probed binds differently, or a corpus type they read changed
    its declaration (new AST, shadowing class, new overload, edited
-   supertype). A unit's check issues are cached on the same entry.
+   supertype). A unit's check issues are cached on the same entry, and
+   a file quarantined for lookups that found nothing stays out of the
+   joint attempt while they still find nothing (the quarantine memo).
    Lenient quarantine semantics are shared with the corpus loader via
    :func:`repro.corpus.resolve_and_check_lenient`.
-4. **mine + analyze** — per-file example extraction and cast
-   observations, cached per fingerprint plus the file's recorded slicing
-   dependencies (inlined client bodies and CHA caller sets queried by
-   either interpretation, referenced corpus-type hierarchy). Only files
-   whose content *or* dependencies changed are re-sliced.
+4. **call graph + mine + analyze** — the call graph is rebuilt from the
+   previous one: only re-resolved units are walked again, and CHA
+   targets are recomputed only above a class that changed. Per-file
+   example extraction and cast observations are cached per fingerprint
+   plus the file's recorded slicing dependencies (inlined client bodies
+   and CHA caller sets queried by either interpretation, referenced
+   corpus-type hierarchy). Only files whose content *or* dependencies
+   changed are re-sliced.
 5. **generalize** — an incremental reference-counted cast trie
    (:class:`repro.mining.IncrementalGeneralizer`); re-mined files'
-   examples are removed/inserted, never the whole structure rebuilt.
-6. **graft** — the deduplicated suffix set is diffed against the
-   previous one and only the delta is spliced into the live
+   examples are removed/inserted, never the whole structure rebuilt,
+   and only examples under a trie key those edits touched get a new
+   suffix.
+6. **graft** — the suffixes whose use count rose from or fell to zero
+   are spliced into / out of the live
    :class:`~repro.graph.JungloidGraph`, whose edge journal lets a search
    engine patch its compiled graph and keep the distance maps the
    delta cannot move.
@@ -59,7 +66,7 @@ from ..minijava import (
     resolve_program,
 )
 from ..minijava.ast import CastExpr, CompilationUnit, Expr, method_expressions
-from ..minijava.callgraph import CallGraph, CallSite, build_call_graph
+from ..minijava.callgraph import CallGraph, CallSite, UnitCalls, build_call_graph
 from ..mining import (
     ExtractionConfig,
     IncrementalGeneralizer,
@@ -312,9 +319,16 @@ class CorpusPipeline:
         #: Body-resolution records of the parsed units (see stage 3).
         self._resolution_cache = ResolutionCache()
         self._records: Dict[str, FileMineRecord] = {}
-        self._suffix_map: Dict[SuffixKey, Jungloid] = {}
+        #: The suffixes grafted into an adopted graph, until the first
+        #: sync diffs against them (see :meth:`from_artifacts`).
+        self._adopted: Optional[Dict[SuffixKey, Jungloid]] = None
         self._pending_record_dicts: Dict[str, dict] = {}
         self._generalizer = IncrementalGeneralizer(self.min_precast_steps)
+        #: Per unit: (its call-graph share, its method keys, its callee keys).
+        self._dep_keys: Dict[int, Tuple[UnitCalls, List[str], List[str]]] = {}
+        #: ``call_graph`` was built after its units' last resolution, so
+        #: the next build can start from it.
+        self._call_graph_current = False
         #: Per-file cast observations; invalidated with files_remined.
         self._analysis_obs: Dict[str, Tuple[CastObservation, ...]] = {}
 
@@ -350,12 +364,14 @@ class CorpusPipeline:
         extraction: ExtractionConfig = ExtractionConfig(),
         min_precast_steps: int = 1,
         public_only: bool = True,
+        check: Optional[bool] = None,
     ) -> "CorpusPipeline":
         """Adopt an already-loaded corpus program (must carry its texts).
 
         Load discipline is inferred from the program: a quarantine
         report means it was loaded leniently, a check report means
-        checking was on. The program must have been loaded against
+        checking was on (``check`` overrides that, so an unchecked load
+        can seed a checking pipeline). The program must have been loaded against
         ``api_registry``: the pipeline adopts its parsed units and its
         :class:`~repro.minijava.ResolutionCache`, so the initial sync
         re-resolves no body the loader resolved. An empty program (no
@@ -369,7 +385,7 @@ class CorpusPipeline:
             extraction=extraction,
             min_precast_steps=min_precast_steps,
             lenient=program.diagnostics is not None,
-            check=program.check_report is not None,
+            check=program.check_report is not None if check is None else check,
             public_only=public_only,
         )
         # Seed the parse and resolution caches with the program's so the
@@ -424,7 +440,7 @@ class CorpusPipeline:
             }
         if graph is not None:
             pipeline.graph = graph
-            pipeline._suffix_map = {
+            pipeline._adopted = {
                 key: Jungloid(key) for key in graph.mined_suffix_keys()
             }
         texts = [(str(s), t) for s, t in data["texts"]]
@@ -519,7 +535,7 @@ class CorpusPipeline:
             stats.noop = True
             stats.files_reused = len(self._records)
             stats.examples_total = len(self.mining.examples) if self.mining else 0
-            stats.suffixes_total = len(self._suffix_map)
+            stats.suffixes_total = len(self.suffixes)
             stats.revision_before = stats.revision_after = self.graph.revision
             self.last_stats = stats
             return stats
@@ -555,6 +571,8 @@ class CorpusPipeline:
         t0 = _now_ms()
         cache = self._resolution_cache
         cache.retain(units_all)
+        previous_graph = self.call_graph if self._call_graph_current else None
+        self._call_graph_current = False
         diagnostics: Optional[CorpusDiagnostics] = None
         if self.lenient:
             diagnostics = CorpusDiagnostics()
@@ -586,8 +604,10 @@ class CorpusPipeline:
 
         # -- Stage 4a: call graph + dependency fingerprint maps ---------
         t0 = _now_ms()
-        call_graph = build_call_graph(registry, units)
-        decl_fp_map, site_fp_map, class_src = self._dep_maps(call_graph, units, new_fps)
+        call_graph = build_call_graph(registry, units, previous_graph, cache.resolved)
+        decl_fp_map, site_fp_map, class_src, dep_keys = self._dep_maps(
+            call_graph, units, new_fps
+        )
         timings.callgraph_ms = _now_ms() - t0
 
         # -- Stage 4b: mine (per-file cache + dependency validation) ----
@@ -680,22 +700,28 @@ class CorpusPipeline:
 
         # -- Stage 6: graft the suffix delta ----------------------------
         t0 = _now_ms()
-        new_map = suffix_map(suffixes)
         if self.graph is None:
             self.graph = JungloidGraph.build(
                 self.api_registry, suffixes, public_only=self.public_only
             )
-            stats.suffixes_added = len(new_map)
+            stats.suffixes_added = len(suffixes)
             stats.affected_targets = self.graph.node_count()
             stats.revision_before = 0
             stats.revision_after = self.graph.revision
         else:
-            delta = compute_suffix_delta(self._suffix_map, new_map)
-            applied: MinedDelta = self.graph.apply_mined_delta(
-                delta.added, delta.removed
-            )
-            stats.suffixes_added = len(delta.added)
-            stats.suffixes_removed = len(delta.removed)
+            if self._adopted is not None:
+                delta = compute_suffix_delta(self._adopted, suffix_map(suffixes))
+                added, removed = delta.added, delta.removed
+            else:
+                # Suffixes are canonical objects: the ones whose use count
+                # rose from zero are new (in the new list's order), the
+                # ones that fell to zero gone (ungrafted in the old order).
+                added = self._generalizer.added
+                died = {id(j) for j in self._generalizer.removed}
+                removed = tuple(j for j in self.suffixes if id(j) in died)
+            applied: MinedDelta = self.graph.apply_mined_delta(added, removed)
+            stats.suffixes_added = len(added)
+            stats.suffixes_removed = len(removed)
             stats.affected_targets = len(applied.affected_targets)
             stats.revision_before = applied.revision_before
             stats.revision_after = applied.revision_after
@@ -706,7 +732,9 @@ class CorpusPipeline:
         self._fingerprints = new_fps
         self._parse_cache = new_parse
         self._records = new_records
-        self._suffix_map = new_map
+        self._adopted = None
+        self._dep_keys = dep_keys
+        self._call_graph_current = True
         self._pending_record_dicts = {}
         self._analysis_obs = new_obs
         self.program = program
@@ -726,28 +754,44 @@ class CorpusPipeline:
         units: Sequence[CompilationUnit],
         fps: Dict[str, str],
     ):
-        """Current dependency fingerprints for every corpus method/type."""
-        src_of: Dict[int, str] = {}
+        """Current dependency fingerprints for every corpus method/type.
+
+        A unit's method keys are computed again only when its share of
+        the call graph was rebuilt.
+        """
         class_src: Dict[str, str] = {}
-        for unit in units:
-            for cls in unit.classes:
-                class_src[cls.name] = unit.source
-                for m in cls.methods:
-                    src_of[id(m)] = unit.source
         decl_fp_map: Dict[str, Tuple[str, str]] = {}
-        for method, decl in call_graph.methods.items():
-            src = src_of.get(id(decl))
-            if src is not None and src in fps:
-                decl_fp_map[_method_key(method)] = (src, fps[src])
-        site_fp_map: Dict[str, Tuple[Tuple[str, str], ...]] = {}
-        for method, sites in call_graph.callers_of.items():
-            entries = sorted(
-                (src_of[id(s.caller)], fps[src_of[id(s.caller)]])
-                for s in sites
-                if id(s.caller) in src_of and src_of[id(s.caller)] in fps
-            )
-            site_fp_map[_method_key(method)] = tuple(entries)
-        return decl_fp_map, site_fp_map, class_src
+        site_entries: Dict[str, List[Tuple[str, str]]] = {}
+        dep_keys: Dict[int, Tuple[UnitCalls, List[str], List[str]]] = {}
+        for unit in units:
+            source = unit.source
+            entry = (source, fps[source])
+            calls = call_graph.units[id(unit)]
+            keys = self._dep_keys.get(id(unit))
+            if keys is None or keys[0] is not calls:
+                keys = (
+                    calls,
+                    [
+                        _method_key(decl.resolved_method)
+                        for decl, _, _ in calls.bodies
+                        if decl.resolved_method is not None
+                    ],
+                    [
+                        _method_key(target)
+                        for _, _, sites in calls.bodies
+                        for site in sites
+                        for target in site.targets
+                    ],
+                )
+            dep_keys[id(unit)] = keys
+            for cls in unit.classes:
+                class_src[cls.name] = source
+            for key in keys[1]:
+                decl_fp_map[key] = entry
+            for key in keys[2]:
+                site_entries.setdefault(key, []).append(entry)
+        site_fp_map = {key: tuple(sorted(v)) for key, v in site_entries.items()}
+        return decl_fp_map, site_fp_map, class_src, dep_keys
 
     def _record_valid(
         self,

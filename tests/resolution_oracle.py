@@ -5,10 +5,13 @@ lookups changed. Its contract is that after any sync the program looks
 exactly like a fresh lenient load of the same texts that resolves every
 body from scratch (:func:`fresh_program`, which uses no
 ``ResolutionCache``): the same annotations on every unit, the same
-quarantine, and the same ranked answers with verdicts. This module renders each of those as
-plain values, and holds a small edit corpus over ``SMALL_API`` whose
-files call each other's classes, extend a class from another file,
-shadow simple names, overload a called method, and break.
+quarantine, and the same ranked answers with verdicts. Its later stages
+must equal a fresh pipeline build's too: the call graph, the
+generalized examples and the suffixes, in order. This module renders
+each of those as plain values, and holds a small edit corpus over
+``SMALL_API`` whose files call each other's classes, extend a class
+from another file, shadow simple names, overload a called method, and
+break.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import List, Sequence, Tuple
 
 from repro import Prospector
 from repro.corpus import CorpusProgram, resolve_and_check_lenient
+from repro.pipeline import CorpusPipeline
 from repro.minijava import MiniJavaError, parse_minijava
 from repro.robustness import PHASE_PARSE, CorpusDiagnostics
 from repro.minijava.ast import statement_expressions, walk_expressions, walk_statements
@@ -105,13 +109,51 @@ def fresh_program(registry, texts: Sequence[Tuple[str, str]]) -> CorpusProgram:
     )
 
 
+def call_graph_values(pipeline) -> Tuple[list, list, list]:
+    """The pipeline's call graph as ``(methods, callers_of, calls_in)``,
+    each in its own order, with declarations named by source and
+    position and targets by repr."""
+    where = {}
+    for unit in pipeline.program.units:
+        for cls in unit.classes:
+            for decl in cls.methods:
+                where[id(decl)] = (unit.source, cls.name, decl.name, str(decl.position))
+
+    def site(s):
+        return (where[id(s.caller)], s.call.name, str(s.call.position),
+                tuple(repr(t) for t in s.targets))
+
+    graph = pipeline.call_graph
+    return (
+        [(repr(m), where[id(decl)]) for m, decl in graph.methods.items()],
+        [(repr(m), [site(s) for s in sites]) for m, sites in graph.callers_of.items()],
+        [[site(s) for s in sites] for sites in graph.calls_in.values()],
+    )
+
+
+def mining_values(pipeline) -> Tuple[list, list]:
+    """``(generalized, suffixes)`` as plain values, in order."""
+    mining = pipeline.mining
+    return (
+        [
+            (str(g.example), g.suffix.describe())
+            for g in mining.generalized
+        ],
+        [j.describe() for j in mining.suffixes],
+    )
+
+
 def assert_matches_fresh(registry, pipeline, texts: Sequence[Tuple[str, str]]) -> None:
-    """The pipeline's program and answers equal a fresh lenient load's."""
+    """The pipeline's program and answers equal a fresh lenient load's,
+    and its call graph and generalization a fresh pipeline build's."""
     fresh = fresh_program(registry, texts)
     live = pipeline.program
     assert [u.source for u in live.units] == [u.source for u in fresh.units]
     assert quarantine(live) == quarantine(fresh)
     assert annotation_dump(live.units) == annotation_dump(fresh.units)
+    built = CorpusPipeline.build(registry, texts)
+    assert call_graph_values(pipeline) == call_graph_values(built)
+    assert mining_values(pipeline) == mining_values(built)
     assert ranked_answers(Prospector(registry, pipeline=pipeline)) == ranked_answers(
         Prospector(registry, fresh)
     )
@@ -145,7 +187,8 @@ public class E {
 
 #: File name -> its versions. ``a.mj`` declares ``c.A``; ``b.mj`` calls
 #: it (picking between ``take`` overloads, and passing a ``C`` where an
-#: ``A`` is expected); ``c.mj`` extends it, or stops extending it;
+#: ``A`` is expected); ``c.mj`` extends it, stops extending it, or
+#: overrides ``p()``, which e.mj calls without reading ``C``;
 #: ``e.mj``'s body names it by simple name from another package;
 #: ``d.mj`` declares a second ``A`` that makes that name ambiguous;
 #: ``u.mj``'s body names ``Widget`` and ``String`` by simple name, which
@@ -193,6 +236,13 @@ public class C extends A {
 package c;
 public class C {
   public Object q() { return null; }
+}
+""",
+        """
+package c;
+import demo.ui.Panel;
+public class C extends A {
+  public Panel p() { return null; }
 }
 """,
     ),

@@ -128,3 +128,51 @@ class TestBenchAnalysis:
 
     def test_bench_analysis_needs_corpus(self, capsys):
         assert main(["bench-analysis", "--no-corpus"]) == 2
+
+
+class TestLintGraphLoadsOnce:
+    def test_graph_lint_parses_and_resolves_each_file_once(self, monkeypatch, capsys):
+        import repro.corpus.loader as loader
+        import repro.pipeline.pipeline as pipeline
+        from repro.minijava.resolver import Resolver
+
+        parsed, resolved = [], []
+        for module in (loader, pipeline):
+            parse = module.parse_minijava
+
+            def counting(text, source, parse=parse):
+                parsed.append(source)
+                return parse(text, source)
+
+            monkeypatch.setattr(module, "parse_minijava", counting)
+        bodies = Resolver._resolve_bodies
+
+        def resolving(self, unit):
+            resolved.append(id(unit))
+            return bodies(self, unit)
+
+        monkeypatch.setattr(Resolver, "_resolve_bodies", resolving)
+        assert main(["lint", "--graph"]) == 0
+        out = capsys.readouterr().out
+        assert sorted(parsed) == sorted(set(parsed)) and len(parsed) == 12
+        assert len(resolved) == len(set(resolved)) == 12
+        assert out == "linted 12 source(s): 0 finding(s)\n"
+
+    @pytest.mark.parametrize("files", [(), (("sloppy.mj", INFO_ONLY), ("bad.mj", INVIABLE))])
+    def test_findings_equal_two_separate_loads(self, tmp_path, capsys, files):
+        # What lint --graph printed when the graph had a load of its own.
+        from repro.analysis import run_lint
+        from repro.core import Prospector
+        from repro.corpus import load_corpus_texts
+        from repro.data import corpus_texts, standard_registry
+
+        paths = [write(tmp_path, name, text) for name, text in files]
+        texts = list(zip(paths, (text for _, text in files))) or list(corpus_texts())
+        registry = standard_registry()
+        graph_side = Prospector(registry, load_corpus_texts(registry, texts, lenient=True))
+        want = run_lint(registry, texts, graph=graph_side.graph, verdicts=graph_side.verdicts)
+        code = main(["lint", "--graph"] + [arg for path in paths for arg in ("--corpus", path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [str(d) for d in want.diagnostics]
+        assert code == (1 if want.diagnostics else 0)
+        assert bool(files) == bool(want.diagnostics)

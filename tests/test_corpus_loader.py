@@ -163,3 +163,28 @@ class TestCulpritSearch:
         # nothing resolves them again.
         assert len(successes) == 1
         assert program.check_report is not None and program.check_report.ok
+
+    def test_two_broken_files_quarantine_only_themselves(self, small_registry):
+        # No single removal lets the rest resolve, so each round blames
+        # the file the joint attempt failed in: x.mj while declaring, then
+        # s.mj in a body. b.mj, c.mj and e.mj use a.mj's class and cannot
+        # resolve alone, but nothing is wrong with them.
+        from .resolution_oracle import VERSIONS, fresh_program, quarantine
+
+        names = ("a.mj", "b.mj", "c.mj", "e.mj", "u.mj", "h.mj")
+        base = [(name, VERSIONS[name][0]) for name in names]
+        broken = [("x.mj", VERSIONS["x.mj"][0]), ("s.mj", VERSIONS["s.mj"][0])]
+        program = load_corpus_texts(small_registry, base + broken, lenient=True)
+        alone = {
+            source: load_corpus_texts(small_registry, base + [(source, text)], lenient=True)
+            for source, text in broken
+        }
+        assert quarantine(program) == (
+            [
+                ("x.mj", "resolve", alone["x.mj"].diagnostics.faults[0].error),
+                ("s.mj", "resolve", alone["s.mj"].diagnostics.faults[0].error),
+            ],
+            [source for source, _ in base],
+        )
+        assert alone["x.mj"].diagnostics.faults[0].error == UNKNOWN_NOWHERE
+        assert quarantine(program) == quarantine(fresh_program(small_registry, base + broken))

@@ -1,11 +1,15 @@
 """Tests for example-jungloid generalization (the trie algorithm)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.eval import chain_signature
 from repro.jungloids import Jungloid, downcast, instance_call
 from repro.minijava.ast import Position
 from repro.mining import (
     ExampleJungloid,
     GeneralizedExample,
+    IncrementalGeneralizer,
     generalize_examples,
     unique_suffixes,
 )
@@ -213,3 +217,73 @@ class TestIncrementalGeneralizer:
         assert not inc.insert(plain)
         assert not inc.remove(plain)
         assert inc.generalize([plain]) == []
+
+
+ELEMENTS = step(H, "elements", OBJ)
+DATA = step(A, "data", OBJ)
+
+
+def _chains():
+    """Pre-cast chains whose last step (the depth-1 trie key) varies."""
+    chains = []
+    for first in (MAKE_A, OTHER_A):
+        for mid in (GET_TARGETS, GET_PROPS):
+            for last in (GET, ELEMENTS):
+                chains.append((first, mid, last))
+        chains.append((first, DATA))
+    return chains
+
+
+CHAINS = _chains()
+
+
+class TestIncrementalGeneralizerProperties:
+    """Random interleavings of insert, remove and generalize: every
+    generalize equals the batch function over the live examples."""
+
+    op = st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.integers(0, len(CHAINS) - 1),
+            st.integers(0, 2),
+            st.sampled_from([CAST_T, CAST_U, None]),
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 1000)),
+        st.tuples(st.just("generalize"), st.booleans()),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2), st.lists(op, max_size=40))
+    def test_every_generalize_equals_the_batch(self, min_precast, ops):
+        inc = IncrementalGeneralizer(min_precast)
+        live = []
+        previous = []
+        for op in ops + [("generalize", False)]:
+            if op[0] == "insert":
+                chain = CHAINS[op[1]][op[2]:] or CHAINS[op[1]][-1:]
+                steps = chain + ((op[3],) if op[3] is not None else ())
+                e = example(*steps)
+                inc.insert(e)
+                live.append(e)
+            elif op[0] == "remove":
+                if live:
+                    inc.remove(live.pop(op[1] % len(live)))
+            else:
+                # Sometimes pass a live example twice: results are per object.
+                passed = live + live[:1] if op[1] else list(live)
+                got = inc.generalize(passed)
+                want = generalize_examples(passed, min_precast)
+                assert [(g.example, g.suffix.steps) for g in got] == [
+                    (g.example, g.suffix.steps) for g in want
+                ]
+                suffixes = unique_suffixes(got)
+                assert [j.steps for j in suffixes] == [j.steps for j in unique_suffixes(want)]
+                # One object per suffix; the graft delta is exactly the
+                # suffixes that came and went.
+                assert len({j.steps for j in suffixes}) == len(suffixes)
+                old = {j.steps for j in previous}
+                new = {j.steps for j in suffixes}
+                born = [j.steps for j in suffixes if j.steps not in old]
+                assert [j.steps for j in inc.added] == born
+                assert {j.steps for j in inc.removed} == old - new
+                previous = suffixes

@@ -595,6 +595,22 @@ class TestIncrementalResolution:
         assert "b.mj" in self._sync(small_registry, pipeline, texts)
         assert "b.mj" in pipeline.program.diagnostics.loaded
 
+    def test_an_override_moves_the_targets_of_an_unresolved_caller(self, small_registry):
+        # C starts overriding A.p(): e.mj's body reads A only, so it is
+        # not resolved again, but its call a.p() may now reach C.p().
+        texts = _edit_texts(*self.BASE)
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        override = [(s, VERSIONS["c.mj"][3] if s == "c.mj" else t) for s, t in texts]
+        assert "e.mj" not in self._sync(small_registry, pipeline, override)
+        [site] = [
+            site
+            for sites in pipeline.call_graph.calls_in.values()
+            for site in sites
+            if site.caller.name == "first" and site.call.name == "p"
+        ]
+        assert [str(t.owner) for t in site.targets] == ["c.A", "c.C"]
+        self._sync(small_registry, pipeline, texts)
+
     def test_quarantined_static_call_stays_quarantined(self, small_registry):
         # The failed attempt folded Panel into a type name on the cached
         # AST; resolving that AST again must still reject the call.
@@ -616,3 +632,101 @@ class TestIncrementalResolution:
         fixed = texts[:position] + _edit_texts(("x.mj", 2)) + texts[position:]
         assert self._sync(small_registry, pipeline, fixed) == {"x.mj"}
         assert self._sync(small_registry, pipeline, texts) == set()
+
+
+#: Declares ``Nowhere``, the type x.mj (v0) names, from another package.
+NOWHERE = ("n.mj", "package n;\npublic class Nowhere {\n}\n")
+#: Extends demo.ui.Widget by simple name, from a package of its own.
+WIDGET_USER = ("g.mj", "package g;\npublic class G extends Widget {\n}\n")
+#: Broken like x.mj (v0), and declares a second ``Widget``.
+BROKEN_WIDGET = (
+    "k.mj",
+    "package k;\npublic class Widget {\n  public void use(Nowhere gone) { }\n}\n",
+)
+
+
+class TestQuarantineMemo:
+    """A file quarantined for lookups that found nothing stays out of the
+    joint attempt while they still find nothing; every sync still equals
+    a fresh load."""
+
+    BASE = TestIncrementalResolution.BASE
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        import repro.corpus.loader as loader
+
+        calls = []
+        resolve = loader.resolve_program
+
+        def counting(registry, units, cache=None):
+            calls.append([u.source for u in units])
+            return resolve(registry, units, cache=cache)
+
+        monkeypatch.setattr(loader, "resolve_program", counting)
+        return calls
+
+    def _sync(self, registry, pipeline, texts, attempts):
+        """Sync, check against a fresh load, return the sync's attempts."""
+        attempts.clear()
+        pipeline.sync(texts)
+        made = list(attempts)
+        assert_matches_fresh(registry, pipeline, texts)
+        attempts[:] = made
+        return len(made)
+
+    def test_touching_a_healthy_file_is_one_attempt(self, small_registry, attempts):
+        texts = _edit_texts(*self.BASE, ("x.mj", 0))
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        assert pipeline.program.diagnostics.quarantined_sources() == ["x.mj"]
+        touched = [(s, t + "// touched\n" if s == "a.mj" else t) for s, t in texts]
+        assert self._sync(small_registry, pipeline, touched, attempts) == 1
+        assert attempts == [[s for s, _ in texts if s != "x.mj"]]
+        assert pipeline.program.diagnostics.quarantined_sources() == ["x.mj"]
+
+    def test_declaring_the_missing_type_un_quarantines(self, small_registry, attempts):
+        texts = _edit_texts(*self.BASE, ("x.mj", 0))
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        self._sync(small_registry, pipeline, texts + [NOWHERE], attempts)
+        assert pipeline.program.diagnostics.faults == []
+        assert "x.mj" in pipeline.program.diagnostics.loaded
+
+    def test_fixing_the_file_un_quarantines(self, small_registry, attempts):
+        texts = _edit_texts(*self.BASE, ("x.mj", 0))
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        fixed = _edit_texts(*self.BASE, ("x.mj", 2))
+        assert self._sync(small_registry, pipeline, fixed, attempts) == 1
+        assert pipeline.program.diagnostics.faults == []
+
+    @pytest.mark.parametrize("shadow", [("d.mj", 0), ("w.mj", 1)])
+    def test_a_shadowing_edit_falls_back_to_the_search(self, small_registry, attempts, shadow):
+        # d.A makes e.mj's ``A`` ambiguous; a c.Widget without getName()
+        # breaks u.mj. Either way the rest no longer resolves.
+        texts = _edit_texts(*self.BASE, ("x.mj", 0))
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        assert self._sync(small_registry, pipeline, texts + _edit_texts(shadow), attempts) > 2
+        assert len(pipeline.program.diagnostics.quarantined_sources()) == 2
+        # The new quarantine is remembered only where it is all misses.
+        assert self._sync(small_registry, pipeline, texts, attempts) >= 1
+
+    def test_a_name_the_held_file_declares_is_probed_elsewhere(self, small_registry, attempts):
+        # k.mj is held; g.mj then names Widget, which k.mj declares too. A
+        # joint attempt fails in g.mj first, so the culprit search records
+        # the ambiguity against k.mj, not k.mj's remembered error.
+        texts = _edit_texts(*self.BASE) + [BROKEN_WIDGET]
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        assert pipeline.program.diagnostics.faults[0].error == "unknown type 'Nowhere'"
+        self._sync(small_registry, pipeline, texts + [WIDGET_USER], attempts)
+        [fault] = pipeline.program.diagnostics.faults
+        assert fault.source == "k.mj" and fault.error.startswith("ambiguous type 'Widget'")
+
+    def test_held_files_report_in_the_searchs_order(self, small_registry, attempts):
+        # x.mj fails declaring, a second file in a body: both are held,
+        # and the search would raise x.mj's error first wherever it sits.
+        body = ("y.mj", "package y;\npublic class Y {\n  public int f() { return gone(); }\n}\n")
+        texts = [body] + _edit_texts(*self.BASE, ("x.mj", 0))
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        assert pipeline.program.diagnostics.quarantined_sources() == ["x.mj", "y.mj"]
+        touched = [(s, t + "// touched\n" if s == "a.mj" else t) for s, t in texts]
+        assert self._sync(small_registry, pipeline, touched, attempts) == 1
+        assert pipeline.program.diagnostics.quarantined_sources() == ["x.mj", "y.mj"]

@@ -699,7 +699,7 @@ corpus_edits = st.one_of(
     st.tuples(
         st.just("set"),
         st.sampled_from(_EDIT_FILES),
-        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=3),
         st.sampled_from(_POSITIONS),
     ),
     st.tuples(st.just("remove"), st.sampled_from(_EDIT_FILES)),
