@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 
 from .analysis import SEVERITY_ORDER, lint_graph, run_lint
 from .apispec import ApiSpecError, load_api_files
-from .core import CursorContext, Prospector
+from .core import CursorContext, Prospector, repair_snapshot
 from .corpus import CorpusLoadError, load_corpus_files, load_corpus_texts
 from .data import corpus_texts, standard_corpus, standard_registry
 from .eval import classify_stuck_cases, run_prototype_test, run_table1, simulate_user_study
@@ -42,7 +42,6 @@ from .store import (
     SnapshotStore,
     StoreRecoveryError,
     atomic_write_text,
-    repair as repair_snapshot,
     verify_snapshot,
 )
 from .typesystem import TypeSystemError
@@ -83,12 +82,9 @@ def _build_prospector(args: argparse.Namespace) -> Prospector:
     snapshot = getattr(args, "snapshot", None)
     if not snapshot:
         return _build_prospector_from_data(args)
-
-    def _rebuild():
-        rebuilt = _build_prospector_from_data(args)
-        return rebuilt.registry, rebuilt.mined_jungloids
-
-    prospector = Prospector.from_snapshot(snapshot, rebuild=_rebuild)
+    prospector = Prospector.from_snapshot(
+        snapshot, rebuild=lambda: _build_prospector_from_data(args)
+    )
     diagnostics = prospector.store_diagnostics
     if diagnostics is not None and diagnostics.degraded:
         print(diagnostics.summary(), file=sys.stderr)
@@ -308,25 +304,27 @@ def _cmd_index_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_repair(args: argparse.Namespace) -> int:
-    store = SnapshotStore(args.path)
-
-    def _rebuild():
-        rebuilt = _build_prospector_from_data(args)
-        return rebuilt.registry, rebuilt.mined_jungloids
-
     try:
-        recovered = repair_snapshot(store, rebuild=_rebuild)
+        prospector = repair_snapshot(
+            args.path, rebuild=lambda: _build_prospector_from_data(args)
+        )
     except StoreRecoveryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if recovered.diagnostics.ok:
+    diagnostics = prospector.store_diagnostics
+    if diagnostics.ok:
         print(f"{args.path}: already sound, nothing to repair")
     else:
-        print(recovered.diagnostics.summary(), file=sys.stderr)
-        if recovered.rung_used == RUNG_CURRENT:
-            print(f"{args.path}: rewritten without its analysis section")
+        print(diagnostics.summary(), file=sys.stderr)
+        if diagnostics.rung_used != RUNG_CURRENT:
+            print(f"{args.path}: rewritten from {diagnostics.rung_used}")
+        elif prospector.verdicts is not None:
+            print(
+                f"{args.path}: rewritten with its analysis section restored"
+                " from the stage file"
+            )
         else:
-            print(f"{args.path}: rewritten from {recovered.rung_used}")
+            print(f"{args.path}: rewritten without its analysis section")
     return EXIT_OK
 
 
@@ -351,12 +349,9 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
         print("error: nothing to do; give --set and/or --remove", file=sys.stderr)
         return EXIT_INPUT_ERROR
     upserts = _parse_set_specs(args.set)
-
-    def _rebuild():
-        rebuilt = _build_prospector_from_data(args)
-        return rebuilt.registry, rebuilt.mined_jungloids
-
-    prospector = Prospector.from_snapshot(args.path, rebuild=_rebuild)
+    prospector = Prospector.from_snapshot(
+        args.path, rebuild=lambda: _build_prospector_from_data(args)
+    )
     if prospector.pipeline is None:
         # No usable stage file (old snapshot, or damaged): degrade to
         # a full rebuild from the corpus, which recreates the pipeline —

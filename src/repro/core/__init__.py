@@ -2,7 +2,7 @@
 
 from .compose import ComposedSnippet, CompositionStep, complete_free_variables
 from .context import CursorContext, VisibleVariable
-from .prospector import Prospector, ProspectorConfig
+from .prospector import Prospector, ProspectorConfig, repair_snapshot
 from .query import Query, TypeSpec, resolve_type_spec
 from .results import Synthesis
 
@@ -17,5 +17,6 @@ __all__ = [
     "TypeSpec",
     "VisibleVariable",
     "complete_free_variables",
+    "repair_snapshot",
     "resolve_type_spec",
 ]

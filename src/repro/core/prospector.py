@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis import CastVerdictIndex, JungloidVerdict
-from ..corpus import CorpusProgram, load_corpus_texts
+from ..corpus import CorpusProgram
 from ..graph import JungloidGraph, graph_stats
 from ..jungloids import CostModel, DEFAULT_COST_MODEL, Jungloid
 from ..mining import (
@@ -33,11 +33,13 @@ from ..robustness import (
 from ..pipeline import CorpusPipeline, PipelineUpdateStats
 from ..search import GraphSearch, SearchConfig, representatives
 from ..store import (
+    RUNG_REBUILD,
     STAGE_ANALYSIS,
-    RecoveredStore,
+    STAGE_REBUILD,
     SnapshotManifest,
     SnapshotStore,
     StoreDiagnostics,
+    StoreRecoveryError,
     load_with_recovery,
     save_stage_sidecar,
     try_load_stage_sidecar,
@@ -46,6 +48,12 @@ from ..typesystem import TypeRegistry
 from .context import CursorContext
 from .query import Query, TypeSpec, resolve_type_spec
 from .results import Synthesis
+
+#: The rebuild rung's retry budget: attempts, and the backoff before the
+#: second (doubling after each failure). Corpus trees are read over the
+#: same flaky filesystems snapshots are.
+REBUILD_ATTEMPTS = 3
+REBUILD_BACKOFF_MS = 50.0
 
 
 @dataclass(frozen=True)
@@ -128,39 +136,23 @@ class Prospector:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_texts(
-        cls,
-        api_texts: Iterable[Tuple[str, str]],
-        corpus_texts: Iterable[Tuple[str, str]] = (),
-        config: ProspectorConfig = ProspectorConfig(),
-    ) -> "Prospector":
-        """Build from stub and corpus source texts."""
-        from ..apispec import load_api_texts
-
-        registry = load_api_texts(list(api_texts))
-        corpus_list = list(corpus_texts)
-        corpus = load_corpus_texts(registry, corpus_list) if corpus_list else None
-        return cls(registry, corpus, config)
-
-    @classmethod
     def from_snapshot(
         cls,
         path: os.PathLike,
         config: ProspectorConfig = ProspectorConfig(),
         clock: Clock = SYSTEM_CLOCK,
-        rebuild: Optional[
-            Callable[[], Tuple[TypeRegistry, Sequence[Jungloid]]]
-        ] = None,
-        max_rebuild_attempts: int = 3,
-        backoff_ms: float = 50.0,
-        sleep: Optional[Callable[[float], None]] = None,
+        rebuild: Optional[Callable[[], "Prospector"]] = None,
+        sleep: Callable[[float], None] = time.sleep,
     ) -> "Prospector":
         """Fast-start from a persisted snapshot, surviving damage.
 
-        Loads via the store's recovery ladder (current snapshot →
-        previous generation → ``rebuild()`` with bounded retry); the
-        rung taken and every fault en route are available afterwards on
-        :attr:`store_diagnostics`. Raises
+        Loads via the recovery ladder: the current snapshot, then the
+        previous generation, then ``rebuild()`` — an instance built from
+        the corpus — retried :data:`REBUILD_ATTEMPTS` times with
+        exponential backoff from :data:`REBUILD_BACKOFF_MS` (``sleep``
+        is the test seam). The rebuild rung returns the instance
+        ``rebuild()`` built. The rung taken and every fault en route are
+        available afterwards on :attr:`store_diagnostics`. Raises
         :class:`~repro.store.StoreRecoveryError` only if every rung
         fails.
 
@@ -177,23 +169,22 @@ class Prospector:
         fails to decode leaves it verdict-less and is recorded as a
         :data:`~repro.store.STAGE_ANALYSIS` fault.
         """
-        recovered: RecoveredStore = load_with_recovery(
-            SnapshotStore(path),
-            rebuild=rebuild,
-            max_rebuild_attempts=max_rebuild_attempts,
-            backoff_ms=backoff_ms,
-            sleep=sleep,
-        )
+        diagnostics = StoreDiagnostics()
+        loaded = load_with_recovery(SnapshotStore(path), diagnostics)
+        if loaded is None:
+            prospector = _rebuild_rung(rebuild, diagnostics, sleep)
+            prospector.store_diagnostics = diagnostics
+            return prospector
         # The load audit built this very graph; reuse it when it has the
         # flavour this instance serves.
-        graph = recovered.graph if recovered.public_only == config.public_only else None
+        graph = loaded.graph if loaded.public_only == config.public_only else None
         pipeline = None
-        if recovered.manifest is not None:
-            data = try_load_stage_sidecar(path, recovered.manifest.stages_sha256)
+        if loaded.manifest is not None:
+            data = try_load_stage_sidecar(path, loaded.manifest.stages_sha256)
             if data is not None:
                 try:
                     pipeline = CorpusPipeline.from_artifacts(
-                        recovered.registry,
+                        loaded.registry,
                         data,
                         graph=graph,
                         extraction=config.extraction,
@@ -202,23 +193,27 @@ class Prospector:
                 except Exception:  # noqa: BLE001 — serve the snapshot's answers
                     pass
         prospector = cls(
-            recovered.registry,
+            loaded.registry,
             None,
             config,
             clock,
-            mined=recovered.mined,
-            store_diagnostics=recovered.diagnostics,
+            mined=loaded.mined,
+            store_diagnostics=diagnostics,
             pipeline=pipeline,
             graph=graph,
         )
-        if pipeline is None and recovered.analysis is not None:
+        if (
+            pipeline is None
+            and loaded.analysis is not None
+            and loaded.analysis_fault is None
+        ):
             try:
                 prospector.set_verdicts(
-                    CastVerdictIndex.from_dict(recovered.registry, recovered.analysis)
+                    CastVerdictIndex.from_dict(loaded.registry, loaded.analysis)
                 )
             except Exception as exc:  # noqa: BLE001 — serve verdict-less
-                recovered.diagnostics.record(
-                    recovered.rung_used,
+                diagnostics.record(
+                    diagnostics.rung_used,
                     STAGE_ANALYSIS,
                     f"analysis section unusable: {exc!r}",
                 )
@@ -517,3 +512,47 @@ class Prospector:
                 **self.mining.trimming_summary(),
             }
         return info
+
+
+def _rebuild_rung(
+    rebuild: Optional[Callable[[], Prospector]],
+    diagnostics: StoreDiagnostics,
+    sleep: Callable[[float], None],
+) -> Prospector:
+    """The ladder's last rung: ``rebuild()`` with bounded retry."""
+    if rebuild is not None:
+        for attempt in range(1, REBUILD_ATTEMPTS + 1):
+            diagnostics.rebuild_attempts = attempt
+            try:
+                prospector = rebuild()
+            except Exception as exc:  # noqa: BLE001 — any rebuild failure retries
+                diagnostics.record(RUNG_REBUILD, STAGE_REBUILD, f"attempt {attempt}: {exc}")
+                if attempt < REBUILD_ATTEMPTS:
+                    sleep(REBUILD_BACKOFF_MS * 2 ** (attempt - 1) / 1000.0)
+                continue
+            diagnostics.rung_used = RUNG_REBUILD
+            return prospector
+    raise StoreRecoveryError(
+        "snapshot recovery exhausted:\n" + diagnostics.summary(),
+        diagnostics=diagnostics,
+    )
+
+
+def repair_snapshot(
+    path: os.PathLike, rebuild: Optional[Callable[[], Prospector]] = None
+) -> Prospector:
+    """Load ``path`` through the ladder, then save the instance back
+    over it unless the current generation loaded cleanly.
+
+    The rewrite is an ordinary :meth:`Prospector.save_snapshot`, so it
+    carries the serving instance's verdicts and, when it has a
+    pipeline, a fresh stage file. It uses ``rotate=False``: when
+    recovery came *from* the previous generation, rotating the damaged
+    current file over it would destroy the only good copy. Returns the
+    loaded instance; its :attr:`~Prospector.store_diagnostics` say what
+    was repaired.
+    """
+    prospector = Prospector.from_snapshot(path, rebuild=rebuild)
+    if not prospector.store_diagnostics.ok:
+        prospector.save_snapshot(path, rotate=False)
+    return prospector

@@ -82,10 +82,15 @@ class CorpusProgram:
     #: (including quarantined files). The incremental pipeline needs the
     #: originals to fingerprint and re-slice on :meth:`update_corpus`.
     texts: List[Tuple[str, str]] = field(default_factory=list)
-    #: The records of the load's body resolution, which a pipeline built
-    #: from this program adopts instead of resolving the bodies again.
+    #: The records of the load's body resolution. The first pipeline
+    #: built from this program takes them with its units and parse
+    #: faults, and clears this field; a later one parses afresh.
     resolution_cache: Optional[ResolutionCache] = field(
         default=None, repr=False, compare=False
+    )
+    #: ``(source, error)`` for each text a lenient load could not parse.
+    parse_faults: List[Tuple[str, MiniJavaError]] = field(
+        default_factory=list, repr=False, compare=False
     )
 
     @property
@@ -113,6 +118,7 @@ def load_corpus_texts(
     texts = list(texts)
     diagnostics = CorpusDiagnostics() if lenient else None
     units: List[CompilationUnit] = []
+    parse_faults: List[Tuple[str, MiniJavaError]] = []
     for source, text in texts:
         try:
             units.append(parse_minijava(text, source))
@@ -120,6 +126,7 @@ def load_corpus_texts(
             if diagnostics is None:
                 raise
             diagnostics.record(source, PHASE_PARSE, exc)
+            parse_faults.append((source, exc))
     cache = ResolutionCache()
     if diagnostics is not None:
         registry, units, corpus_types, report = resolve_and_check_lenient(
@@ -140,6 +147,7 @@ def load_corpus_texts(
         diagnostics=diagnostics,
         texts=texts,
         resolution_cache=cache,
+        parse_faults=parse_faults,
     )
 
 

@@ -60,12 +60,16 @@ _CACHED: Optional[Tuple[TypeRegistry, CorpusProgram]] = None
 
 
 def standard_setup(refresh: bool = False) -> Tuple[TypeRegistry, CorpusProgram]:
-    """Registry + corpus, cached module-wide (they are pure data).
+    """Registry + corpus, cached module-wide.
 
     The cache keeps the evaluation harness and benchmarks from re-parsing
-    the bundles for every experiment. Pass ``refresh=True`` to force a
-    rebuild (tests that mutate the registry should instead build their
-    own via :func:`standard_registry`).
+    the bundles for every experiment. The program is shared, not pure
+    data: the first pipeline built from it adopts its parsed units and
+    resolution cache, and that pipeline's updates re-resolve those units
+    in place; later pipelines parse afresh. Pass ``refresh=True`` to force
+    a rebuild (tests that mutate the registry, or need a program of their
+    own, should instead build one via :func:`standard_registry` and
+    :func:`standard_corpus`).
     """
     global _CACHED
     if _CACHED is None or refresh:

@@ -17,7 +17,6 @@ from .artifacts import (
     check_stage_dict,
     stages_to_dict,
 )
-from .delta import SuffixDelta, compute_suffix_delta, suffix_map
 from .fingerprint import (
     FingerprintDiff,
     diff_fingerprints,
@@ -39,12 +38,9 @@ __all__ = [
     "STAGE_FORMAT",
     "StageFormatError",
     "StageTimings",
-    "SuffixDelta",
     "check_stage_dict",
-    "compute_suffix_delta",
     "diff_fingerprints",
     "fingerprint_text",
     "fingerprint_texts",
     "stages_to_dict",
-    "suffix_map",
 ]

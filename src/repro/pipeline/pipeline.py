@@ -77,7 +77,6 @@ from ..mining import (
 from ..robustness import CorpusDiagnostics, PHASE_PARSE
 from ..typesystem import ArrayType, Method, NamedType, TypeRegistry
 from .artifacts import FileMineRecord, StageFormatError, check_stage_dict, stages_to_dict
-from .delta import SuffixKey, compute_suffix_delta, suffix_map
 from .fingerprint import diff_fingerprints, fingerprint_texts
 
 
@@ -319,9 +318,9 @@ class CorpusPipeline:
         #: Body-resolution records of the parsed units (see stage 3).
         self._resolution_cache = ResolutionCache()
         self._records: Dict[str, FileMineRecord] = {}
-        #: The suffixes grafted into an adopted graph, until the first
-        #: sync diffs against them (see :meth:`from_artifacts`).
-        self._adopted: Optional[Dict[SuffixKey, Jungloid]] = None
+        #: ``graph`` was adopted, not built here: the first sync diffs
+        #: against its splices (see :meth:`from_artifacts`).
+        self._adopted = False
         self._pending_record_dicts: Dict[str, dict] = {}
         self._generalizer = IncrementalGeneralizer(self.min_precast_steps)
         #: Per unit: (its call-graph share, its method keys, its callee keys).
@@ -366,17 +365,20 @@ class CorpusPipeline:
         public_only: bool = True,
         check: Optional[bool] = None,
     ) -> "CorpusPipeline":
-        """Adopt an already-loaded corpus program (must carry its texts).
+        """Build from an already-loaded corpus program (must carry its texts).
 
         Load discipline is inferred from the program: a quarantine
         report means it was loaded leniently, a check report means
         checking was on (``check`` overrides that, so an unchecked load
-        can seed a checking pipeline). The program must have been loaded against
-        ``api_registry``: the pipeline adopts its parsed units and its
-        :class:`~repro.minijava.ResolutionCache`, so the initial sync
-        re-resolves no body the loader resolved. An empty program (no
-        units, no texts) yields an empty pipeline that later updates can
-        fill.
+        can seed a checking pipeline). The program must have been loaded
+        against ``api_registry``. The first pipeline built from a program
+        adopts its parsed units, parse faults and
+        :class:`~repro.minijava.ResolutionCache` (and clears
+        ``program.resolution_cache``), so its initial sync parses and
+        re-resolves nothing the loader did; a later one parses and
+        resolves afresh, because later syncs re-resolve adopted units in
+        place. An empty program (no units, no texts) yields an empty
+        pipeline that later updates can fill.
         """
         if program.units and not program.texts:
             raise ValueError("program has no retained texts; cannot build a pipeline")
@@ -388,14 +390,19 @@ class CorpusPipeline:
             check=program.check_report is not None if check is None else check,
             public_only=public_only,
         )
-        # Seed the parse and resolution caches with the program's so the
-        # initial sync only re-declares and mines.
-        if program.resolution_cache is not None:
-            pipeline._resolution_cache = program.resolution_cache
-        fps = fingerprint_texts(program.texts)
-        for unit in program.units:
-            if unit.source in fps:
-                pipeline._parse_cache[unit.source] = (fps[unit.source], unit, None)
+        cache = program.resolution_cache
+        if cache is not None:
+            # Seed the parse and resolution caches with the program's so
+            # the initial sync only re-declares and mines.
+            program.resolution_cache = None
+            pipeline._resolution_cache = cache
+            fps = fingerprint_texts(program.texts)
+            for unit in program.units:
+                if unit.source in fps:
+                    pipeline._parse_cache[unit.source] = (fps[unit.source], unit, None)
+            for source, exc in program.parse_faults:
+                if source in fps:
+                    pipeline._parse_cache[source] = (fps[source], None, exc)
         pipeline.sync(program.texts)
         return pipeline
 
@@ -440,9 +447,7 @@ class CorpusPipeline:
             }
         if graph is not None:
             pipeline.graph = graph
-            pipeline._adopted = {
-                key: Jungloid(key) for key in graph.mined_suffix_keys()
-            }
+            pipeline._adopted = True
         texts = [(str(s), t) for s, t in data["texts"]]
         pipeline.sync(texts)
         return pipeline
@@ -709,9 +714,12 @@ class CorpusPipeline:
             stats.revision_before = 0
             stats.revision_after = self.graph.revision
         else:
-            if self._adopted is not None:
-                delta = compute_suffix_delta(self._adopted, suffix_map(suffixes))
-                added, removed = delta.added, delta.removed
+            if self._adopted:
+                # Diff against the adopted graph's splices, in its order.
+                live = dict.fromkeys(self.graph.mined_suffix_keys())
+                new = {j.steps for j in suffixes}
+                added = tuple(j for j in suffixes if j.steps not in live)
+                removed = tuple(Jungloid(key) for key in live if key not in new)
             else:
                 # Suffixes are canonical objects: the ones whose use count
                 # rose from zero are new (in the new list's order), the
@@ -732,7 +740,7 @@ class CorpusPipeline:
         self._fingerprints = new_fps
         self._parse_cache = new_parse
         self._records = new_records
-        self._adopted = None
+        self._adopted = False
         self._dep_keys = dep_keys
         self._call_graph_current = True
         self._pending_record_dicts = {}

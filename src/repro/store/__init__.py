@@ -9,8 +9,10 @@ resilience (see DESIGN.md, "Durable snapshot store"):
   version, payload SHA-256, type/mined/node/edge counts) and verifies
   it on load; :func:`audit_bundle` re-derives the graph invariants;
 * **Recovery** — :func:`load_with_recovery` descends current snapshot →
-  previous generation → bounded corpus rebuild, recording every rung in
-  a :class:`StoreDiagnostics`.
+  previous generation, recording every rung in a
+  :class:`StoreDiagnostics`; the corpus-rebuild rung and repair belong
+  to the instance layer (:meth:`repro.core.Prospector.from_snapshot`,
+  :func:`repro.core.repair_snapshot`).
 """
 
 from .audit import (
@@ -43,11 +45,9 @@ from .recovery import (
     STAGE_REBUILD,
     STAGE_VERIFY,
     STORE_LADDER,
-    RecoveredStore,
     StoreDiagnostics,
     StoreFault,
     load_with_recovery,
-    repair,
     verify_snapshot,
 )
 from .stages import (
@@ -82,7 +82,6 @@ __all__ = [
     "RUNG_CURRENT",
     "RUNG_PREVIOUS",
     "RUNG_REBUILD",
-    "RecoveredStore",
     "SCHEMA_VERSION",
     "SNAPSHOT_FORMAT",
     "STAGE_ANALYSIS",
@@ -110,7 +109,6 @@ __all__ = [
     "audit_mined",
     "load_with_recovery",
     "payload_digest",
-    "repair",
     "save_stage_sidecar",
     "stage_sidecar_path",
     "try_load_stage_sidecar",

@@ -40,7 +40,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -180,13 +180,16 @@ class SnapshotManifest:
 
 @dataclass(frozen=True)
 class LoadedSnapshot:
-    """A verified, parsed snapshot ready to become a graph."""
+    """A verified, parsed, audited snapshot, ready to serve."""
 
     registry: TypeRegistry
     mined: Tuple[Jungloid, ...]
     manifest: Optional[SnapshotManifest]  #: None for migrated legacy bundles
     migrated_from: Optional[int]  #: source schema version, if migrated
     path: Path
+    #: The graph the audit built (with :attr:`public_only`), so a loader
+    #: can serve from it instead of building it again.
+    graph: JungloidGraph
     #: The header's serialized cast-verdict index (schema v3+), as read:
     #: the loader that decodes it rejects a malformed one. ``None`` when
     #: the snapshot predates the analysis or was saved without one.
@@ -195,10 +198,11 @@ class LoadedSnapshot:
     #: v4); ``None`` when it matches or the schema predates the digest.
     #: A section with a fault must not be used.
     analysis_fault: Optional[str] = None
-    #: The graph the audit built (with the manifest's ``public_only``),
-    #: so a loader can serve from it instead of building it again;
-    #: ``None`` when the load skipped the audit.
-    graph: Optional[JungloidGraph] = None
+
+    @property
+    def public_only(self) -> bool:
+        """The manifest's graph flavour (legacy bundles were public-only)."""
+        return self.manifest.public_only if self.manifest else True
 
 
 def payload_digest(payload: bytes) -> str:
@@ -340,12 +344,12 @@ class SnapshotStore:
             raise SnapshotCorruptError(f"{path}: header present but payload missing")
         return header, raw[newline + 1 :]
 
-    def load(self, which: str = "current", audit: bool = True) -> LoadedSnapshot:
+    def load(self, which: str = "current") -> LoadedSnapshot:
         """Read, verify, parse, migrate, and audit one generation.
 
         Raises a :class:`~repro.store.errors.SnapshotError` subclass on
-        the first problem found; callers wanting a report instead of an
-        exception use :meth:`verify`.
+        the first problem found; :func:`~repro.store.verify_snapshot`
+        reports instead of raising.
         """
         path = self._path_for(which)
         raw = self.read_raw(which)
@@ -359,14 +363,14 @@ class SnapshotStore:
                 raise SnapshotCorruptError(f"{path}: undecodable bytes: {exc}") from exc
             except BundleFormatError as exc:
                 raise SnapshotCorruptError(f"{path}: {exc}") from exc
-            loaded = LoadedSnapshot(
+            return LoadedSnapshot(
                 registry=registry,
                 mined=tuple(mined),
                 manifest=None,
                 migrated_from=1,
                 path=path,
+                graph=_audited_graph(path, registry, mined, None),
             )
-            return self._audit_or_raise(loaded, audit)
 
         version = header.get("schema_version")
         if not isinstance(version, int) or version < 1:
@@ -395,12 +399,13 @@ class SnapshotStore:
             # persisted garbage. Treat as corruption, not a format error.
             raise SnapshotCorruptError(f"{path}: {exc}") from exc
         analysis = header.get("analysis")
-        loaded = LoadedSnapshot(
+        return LoadedSnapshot(
             registry=registry,
             mined=tuple(mined),
             manifest=manifest,
             migrated_from=version if version != SCHEMA_VERSION else None,
             path=path,
+            graph=_audited_graph(path, registry, mined, manifest),
             analysis=analysis,
             analysis_fault=(
                 _analysis_fault(manifest, analysis)
@@ -408,28 +413,27 @@ class SnapshotStore:
                 else None
             ),
         )
-        return self._audit_or_raise(loaded, audit)
-
-    def _audit_or_raise(self, loaded: LoadedSnapshot, audit: bool) -> LoadedSnapshot:
-        """The full post-load audit, including a graph rebuild so edge
-        endpoints and node/edge counts are checked against the manifest.
-        Returns ``loaded`` carrying that graph."""
-        if not audit:
-            return loaded
-        public_only = loaded.manifest.public_only if loaded.manifest else True
-        graph = JungloidGraph.build(
-            loaded.registry, loaded.mined, public_only=public_only
-        )
-        issues = audit_bundle(
-            loaded.registry, loaded.mined, manifest=loaded.manifest, graph=graph
-        )
-        if issues:
-            raise SnapshotIntegrityError(
-                f"{loaded.path}: integrity audit found {len(issues)} issue(s):"
-                + "".join(f"\n  {issue}" for issue in issues),
-                issues=issues,
-            )
-        return replace(loaded, graph=graph)
 
     def exists(self, which: str = "current") -> bool:
         return self._path_for(which).exists()
+
+
+def _audited_graph(
+    path: Path,
+    registry: TypeRegistry,
+    mined: Sequence[Jungloid],
+    manifest: Optional[SnapshotManifest],
+) -> JungloidGraph:
+    """The full post-load audit, including a graph build so edge
+    endpoints and node/edge counts are checked against the manifest.
+    Returns that graph."""
+    public_only = manifest.public_only if manifest else True
+    graph = JungloidGraph.build(registry, mined, public_only=public_only)
+    issues = audit_bundle(registry, mined, manifest=manifest, graph=graph)
+    if issues:
+        raise SnapshotIntegrityError(
+            f"{path}: integrity audit found {len(issues)} issue(s):"
+            + "".join(f"\n  {issue}" for issue in issues),
+            issues=issues,
+        )
+    return graph

@@ -7,7 +7,7 @@ import pytest
 from repro import Prospector
 from repro.apispec import load_api_text
 from repro.corpus import load_corpus_texts
-from repro.data import standard_setup
+from repro.data import standard_corpus, standard_setup
 
 #: A compact API used by most unit tests: a realistic little hierarchy
 #: with constructors, static methods, fields, interfaces, and arrays.
@@ -116,5 +116,8 @@ def standard_registry_and_corpus():
 
 @pytest.fixture(scope="session")
 def standard_prospector(standard_registry_and_corpus):
-    registry, corpus = standard_registry_and_corpus
-    return Prospector(registry, corpus)
+    # Its own program: the first pipeline built from a program adopts
+    # its parses, so sharing the cached one would make this fixture
+    # depend on which test built from it first.
+    registry, _ = standard_registry_and_corpus
+    return Prospector(registry, standard_corpus(registry))

@@ -95,21 +95,46 @@ class TestIndexRepair:
         assert "rewritten from previous-generation" in captured.out
         assert main(["index", "verify", str(snap)]) == 0
 
-    def test_repair_names_a_dropped_analysis_section(self, tmp_path, data_files, capsys):
-        api, corpus = data_files
-        snap = _build(tmp_path, api, corpus)
+    @staticmethod
+    def _edit_a_verdict(snap):
         head, _, payload = snap.read_bytes().partition(b"\n")
         header = json.loads(head)
         pair = header["analysis"]["pairs"][0]
         pair["verdict"] = "plausible" if pair["verdict"] != "plausible" else "inviable"
         snap.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    def test_repair_names_a_dropped_analysis_section(self, tmp_path, data_files, capsys):
+        # The adopted stage file's pipeline has the verdicts, so the
+        # rewrite restores the section the load refused.
+        api, corpus = data_files
+        snap = _build(tmp_path, api, corpus)
+        fresh = json.loads(snap.read_bytes().partition(b"\n")[0])["analysis"]
+        self._edit_a_verdict(snap)
         capsys.readouterr()
         assert main(["index", "repair", str(snap)]) == 0
         captured = capsys.readouterr()
         assert "without its analysis section" in captured.err
         assert "recovered via" not in captured.err
+        assert (
+            f"{snap}: rewritten with its analysis section restored from the stage file"
+            in captured.out
+        )
+        assert main(["index", "verify", str(snap)]) == 0
+        assert json.loads(snap.read_bytes().partition(b"\n")[0])["analysis"] == fresh
+
+    def test_repair_without_a_stage_file_drops_the_analysis_section(
+        self, tmp_path, data_files, capsys
+    ):
+        api, corpus = data_files
+        snap = _build(tmp_path, api, corpus)
+        snap.with_name(snap.name + ".stages").unlink()
+        self._edit_a_verdict(snap)
+        capsys.readouterr()
+        assert main(["index", "repair", str(snap)]) == 0
+        captured = capsys.readouterr()
         assert f"{snap}: rewritten without its analysis section" in captured.out
         assert main(["index", "verify", str(snap)]) == 0
+        assert "analysis" not in json.loads(snap.read_bytes().partition(b"\n")[0])
 
     def test_repair_by_corpus_rebuild(self, tmp_path, data_files, capsys):
         api, corpus = data_files
@@ -122,6 +147,20 @@ class TestIndexRepair:
         assert code == 0
         assert "rewritten from rebuild-from-corpus" in captured.out
         assert main(["index", "verify", str(snap)]) == 0
+        # The rewrite saved the rebuilt instance's stage file too, so the
+        # next update is incremental.
+        capsys.readouterr()
+        corpus.write_text(MINI_CORPUS + "// touched\n")
+        code = main(
+            [
+                "index", "update", str(snap), "--set", str(corpus),
+                "--api", str(api), "--corpus", str(corpus),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "rebuilding" not in captured.err
+        assert "re-mined 1 file(s)" in captured.out
 
 
 class TestIndexUpdate:
@@ -154,6 +193,31 @@ class TestIndexUpdate:
         captured = self._update(snap, api, corpus, capsys)
         assert "rebuilding" not in captured.err
         assert "re-mined 1 file(s)" in captured.out
+
+
+    def test_torn_snapshot_without_previous_builds_the_corpus_once(
+        self, tmp_path, data_files, capsys, monkeypatch
+    ):
+        from repro.graph import JungloidGraph
+
+        api, corpus = data_files
+        snap = _build(tmp_path, api, corpus)
+        corrupt_file(snap, lambda b: truncate_bytes(b, len(b) // 2))
+        builds = []
+        original = JungloidGraph.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(JungloidGraph, "build", classmethod(counting))
+        capsys.readouterr()
+        captured = self._update(snap, api, corpus, capsys)
+        # The rebuild rung's instance takes the update: no second build.
+        assert "rebuilding from corpus" not in captured.err
+        assert "no content changes" in captured.out
+        assert len(builds) == 1
+        assert main(["index", "verify", str(snap)]) == 0
 
 
 class TestQuerySnapshot:

@@ -158,6 +158,25 @@ class TestLintGraphLoadsOnce:
         assert len(resolved) == len(set(resolved)) == 12
         assert out == "linted 12 source(s): 0 finding(s)\n"
 
+    def test_graph_lint_parses_a_broken_file_once(self, tmp_path, monkeypatch, capsys):
+        # The graph's pipeline adopts the lint load's parse faults too.
+        import repro.corpus.loader as loader
+        import repro.pipeline.pipeline as pipeline
+
+        parsed = []
+        for module in (loader, pipeline):
+            parse = module.parse_minijava
+
+            def counting(text, source, parse=parse):
+                parsed.append(source)
+                return parse(text, source)
+
+            monkeypatch.setattr(module, "parse_minijava", counting)
+        broken = write(tmp_path, "broken.mj", "package c; class {")
+        ok = write(tmp_path, "ok.mj", CLEAN)
+        main(["lint", "--graph", "--corpus", broken, "--corpus", ok])
+        assert sorted(parsed) == sorted([broken, ok])
+
     @pytest.mark.parametrize("files", [(), (("sloppy.mj", INFO_ONLY), ("bad.mj", INVIABLE))])
     def test_findings_equal_two_separate_loads(self, tmp_path, capsys, files):
         # What lint --graph printed when the graph had a load of its own.

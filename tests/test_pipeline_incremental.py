@@ -19,6 +19,7 @@ from .resolution_oracle import (
     VERSIONS,
     annotation_dump,
     assert_matches_fresh,
+    fresh_program,
     quarantine,
 )
 from .resolution_oracle import ranked_answers as ranked_answers_with_verdicts
@@ -523,6 +524,21 @@ class TestIncrementalResolution:
     def test_bundled_corpus_is_resolved_once(self, standard_prospector):
         stats = standard_prospector.pipeline.last_stats
         assert stats.files_reresolved == () and stats.files_total == 12
+
+    def test_a_program_belongs_to_its_first_pipeline(self, small_registry):
+        # Two pipelines from one load: the first takes its parses and
+        # resolution records, the second parses and resolves afresh, so
+        # the first's updates cannot reach the second's units.
+        texts = _edit_texts(*self.BASE)
+        program = load_corpus_texts(small_registry, texts, lenient=True)
+        first = Prospector(small_registry, program)
+        second = Prospector(small_registry, program)
+        assert program.resolution_cache is None
+        assert first.pipeline.last_stats.files_reresolved == ()
+        assert second.pipeline.last_stats.files_reresolved == tuple(s for s, _ in texts)
+        want = annotation_dump(fresh_program(small_registry, texts).units)
+        first.update_corpus(upserts=_edit_texts(("a.mj", 1)))
+        assert annotation_dump(second.corpus.units) == want
 
     def test_comment_touch_re_resolves_one_file(self, small_registry):
         texts = _edit_texts(*self.BASE)

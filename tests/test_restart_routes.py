@@ -2,10 +2,11 @@
 
 An instance can get its graph from a fresh build, an update, a restart
 from the current snapshot generation, a fall back to ``<path>.prev``
-after a torn save, or a restart whose stage file is missing, edited, or
-from a schema-4 snapshot's sidecar. After each, the ranked answers and
-their verdicts must equal a fresh build of the texts that generation
-holds. The snapshot's manifest binds it to its stage file, so a stage
+after a torn save, a corpus rebuild after both generations are torn, a
+restart whose stage file is missing, edited, or from a schema-4
+snapshot's sidecar, or a restart after :func:`repair_snapshot` from any
+rung. After each, the ranked answers and their verdicts must equal a
+fresh build of the texts that generation holds. The snapshot's manifest binds it to its stage file, so a stage
 file whose bytes do not hash to the loaded manifest's ``stages_sha256``
 must never be adopted: adopting one would serve another corpus.
 """
@@ -16,10 +17,14 @@ import pytest
 
 from repro import Prospector
 from repro.apispec import load_api_text
+from repro.core import repair_snapshot
 from repro.corpus import load_corpus_texts
 from repro.store import (
+    PREVIOUS_SUFFIX,
     RUNG_CURRENT,
     RUNG_PREVIOUS,
+    RUNG_REBUILD,
+    STAGE_ANALYSIS,
     SnapshotStore,
     payload_digest,
     stage_sidecar_path,
@@ -45,10 +50,13 @@ TEXTS_B = [
 ]
 
 
-def fresh_answers(texts):
+def fresh_build(texts):
     registry = load_api_text(SMALL_API)
-    fresh = Prospector(registry, load_corpus_texts(registry, texts, lenient=True))
-    return ranked_answers(fresh, ROUTE_QUERIES)
+    return Prospector(registry, load_corpus_texts(registry, texts, lenient=True))
+
+
+def fresh_answers(texts):
+    return ranked_answers(fresh_build(texts), ROUTE_QUERIES)
 
 
 def answers(prospector):
@@ -77,11 +85,22 @@ def snap(tmp_path):
     return path
 
 
-def restart(path, rung=RUNG_CURRENT):
-    loaded = Prospector.from_snapshot(path)
+def restart(path, rung=RUNG_CURRENT, rebuild=None):
+    loaded = Prospector.from_snapshot(path, rebuild=rebuild)
     assert loaded.store_diagnostics.rung_used == rung
     assert not loaded.store_diagnostics.faults or rung != RUNG_CURRENT
     return loaded
+
+
+def tear(path):
+    """Cut a generation's payload in half, keeping its header."""
+    head, _, payload = path.read_bytes().partition(b"\n")
+    path.write_bytes(head + b"\n" + payload[: len(payload) // 2])
+
+
+def tear_both(path):
+    tear(path)
+    tear(path.with_name(path.name + PREVIOUS_SUFFIX))
 
 
 def edit_header(path, edit):
@@ -114,8 +133,7 @@ class TestRoutes:
     def test_fall_back_to_previous_refuses_the_newer_stage_file(self, snap, want):
         # Tear B's payload but keep its header, whose stages_sha256 still
         # names the stage file on disk.
-        head, _, payload = snap.read_bytes().partition(b"\n")
-        snap.write_bytes(head + b"\n" + payload[: len(payload) // 2])
+        tear(snap)
         loaded = restart(snap, RUNG_PREVIOUS)
         assert answers(loaded) == want["A"]
         assert loaded.pipeline is None
@@ -173,3 +191,55 @@ class TestRoutes:
             manifest = SnapshotStore(snap).load(which).manifest
             digest = payload_digest(stage_sidecar_path(snap).read_bytes())
             assert (loaded.pipeline is not None) == (digest == manifest.stages_sha256)
+
+    def test_rebuild_rung_serves_the_instance_it_built(self, snap, want):
+        tear_both(snap)
+        loaded = restart(snap, RUNG_REBUILD, rebuild=lambda: fresh_build(TEXTS_B))
+        assert answers(loaded) == want["B"]
+        # The rebuilt instance carries its pipeline, so it updates like
+        # a fresh build does.
+        stats = loaded.update_corpus(upserts=[("h.mj", SMALL_CORPUS)])
+        assert stats.files_remined == ("h.mj",)
+        assert answers(loaded) == fresh_answers(TEXTS_B + [("h.mj", SMALL_CORPUS)])
+
+
+class TestRepairRoutes:
+    """A repaired snapshot restarts like a fresh build, whichever rung
+    the repair loaded from."""
+
+    def test_repair_from_the_current_rung(self, snap, want):
+        def edit_a_verdict(header):
+            pair = header["analysis"]["pairs"][0]
+            pair["verdict"] = "inviable" if pair["verdict"] != "inviable" else "plausible"
+
+        edit_header(snap, edit_a_verdict)
+        repaired = repair_snapshot(snap)
+        assert repaired.store_diagnostics.rung_used == RUNG_CURRENT
+        assert [f.stage for f in repaired.store_diagnostics.faults] == [STAGE_ANALYSIS]
+        assert answers(repaired) == want["B"]
+        loaded = restart(snap)
+        assert loaded.pipeline is not None
+        assert answers(loaded) == want["B"]
+
+    def test_repair_from_the_previous_rung(self, snap, want):
+        tear(snap)
+        repaired = repair_snapshot(snap)
+        assert repaired.store_diagnostics.rung_used == RUNG_PREVIOUS
+        assert answers(repaired) == want["A"]
+        loaded = restart(snap)
+        assert answers(loaded) == want["A"]
+        # The stage file on disk is B's, which the rewrite does not bind.
+        assert loaded.pipeline is None
+
+    def test_repair_from_the_rebuild_rung(self, snap, want):
+        tear_both(snap)
+        repaired = repair_snapshot(snap, rebuild=lambda: fresh_build(TEXTS_B))
+        assert repaired.store_diagnostics.rung_used == RUNG_REBUILD
+        assert answers(repaired) == want["B"]
+        loaded = restart(snap)
+        assert loaded.pipeline is not None
+        assert loaded.pipeline.last_stats.files_remined == ()
+        assert answers(loaded) == want["B"]
+        stats = loaded.update_corpus(upserts=[("h.mj", SMALL_CORPUS)])
+        assert stats.files_remined == ("h.mj",)
+        assert answers(loaded) == fresh_answers(TEXTS_B + [("h.mj", SMALL_CORPUS)])

@@ -145,21 +145,6 @@ class TestAuditOnLoad:
             store.load()
         assert any(i.kind == KIND_COUNT_MISMATCH for i in exc_info.value.issues)
 
-    def test_unaudited_load_skips_the_check(self, tmp_path, small_registry):
-        import json
-
-        path = tmp_path / "graph.psnap"
-        store = SnapshotStore(path)
-        store.save(small_registry)
-        raw = path.read_bytes()
-        head, _, payload = raw.partition(b"\n")
-        header = json.loads(head)
-        header["manifest"]["mined_count"] = 99
-        path.write_bytes(
-            json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
-        )
-        assert store.load(audit=False).registry.stats() == small_registry.stats()
-
     def test_full_bundle_audit_is_clean(self, small_prospector):
         issues = audit_bundle(
             small_prospector.registry,

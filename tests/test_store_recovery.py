@@ -11,6 +11,10 @@ import json
 import pytest
 
 from repro import Prospector, ProspectorConfig
+from repro.apispec import load_api_text
+from repro.core import repair_snapshot
+from repro.core.prospector import REBUILD_ATTEMPTS
+from repro.corpus import load_corpus_texts
 from repro.graph import JungloidGraph
 from repro.robustness import (
     FlakyFileSystem,
@@ -27,12 +31,11 @@ from repro.store import (
     StoreDiagnostics,
     StoreRecoveryError,
     load_with_recovery,
-    repair,
     stage_sidecar_path,
     verify_snapshot,
 )
 
-from .conftest import SMALL_CORPUS
+from .conftest import SMALL_API, SMALL_CORPUS
 
 
 @pytest.fixture()
@@ -64,38 +67,51 @@ def edit_a_verdict(store):
     store.path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
 
-def _rebuild_from(prospector):
-    def rebuild():
-        return prospector.registry, prospector.mined_jungloids
+def rebuild_small():
+    """The corpus rebuild: a fresh instance over the small corpus."""
+    registry = load_api_text(SMALL_API)
+    return Prospector(registry, load_corpus_texts(registry, [("handler.mj", SMALL_CORPUS)]))
 
-    return rebuild
+
+def load(store):
+    diagnostics = StoreDiagnostics()
+    return load_with_recovery(store, diagnostics), diagnostics
 
 
 class TestLadder:
     def test_clean_load_uses_current_rung(self, saved_store):
-        recovered = load_with_recovery(saved_store)
-        assert recovered.rung_used == RUNG_CURRENT
-        assert recovered.diagnostics.ok
-        assert not recovered.diagnostics.degraded
+        loaded, diagnostics = load(saved_store)
+        assert loaded is not None and loaded.path == saved_store.path
+        assert diagnostics.rung_used == RUNG_CURRENT
+        assert diagnostics.ok
+        assert not diagnostics.degraded
 
     def test_corrupt_current_falls_to_previous(self, saved_store, small_prospector):
         small_prospector.save_snapshot(saved_store.path)  # rotate a .prev out
         corrupt_file(saved_store.path, lambda b: flip_byte(b, len(b) // 2))
-        recovered = load_with_recovery(saved_store)
-        assert recovered.rung_used == RUNG_PREVIOUS
-        assert recovered.diagnostics.degraded
-        assert recovered.diagnostics.faults_for(RUNG_CURRENT)
+        loaded, diagnostics = load(saved_store)
+        assert loaded.path == saved_store.previous_path
+        assert diagnostics.rung_used == RUNG_PREVIOUS
+        assert diagnostics.degraded
+        assert diagnostics.faults_for(RUNG_CURRENT)
 
     def test_both_generations_bad_rebuilds(self, saved_store, small_prospector):
         small_prospector.save_snapshot(saved_store.path)
         corrupt_file(saved_store.path, lambda b: truncate_bytes(b, 10))
         corrupt_file(saved_store.previous_path, lambda b: flip_byte(b, 100))
-        recovered = load_with_recovery(
-            saved_store, rebuild=_rebuild_from(small_prospector)
-        )
-        assert recovered.rung_used == RUNG_REBUILD
-        assert len(recovered.mined) == len(small_prospector.mined_jungloids)
-        rungs_failed = {f.rung for f in recovered.diagnostics.faults}
+        rebuilt = []
+
+        def rebuild():
+            rebuilt.append(rebuild_small())
+            return rebuilt[-1]
+
+        prospector = Prospector.from_snapshot(saved_store.path, rebuild=rebuild)
+        # The rung serves the very instance the rebuild built.
+        assert [prospector] == rebuilt and prospector.pipeline is not None
+        diagnostics = prospector.store_diagnostics
+        assert diagnostics.rung_used == RUNG_REBUILD
+        assert prospector.mined_jungloids == small_prospector.mined_jungloids
+        rungs_failed = {f.rung for f in diagnostics.faults}
         assert rungs_failed == {RUNG_CURRENT, RUNG_PREVIOUS}
 
     def test_all_rungs_fail_raises_with_diagnostics(self, saved_store):
@@ -105,17 +121,20 @@ class TestLadder:
             raise RuntimeError("corpus volume offline")
 
         with pytest.raises(StoreRecoveryError) as exc_info:
-            load_with_recovery(saved_store, rebuild=always_fails,
-                               max_rebuild_attempts=2, sleep=lambda s: None)
+            Prospector.from_snapshot(
+                saved_store.path, rebuild=always_fails, sleep=lambda s: None
+            )
         diagnostics = exc_info.value.diagnostics
         assert diagnostics.rung_used is None
-        assert diagnostics.rebuild_attempts == 2
+        assert diagnostics.rebuild_attempts == REBUILD_ATTEMPTS
         assert "corpus volume offline" in diagnostics.summary()
 
     def test_no_rebuild_callable_raises(self, saved_store):
         corrupt_file(saved_store.path, lambda b: truncate_bytes(b, 0))
+        loaded, diagnostics = load(saved_store)
+        assert loaded is None and diagnostics.rung_used is None
         with pytest.raises(StoreRecoveryError):
-            load_with_recovery(saved_store)
+            Prospector.from_snapshot(saved_store.path)
 
 
 class TestRebuildRetry:
@@ -128,19 +147,15 @@ class TestRebuildRetry:
             calls["n"] += 1
             if calls["n"] < 3:
                 raise OSError("transient")
-            return small_prospector.registry, small_prospector.mined_jungloids
+            return rebuild_small()
 
-        recovered = load_with_recovery(
-            saved_store,
-            rebuild=flaky_rebuild,
-            max_rebuild_attempts=3,
-            backoff_ms=10.0,
-            sleep=naps.append,
+        prospector = Prospector.from_snapshot(
+            saved_store.path, rebuild=flaky_rebuild, sleep=naps.append
         )
-        assert recovered.rung_used == RUNG_REBUILD
-        assert recovered.diagnostics.rebuild_attempts == 3
-        # Exponential backoff: 10 ms then 20 ms.
-        assert naps == [0.01, 0.02]
+        assert prospector.store_diagnostics.rung_used == RUNG_REBUILD
+        assert prospector.store_diagnostics.rebuild_attempts == 3
+        # Exponential backoff: 50 ms then 100 ms.
+        assert naps == [0.05, 0.1]
 
     def test_retry_budget_is_bounded(self, saved_store):
         corrupt_file(saved_store.path, lambda b: truncate_bytes(b, 5))
@@ -151,11 +166,10 @@ class TestRebuildRetry:
             raise OSError("still down")
 
         with pytest.raises(StoreRecoveryError):
-            load_with_recovery(
-                saved_store, rebuild=always_fails,
-                max_rebuild_attempts=4, sleep=lambda s: None,
+            Prospector.from_snapshot(
+                saved_store.path, rebuild=always_fails, sleep=lambda s: None
             )
-        assert calls["n"] == 4
+        assert calls["n"] == REBUILD_ATTEMPTS == 3
 
 
 class TestFlakyFileSystem:
@@ -165,10 +179,10 @@ class TestFlakyFileSystem:
         small_prospector.save_snapshot(path)  # both generations on disk
         fs = FlakyFileSystem(fail_times=1)  # current read fails, prev succeeds
         store = SnapshotStore(path, read_bytes=fs.read_bytes)
-        recovered = load_with_recovery(store)
-        assert recovered.rung_used == RUNG_PREVIOUS
+        loaded, diagnostics = load(store)
+        assert loaded is not None and diagnostics.rung_used == RUNG_PREVIOUS
         assert fs.calls == 2
-        [fault] = recovered.diagnostics.faults
+        [fault] = diagnostics.faults
         assert fault.stage == "read"
 
     def test_persistent_fault_exhausts_file_rungs(self, tmp_path, small_prospector):
@@ -176,8 +190,9 @@ class TestFlakyFileSystem:
         small_prospector.save_snapshot(path)
         fs = FlakyFileSystem(fail_times=10)
         store = SnapshotStore(path, read_bytes=fs.read_bytes)
-        recovered = load_with_recovery(store, rebuild=_rebuild_from(small_prospector))
-        assert recovered.rung_used == RUNG_REBUILD
+        loaded, diagnostics = load(store)
+        assert loaded is None and diagnostics.rung_used is None
+        assert {f.rung for f in diagnostics.faults} == {RUNG_CURRENT, RUNG_PREVIOUS}
 
 
 class TestArbitraryCorruption:
@@ -198,7 +213,7 @@ class TestArbitraryCorruption:
         # only possible in non-checksummed header fields).
         verify_snapshot(SnapshotStore(path))
         prospector = Prospector.from_snapshot(
-            path, rebuild=_rebuild_from(small_prospector), sleep=lambda s: None
+            path, rebuild=rebuild_small, sleep=lambda s: None
         )
         results = prospector.query("demo.io.InputStream", "demo.io.BufferedReader")
         assert results
@@ -214,7 +229,7 @@ class TestArbitraryCorruption:
         diagnostics = verify_snapshot(SnapshotStore(path))
         assert diagnostics.faults  # a shorter payload is always detected
         prospector = Prospector.from_snapshot(
-            path, rebuild=_rebuild_from(small_prospector), sleep=lambda s: None
+            path, rebuild=rebuild_small, sleep=lambda s: None
         )
         results = prospector.query("demo.io.InputStream", "demo.io.BufferedReader")
         assert results
@@ -225,34 +240,49 @@ class TestArbitraryCorruption:
 class TestRepair:
     def test_repair_noop_when_sound(self, saved_store):
         before = saved_store.path.read_bytes()
-        recovered = repair(saved_store)
-        assert recovered.rung_used == RUNG_CURRENT
+        repaired = repair_snapshot(saved_store.path)
+        assert repaired.store_diagnostics.ok
         assert saved_store.path.read_bytes() == before
 
     def test_repair_rewrites_from_previous(self, saved_store, small_prospector):
         small_prospector.save_snapshot(saved_store.path)
         corrupt_file(saved_store.path, lambda b: flip_byte(b, len(b) - 3))
         prev_before = saved_store.previous_path.read_bytes()
-        recovered = repair(saved_store)
-        assert recovered.rung_used == RUNG_PREVIOUS
+        repaired = repair_snapshot(saved_store.path)
+        assert repaired.store_diagnostics.rung_used == RUNG_PREVIOUS
         # Current is sound again, and the good previous generation was
         # NOT clobbered by the damaged file.
         assert not verify_snapshot(saved_store).faults
         assert saved_store.previous_path.read_bytes() == prev_before
 
     def test_repair_drops_an_edited_analysis_section(self, saved_store):
+        # Without a stage file the instance has no verdicts to restore
+        # the section from.
+        stage_sidecar_path(saved_store.path).unlink()
         edit_a_verdict(saved_store)
         assert [f.stage for f in verify_snapshot(saved_store).faults] == [STAGE_ANALYSIS]
-        recovered = repair(saved_store)
-        assert recovered.rung_used == RUNG_CURRENT and recovered.analysis is None
+        repaired = repair_snapshot(saved_store.path)
+        assert repaired.store_diagnostics.rung_used == RUNG_CURRENT
+        assert repaired.verdicts is None
         assert verify_snapshot(saved_store).ok
         assert saved_store.load().analysis is None
+
+    def test_repair_restores_an_edited_analysis_section_from_the_stage_file(
+        self, saved_store, small_prospector
+    ):
+        edit_a_verdict(saved_store)
+        repaired = repair_snapshot(saved_store.path)
+        assert repaired.store_diagnostics.rung_used == RUNG_CURRENT
+        assert repaired.pipeline is not None
+        assert verify_snapshot(saved_store).ok
+        want = small_prospector.verdicts.to_dict()
+        assert saved_store.load().analysis == want
 
     def test_repairing_an_analysis_fault_builds_no_second_graph(
         self, saved_store, build_calls
     ):
         edit_a_verdict(saved_store)
-        repair(saved_store)
+        repair_snapshot(saved_store.path)
         assert build_calls == [True]  # the load audit's graph is saved
         # The rewrite keeps the stage file bound, so the next update is
         # incremental.
@@ -265,11 +295,15 @@ class TestRepair:
         assert stats.files_remined == ("handler.mj",) and not stats.initial
         assert build_calls == [True]
 
-    def test_repair_rebuilds_when_no_previous(self, saved_store, small_prospector):
+    def test_repair_rebuilds_when_no_previous(self, saved_store):
         corrupt_file(saved_store.path, lambda b: truncate_bytes(b, 20))
-        recovered = repair(saved_store, rebuild=_rebuild_from(small_prospector))
-        assert recovered.rung_used == RUNG_REBUILD
+        repaired = repair_snapshot(saved_store.path, rebuild=rebuild_small)
+        assert repaired.store_diagnostics.rung_used == RUNG_REBUILD
         assert not verify_snapshot(saved_store).faults
+        # The rewrite is an ordinary save of the rebuilt instance: it
+        # carries its verdicts and binds its stage file.
+        assert saved_store.load().analysis == repaired.verdicts.to_dict()
+        assert Prospector.from_snapshot(saved_store.path).pipeline is not None
 
 
 class TestDiagnostics:
@@ -330,9 +364,9 @@ class TestAuditedGraphReuse:
             assert self._answers(loaded) == self._answers(small_prospector)
 
     def test_recovered_store_carries_the_audited_graph(self, saved_store, build_calls):
-        recovered = load_with_recovery(saved_store)
+        loaded, _ = load(saved_store)
         assert build_calls == [True]
-        assert recovered.graph is not None and recovered.public_only
+        assert loaded.graph is not None and loaded.public_only
 
     def test_other_flavour_builds_its_own_graph(self, saved_store, build_calls):
         config = ProspectorConfig(public_only=False)
@@ -346,8 +380,13 @@ class TestAuditedGraphReuse:
             fresh = Prospector(loaded.registry, config=config, mined=loaded.mined_jungloids)
             assert self._answers(loaded) == self._answers(fresh)
 
-    def test_rebuild_rung_carries_no_graph(self, saved_store, small_prospector):
+    def test_rebuild_rung_carries_no_graph(self, saved_store, build_calls):
+        """No snapshot graph survives to the rebuild rung: the instance
+        serves the graph its rebuild built, and nothing builds another."""
         corrupt_file(saved_store.path, lambda data: truncate_bytes(data, 10))
         saved_store.previous_path.unlink(missing_ok=True)
-        recovered = load_with_recovery(saved_store, rebuild=_rebuild_from(small_prospector))
-        assert recovered.rung_used == RUNG_REBUILD and recovered.graph is None
+        assert load(saved_store)[0] is None
+        build_calls.clear()
+        prospector = Prospector.from_snapshot(saved_store.path, rebuild=rebuild_small)
+        assert prospector.store_diagnostics.rung_used == RUNG_REBUILD
+        assert build_calls == [True]
