@@ -82,8 +82,13 @@ def _build_prospector(args: argparse.Namespace) -> Prospector:
     snapshot = getattr(args, "snapshot", None)
     if not snapshot:
         return _build_prospector_from_data(args)
+    return _load_snapshot(snapshot, args)
+
+
+def _load_snapshot(path: str, args: argparse.Namespace) -> Prospector:
+    """Load through the recovery ladder; a degraded load says so on stderr."""
     prospector = Prospector.from_snapshot(
-        snapshot, rebuild=lambda: _build_prospector_from_data(args)
+        path, rebuild=lambda: _build_prospector_from_data(args)
     )
     diagnostics = prospector.store_diagnostics
     if diagnostics is not None and diagnostics.degraded:
@@ -349,9 +354,7 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
         print("error: nothing to do; give --set and/or --remove", file=sys.stderr)
         return EXIT_INPUT_ERROR
     upserts = _parse_set_specs(args.set)
-    prospector = Prospector.from_snapshot(
-        args.path, rebuild=lambda: _build_prospector_from_data(args)
-    )
+    prospector = _load_snapshot(args.path, args)
     if prospector.pipeline is None:
         # No usable stage file (old snapshot, or damaged): degrade to
         # a full rebuild from the corpus, which recreates the pipeline —

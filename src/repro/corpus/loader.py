@@ -58,12 +58,13 @@ class CorpusLoadError(Exception):
 
 
 def clone_registry(registry: TypeRegistry) -> TypeRegistry:
-    """Structurally independent copy of a registry.
+    """A copy of a registry whose edits neither one sees.
 
-    Uses :meth:`TypeRegistry.clone` (fresh declaration shells over shared
-    immutable members) — far cheaper than the historical JSON round trip,
-    which matters because lenient loading and the incremental pipeline
-    clone per resolution attempt.
+    Uses :meth:`TypeRegistry.clone`, which is copy-on-write: it copies
+    the name maps and shares every declaration until one side adds a
+    member to it. Corpus resolution only declares new classes and adds
+    members to those, so a clone per resolution attempt costs the maps
+    alone, whatever the size of the API.
     """
     return registry.clone()
 
@@ -82,14 +83,19 @@ class CorpusProgram:
     #: (including quarantined files). The incremental pipeline needs the
     #: originals to fingerprint and re-slice on :meth:`update_corpus`.
     texts: List[Tuple[str, str]] = field(default_factory=list)
-    #: The records of the load's body resolution. The first pipeline
-    #: built from this program takes them with its units and parse
-    #: faults, and clears this field; a later one parses afresh.
+    #: The records of the load's resolution. The first pipeline built
+    #: from this program takes them with its units, its quarantined
+    #: units and its parse faults, and clears this field; a later one
+    #: parses afresh.
     resolution_cache: Optional[ResolutionCache] = field(
         default=None, repr=False, compare=False
     )
     #: ``(source, error)`` for each text a lenient load could not parse.
     parse_faults: List[Tuple[str, MiniJavaError]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: The parsed units a lenient load's resolve or check quarantined.
+    quarantined_units: List[CompilationUnit] = field(
         default_factory=list, repr=False, compare=False
     )
 
@@ -128,10 +134,14 @@ def load_corpus_texts(
             diagnostics.record(source, PHASE_PARSE, exc)
             parse_faults.append((source, exc))
     cache = ResolutionCache()
+    quarantined: List[CompilationUnit] = []
     if diagnostics is not None:
-        registry, units, corpus_types, report = resolve_and_check_lenient(
+        registry, loaded, corpus_types, report = resolve_and_check_lenient(
             api_registry, units, diagnostics, check, cache
         )
+        kept = {id(u) for u in loaded}
+        quarantined = [u for u in units if id(u) not in kept]
+        units = loaded
         diagnostics.loaded = [u.source for u in units]
     else:
         registry = clone_registry(api_registry)
@@ -148,6 +158,7 @@ def load_corpus_texts(
         texts=texts,
         resolution_cache=cache,
         parse_faults=parse_faults,
+        quarantined_units=quarantined,
     )
 
 

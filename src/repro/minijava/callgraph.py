@@ -10,9 +10,11 @@ override on a subtype of ``T``.
 
 A rebuild after a corpus edit reuses the previous graph
 (:func:`build_call_graph` with ``previous``): a unit whose bodies were
-not resolved again keeps its body walks and call sites, and a CHA target
+not resolved again keeps its body walks and call sites, a CHA target
 set is recomputed only when a corpus class beneath its method's owner
-changed its supertypes or declared methods, or came or went.
+changed its supertypes or declared methods, or came or went, and only
+the caller lists of targets a changed unit's call sites name are
+rebuilt.
 """
 
 from __future__ import annotations
@@ -193,7 +195,9 @@ def build_call_graph(
     from ``previous``. A CHA target set is reused unless its method's
     owner is a class whose supertypes or declared methods changed, was
     added or removed, or is a supertype of such a class before or after
-    the change. Without ``previous`` everything is built afresh.
+    the change. ``callers_of`` starts from the previous graph's (see
+    :func:`_reused_callers`). Without ``previous`` everything is built
+    afresh.
     """
     graph = CallGraph()
     old_units = previous.units if previous is not None else {}
@@ -244,7 +248,96 @@ def build_call_graph(
             graph.expressions[id(decl)] = exprs
             if sites:
                 graph.calls_in[id(decl)] = list(sites)
+    callers = _reused_callers(graph, previous) if previous is not None else None
+    if callers is None:
+        callers = {}
+        for calls in graph.units.values():
+            for _, _, sites in calls.bodies:
+                for site in sites:
+                    for target in site.targets:
+                        callers.setdefault(target, []).append(site)
+    graph.callers_of = callers
+    return graph
+
+
+def _reused_callers(
+    graph: CallGraph, previous: CallGraph
+) -> Optional[Dict[Method, List[CallSite]]]:
+    """``graph``'s ``callers_of``, from ``previous``'s.
+
+    A unit changed if its share is not the previous graph's (it was
+    walked or retargeted again) or it is gone. Only the lists of the
+    targets a changed unit's call sites name, before or after, are
+    rebuilt, in corpus order; every other list holds only unchanged
+    units' sites and is kept. ``None`` when the kept units moved
+    relative to each other, or a rebuilt target's place in the key order
+    is not where a fresh build would put it: first seen in corpus order.
+    """
+    old, new = previous.units, graph.units
+    before = {key: i for i, key in enumerate(old)}
+    shares = list(new.values())
+    changed: List[int] = []
+    last = -1
+    for i, (key, calls) in enumerate(new.items()):
+        if old.get(key) is not calls:
+            changed.append(i)
+        elif before[key] < last:
+            return None
+        else:
+            last = before[key]
+    dirty: Dict[Method, List[CallSite]] = {}
+    moved = [shares[i] for i in changed]
+    moved.extend(calls for key, calls in old.items() if new.get(key) is not calls)
+    for calls in moved:
+        for _, _, sites in calls.bodies:
             for site in sites:
                 for target in site.targets:
-                    graph.callers_of.setdefault(target, []).append(site)
-    return graph
+                    if target not in dirty:
+                        dirty[target] = []
+    # The unchanged units whose sites a rebuilt list held.
+    at = {id(decl): i for i, calls in enumerate(shares) for decl, _, _ in calls.bodies}
+    naming = set(changed)
+    for target in dirty:
+        for site in previous.callers_of.get(target, ()):
+            i = at.get(id(site.caller))
+            if i is not None:
+                naming.add(i)
+    for i in sorted(naming):
+        for _, _, sites in shares[i].bodies:
+            for site in sites:
+                for target in site.targets:
+                    found = dirty.get(target)
+                    if found is not None:
+                        found.append(site)
+    callers = dict(previous.callers_of)
+    for target, sites in dirty.items():
+        if sites:
+            callers[target] = sites  # an old key keeps its place
+        else:
+            callers.pop(target, None)
+
+    def rank(target: Method, sites: List[CallSite]) -> Tuple[int, int, int]:
+        first = sites[0]
+        i = at[id(first.caller)]
+        n = 0
+        for _, _, body_sites in shares[i].bodies:
+            for site in body_sites:
+                if site is first:
+                    place = next(
+                        k for k, t in enumerate(site.targets) if t is target or t == target
+                    )
+                    return (i, n, place)
+                n += 1
+        raise AssertionError("a call site outside its unit")  # pragma: no cover
+
+    rebuilt = {id(sites) for sites in dirty.values()}
+    items = list(callers.items())
+    for index, (target, sites) in enumerate(items):
+        if id(sites) not in rebuilt:
+            continue
+        here = rank(target, sites)
+        if index > 0 and rank(*items[index - 1]) >= here:
+            return None
+        if index + 1 < len(items) and here >= rank(*items[index + 1]):
+            return None
+    return callers

@@ -11,7 +11,10 @@ Body resolution of a unit depends only on the names it looks up and the
 declarations of the corpus types it reads. A :class:`ResolutionCache`
 records both per unit, so a later attempt over the same parsed AST skips
 the unit's bodies when every lookup still gives the same answer: its
-annotations are then already what resolving it again would write.
+annotations are then already what resolving it again would write. The
+cache records a unit's declarations the same way: its classes' resolved
+supertypes and members depend only on the AST and the names it probed
+while declaring them.
 
 A failed attempt names the unit it failed in: the raised error carries a
 :class:`ResolutionFailure` (see :func:`failure_of`) with the step and
@@ -32,6 +35,7 @@ from ..typesystem import (
     NamedType,
     Parameter,
     PRIMITIVES,
+    TypeDeclaration,
     TypeKind,
     TypeRegistry,
     TypeSystemError,
@@ -116,6 +120,20 @@ class _Entry:
         self.issues: Optional[tuple] = None
 
 
+#: One class's resolved declaration: superclass, interfaces, fields,
+#: methods, constructors.
+_Shape = Tuple[Optional[NamedType], Tuple[NamedType, ...], tuple, tuple, tuple]
+
+
+class _Declared(NamedTuple):
+    """A unit's declaration record: its declaration trace, and the shape
+    its members step gave each of its classes, in order."""
+
+    unit: CompilationUnit
+    trace: _Trace
+    shapes: Tuple[_Shape, ...]
+
+
 class ResolutionFailure(NamedTuple):
     """Where a resolution attempt failed.
 
@@ -148,19 +166,26 @@ def _blame(error: BaseException, unit: CompilationUnit, step: int, *traces: _Tra
 
 
 class ResolutionCache:
-    """Per-unit records of body resolution, keyed by parsed AST.
+    """Per-unit records of resolution, keyed by parsed AST.
 
-    An entry always describes the annotations currently on its AST: the
-    resolver drops it before the unit's bodies start resolving and
-    writes it right after they finish, so a failed attempt never leaves
-    an entry over annotations made against a discarded registry. Its
-    reads include every type the checker relates, so the check issues
-    it caches hold for as long as it stays valid. API declarations are
-    taken as fixed: use one cache only with clones of one API registry.
+    A unit has up to two records. Its *declaration record* holds the
+    names its supertypes and members steps probed and the shape they
+    gave its classes; its *body entry* holds what its bodies looked up
+    and the declaration digests of the corpus types they read. Either
+    one always describes the annotations currently on its AST: the
+    resolver drops it before the step that writes them starts and
+    writes it only once that step succeeds, so a failed attempt never
+    leaves a record over annotations made against a discarded registry.
+    A body entry's reads include every type the checker relates, so the
+    check issues it caches hold for as long as it stays valid. API
+    declarations are taken as fixed: use one cache only with clones of
+    one API registry.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[int, _Entry] = {}
+        #: Declaration records (see :meth:`Resolver.declare_units`).
+        self.declared: Dict[int, _Declared] = {}
         #: Units whose bodies were resolved, not reused, since :meth:`retain`.
         self.resolved: Set[int] = set()
         #: Every trace of the last attempt: each unit's declaration trace,
@@ -174,6 +199,7 @@ class ResolutionCache:
         """Keep only the entries of ``units``; restart the resolved log."""
         live = {id(u) for u in units}
         self._entries = {k: e for k, e in self._entries.items() if k in live}
+        self.declared = {k: d for k, d in self.declared.items() if k in live}
         self.quarantined = {k: q for k, q in self.quarantined.items() if k in live}
         self.resolved.clear()
 
@@ -273,7 +299,8 @@ class UnitEnvironment:
 class Resolver:
     """Two-phase resolver: declare corpus classes, then resolve bodies.
 
-    With a :class:`ResolutionCache`, phase 2 skips every unit whose
+    With a :class:`ResolutionCache`, phase 1 reuses the declaration
+    record and phase 2 skips the bodies of every unit whose record or
     entry is still valid in this registry.
     """
 
@@ -291,9 +318,17 @@ class Resolver:
     # ------------------------------------------------------------------
 
     def declare_units(self, units: Sequence[CompilationUnit]) -> List[NamedType]:
-        """Declare every corpus class/interface into the registry."""
-        if self.cache is not None:
-            self.cache.lookups = []
+        """Declare every corpus class/interface into the registry.
+
+        Once every corpus name is declared, a unit whose declaration
+        record's probes all bind as they did takes its classes' shapes
+        from the record, and its annotations stay as they are. Any other
+        unit drops its record, resolves its supertypes and members
+        afresh, and is recorded again once its members step succeeds.
+        """
+        cache = self.cache
+        if cache is not None:
+            cache.lookups = []
         for unit in units:
             try:
                 for cls in unit.classes:
@@ -305,16 +340,26 @@ class Resolver:
             except _MODEL_ERRORS as exc:
                 _blame(exc, unit, STEP_NAMES)
                 raise
+        reused: Dict[int, _Declared] = {}
+        if cache is not None:
+            for unit in units:
+                record = cache.declared.pop(id(unit), None)
+                if record is not None and self._binds_same(record.trace):
+                    reused[id(unit)] = cache.declared[id(unit)] = record
         # Supertypes and members need every corpus type declared first, but
         # the registry fixes supertypes at declare time — so corpus classes
         # record them via a patch pass on the declaration objects.
         for unit in units:
+            record = reused.get(id(unit))
+            if record is not None:
+                for cls, shape in zip(unit.classes, record.shapes):
+                    decl = self._declaration(cls)
+                    decl.superclass, decl.interfaces = shape[0], shape[1]
+                continue
             env = self._env(unit)
             try:
                 for cls in unit.classes:
-                    decl = self.registry.declaration_of(
-                        self.registry.lookup(cls.qualified_name)  # type: ignore[arg-type]
-                    )
+                    decl = self._declaration(cls)
                     if cls.extends is not None:
                         decl.superclass = env.resolve_type_name(cls.extends.name)
                     decl.interfaces = tuple(
@@ -326,16 +371,44 @@ class Resolver:
         self.registry.invalidate_caches()  # hierarchy changed
         for unit in units:
             env = self._env(unit)
-            try:
-                for cls in unit.classes:
-                    self._declare_members(env, cls)
-            except _MODEL_ERRORS as exc:
-                _blame(exc, unit, STEP_MEMBERS, env.trace)
-                raise
-            if self.cache is not None:
-                self.cache.lookups.append(env.trace)
+            record = reused.get(id(unit))
+            if record is not None:
+                for cls, shape in zip(unit.classes, record.shapes):
+                    decl = self._declaration(cls)
+                    self._corpus_types.append(decl.type)
+                    decl.fields, decl.methods, decl.constructors = map(list, shape[2:])
+                env.declaration_trace = record.trace
+            else:
+                try:
+                    for cls in unit.classes:
+                        self._declare_members(env, cls)
+                except _MODEL_ERRORS as exc:
+                    _blame(exc, unit, STEP_MEMBERS, env.trace)
+                    raise
+                if cache is not None:
+                    cache.declared[id(unit)] = _Declared(
+                        unit, env.trace, tuple(self._shape(cls) for cls in unit.classes)
+                    )
+            if cache is not None:
+                cache.lookups.append(env.declaration_trace)
+        self.registry.invalidate_caches()  # recorded members were set in place
         self._corpus = set(self._corpus_types)
         return list(self._corpus_types)
+
+    def _declaration(self, cls: ClassDecl) -> TypeDeclaration:
+        return self.registry.declaration_of(
+            self.registry.lookup(cls.qualified_name)  # type: ignore[arg-type]
+        )
+
+    def _shape(self, cls: ClassDecl) -> _Shape:
+        decl = self._declaration(cls)
+        return (
+            decl.superclass,
+            decl.interfaces,
+            tuple(decl.fields),
+            tuple(decl.methods),
+            tuple(decl.constructors),
+        )
 
     def _env(self, unit: CompilationUnit) -> UnitEnvironment:
         key = id(unit)
@@ -433,14 +506,20 @@ class Resolver:
 
     def _still_valid(self, entry: _Entry) -> bool:
         """Would resolving the entry's unit look up the same answers now?"""
+        if not self._binds_same(entry.trace):
+            return False
+        return all(self._digest(t) == want for t, want in entry.digests.items())
+
+    def _binds_same(self, trace: _Trace) -> bool:
+        """Does every name ``trace`` probed bind as it did then?"""
         registry = self.registry
-        for name, want in entry.trace.names.items():
+        for name, want in trace.names.items():
             if registry.get(name) != want:
                 return False
-        for name, want in entry.trace.simples.items():
+        for name, want in trace.simples.items():
             if tuple(registry.lookup_simple(name)) != want:
                 return False
-        return all(self._digest(t) == want for t, want in entry.digests.items())
+        return True
 
     def _digest(self, t: NamedType) -> Optional[tuple]:
         """``t``'s resolved declaration, closed over its corpus supertypes.

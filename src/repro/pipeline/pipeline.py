@@ -10,19 +10,23 @@ artifacts:
 2. **parse** — per-file parse cache keyed by fingerprint; only touched
    files are re-parsed (lenient mode quarantines parse failures exactly
    like :func:`repro.corpus.load_corpus_texts`).
-3. **resolve/check** — every attempt declares *all* live units, but
-   re-resolves the bodies only of units whose
-   :class:`~repro.minijava.ResolutionCache` entry went stale: a name the
-   bodies probed binds differently, or a corpus type they read changed
-   its declaration (new AST, shadowing class, new overload, edited
+3. **resolve/check** — every attempt declares the names of all live
+   units into a copy-on-write registry clone. A unit resolves its
+   supertypes and members again only when its
+   :class:`~repro.minijava.ResolutionCache` declaration record went
+   stale (a name they probed binds differently, or a new AST), and its
+   bodies only when its body entry went stale: a name the bodies probed
+   binds differently, or a corpus type they read changed its
+   declaration (new AST, shadowing class, new overload, edited
    supertype). A unit's check issues are cached on the same entry, and
    a file quarantined for lookups that found nothing stays out of the
    joint attempt while they still find nothing (the quarantine memo).
    Lenient quarantine semantics are shared with the corpus loader via
    :func:`repro.corpus.resolve_and_check_lenient`.
 4. **call graph + mine + analyze** — the call graph is rebuilt from the
-   previous one: only re-resolved units are walked again, and CHA
-   targets are recomputed only above a class that changed. Per-file
+   previous one: only re-resolved units are walked again, CHA targets
+   are recomputed only above a class that changed, and only the caller
+   lists of targets a changed unit names are rebuilt. Per-file
    example extraction and cast observations are cached per fingerprint
    plus the file's recorded slicing dependencies (inlined client bodies
    and CHA caller sets queried by either interpretation, referenced
@@ -372,7 +376,7 @@ class CorpusPipeline:
         checking was on (``check`` overrides that, so an unchecked load
         can seed a checking pipeline). The program must have been loaded
         against ``api_registry``. The first pipeline built from a program
-        adopts its parsed units, parse faults and
+        adopts its parsed units (quarantined ones too), parse faults and
         :class:`~repro.minijava.ResolutionCache` (and clears
         ``program.resolution_cache``), so its initial sync parses and
         re-resolves nothing the loader did; a later one parses and
@@ -397,7 +401,7 @@ class CorpusPipeline:
             program.resolution_cache = None
             pipeline._resolution_cache = cache
             fps = fingerprint_texts(program.texts)
-            for unit in program.units:
+            for unit in [*program.units, *program.quarantined_units]:
                 if unit.source in fps:
                     pipeline._parse_cache[unit.source] = (fps[unit.source], unit, None)
             for source, exc in program.parse_faults:

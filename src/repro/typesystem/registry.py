@@ -9,7 +9,7 @@ registry's declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import DuplicateMemberError, DuplicateTypeError, HierarchyError, UnknownTypeError
@@ -59,7 +59,10 @@ class TypeRegistry:
         self._declarations: Dict[QualifiedName, TypeDeclaration] = {}
         #: The same declarations keyed by dotted name, for string lookups.
         self._by_dotted: Dict[str, TypeDeclaration] = {}
-        self._by_simple: Dict[str, List[NamedType]] = {}
+        self._by_simple: Dict[str, Tuple[NamedType, ...]] = {}
+        #: Names whose declaration this registry may write in place; it
+        #: shares the others with a clone (see :meth:`clone`).
+        self._owned: Set[QualifiedName] = set()
         self._subtype_cache: Dict[Tuple[JavaType, JavaType], bool] = {}
         self._supertypes_cache: Dict[NamedType, Tuple[NamedType, ...]] = {}
         self._subclasses: Dict[QualifiedName, Set[QualifiedName]] = {}
@@ -73,11 +76,16 @@ class TypeRegistry:
 
     def _declare_object(self) -> NamedType:
         obj = named(OBJECT_NAME)
-        decl = TypeDeclaration(type=obj, kind=TypeKind.CLASS, superclass=None)
-        self._declarations[obj.name] = decl
-        self._by_dotted[OBJECT_NAME] = decl
-        self._by_simple.setdefault(obj.simple, []).append(obj)
+        self._add(TypeDeclaration(type=obj, kind=TypeKind.CLASS, superclass=None))
         return obj
+
+    def _add(self, decl: TypeDeclaration) -> None:
+        t = decl.type
+        self._declarations[t.name] = decl
+        self._by_dotted[t.name.dotted] = decl
+        # A clone shares the tuples, so a new name replaces its tuple.
+        self._by_simple[t.simple] = self._by_simple.get(t.simple, ()) + (t,)
+        self._owned.add(t.name)
 
     def declare(
         self,
@@ -108,21 +116,35 @@ class TypeRegistry:
             if superclass is not None:
                 raise HierarchyError(f"interface {dotted_name} cannot extend a class")
             sup = None
-        decl = TypeDeclaration(
-            type=t,
-            kind=kind,
-            superclass=sup,
-            interfaces=tuple(named(i) for i in interfaces),
-            abstract=abstract,
+        self._add(
+            TypeDeclaration(
+                type=t,
+                kind=kind,
+                superclass=sup,
+                interfaces=tuple(named(i) for i in interfaces),
+                abstract=abstract,
+            )
         )
-        self._declarations[t.name] = decl
-        self._by_dotted[t.name.dotted] = decl
-        self._by_simple.setdefault(t.simple, []).append(t)
         self._invalidate_caches()
         return t
 
+    def _writable(self, owner: JavaType) -> TypeDeclaration:
+        """``owner``'s declaration, first copied if a clone shares it."""
+        decl = self.declaration_of(owner)
+        if decl.name not in self._owned:
+            decl = replace(
+                decl,
+                fields=list(decl.fields),
+                methods=list(decl.methods),
+                constructors=list(decl.constructors),
+            )
+            self._declarations[decl.name] = decl
+            self._by_dotted[decl.name.dotted] = decl
+            self._owned.add(decl.name)
+        return decl
+
     def add_field(self, f: Field) -> Field:
-        decl = self.declaration_of(f.owner)
+        decl = self._writable(f.owner)
         for existing in decl.fields:
             if existing.name == f.name:
                 raise DuplicateMemberError(str(f.owner), f"field {f.name}")
@@ -131,7 +153,7 @@ class TypeRegistry:
         return f
 
     def add_method(self, m: Method) -> Method:
-        decl = self.declaration_of(m.owner)
+        decl = self._writable(m.owner)
         for existing in decl.methods:
             if existing.name == m.name and existing.parameter_types == m.parameter_types:
                 raise DuplicateMemberError(str(m.owner), m.descriptor())
@@ -140,7 +162,7 @@ class TypeRegistry:
         return m
 
     def add_constructor(self, c: Constructor) -> Constructor:
-        decl = self.declaration_of(c.owner)
+        decl = self._writable(c.owner)
         for existing in decl.constructors:
             if existing.parameter_types == c.parameter_types:
                 raise DuplicateMemberError(str(c.owner), c.descriptor())
@@ -149,31 +171,23 @@ class TypeRegistry:
         return c
 
     def clone(self) -> "TypeRegistry":
-        """A structurally independent copy of this registry.
+        """A copy of this registry whose edits neither one sees.
 
-        Declarations get fresh :class:`TypeDeclaration` shells (so corpus
-        resolution can patch supertypes or append members without leaking
-        back), while the member objects themselves — frozen value types —
-        are shared. This is the cheap path the corpus loader uses instead
-        of a JSON serialization round trip.
+        Copy-on-write: the clone shares every :class:`TypeDeclaration`
+        with this registry and copies only the name maps, and neither
+        registry owns a shared declaration any more. ``add_field``,
+        ``add_method`` and ``add_constructor`` copy a declaration their
+        registry does not own before the first write. A type declared
+        later is owned by the registry that declared it, which may patch
+        it in place: the corpus resolver sets its corpus classes'
+        supertypes and members that way.
         """
         other = TypeRegistry.__new__(TypeRegistry)
-        other._declarations = {
-            name: TypeDeclaration(
-                type=decl.type,
-                kind=decl.kind,
-                superclass=decl.superclass,
-                interfaces=decl.interfaces,
-                fields=list(decl.fields),
-                methods=list(decl.methods),
-                constructors=list(decl.constructors),
-                abstract=decl.abstract,
-            )
-            for name, decl in self._declarations.items()
-        }
-        # Both maps were filled in the same order.
-        other._by_dotted = dict(zip(self._by_dotted, other._declarations.values()))
-        other._by_simple = {k: list(v) for k, v in self._by_simple.items()}
+        other._declarations = dict(self._declarations)
+        other._by_dotted = dict(self._by_dotted)
+        other._by_simple = dict(self._by_simple)
+        other._owned = set()
+        self._owned.clear()
         other._subtype_cache = {}
         other._supertypes_cache = {}
         other._subclasses = {}
@@ -195,8 +209,9 @@ class TypeRegistry:
     def invalidate_caches(self) -> None:
         """Drop memoized hierarchy queries after direct declaration edits.
 
-        The mini-Java resolver patches corpus supertypes onto declarations
-        after the fact; it must call this so subtype queries see the edits.
+        The mini-Java resolver patches supertypes (and recorded members)
+        onto the corpus declarations it owns after the fact; it must call
+        this so hierarchy and member queries see the edits.
         """
         self._invalidate_caches()
 
@@ -225,7 +240,7 @@ class TypeRegistry:
 
     def lookup_simple(self, simple_name: str) -> List[NamedType]:
         """All declared types whose simple name matches (for import resolution)."""
-        return list(self._by_simple.get(simple_name, []))
+        return list(self._by_simple.get(simple_name, ()))
 
     def declaration_of(self, t: JavaType) -> TypeDeclaration:
         if not isinstance(t, NamedType):

@@ -1,11 +1,13 @@
 """Differential oracle for incremental corpus resolution.
 
 The incremental pipeline re-resolves only the units whose recorded
-lookups changed. Its contract is that after any sync the program looks
+lookups changed, and re-declares only the units whose declaration
+probes changed. Its contract is that after any sync the program looks
 exactly like a fresh lenient load of the same texts that resolves every
-body from scratch (:func:`fresh_program`, which uses no
-``ResolutionCache``): the same annotations on every unit, the same
-quarantine, and the same ranked answers with verdicts. Its later stages
+unit from scratch (:func:`fresh_program`, which uses no
+``ResolutionCache``): the same annotations on every unit, members
+included, the same corpus type declarations, the same quarantine, and
+the same ranked answers with verdicts. Its later stages
 must equal a fresh pipeline build's too: the call graph, the
 generalized examples and the suffixes, in order. This module renders
 each of those as plain values, and holds a small edit corpus over
@@ -42,9 +44,15 @@ def annotation_dump(units) -> List[tuple]:
     rows: List[tuple] = []
     for unit in units:
         for cls in unit.classes:
+            for f in cls.fields:
+                rows.append((unit.source, f.name, repr(f.resolved_type)))
             roots = [f.init for f in cls.fields if f.init is not None]
             for m in cls.methods:
-                rows.append((unit.source, m.name, repr(m.resolved_method)))
+                rows.append(
+                    (unit.source, m.name, repr(m.owner_type), repr(m.resolved_method),
+                     repr(m.resolved_constructor))
+                    + tuple(repr(p.resolved_type) for p in m.params)
+                )
                 for stmt in walk_statements(m.body) if m.body is not None else ():
                     rows.append(
                         (unit.source, type(stmt).__name__,
@@ -57,6 +65,19 @@ def annotation_dump(units) -> List[tuple]:
                         (unit.source, type(expr).__name__)
                         + tuple(repr(getattr(expr, a, None)) for a in _ANNOTATIONS)
                     )
+    return rows
+
+
+def declaration_dump(program) -> List[tuple]:
+    """Each corpus type's declaration in the program's registry: its
+    supertypes, then its fields, methods and constructors, in order."""
+    rows: List[tuple] = []
+    for t in program.corpus_types:
+        decl = program.registry.declaration_of(t)
+        rows.append(
+            (repr(t), decl.kind, repr(decl.superclass), repr(decl.interfaces),
+             repr(decl.fields), repr(decl.methods), repr(decl.constructors))
+        )
     return rows
 
 
@@ -151,6 +172,7 @@ def assert_matches_fresh(registry, pipeline, texts: Sequence[Tuple[str, str]]) -
     assert [u.source for u in live.units] == [u.source for u in fresh.units]
     assert quarantine(live) == quarantine(fresh)
     assert annotation_dump(live.units) == annotation_dump(fresh.units)
+    assert declaration_dump(live) == declaration_dump(fresh)
     built = CorpusPipeline.build(registry, texts)
     assert call_graph_values(pipeline) == call_graph_values(built)
     assert mining_values(pipeline) == mining_values(built)

@@ -215,6 +215,8 @@ class TestIndexUpdate:
         captured = self._update(snap, api, corpus, capsys)
         # The rebuild rung's instance takes the update: no second build.
         assert "rebuilding from corpus" not in captured.err
+        # The damage is reported, as a query over the snapshot reports it.
+        assert "store degraded: recovered via rebuild-from-corpus" in captured.err
         assert "no content changes" in captured.out
         assert len(builds) == 1
         assert main(["index", "verify", str(snap)]) == 0

@@ -158,24 +158,40 @@ class TestLintGraphLoadsOnce:
         assert len(resolved) == len(set(resolved)) == 12
         assert out == "linted 12 source(s): 0 finding(s)\n"
 
-    def test_graph_lint_parses_a_broken_file_once(self, tmp_path, monkeypatch, capsys):
-        # The graph's pipeline adopts the lint load's parse faults too.
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The source of every ``parse_minijava`` call the loader and the
+        pipeline make."""
         import repro.corpus.loader as loader
         import repro.pipeline.pipeline as pipeline
 
-        parsed = []
+        sources = []
         for module in (loader, pipeline):
             parse = module.parse_minijava
 
             def counting(text, source, parse=parse):
-                parsed.append(source)
+                sources.append(source)
                 return parse(text, source)
 
             monkeypatch.setattr(module, "parse_minijava", counting)
+        return sources
+
+    def test_graph_lint_parses_a_broken_file_once(self, tmp_path, parsed, capsys):
+        # The graph's pipeline adopts the lint load's parse faults too.
         broken = write(tmp_path, "broken.mj", "package c; class {")
         ok = write(tmp_path, "ok.mj", CLEAN)
         main(["lint", "--graph", "--corpus", broken, "--corpus", ok])
         assert sorted(parsed) == sorted([broken, ok])
+
+    def test_graph_lint_parses_an_unresolved_file_once(self, tmp_path, parsed, capsys):
+        # ... and the ASTs of the files its resolve quarantined.
+        unresolved = write(
+            tmp_path, "unresolved.mj", "package c;\nclass Lost {\n  Nowhere gone;\n}\n"
+        )
+        ok = write(tmp_path, "ok.mj", CLEAN)
+        assert main(["lint", "--graph", "--corpus", unresolved, "--corpus", ok]) == 1
+        assert sorted(parsed) == sorted([unresolved, ok])
+        assert "unknown type 'Nowhere'" in capsys.readouterr().out
 
     @pytest.mark.parametrize("files", [(), (("sloppy.mj", INFO_ONLY), ("bad.mj", INVIABLE))])
     def test_findings_equal_two_separate_loads(self, tmp_path, capsys, files):

@@ -21,6 +21,37 @@ class TestCloneRegistry:
         )
 
 
+    def test_corpus_declarations_never_reach_the_api_registry(self, small_registry):
+        # Corpus classes extend and implement API types and declare
+        # members; the pipeline's later syncs patch them from their
+        # declaration records. The API registry's declarations stay the
+        # same objects with the same contents throughout.
+        from repro.pipeline import CorpusPipeline
+
+        def dump(registry):
+            return [(d, repr(d)) for d in registry.all_declarations()]
+
+        before = dump(small_registry)
+        texts = [
+            ("k.mj", "package c; import demo.ui.Widget; import demo.ui.ISelection;\n"
+             "public class K extends Widget implements ISelection {\n"
+             "  public Widget w;\n  public K() { }\n"
+             "  public boolean isEmpty() { return true; }\n}\n"),
+            ("r.mj", "package c; import demo.io.Reader;\n"
+             "public class R extends Reader { public int read() { return 0; } }\n"),
+        ]
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        pipeline.update(upserts=[("r.mj", texts[1][1] + "// touched\n")])
+        registry = pipeline.program.registry
+        k = registry.lookup("c.K")
+        assert registry.declaration_of(k).superclass == registry.lookup("demo.ui.Widget")
+        assert [m.name for m in registry.declared_methods(k)] == ["isEmpty"]
+        assert dump(small_registry) == before
+        assert "c.K" not in small_registry
+        for decl, _ in before:
+            assert registry.declaration_of(decl.type) is decl
+
+
 class TestLoadCorpus:
     def test_api_registry_untouched(self, small_registry):
         before = small_registry.stats()

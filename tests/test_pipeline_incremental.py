@@ -650,6 +650,67 @@ class TestIncrementalResolution:
         assert self._sync(small_registry, pipeline, texts) == set()
 
 
+#: Q's members name Thing and Gadget by simple name from other packages.
+DECLARER = (
+    "q.mj",
+    "package q;\npublic class Q {\n  public Thing a;\n  public Gadget b;\n"
+    "  public Object get(Thing t) { return t; }\n}\n",
+)
+THING = ("t.mj", "package t;\npublic class Thing {\n}\n")
+GADGET = ("g.mj", "package g;\npublic class Gadget {\n}\n")
+#: A second Gadget: Q's simple name turns ambiguous, nothing else moves.
+OTHER_GADGET = ("o.mj", "package o;\npublic class Gadget {\n}\n")
+#: A Thing in Q's own package rebinds Q's first field before the second fails.
+LOCAL_THING = ("l.mj", "package q;\npublic class Thing {\n}\n")
+
+
+class TestDeclarationRecords:
+    """A unit is declared again only when a name its declarations probed
+    binds differently; every sync still equals a fresh load."""
+
+    @pytest.fixture
+    def declared(self, monkeypatch):
+        from repro.minijava.resolver import Resolver
+
+        names = []
+        original = Resolver._declare_members
+
+        def counting(self, env, cls):
+            names.append(cls.name)
+            return original(self, env, cls)
+
+        monkeypatch.setattr(Resolver, "_declare_members", counting)
+        return names
+
+    def _sync(self, registry, pipeline, texts, declared):
+        declared.clear()
+        pipeline.sync(texts)
+        made = list(declared)
+        assert_matches_fresh(registry, pipeline, texts)
+        return made
+
+    def test_comment_touch_declares_one_file(self, small_registry, declared):
+        texts = [DECLARER] + _edit_texts(*TestIncrementalResolution.BASE) + [THING, GADGET]
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        touched = [(s, t + "// touched\n" if s == "c.mj" else t) for s, t in texts]
+        assert self._sync(small_registry, pipeline, touched, declared) == ["C"]
+
+    def test_records_follow_the_names_they_probed(self, small_registry, declared):
+        texts = [DECLARER] + _edit_texts(*TestIncrementalResolution.BASE) + [THING, GADGET]
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        assert pipeline.program.diagnostics.faults == []
+        # Only a simple-name search changed: Q must fail declaring again.
+        self._sync(small_registry, pipeline, texts + [OTHER_GADGET], declared)
+        assert pipeline.program.diagnostics.quarantined_sources() == ["q.mj"]
+        assert self._sync(small_registry, pipeline, texts, declared) == ["Q"]
+        assert pipeline.program.diagnostics.faults == []
+        # Q's failed declaration rewrote its first field's type; its old
+        # record must not outlive that.
+        self._sync(small_registry, pipeline, texts + [LOCAL_THING, OTHER_GADGET], declared)
+        assert pipeline.program.diagnostics.quarantined_sources() == ["q.mj"]
+        assert self._sync(small_registry, pipeline, texts, declared) == ["Q"]
+
+
 #: Declares ``Nowhere``, the type x.mj (v0) names, from another package.
 NOWHERE = ("n.mj", "package n;\npublic class Nowhere {\n}\n")
 #: Extends demo.ui.Widget by simple name, from a package of its own.

@@ -230,6 +230,66 @@ class TestMemberLookupMemo:
         assert registry.find_method(base, "cloned") == ()
         assert len(clone.find_method(base, "cloned")) == 1
 
+    @pytest.mark.parametrize("member", ["field", "method", "constructor"])
+    @pytest.mark.parametrize("written", ["source", "clone"])
+    def test_clone_copies_a_shared_declaration_on_first_write(
+        self, registry, member, written
+    ):
+        base = named("a.Base")
+        obj = named("java.lang.Object")
+        add = {
+            "field": lambda r, k: r.add_field(Field(base, f"f{k}", obj)),
+            "method": lambda r, k: r.add_method(Method(base, f"m{k}", obj)),
+            "constructor": lambda r, k: r.add_constructor(
+                Constructor(base, tuple(Parameter(f"p{i}", obj) for i in range(k)))
+            ),
+        }[member]
+        shape = {
+            "field": lambda r: r.declared_fields(base),
+            "method": lambda r: r.declared_methods(base),
+            "constructor": lambda r: r.constructors_of(base),
+        }[member]
+        add(registry, 1)
+        clone = registry.clone()
+        writer, other = (registry, clone) if written == "source" else (clone, registry)
+        before = shape(other)
+        add(writer, 2)
+        add(writer, 3)
+        assert len(shape(writer)) == len(before) + 2
+        assert shape(other) == before
+        # The other side copies its own, and the writer does not see it.
+        add(other, 4)
+        assert len(shape(other)) == len(before) + 1
+        assert len(shape(writer)) == len(before) + 2
+        # A declaration neither side wrote stays shared.
+        assert clone.declaration_of(named("a.Leaf")) is registry.declaration_of(
+            named("a.Leaf")
+        )
+
+    def test_clone_shares_declarations_until_written(self, registry):
+        clone = registry.clone()
+        for decl in registry.all_declarations():
+            assert clone.declaration_of(decl.type) is decl
+
+    def test_a_clone_of_a_clone_stays_independent(self, registry):
+        base = named("a.Base")
+        first = registry.clone()
+        first.add_method(Method(base, "first", named("java.lang.Object")))
+        second = first.clone()
+        second.add_method(Method(base, "second", named("java.lang.Object")))
+        first.add_method(Method(base, "again", named("java.lang.Object")))
+        assert [m.name for m in registry.declared_methods(base)] == []
+        assert [m.name for m in first.declared_methods(base)] == ["first", "again"]
+        assert [m.name for m in second.declared_methods(base)] == ["first", "second"]
+
+    def test_declaring_in_a_clone_leaves_simple_names_alone(self, registry):
+        clone = registry.clone()
+        clone.declare("z.Base")
+        assert registry.lookup_simple("Base") == [named("a.Base")]
+        assert clone.lookup_simple("Base") == [named("a.Base"), named("z.Base")]
+        registry.declare("y.Base")
+        assert clone.lookup_simple("Base") == [named("a.Base"), named("z.Base")]
+
     def test_get_returns_declared_type_or_none(self, registry):
         assert registry.get("a.Mid") == named("a.Mid")
         assert registry.get("a.Nope") is None
