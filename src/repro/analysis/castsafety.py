@@ -36,6 +36,7 @@ null-only flow must not prove a cast inviable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -295,11 +296,30 @@ def group_observations(
 
 
 def build_verdict_index(
-    registry: TypeRegistry, observations: Sequence[CastObservation]
+    registry: TypeRegistry,
+    observations: Sequence[CastObservation],
+    previous: Optional[CastVerdictIndex] = None,
 ) -> CastVerdictIndex:
-    """Classify grouped observations into the query-time verdict index."""
-    findings: Dict[PairKey, CastFinding] = {
-        pair: classify_pair(group)
-        for pair, group in group_observations(observations).items()
-    }
-    return CastVerdictIndex(registry, findings)
+    """Classify grouped observations into the query-time verdict index.
+
+    Groups keep the observations' order and the index their first
+    occurrence's. ``previous`` is the index of an earlier state of the
+    same corpus, whose per-file observations were kept where a file was
+    not analyzed again: a pair whose group holds the very observations
+    it held there keeps its finding, so only the pairs whose group
+    gained or lost an observation are classified again.
+    """
+    groups = group_observations(observations)
+    before = previous.groups if previous is not None else {}
+    findings: Dict[PairKey, CastFinding] = {}
+    for pair, group in groups.items():
+        old = before.get(pair)
+        if (
+            old is not None
+            and len(old) == len(group)
+            and all(map(operator.is_, old, group))
+        ):
+            findings[pair] = previous._findings[pair]  # type: ignore[union-attr]
+        else:
+            findings[pair] = classify_pair(group)
+    return CastVerdictIndex(registry, findings, groups)

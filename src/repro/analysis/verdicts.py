@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..graph import node_base_type
 from ..jungloids import Jungloid
@@ -178,10 +178,14 @@ class CastVerdictIndex:
         self,
         registry: TypeRegistry,
         findings: Optional[Mapping[PairKey, CastFinding]] = None,
+        groups: Optional[Mapping[PairKey, Sequence[object]]] = None,
     ):
         self.registry = registry
         self._findings: Dict[PairKey, CastFinding] = dict(findings or {})
         self._synthesized: Dict[PairKey, CastFinding] = {}
+        #: The observations each finding was classified from, when the
+        #: index was built from them (not loaded from a snapshot).
+        self.groups: Mapping[PairKey, Sequence[object]] = groups or {}
 
     # ------------------------------------------------------------------
     # Lookups

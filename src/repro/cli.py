@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional, Sequence
 
 from .analysis import SEVERITY_ORDER, lint_graph, run_lint
@@ -385,18 +386,16 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
         )
         print(
             f"  re-resolved {len(stats.files_reresolved)} file(s),"
+            f" re-checked {len(stats.files_rechecked)} file(s),"
             f" re-mined {len(stats.files_remined)} file(s), reused"
             f" {stats.files_reused}; suffixes +{stats.suffixes_added}"
             f"/-{stats.suffixes_removed}; {stats.affected_targets}"
             f" graph node(s) with changed edges"
         )
-    print(
-        f"  stages: fingerprint {t.fingerprint_ms:.2f} ms,"
-        f" parse {t.parse_ms:.2f} ms, resolve {t.resolve_ms:.2f} ms,"
-        f" callgraph {t.callgraph_ms:.2f} ms, mine {t.mine_ms:.2f} ms,"
-        f" generalize {t.generalize_ms:.2f} ms, graft {t.graft_ms:.2f} ms"
-        f" (total {t.total_ms:.2f} ms)"
+    stages = ", ".join(
+        f"{f.name[: -len('_ms')]} {getattr(t, f.name):.2f} ms" for f in fields(t)
     )
+    print(f"  stages: {stages} (total {t.total_ms:.2f} ms)")
     manifest = prospector.save_snapshot(args.path)
     print(
         f"  wrote snapshot: {manifest.mined_count} mined,"

@@ -404,10 +404,7 @@ def _resolve_without_held(
         for simple in h.simples:
             if simple in declared_simple or registry.lookup_simple(simple):
                 return None
-    for trace in cache.lookups:
-        if any(name in trace.names for name in declared_set):
-            return None
-        if any(simple in trace.simples for simple in declared_simple):
-            return None
+    if cache.probed_by(declared_set, declared_simple) & {id(u) for u in rest}:
+        return None
     held.sort(key=lambda item: (item[1].step, item[0]))
     return registry, rest, corpus_types, [h for _, h in held]

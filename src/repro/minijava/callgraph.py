@@ -269,9 +269,11 @@ def _reused_callers(
     walked or retargeted again) or it is gone. Only the lists of the
     targets a changed unit's call sites name, before or after, are
     rebuilt, in corpus order; every other list holds only unchanged
-    units' sites and is kept. ``None`` when the kept units moved
-    relative to each other, or a rebuilt target's place in the key order
-    is not where a fresh build would put it: first seen in corpus order.
+    units' sites and keeps its place. A rebuilt target goes where a
+    fresh build puts it, at its first sight in corpus order: the kept
+    targets are already in that order, so a binary search over them
+    finds its place. ``None`` when the kept units moved relative to
+    each other.
     """
     old, new = previous.units, graph.units
     before = {key: i for i, key in enumerate(old)}
@@ -309,35 +311,65 @@ def _reused_callers(
                     found = dirty.get(target)
                     if found is not None:
                         found.append(site)
+
+    order: Dict[int, Dict[int, int]] = {}
+
+    def rank(target: Method, sites: List[CallSite]) -> Tuple[int, int, int]:
+        """Where a fresh build first sees ``target``: its first site's
+        unit, the site's place among that unit's sites, the target's
+        place among the site's targets."""
+        first = sites[0]
+        i = at[id(first.caller)]
+        places = order.get(i)
+        if places is None:
+            places = order[i] = {
+                id(site): n
+                for n, site in enumerate(
+                    site for _, _, body_sites in shares[i].bodies for site in body_sites
+                )
+            }
+        place = next(k for k, t in enumerate(first.targets) if t is target or t == target)
+        return (i, places[id(first)], place)
+
     callers = dict(previous.callers_of)
     for target, sites in dirty.items():
         if sites:
             callers[target] = sites  # an old key keeps its place
         else:
             callers.pop(target, None)
-
-    def rank(target: Method, sites: List[CallSite]) -> Tuple[int, int, int]:
-        first = sites[0]
-        i = at[id(first.caller)]
-        n = 0
-        for _, _, body_sites in shares[i].bodies:
-            for site in body_sites:
-                if site is first:
-                    place = next(
-                        k for k, t in enumerate(site.targets) if t is target or t == target
-                    )
-                    return (i, n, place)
-                n += 1
-        raise AssertionError("a call site outside its unit")  # pragma: no cover
-
     rebuilt = {id(sites) for sites in dirty.values()}
     items = list(callers.items())
-    for index, (target, sites) in enumerate(items):
-        if id(sites) not in rebuilt:
-            continue
-        here = rank(target, sites)
-        if index > 0 and rank(*items[index - 1]) >= here:
-            return None
-        if index + 1 < len(items) and here >= rank(*items[index + 1]):
-            return None
+    if all(
+        (index == 0 or rank(*items[index - 1]) < rank(*items[index]))
+        and (index + 1 == len(items) or rank(*items[index]) < rank(*items[index + 1]))
+        for index, (_, sites) in enumerate(items)
+        if id(sites) in rebuilt
+    ):
+        return callers
+    # A rebuilt key is out of place: merge the rebuilt keys, in first-sight
+    # order, into the kept ones, which are in first-sight order already.
+    kept = [item for item in items if id(item[1]) not in rebuilt]
+    placed = sorted(
+        ((rank(target, sites), target) for target, sites in dirty.items() if sites),
+        key=lambda entry: entry[0],
+    )
+    merged: List[Tuple[Method, List[CallSite]]] = []
+    lo = 0
+    for here, target in placed:
+        start, hi = lo, len(kept)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rank(*kept[mid]) < here:
+                lo = mid + 1
+            else:
+                hi = mid
+        merged.extend(kept[start:lo])
+        merged.append((target, dirty[target]))
+    merged.extend(kept[lo:])
+    # Re-insert from the first key out of place on: ``popitem`` takes the
+    # last entries without hashing their keys, so only the tail rehashes.
+    start = next(i for i, (item, want) in enumerate(zip(items, merged)) if item[0] is not want[0])
+    for _ in range(len(items) - start):
+        callers.popitem()
+    callers.update(merged[start:])
     return callers

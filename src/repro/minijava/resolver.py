@@ -16,6 +16,15 @@ cache records a unit's declarations the same way: its classes' resolved
 supertypes and members depend only on the AST and the names it probed
 while declaring them.
 
+An attempt checks only the records an edit can have invalidated. The
+cache keeps the corpus bindings and declarations the last successful
+attempt saw, and reverse indexes from every recorded name, simple name
+and read type to the units whose records recorded it. The next attempt
+compares its own bindings and declarations with those, and runs the
+validity checks only on the records of the units the indexes list for a
+changed name or type; any other record that attempt checked or wrote
+would pass them, so it is reused as it is.
+
 A failed attempt names the unit it failed in: the raised error carries a
 :class:`ResolutionFailure` (see :func:`failure_of`) with the step and
 what that unit had looked up by then, which the lenient loader uses to
@@ -24,7 +33,7 @@ pick and remember its culprit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..typesystem import (
     ArrayType,
@@ -108,16 +117,26 @@ class _Trace:
 
 
 class _Entry:
-    """A unit's trace, with the declaration digests of the corpus types it read."""
+    """A unit's body trace, with the declaration digests of the corpus
+    types it read; ``digests`` is ``None`` when a read type had none, and
+    the entry then only records the trace."""
 
-    __slots__ = ("unit", "trace", "digests", "issues")
+    __slots__ = ("unit", "trace", "digests", "issues", "attempt")
 
-    def __init__(self, unit: CompilationUnit, trace: _Trace, digests: Dict[NamedType, tuple]):
+    def __init__(
+        self,
+        unit: CompilationUnit,
+        trace: _Trace,
+        digests: Optional[Dict[NamedType, tuple]],
+        attempt: int,
+    ):
         self.unit = unit
         self.trace = trace
         self.digests = digests
         #: The checker's issues for these annotations, once checked.
         self.issues: Optional[tuple] = None
+        #: The last attempt that checked or wrote this entry.
+        self.attempt = attempt
 
 
 #: One class's resolved declaration: superclass, interfaces, fields,
@@ -125,13 +144,82 @@ class _Entry:
 _Shape = Tuple[Optional[NamedType], Tuple[NamedType, ...], tuple, tuple, tuple]
 
 
-class _Declared(NamedTuple):
+class _Declared:
     """A unit's declaration record: its declaration trace, and the shape
     its members step gave each of its classes, in order."""
 
-    unit: CompilationUnit
-    trace: _Trace
-    shapes: Tuple[_Shape, ...]
+    __slots__ = ("unit", "trace", "shapes", "attempt")
+
+    def __init__(
+        self, unit: CompilationUnit, trace: _Trace, shapes: Tuple[_Shape, ...], attempt: int
+    ):
+        self.unit = unit
+        self.trace = trace
+        self.shapes = shapes
+        #: The last attempt that checked or wrote this record.
+        self.attempt = attempt
+
+
+class Dependents:
+    """A reverse index over records: for each of its tables, each key a
+    record recorded -> the owners (unit ids, sources) whose records
+    recorded it. Most keys have one owner or a few, so owners are held
+    in tuples."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: int) -> None:
+        self.tables: Tuple[Dict[Hashable, Tuple[Hashable, ...]], ...] = tuple(
+            {} for _ in range(tables)
+        )
+
+    def add(self, owner: Hashable, *keys: Iterable[Hashable]) -> None:
+        """Index ``owner`` under each table's ``keys``, in table order."""
+        for table, recorded in zip(self.tables, keys):
+            for key in recorded:
+                table[key] = table.get(key, ()) + (owner,)
+
+    def remove(self, owner: Hashable, *keys: Iterable[Hashable]) -> None:
+        """Undo :meth:`add` with the same keys."""
+        for table, recorded in zip(self.tables, keys):
+            for key in recorded:
+                owners = tuple(o for o in table.get(key, ()) if o != owner)
+                if owners:
+                    table[key] = owners
+                else:
+                    table.pop(key, None)
+
+    def of(self, *keys: Iterable[Hashable]) -> Set[Hashable]:
+        """The owners that recorded any of each table's ``keys``."""
+        found: Set[Hashable] = set()
+        for table, wanted in zip(self.tables, keys):
+            for key in wanted:
+                found.update(table.get(key, ()))
+        return found
+
+
+class _Seen(NamedTuple):
+    """What one successful attempt saw of the corpus: each corpus
+    qualified name's type, each corpus simple name's types in corpus
+    order, and each corpus type's own declaration (:func:`_own`)."""
+
+    names: Dict[str, NamedType]
+    simples: Dict[str, Tuple[NamedType, ...]]
+    own: Dict[NamedType, tuple]
+
+
+def _own(decl: TypeDeclaration) -> tuple:
+    """One declaration as a digest records it."""
+    return (
+        decl.type,
+        decl.kind,
+        decl.superclass,
+        decl.interfaces,
+        tuple(decl.fields),
+        tuple(decl.methods),
+        tuple(decl.constructors),
+        decl.abstract,
+    )
 
 
 class ResolutionFailure(NamedTuple):
@@ -180,6 +268,12 @@ class ResolutionCache:
     check issues it caches hold for as long as it stays valid. API
     declarations are taken as fixed: use one cache only with clones of
     one API registry.
+
+    Each record carries the last attempt that checked or wrote it. The
+    cache keeps what the last successful attempt saw (:class:`_Seen`)
+    and indexes every record by the names, simple names and types it
+    recorded, so the next attempt finds the records a changed binding
+    or declaration can invalidate (see :meth:`Resolver.declare_units`).
     """
 
     def __init__(self) -> None:
@@ -188,27 +282,62 @@ class ResolutionCache:
         self.declared: Dict[int, _Declared] = {}
         #: Units whose bodies were resolved, not reused, since :meth:`retain`.
         self.resolved: Set[int] = set()
-        #: Every trace of the last attempt: each unit's declaration trace,
-        #: then each body trace, fresh or reused (complete after success).
-        self.lookups: List[_Trace] = []
+        #: Units a record of which was checked, not reused unchecked,
+        #: since :meth:`retain`.
+        self.checked: Set[int] = set()
         #: The lenient loader's quarantine memo, one record per parsed
         #: AST it quarantined (see :mod:`repro.corpus.loader`).
         self.quarantined: Dict[int, object] = {}
+        #: The number of attempts begun, and the last successful one.
+        self.attempts = 0
+        self.last: Optional[int] = None
+        #: What the last successful attempt saw.
+        self.seen = _Seen({}, {}, {})
+        #: Probed names and simple names -> units, per declaration record;
+        #: and per body entry, with its read corpus types.
+        self._declared_by = Dependents(2)
+        self._read_by = Dependents(3)
 
     def retain(self, units: Iterable[CompilationUnit]) -> None:
-        """Keep only the entries of ``units``; restart the resolved log."""
+        """Keep only the records of ``units``; restart the logs."""
         live = {id(u) for u in units}
-        self._entries = {k: e for k, e in self._entries.items() if k in live}
-        self.declared = {k: d for k, d in self.declared.items() if k in live}
+        for key in [k for k in self.declared if k not in live]:
+            self.drop_declared(key)
+        for key in [k for k in self._entries if k not in live]:
+            self.drop(key)
         self.quarantined = {k: q for k, q in self.quarantined.items() if k in live}
         self.resolved.clear()
+        self.checked.clear()
 
-    def take(self, unit: CompilationUnit) -> Optional[_Entry]:
-        """Remove and return ``unit``'s entry, if it has one."""
-        return self._entries.pop(id(unit), None)
+    def put_declared(self, record: _Declared) -> None:
+        self.drop_declared(id(record.unit))
+        self.declared[id(record.unit)] = record
+        self._declared_by.add(id(record.unit), record.trace.names, record.trace.simples)
+
+    def drop_declared(self, key: int) -> None:
+        record = self.declared.pop(key, None)
+        if record is not None:
+            self._declared_by.remove(key, record.trace.names, record.trace.simples)
+
+    def entry(self, unit: CompilationUnit) -> Optional[_Entry]:
+        return self._entries.get(id(unit))
 
     def put(self, entry: _Entry) -> None:
+        self.drop(id(entry.unit))
         self._entries[id(entry.unit)] = entry
+        trace = entry.trace
+        self._read_by.add(id(entry.unit), trace.names, trace.simples, entry.digests or ())
+
+    def drop(self, key: int) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            trace = entry.trace
+            self._read_by.remove(key, trace.names, trace.simples, entry.digests or ())
+
+    def probed_by(self, names: Iterable[str], simples: Iterable[str]) -> Set[int]:
+        """The units whose records probed any of ``names`` or ``simples``."""
+        names, simples = list(names), list(simples)
+        return self._declared_by.of(names, simples) | self._read_by.of(names, simples)
 
     def issues_of(self, unit: CompilationUnit) -> Optional[tuple]:
         """The check issues cached for ``unit``, or ``None``."""
@@ -312,6 +441,14 @@ class Resolver:
         self._corpus: Set[NamedType] = set()
         self._trace = _Trace()
         self._digests: Dict[NamedType, Optional[tuple]] = {}
+        #: With a cache: this attempt's number, what it sees, and the
+        #: names, simple names and types whose binding or declaration
+        #: differs from what the cache's last successful attempt saw.
+        self._attempt = 0
+        #: Units whose declaration record this attempt reused, by id.
+        self._reused: Dict[int, _Declared] = {}
+        self._seen = _Seen({}, {}, {})
+        self._changed: Tuple[Set[str], Set[str], Set[NamedType]] = (set(), set(), set())
 
     # ------------------------------------------------------------------
     # Phase 1: declarations
@@ -325,41 +462,62 @@ class Resolver:
         from the record, and its annotations stay as they are. Any other
         unit drops its record, resolves its supertypes and members
         afresh, and is recorded again once its members step succeeds.
+
+        Only the records of units that probed a name whose binding
+        changed since the cache's last successful attempt, or that
+        attempt did not check, are checked; the others are reused as
+        they are (see :meth:`_unaffected`).
         """
         cache = self.cache
-        if cache is not None:
-            cache.lookups = []
+        names: Dict[str, NamedType] = {}
+        decls: Dict[int, List[TypeDeclaration]] = {}
         for unit in units:
+            decls[id(unit)] = unit_decls = []
             try:
                 for cls in unit.classes:
                     assert cls.qualified_name is not None
-                    self.registry.declare(
+                    t = names[cls.qualified_name] = self.registry.declare(
                         cls.qualified_name,
                         kind=TypeKind.INTERFACE if cls.is_interface else TypeKind.CLASS,
                     )
+                    unit_decls.append(self.registry.declaration_of(t))
             except _MODEL_ERRORS as exc:
                 _blame(exc, unit, STEP_NAMES)
                 raise
-        reused: Dict[int, _Declared] = {}
+        reused = self._reused
+        unchecked: Set[int] = set()
         if cache is not None:
+            cache.attempts += 1
+            self._attempt = cache.attempts
+            simples, changed_names, changed_simples = self._changed_bindings(names)
+            suspects = cache._declared_by.of(changed_names, changed_simples)
             for unit in units:
-                record = cache.declared.pop(id(unit), None)
-                if record is not None and self._binds_same(record.trace):
-                    reused[id(unit)] = cache.declared[id(unit)] = record
+                record = cache.declared.get(id(unit))
+                if record is None:
+                    continue
+                if self._unaffected(record, suspects):
+                    unchecked.add(id(unit))
+                else:
+                    cache.checked.add(id(unit))
+                    if not self._binds_same(record.trace):
+                        cache.drop_declared(id(unit))
+                        continue
+                record.attempt = self._attempt
+                reused[id(unit)] = record
         # Supertypes and members need every corpus type declared first, but
         # the registry fixes supertypes at declare time — so corpus classes
-        # record them via a patch pass on the declaration objects.
+        # record them via a patch pass on the declaration objects. A
+        # recorded unit's members take no lookups, so they are set here too.
         for unit in units:
             record = reused.get(id(unit))
             if record is not None:
-                for cls, shape in zip(unit.classes, record.shapes):
-                    decl = self._declaration(cls)
+                for decl, shape in zip(decls[id(unit)], record.shapes):
                     decl.superclass, decl.interfaces = shape[0], shape[1]
+                    decl.fields, decl.methods, decl.constructors = map(list, shape[2:])
                 continue
             env = self._env(unit)
             try:
-                for cls in unit.classes:
-                    decl = self._declaration(cls)
+                for cls, decl in zip(unit.classes, decls[id(unit)]):
                     if cls.extends is not None:
                         decl.superclass = env.resolve_type_name(cls.extends.name)
                     decl.interfaces = tuple(
@@ -370,30 +528,90 @@ class Resolver:
                 raise
         self.registry.invalidate_caches()  # hierarchy changed
         for unit in units:
+            if id(unit) in reused:
+                self._corpus_types.extend(decl.type for decl in decls[id(unit)])
+                continue
             env = self._env(unit)
-            record = reused.get(id(unit))
-            if record is not None:
-                for cls, shape in zip(unit.classes, record.shapes):
-                    decl = self._declaration(cls)
-                    self._corpus_types.append(decl.type)
-                    decl.fields, decl.methods, decl.constructors = map(list, shape[2:])
-                env.declaration_trace = record.trace
-            else:
-                try:
-                    for cls in unit.classes:
-                        self._declare_members(env, cls)
-                except _MODEL_ERRORS as exc:
-                    _blame(exc, unit, STEP_MEMBERS, env.trace)
-                    raise
-                if cache is not None:
-                    cache.declared[id(unit)] = _Declared(
-                        unit, env.trace, tuple(self._shape(cls) for cls in unit.classes)
-                    )
+            try:
+                for cls in unit.classes:
+                    self._declare_members(env, cls)
+            except _MODEL_ERRORS as exc:
+                _blame(exc, unit, STEP_MEMBERS, env.trace)
+                raise
             if cache is not None:
-                cache.lookups.append(env.declaration_trace)
+                cache.put_declared(
+                    _Declared(
+                        unit,
+                        env.trace,
+                        tuple(self._shape(cls) for cls in unit.classes),
+                        self._attempt,
+                    )
+                )
         self.registry.invalidate_caches()  # recorded members were set in place
         self._corpus = set(self._corpus_types)
+        if cache is not None:
+            own, changed_types = self._changed_types(
+                units, names, decls, unchecked, changed_names
+            )
+            self._seen = _Seen(names, simples, own)
+            self._changed = (changed_names, changed_simples, changed_types)
         return list(self._corpus_types)
+
+    def _changed_bindings(
+        self, names: Dict[str, NamedType]
+    ) -> Tuple[Dict[str, Tuple[NamedType, ...]], Set[str], Set[str]]:
+        """Each corpus simple name's types, and the corpus qualified and
+        simple names that bind differently from the last successful
+        attempt. API declarations are fixed, so no other name can."""
+        simples: Dict[str, Tuple[NamedType, ...]] = {}
+        for t in names.values():
+            simples[t.simple] = simples.get(t.simple, ()) + (t,)
+        seen = self.cache.seen  # type: ignore[union-attr]
+        changed_simples = {
+            simple for simple, _ in set(simples.items()) ^ set(seen.simples.items())
+        }
+        return simples, set(names.keys() ^ seen.names.keys()), changed_simples
+
+    def _changed_types(
+        self,
+        units: Sequence[CompilationUnit],
+        names: Dict[str, NamedType],
+        decls: Dict[int, List[TypeDeclaration]],
+        unchecked: Set[int],
+        changed_names: Set[str],
+    ) -> Tuple[Dict[NamedType, tuple], Set[NamedType]]:
+        """Each corpus type's own declaration, and the corpus types whose
+        digest can differ from the last successful attempt's: those whose
+        own declaration differs, closed over their subtypes. Only a unit
+        declared again or checked in full can declare a type anew, and a
+        removed type is gone."""
+        seen = self.cache.seen  # type: ignore[union-attr]
+        changed: Set[NamedType] = set()
+        own = dict(seen.own)
+        for name in changed_names:
+            t = seen.names.get(name)
+            if t is not None and name not in names:
+                own.pop(t, None)
+                changed.add(t)
+        for unit in units:
+            if id(unit) in unchecked:
+                continue
+            for decl in decls[id(unit)]:
+                shape = _own(decl)
+                if own.get(decl.type) != shape:
+                    own[decl.type] = shape
+                    changed.add(decl.type)
+        for t in list(changed):
+            changed.update(self.registry.all_subtypes(t))
+        return own, changed
+
+    def _unaffected(self, record, suspects: Set[int]) -> bool:
+        """Was ``record`` checked or written in the cache's last successful
+        attempt, with nothing it recorded changed since? Every name it
+        probed then binds as it did, and every type it read has the
+        digest it had, so its validity check would pass."""
+        last = self.cache.last  # type: ignore[union-attr]
+        return record.attempt == last and id(record.unit) not in suspects
 
     def _declaration(self, cls: ClassDecl) -> TypeDeclaration:
         return self.registry.declaration_of(
@@ -415,6 +633,9 @@ class Resolver:
         env = self._envs.get(key)
         if env is None:
             env = UnitEnvironment(self.registry, unit)
+            record = self._reused.get(key)
+            if record is not None:
+                env.declaration_trace = record.trace
             self._envs[key] = env
         return env
 
@@ -470,25 +691,36 @@ class Resolver:
     # ------------------------------------------------------------------
 
     def resolve_units(self, units: Sequence[CompilationUnit]) -> None:
+        cache = self.cache
+        suspects = cache._read_by.of(*self._changed) if cache is not None else set()
         for unit in units:
-            entry = self.cache.take(unit) if self.cache is not None else None
-            if entry is not None and self._still_valid(entry):
-                self.cache.put(entry)
-                self.cache.lookups.append(entry.trace)
-                continue
+            entry = cache.entry(unit) if cache is not None else None
+            if entry is not None and entry.digests is not None:
+                if self._unaffected(entry, suspects):
+                    entry.attempt = self._attempt
+                    continue
+                cache.checked.add(id(unit))  # type: ignore[union-attr]
+                if self._still_valid(entry):
+                    entry.attempt = self._attempt
+                    continue
+            if entry is not None:
+                cache.drop(id(unit))  # type: ignore[union-attr]
             try:
                 trace = self._resolve_bodies(unit)
             except _MODEL_ERRORS as exc:
                 env = self._env(unit)
                 _blame(exc, unit, STEP_BODIES, env.declaration_trace, env.trace)
                 raise
-            if self.cache is None:
+            if cache is None:
                 continue
-            self.cache.resolved.add(id(unit))
-            self.cache.lookups.append(trace)
+            cache.resolved.add(id(unit))
             digests = {t: self._digest(t) for t in trace.reads if t in self._corpus}
-            if None not in digests.values():
-                self.cache.put(_Entry(unit, trace, digests))
+            cache.put(
+                _Entry(unit, trace, None if None in digests.values() else digests, self._attempt)
+            )
+        if cache is not None:
+            cache.last = self._attempt
+            cache.seen = self._seen
 
     def _resolve_bodies(self, unit: CompilationUnit) -> _Trace:
         env = self._env(unit)
@@ -506,7 +738,7 @@ class Resolver:
 
     def _still_valid(self, entry: _Entry) -> bool:
         """Would resolving the entry's unit look up the same answers now?"""
-        if not self._binds_same(entry.trace):
+        if entry.digests is None or not self._binds_same(entry.trace):
             return False
         return all(self._digest(t) == want for t, want in entry.digests.items())
 
@@ -529,16 +761,7 @@ class Resolver:
         if t not in self._digests:
             try:
                 self._digests[t] = tuple(
-                    (
-                        d.type,
-                        d.kind,
-                        d.superclass,
-                        d.interfaces,
-                        tuple(d.fields),
-                        tuple(d.methods),
-                        tuple(d.constructors),
-                        d.abstract,
-                    )
+                    _own(d)
                     for d in map(
                         self.registry.declaration_of,
                         (t,) + self.registry.all_supertypes(t),

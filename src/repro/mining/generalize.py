@@ -21,9 +21,10 @@ occurrences are reference-counted per node, so examples from a re-mined
 corpus file can be removed and their replacements inserted without
 rebuilding the structure — the incremental pipeline's generalization
 stage. An example's suffix depends only on the subtree under its
-depth-1 node (its last pre-cast step), so the generalizer remembers each
-example's result and recomputes it only when an insert or remove passed
-through that node since. Suffixes are canonical per generalizer — equal
+depth-1 node (its last pre-cast step), so the generalizer keeps each
+example's result until the example is removed, indexes it under that
+node, and recomputes it only when an insert or remove passed through
+the node since. Suffixes are canonical per generalizer — equal
 suffixes are one object, counted by the examples that use it — so
 :func:`unique_suffixes` dedups by identity, and the suffixes whose count
 rose from or fell to zero are the graft delta.
@@ -48,7 +49,7 @@ def _cast_key(step: ElementaryJungloid) -> CastKey:
 
 
 class _TrieNode:
-    __slots__ = ("children", "casts", "dirty")
+    __slots__ = ("children", "casts", "dirty", "examples")
 
     def __init__(self):
         self.children: Dict[ElementaryJungloid, "_TrieNode"] = {}
@@ -57,6 +58,9 @@ class _TrieNode:
         #: On a depth-1 node: an insert or remove passed through it since
         #: the last :meth:`IncrementalGeneralizer.generalize`.
         self.dirty = False
+        #: On a depth-1 node: the examples whose kept result was computed
+        #: beneath it, by id (``None`` until there is one).
+        self.examples: Optional[Dict[int, ExampleJungloid]] = None
 
 
 class _Canonical:
@@ -91,9 +95,10 @@ class IncrementalGeneralizer:
 
     Per-node cast sets become counts so removing an example exactly
     undoes its insertion; whole-trie recomputation is never needed when
-    the corpus changes. :meth:`generalize` recomputes only the examples
-    under a depth-1 node that an insert or remove touched since its last
-    call, and reuses the others' results.
+    the corpus changes. An example's result is kept from the
+    :meth:`generalize` that computed it until :meth:`remove` takes that
+    example object; a later :meth:`generalize` recomputes only the kept
+    results under a depth-1 node an insert or remove touched since.
     """
 
     def __init__(self, min_precast_steps: int = 1):
@@ -103,13 +108,19 @@ class IncrementalGeneralizer:
         #: Depth-1 nodes marked dirty since the last generalize.
         self._dirty: List[_TrieNode] = []
         #: id(example) -> (its result, its depth-1 node, its suffix's slot),
-        #: for the examples of the last generalize.
+        #: for every example with a kept result.
         self._results: Dict[int, Tuple[GeneralizedExample, Optional[_TrieNode], _Canonical]] = {}
         self._canonical: Dict[Tuple[ElementaryJungloid, ...], _Canonical] = {}
-        #: Canonical suffixes whose use count rose from zero, in first-use
-        #: order, and fell to zero, in the last generalize.
+        #: id(slot) -> (slot, its use count before its first change since
+        #: the last generalize).
+        self._before: Dict[int, Tuple[_Canonical, int]] = {}
+        #: Canonical suffixes whose use count rose from zero, in the order
+        #: of the last generalize's output, and fell to zero, since the
+        #: generalize before it.
         self.added: Tuple[Jungloid, ...] = ()
         self.removed: Tuple[Jungloid, ...] = ()
+        #: The kept results the last generalize recomputed to a new suffix.
+        self.moved: Tuple[GeneralizedExample, ...] = ()
 
     @property
     def live_examples(self) -> int:
@@ -141,7 +152,8 @@ class IncrementalGeneralizer:
         return True
 
     def remove(self, example: ExampleJungloid) -> bool:
-        """Exactly undo one prior :meth:`insert` of an equal example.
+        """Exactly undo one prior :meth:`insert` of an equal example, and
+        drop the result kept for this example object, if any.
 
         Raises :class:`KeyError` when no equal example is live.
         """
@@ -174,6 +186,11 @@ class IncrementalGeneralizer:
                 break
             del parent.children[step]
         self._live -= 1
+        entry = self._results.pop(id(example), None)
+        if entry is not None:
+            if entry[1] is not None:
+                del entry[1].examples[id(example)]  # type: ignore[union-attr]
+            self._use(entry[2], -1)
         return True
 
     def _retained(
@@ -206,62 +223,76 @@ class IncrementalGeneralizer:
         """The example's shortest distinguishing suffix under the current trie."""
         return Jungloid(self._retained(example)[0])
 
+    def _slot(self, steps: Tuple[ElementaryJungloid, ...]) -> _Canonical:
+        slot = self._canonical.get(steps)
+        if slot is None:
+            slot = self._canonical[steps] = _Canonical(Jungloid(steps))
+        return slot
+
     def generalize(
         self, examples: Iterable[ExampleJungloid]
     ) -> List[GeneralizedExample]:
         """Suffixes for ``examples`` (cast-free ones skipped), in order.
 
         Every casted example must currently be inserted; conflicts are
-        judged against *all* live examples, so callers pass the full
-        corpus population here after applying their inserts/removes.
-        Results of the previous call are reused for examples whose
-        depth-1 node no insert or remove touched since; an example not
-        passed here loses its result.
+        judged against *all* live examples. First every kept result
+        under a depth-1 node an insert or remove touched since the last
+        call is computed again (the node's index of examples finds
+        them), and :attr:`moved` holds those whose suffix changed; then
+        each example passed without a kept result gets one.
         """
-        before: Dict[int, Tuple[_Canonical, int]] = {}
-        results: Dict[int, Tuple[GeneralizedExample, Optional[_TrieNode], _Canonical]] = {}
-        out: List[GeneralizedExample] = []
-        for example in examples:
-            entry = results.get(id(example))
-            if entry is None:
-                # An entry holds its example, so no other object has its id.
-                entry = self._results.pop(id(example), None)
-                if entry is not None and entry[1] is not None and entry[1].dirty:
-                    self._use(entry[2], -1, before)
-                    entry = None
-                if entry is None:
-                    if not _is_casted(example):
-                        continue
-                    steps, first = self._retained(example)
-                    slot = self._canonical.get(steps)
-                    if slot is None:
-                        slot = self._canonical[steps] = _Canonical(Jungloid(steps))
-                    self._use(slot, 1, before)
-                    entry = (GeneralizedExample(example, slot.suffix), first, slot)
-                results[id(example)] = entry
-            out.append(entry[0])
-        for entry in self._results.values():
-            self._use(entry[2], -1, before)
-        self._results = results
+        moved: List[GeneralizedExample] = []
         for node in self._dirty:
             node.dirty = False
+            for key, example in (node.examples or {}).items():
+                result, first, slot = self._results[key]
+                fresh = self._slot(self._retained(example)[0])
+                if fresh is slot:
+                    continue
+                self._use(slot, -1)
+                self._use(fresh, 1)
+                result = GeneralizedExample(example, fresh.suffix)
+                self._results[key] = (result, first, fresh)
+                moved.append(result)
         self._dirty = []
+        out: List[GeneralizedExample] = []
+        for example in examples:
+            entry = self._results.get(id(example))
+            if entry is None:
+                if not _is_casted(example):
+                    continue
+                steps, first = self._retained(example)
+                slot = self._slot(steps)
+                self._use(slot, 1)
+                entry = (GeneralizedExample(example, slot.suffix), first, slot)
+                # An entry holds its example, so no other object has its id.
+                self._results[id(example)] = entry
+                if first is not None:
+                    if first.examples is None:
+                        first.examples = {}
+                    first.examples[id(example)] = example
+            out.append(entry[0])
         added: List[Jungloid] = []
         removed: List[Jungloid] = []
-        for slot, uses in before.values():
+        for slot, uses in self._before.values():
             if uses == 0 and slot.uses:
                 added.append(slot.suffix)
             elif uses and not slot.uses:
                 removed.append(slot.suffix)
             if not slot.uses:
                 del self._canonical[slot.suffix.steps]
-        self.added, self.removed = tuple(added), tuple(removed)
+        self._before = {}
+        if len(added) > 1:
+            place: Dict[int, int] = {}
+            for index, result in enumerate(out):
+                place.setdefault(id(result.suffix), index)
+            added.sort(key=lambda suffix: place.get(id(suffix), len(out)))
+        self.added, self.removed, self.moved = tuple(added), tuple(removed), tuple(moved)
         return out
 
-    @staticmethod
-    def _use(slot: _Canonical, delta: int, before: Dict[int, Tuple[_Canonical, int]]) -> None:
-        if id(slot) not in before:
-            before[id(slot)] = (slot, slot.uses)
+    def _use(self, slot: _Canonical, delta: int) -> None:
+        if id(slot) not in self._before:
+            self._before[id(slot)] = (slot, slot.uses)
         slot.uses += delta
 
 

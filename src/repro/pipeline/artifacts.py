@@ -92,6 +92,9 @@ class FileMineRecord:
             )
             for e in data["examples"]
         ]
+        if any(e.source != data["source"] for e in examples):
+            # Every example of a file comes from that file.
+            raise StageFormatError(f"record {data['source']!r} holds another file's examples")
         faults = [ExtractionFault(**f) for f in data["faults"]]
         return cls(
             source=data["source"],

@@ -18,7 +18,9 @@ artifacts:
    bodies only when its body entry went stale: a name the bodies probed
    binds differently, or a corpus type they read changed its
    declaration (new AST, shadowing class, new overload, edited
-   supertype). A unit's check issues are cached on the same entry, and
+   supertype). Only the records of units that probed a changed name or
+   read a changed type are checked; the cache's reverse indexes find
+   them. A unit's check issues are cached on the same entry, and
    a file quarantined for lookups that found nothing stays out of the
    joint attempt while they still find nothing (the quarantine memo).
    Lenient quarantine semantics are shared with the corpus loader via
@@ -30,13 +32,16 @@ artifacts:
    example extraction and cast observations are cached per fingerprint
    plus the file's recorded slicing dependencies (inlined client bodies
    and CHA caller sets queried by either interpretation, referenced
-   corpus-type hierarchy). Only files whose content *or* dependencies
-   changed are re-sliced.
+   corpus-type hierarchy). The dependency maps are patched for the
+   changed units, and only the records of files that recorded a key
+   whose value changed are checked (a reverse index finds them); only
+   files whose content *or* dependencies changed are re-sliced. Only
+   cast pairs whose observations changed are classified again.
 5. **generalize** — an incremental reference-counted cast trie
    (:class:`repro.mining.IncrementalGeneralizer`); re-mined files'
    examples are removed/inserted, never the whole structure rebuilt,
-   and only examples under a trie key those edits touched get a new
-   suffix.
+   and only they and the examples under a trie key those edits touched
+   get a new suffix.
 6. **graft** — the suffixes whose use count rose from or fell to zero
    are spliced into / out of the live
    :class:`~repro.graph.JungloidGraph`, whose edge journal lets a search
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..analysis.castsafety import CastAnalyzer, CastObservation, build_verdict_index
 from ..analysis.verdicts import CastVerdictIndex
@@ -63,6 +68,7 @@ from ..graph import JungloidGraph
 from ..graph.jungloid_graph import MinedDelta
 from ..jungloids import Jungloid
 from ..minijava import (
+    Dependents,
     MiniJavaError,
     ResolutionCache,
     check_program,
@@ -73,6 +79,7 @@ from ..minijava.ast import CastExpr, CompilationUnit, Expr, method_expressions
 from ..minijava.callgraph import CallGraph, CallSite, UnitCalls, build_call_graph
 from ..mining import (
     ExtractionConfig,
+    GeneralizedExample,
     IncrementalGeneralizer,
     JungloidExtractor,
     MiningResult,
@@ -80,7 +87,13 @@ from ..mining import (
 )
 from ..robustness import CorpusDiagnostics, PHASE_PARSE
 from ..typesystem import ArrayType, Method, NamedType, TypeRegistry
-from .artifacts import FileMineRecord, StageFormatError, check_stage_dict, stages_to_dict
+from .artifacts import (
+    DepFingerprint,
+    FileMineRecord,
+    StageFormatError,
+    check_stage_dict,
+    stages_to_dict,
+)
 from .fingerprint import diff_fingerprints, fingerprint_texts
 
 
@@ -140,7 +153,7 @@ def _collect_named(t, out: Set[str]) -> None:
 
 
 def _referenced_corpus_types(
-    unit: CompilationUnit, registry: TypeRegistry, class_src: Dict[str, str]
+    unit: CompilationUnit, registry: TypeRegistry, class_src: Dict[str, DepFingerprint]
 ) -> Set[str]:
     """Type names the unit references, closed over corpus supertypes.
 
@@ -198,6 +211,43 @@ def _referenced_corpus_types(
     return names
 
 
+class _UnitDeps(NamedTuple):
+    """What one unit adds to the dependency maps; kept while its share of
+    the call graph is."""
+
+    calls: UnitCalls
+    #: The unit's (source, fingerprint).
+    entry: Tuple[str, str]
+    #: Keys of the methods whose bodies it declares.
+    decls: Tuple[str, ...]
+    #: Keys of its call sites' targets, one per target of each site.
+    callees: Tuple[str, ...]
+    #: Simple names of its classes.
+    classes: Tuple[str, ...]
+
+
+class _DepMaps(NamedTuple):
+    """The current dependency fingerprints a mine record is checked against."""
+
+    #: Method key -> (source, fingerprint) of the unit declaring its body.
+    decl: Dict[str, Tuple[str, str]]
+    #: Method key -> (source, fingerprint) of every call site naming it, sorted.
+    site: Dict[str, Tuple[Tuple[str, str], ...]]
+    #: Simple class name -> (source, fingerprint) of the last unit, in
+    #: corpus order, declaring a class of that name.
+    types: Dict[str, Tuple[str, str]]
+    #: Simple class name -> ids of the units declaring it.
+    declarers: Dict[str, Tuple[int, ...]]
+    #: Files whose unchanged text was resolved again in this sync: their
+    #: annotations, which a slice reads, may differ from when a value
+    #: naming them was recorded.
+    rewritten: FrozenSet[str] = frozenset()
+
+
+#: A sync's dependency keys whose value changed: decl, site, type names.
+_Changed = Tuple[Set[str], Set[str], Set[str]]
+
+
 @dataclass
 class StageTimings:
     """Milliseconds of the syncing thread's CPU time spent in each stage."""
@@ -240,6 +290,11 @@ class PipelineUpdateStats:
     files_removed: Tuple[str, ...] = ()
     #: Loaded files whose bodies were resolved again, not reused.
     files_reresolved: Tuple[str, ...] = ()
+    #: Files, other than the added, changed and removed ones, whose cached
+    #: declaration record, body entry or mine record had its validity
+    #: checked: a name, type or key it recorded changed, or the stage had
+    #: no earlier sync to narrow from.
+    files_rechecked: Tuple[str, ...] = ()
     #: Files actually re-sliced (content or dependency change).
     files_remined: Tuple[str, ...] = ()
     #: Healthy files whose cached examples were reused untouched.
@@ -270,6 +325,7 @@ class PipelineUpdateStats:
             "files_changed": list(self.files_changed),
             "files_removed": list(self.files_removed),
             "files_reresolved": list(self.files_reresolved),
+            "files_rechecked": list(self.files_rechecked),
             "files_remined": list(self.files_remined),
             "files_reused": self.files_reused,
             "files_reanalyzed": list(self.files_reanalyzed),
@@ -327,8 +383,14 @@ class CorpusPipeline:
         self._adopted = False
         self._pending_record_dicts: Dict[str, dict] = {}
         self._generalizer = IncrementalGeneralizer(self.min_precast_steps)
-        #: Per unit: (its call-graph share, its method keys, its callee keys).
-        self._dep_keys: Dict[int, Tuple[UnitCalls, List[str], List[str]]] = {}
+        #: Each file's generalized examples, in its record's order.
+        self._generalized: Dict[str, List[GeneralizedExample]] = {}
+        #: Per unit id: what it adds to the dependency maps.
+        self._dep_keys: Dict[int, _UnitDeps] = {}
+        #: The dependency maps of the last sync, and the sources whose
+        #: records recorded each decl, site and type-name key.
+        self._deps: Optional[_DepMaps] = None
+        self._users = Dependents(3)
         #: ``call_graph`` was built after its units' last resolution, so
         #: the next build can start from it.
         self._call_graph_current = False
@@ -614,39 +676,50 @@ class CorpusPipeline:
         # -- Stage 4a: call graph + dependency fingerprint maps ---------
         t0 = _now_ms()
         call_graph = build_call_graph(registry, units, previous_graph, cache.resolved)
-        decl_fp_map, site_fp_map, class_src, dep_keys = self._dep_maps(
-            call_graph, units, new_fps
+        rewritten = frozenset(
+            u.source for u in units if id(u) in cache.resolved and id(u) in self._dep_keys
         )
+        deps, dep_keys, changed = self._dep_maps(call_graph, units, new_fps, rewritten)
         timings.callgraph_ms = _now_ms() - t0
 
         # -- Stage 4b: mine (per-file cache + dependency validation) ----
+        # An unchanged file's record is checked only when it recorded a
+        # key whose value changed (or there is no change set).
         t0 = _now_ms()
+        suspects = self._users.of(*changed) | rewritten if changed is not None else None
+        rechecked = {u.source for u in units if id(u) in cache.checked}
         new_records: Dict[str, FileMineRecord] = {}
         remined: List[str] = []
         for unit in units:
             source = unit.source
             fp = new_fps[source]
             old = self._records.get(source)
-            if old is None and source in self._pending_record_dicts:
+            if old is not None:
+                if old.fingerprint != fp:
+                    old = None  # the file changed
+                elif self._record_unaffected(old, fp, suspects):
+                    new_records[source] = old
+                    continue
+                else:
+                    rechecked.add(source)
+            elif source in self._pending_record_dicts:
                 try:
                     old = FileMineRecord.from_dict(
                         registry, self._pending_record_dicts[source]
                     )
                 except Exception:
                     old = None  # damaged artifact entry: degrade to re-mining
-            if old is not None and self._record_valid(
-                old, fp, decl_fp_map, site_fp_map, class_src, new_fps
-            ):
+            if old is not None and self._record_valid(old, fp, deps):
                 new_records[source] = old
                 continue
             new_records[source] = self._mine_unit(
-                unit, registry, units, corpus_types, call_graph,
-                decl_fp_map, site_fp_map, class_src, new_fps, fp,
+                unit, registry, units, corpus_types, call_graph, deps, fp
             )
             remined.append(source)
         timings.mine_ms = _now_ms() - t0
         stats.files_remined = tuple(remined)
         stats.files_reused = len(new_records) - len(remined)
+        stats.files_rechecked = tuple(u.source for u in units if u.source in rechecked)
 
         # -- Stage 4c: analyze (cast observations, per-file cache) ------
         # Re-mined files are re-analyzed, and the analyzer's call-graph
@@ -667,15 +740,20 @@ class CorpusPipeline:
             recorder.clear()
             new_obs[source] = tuple(analyzer.analyze_unit(unit))
             reanalyzed.append(source)
-            _record_call_deps(new_records[source], recorder, decl_fp_map, site_fp_map)
+            _record_call_deps(new_records[source], recorder, deps)
         verdicts = build_verdict_index(
-            registry, [obs for unit in units for obs in new_obs[unit.source]]
+            registry,
+            [obs for unit in units for obs in new_obs[unit.source]],
+            self.verdicts,
         )
         timings.analyze_ms = _now_ms() - t0
         stats.files_reanalyzed = tuple(reanalyzed)
         stats.casts_reanalyzed = sum(len(new_obs[s]) for s in reanalyzed)
 
         # -- Stage 5: generalize (incremental trie) ---------------------
+        # Files whose record is not the last sync's lose their examples'
+        # results and get new ones; a kept file's results change only
+        # where the generalizer moved one.
         t0 = _now_ms()
         for source, old in self._records.items():
             if new_records.get(source) is old:
@@ -687,24 +765,34 @@ class CorpusPipeline:
                     pass
             # A rehydrated-but-valid record was never in the trie; the
             # insert loop below covers it because identity differs.
-        for source, record in new_records.items():
-            if self._records.get(source) is record:
-                continue
-            for example in record.examples:
-                self._generalizer.insert(example)
         order = [s for s, _ in texts if s in new_records]
-        all_examples = [e for s in order for e in new_records[s].examples]
-        generalized = self._generalizer.generalize(all_examples)
+        fresh = [s for s in order if self._records.get(s) is not new_records[s]]
+        for source in fresh:
+            for example in new_records[source].examples:
+                self._generalizer.insert(example)
+        results = self._generalizer.generalize(
+            [e for s in fresh for e in new_records[s].examples]
+        )
+        generalized_by = {s: self._generalized.get(s, []) for s in order}
+        for source in fresh:
+            generalized_by[source] = []
+        for result in results:
+            generalized_by[result.example.source].append(result)
+        moved = {id(g.example): g for g in self._generalizer.moved}
+        for source in {g.example.source for g in self._generalizer.moved}:
+            generalized_by[source] = [
+                moved.get(id(g.example), g) for g in generalized_by[source]
+            ]
+        generalized = [g for s in order for g in generalized_by[s]]
         suffixes = unique_suffixes(generalized)
-        faults = [f for s in order for f in new_records[s].faults]
         mining = MiningResult(
-            examples=all_examples,
+            examples=[e for s in order for e in new_records[s].examples],
             generalized=generalized,
             suffixes=suffixes,
-            faults=faults,
+            faults=[f for s in order for f in new_records[s].faults],
         )
         timings.generalize_ms = _now_ms() - t0
-        stats.examples_total = len(all_examples)
+        stats.examples_total = len(mining.examples)
         stats.suffixes_total = len(suffixes)
 
         # -- Stage 6: graft the suffix delta ----------------------------
@@ -726,11 +814,12 @@ class CorpusPipeline:
                 removed = tuple(Jungloid(key) for key in live if key not in new)
             else:
                 # Suffixes are canonical objects: the ones whose use count
-                # rose from zero are new (in the new list's order), the
-                # ones that fell to zero gone (ungrafted in the old order).
-                added = self._generalizer.added
+                # rose from zero are new (grafted in the new list's order),
+                # the ones that fell to zero gone (in the old order).
+                born = {id(j) for j in self._generalizer.added}
                 died = {id(j) for j in self._generalizer.removed}
-                removed = tuple(j for j in self.suffixes if id(j) in died)
+                added = tuple(j for j in suffixes if id(j) in born) if born else ()
+                removed = tuple(j for j in self.suffixes if id(j) in died) if died else ()
             applied: MinedDelta = self.graph.apply_mined_delta(added, removed)
             stats.suffixes_added = len(added)
             stats.suffixes_removed = len(removed)
@@ -740,12 +829,21 @@ class CorpusPipeline:
         timings.graft_ms = _now_ms() - t0
 
         # -- Commit ------------------------------------------------------
+        reanalyzed_set = set(reanalyzed)
+        for source, old in self._records.items():
+            if new_records.get(source) is not old or source in reanalyzed_set:
+                self._users.remove(source, old.decl_deps, old.site_deps, old.type_deps)
+        for source, record in new_records.items():
+            if self._records.get(source) is not record or source in reanalyzed_set:
+                self._users.add(source, record.decl_deps, record.site_deps, record.type_deps)
         self._texts = texts
         self._fingerprints = new_fps
         self._parse_cache = new_parse
         self._records = new_records
+        self._generalized = generalized_by
         self._adopted = False
         self._dep_keys = dep_keys
+        self._deps = deps
         self._call_graph_current = True
         self._pending_record_dicts = {}
         self._analysis_obs = new_obs
@@ -765,69 +863,144 @@ class CorpusPipeline:
         call_graph: CallGraph,
         units: Sequence[CompilationUnit],
         fps: Dict[str, str],
-    ):
-        """Current dependency fingerprints for every corpus method/type.
+        rewritten: FrozenSet[str],
+    ) -> Tuple[_DepMaps, Dict[int, _UnitDeps], Optional[_Changed]]:
+        """The dependency fingerprints of every corpus method and type, and
+        the keys whose value changed since the last sync, or names a
+        ``rewritten`` file.
 
-        A unit's method keys are computed again only when its share of
-        the call graph was rebuilt.
+        The last sync's maps are patched for the units whose share of the
+        call graph was rebuilt and the units that are gone; a unit's keys
+        are computed again only when its share was rebuilt. With no last
+        sync, or when kept units moved relative to each other, the maps
+        are built afresh and the changed keys are ``None``: everything
+        may have changed.
         """
-        class_src: Dict[str, str] = {}
-        decl_fp_map: Dict[str, Tuple[str, str]] = {}
-        site_entries: Dict[str, List[Tuple[str, str]]] = {}
-        dep_keys: Dict[int, Tuple[UnitCalls, List[str], List[str]]] = {}
+        old_keys = self._dep_keys
+        dep_keys: Dict[int, _UnitDeps] = {}
+        fresh: List[_UnitDeps] = []
         for unit in units:
-            source = unit.source
-            entry = (source, fps[source])
             calls = call_graph.units[id(unit)]
-            keys = self._dep_keys.get(id(unit))
-            if keys is None or keys[0] is not calls:
-                keys = (
+            keys = old_keys.get(id(unit))
+            if keys is None or keys.calls is not calls:
+                keys = _UnitDeps(
                     calls,
-                    [
+                    (unit.source, fps[unit.source]),
+                    tuple(
                         _method_key(decl.resolved_method)
                         for decl, _, _ in calls.bodies
                         if decl.resolved_method is not None
-                    ],
-                    [
+                    ),
+                    tuple(
                         _method_key(target)
                         for _, _, sites in calls.bodies
                         for site in sites
                         for target in site.targets
-                    ],
+                    ),
+                    tuple(cls.name for cls in unit.classes),
                 )
+                fresh.append(keys)
             dep_keys[id(unit)] = keys
-            for cls in unit.classes:
-                class_src[cls.name] = source
-            for key in keys[1]:
-                decl_fp_map[key] = entry
-            for key in keys[2]:
-                site_entries.setdefault(key, []).append(entry)
-        site_fp_map = {key: tuple(sorted(v)) for key, v in site_entries.items()}
-        return decl_fp_map, site_fp_map, class_src, dep_keys
+        old = self._deps
+        if old is not None and [k for k in old_keys if k in dep_keys] == [
+            k for k in dep_keys if k in old_keys
+        ]:
+            maps = _DepMaps(
+                dict(old.decl), dict(old.site), dict(old.types), dict(old.declarers), rewritten
+            )
+            gone = [keys for k, keys in old_keys.items() if dep_keys.get(k) is not keys]
+        else:
+            old = None
+            maps = _DepMaps({}, {}, {}, {}, rewritten)
+            gone = []
+            fresh = list(dep_keys.values())
+        decl, site, types, declarers, _ = maps
+        touched_decls: Set[str] = set()
+        touched_sites: Set[str] = set()
+        touched_names: Set[str] = set()
+        # A site entry names one file's version, so a unit's share of a
+        # site list is every occurrence of its entry.
+        for keys in gone:
+            uid = id(keys.calls.unit)
+            for key in keys.decls:
+                decl.pop(key, None)
+                touched_decls.add(key)
+            for key in set(keys.callees):
+                site[key] = tuple(e for e in site[key] if e != keys.entry)
+                touched_sites.add(key)
+            for name in keys.classes:
+                declarers[name] = tuple(k for k in declarers[name] if k != uid)
+                touched_names.add(name)
+        for keys in fresh:
+            uid = id(keys.calls.unit)
+            for key in keys.decls:
+                decl[key] = keys.entry
+                touched_decls.add(key)
+            for key in keys.callees:
+                site[key] = site.get(key, ()) + (keys.entry,)
+                touched_sites.add(key)
+            for name in keys.classes:
+                declarers[name] = declarers.get(name, ()) + (uid,)
+                touched_names.add(name)
+        for key in touched_sites:
+            if site[key]:
+                site[key] = tuple(sorted(site[key]))
+            else:
+                del site[key]
+        if touched_names:
+            place = {k: i for i, k in enumerate(dep_keys)}
+            for name in touched_names:
+                if declarers[name]:
+                    types[name] = dep_keys[max(declarers[name], key=place.__getitem__)].entry
+                else:
+                    del declarers[name]
+                    types.pop(name, None)
+        if old is None:
+            return maps, dep_keys, None
+        changed = (
+            {k for k in touched_decls if decl.get(k) != old.decl.get(k)},
+            {k for k in touched_sites if site.get(k, ()) != old.site.get(k, ())},
+            {n for n in touched_names if types.get(n) != old.types.get(n)},
+        )
+        for keys in fresh:
+            if keys.entry[0] in rewritten:
+                for table, owned in zip(changed, (keys.decls, keys.callees, keys.classes)):
+                    table.update(owned)
+        return maps, dep_keys, changed
 
-    def _record_valid(
-        self,
-        record: FileMineRecord,
-        fp: str,
-        decl_fp_map: Dict[str, Tuple[str, str]],
-        site_fp_map: Dict[str, Tuple[Tuple[str, str], ...]],
-        class_src: Dict[str, str],
-        fps: Dict[str, str],
+    @staticmethod
+    def _record_unaffected(
+        record: FileMineRecord, fp: str, suspects: Optional[Set[str]]
     ) -> bool:
-        """Is a cached record still exact for the current corpus state?"""
-        if record.fingerprint != fp:
+        """Is ``record`` the last sync's record of an unchanged file that
+        recorded no key whose value changed? It was valid against the last
+        sync's maps, so :meth:`_record_valid` would pass it."""
+        return suspects is not None and record.fingerprint == fp and record.source not in suspects
+
+    @staticmethod
+    def _record_valid(record: FileMineRecord, fp: str, deps: _DepMaps) -> bool:
+        """Is a cached record still exact for the current corpus state?
+
+        Its file and every file a recorded value names must be unchanged,
+        and none of them resolved again (a file is resolved again when a
+        name it probed binds differently or a type it read changed, and
+        its annotations with it)."""
+        if record.fingerprint != fp or record.source in deps.rewritten:
             return False
         for key, want in record.decl_deps.items():
-            if decl_fp_map.get(key) != want:
+            if deps.decl.get(key) != want:
                 return False
         for key, want in record.site_deps.items():
-            if site_fp_map.get(key, ()) != want:
+            if deps.site.get(key, ()) != want:
                 return False
         for name, want in record.type_deps.items():
-            src = class_src.get(name)
-            current = (src, fps[src]) if src is not None and src in fps else None
-            if current != want:
+            if deps.types.get(name) != want:
                 return False
+        if deps.rewritten:
+            named = [e for e in record.decl_deps.values() if e]
+            named += [e for entries in record.site_deps.values() for e in entries]
+            named += [e for e in record.type_deps.values() if e]
+            return not any(source in deps.rewritten for source, _ in named)
         return True
 
     def _mine_unit(
@@ -837,10 +1010,7 @@ class CorpusPipeline:
         units: Sequence[CompilationUnit],
         corpus_types: Sequence[NamedType],
         call_graph: CallGraph,
-        decl_fp_map: Dict[str, Tuple[str, str]],
-        site_fp_map: Dict[str, Tuple[Tuple[str, str], ...]],
-        class_src: Dict[str, str],
-        fps: Dict[str, str],
+        deps: _DepMaps,
         fp: str,
     ) -> FileMineRecord:
         """Slice one unit, recording its dependency fingerprints."""
@@ -849,29 +1019,25 @@ class CorpusPipeline:
             registry, units, corpus_types, recorder, self.extraction
         )
         examples = extractor.extract_unit(unit)
-        type_deps = {}
-        for name in _referenced_corpus_types(unit, registry, class_src):
-            src = class_src.get(name)
-            type_deps[name] = (src, fps[src]) if src is not None and src in fps else None
         record = FileMineRecord(
             source=unit.source,
             fingerprint=fp,
             examples=examples,
             faults=list(extractor.faults),
-            type_deps=type_deps,
+            type_deps={
+                name: deps.types.get(name)
+                for name in _referenced_corpus_types(unit, registry, deps.types)
+            },
         )
-        _record_call_deps(record, recorder, decl_fp_map, site_fp_map)
+        _record_call_deps(record, recorder, deps)
         return record
 
 
 def _record_call_deps(
-    record: FileMineRecord,
-    recorder: _RecordingCallGraph,
-    decl_fp_map: Dict[str, Tuple[str, str]],
-    site_fp_map: Dict[str, Tuple[Tuple[str, str], ...]],
+    record: FileMineRecord, recorder: _RecordingCallGraph, deps: _DepMaps
 ) -> None:
     """Add the call-graph queries ``recorder`` saw to ``record``'s deps."""
     for m in recorder.decl_queries:
-        record.decl_deps[_method_key(m)] = decl_fp_map.get(_method_key(m))
+        record.decl_deps[_method_key(m)] = deps.decl.get(_method_key(m))
     for m in recorder.site_queries:
-        record.site_deps[_method_key(m)] = site_fp_map.get(_method_key(m), ())
+        record.site_deps[_method_key(m)] = deps.site.get(_method_key(m), ())

@@ -10,7 +10,7 @@ registry's declarations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import DuplicateMemberError, DuplicateTypeError, HierarchyError, UnknownTypeError
 from .members import Constructor, Field, Method, Visibility
@@ -65,7 +65,14 @@ class TypeRegistry:
         self._owned: Set[QualifiedName] = set()
         self._subtype_cache: Dict[Tuple[JavaType, JavaType], bool] = {}
         self._supertypes_cache: Dict[NamedType, Tuple[NamedType, ...]] = {}
-        self._subclasses: Dict[QualifiedName, Set[QualifiedName]] = {}
+        #: Direct-subtype index: supertype name -> names declared below it.
+        #: A clone shares the sets, so an edit replaces a set.
+        self._subclasses: Dict[QualifiedName, FrozenSet[QualifiedName]] = {}
+        #: Each owned name -> the supertype names the index holds it under.
+        self._indexed: Dict[QualifiedName, Tuple[QualifiedName, ...]] = {}
+        #: An owned declaration may have changed supertypes since it was
+        #: indexed (see :meth:`_subclass_index`).
+        self._index_stale = False
         self._methods_memo: Dict[NamedType, Tuple[Method, ...]] = {}
         self._fields_memo: Dict[NamedType, Tuple[Field, ...]] = {}
         self.object_type = self._declare_object()
@@ -86,6 +93,7 @@ class TypeRegistry:
         # A clone shares the tuples, so a new name replaces its tuple.
         self._by_simple[t.simple] = self._by_simple.get(t.simple, ()) + (t,)
         self._owned.add(t.name)
+        self._index_stale = True
 
     def declare(
         self,
@@ -132,6 +140,8 @@ class TypeRegistry:
         """``owner``'s declaration, first copied if a clone shares it."""
         decl = self.declaration_of(owner)
         if decl.name not in self._owned:
+            # A shared declaration is indexed under its supertypes.
+            self._indexed[decl.name] = self._supertype_names(decl)
             decl = replace(
                 decl,
                 fields=list(decl.fields),
@@ -180,8 +190,11 @@ class TypeRegistry:
         registry does not own before the first write. A type declared
         later is owned by the registry that declared it, which may patch
         it in place: the corpus resolver sets its corpus classes'
-        supertypes and members that way.
+        supertypes and members that way. The direct-subtype index is
+        shared the same way: this registry brings it up to date, and the
+        clone indexes only the declarations it comes to own.
         """
+        index = self._subclass_index()
         other = TypeRegistry.__new__(TypeRegistry)
         other._declarations = dict(self._declarations)
         other._by_dotted = dict(self._by_dotted)
@@ -190,7 +203,10 @@ class TypeRegistry:
         self._owned.clear()
         other._subtype_cache = {}
         other._supertypes_cache = {}
-        other._subclasses = {}
+        other._subclasses = dict(index)
+        other._indexed = {}
+        self._indexed = {}
+        other._index_stale = False
         other._methods_memo = {}
         other._fields_memo = {}
         other.object_type = self.object_type
@@ -199,7 +215,7 @@ class TypeRegistry:
     def _invalidate_caches(self) -> None:
         self._subtype_cache.clear()
         self._supertypes_cache.clear()
-        self._subclasses.clear()
+        self._index_stale = True
         self._invalidate_members()
 
     def _invalidate_members(self) -> None:
@@ -307,9 +323,7 @@ class TypeRegistry:
 
     def direct_subtypes(self, t: NamedType) -> Tuple[NamedType, ...]:
         """Declared types whose direct supertypes include ``t``."""
-        if not self._subclasses:
-            self._build_subclass_index()
-        names = self._subclasses.get(t.name, set())
+        names = self._subclass_index().get(t.name, ())
         return tuple(sorted((self._declarations[n].type for n in names), key=lambda x: x.name))
 
     def all_subtypes(self, t: NamedType) -> Tuple[NamedType, ...]:
@@ -326,10 +340,39 @@ class TypeRegistry:
             stack.extend(self.direct_subtypes(s))
         return tuple(result)
 
-    def _build_subclass_index(self) -> None:
-        for decl in self._declarations.values():
-            for sup in self.direct_supertypes(decl.type) if decl.type != self.object_type else ():
-                self._subclasses.setdefault(sup.name, set()).add(decl.name)
+    def _subclass_index(self) -> Dict[QualifiedName, FrozenSet[QualifiedName]]:
+        """The direct-subtype index, with every owned declaration indexed
+        under its current supertypes. A shared declaration's supertypes
+        never change, so its entries stay as the registry that owned it
+        left them."""
+        if self._index_stale:
+            self._index_declarations(self._owned)
+            self._index_stale = False
+        return self._subclasses
+
+    def _supertype_names(self, decl: TypeDeclaration) -> Tuple[QualifiedName, ...]:
+        if decl.type == self.object_type:
+            return ()
+        return tuple(s.name for s in self.direct_supertypes(decl.type))
+
+    def _index_declarations(self, names: Iterable[QualifiedName]) -> None:
+        """Move each of ``names``' index entries to its current supertypes."""
+        gained: Dict[QualifiedName, Set[QualifiedName]] = {}
+        lost: Dict[QualifiedName, Set[QualifiedName]] = {}
+        for name in names:
+            supers = self._supertype_names(self._declarations[name])
+            old = self._indexed.get(name, ())
+            if supers == old:
+                continue
+            for sup in old:
+                lost.setdefault(sup, set()).add(name)
+            for sup in supers:
+                gained.setdefault(sup, set()).add(name)
+            self._indexed[name] = supers
+        index = self._subclasses
+        for sup in gained.keys() | lost.keys():
+            below = index.get(sup, frozenset())
+            index[sup] = below.difference(lost.get(sup, ())).union(gained.get(sup, ()))
 
     def is_subtype(self, sub: JavaType, sup: JavaType) -> bool:
         """Reflexive, transitive subtype test including array covariance."""

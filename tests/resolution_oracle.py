@@ -18,11 +18,16 @@ break.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import contextlib
+from collections import Counter
+from typing import Iterator, List, Sequence, Tuple
 
 from repro import Prospector
+from repro.analysis.castsafety import classify_pair
 from repro.corpus import CorpusProgram, resolve_and_check_lenient
+from repro.minijava.resolver import Resolver, _Declared
 from repro.pipeline import CorpusPipeline
+from repro.pipeline import pipeline as pipeline_module
 from repro.minijava import MiniJavaError, parse_minijava
 from repro.robustness import PHASE_PARSE, CorpusDiagnostics
 from repro.minijava.ast import statement_expressions, walk_expressions, walk_statements
@@ -164,9 +169,38 @@ def mining_values(pipeline) -> Tuple[list, list]:
     )
 
 
+def record_values(pipeline) -> List[tuple]:
+    """Every mine record, in corpus order: its examples, faults, and
+    decl, site and type dependencies."""
+    rows: List[tuple] = []
+    for unit in pipeline.program.units:
+        record = pipeline.records[unit.source]
+        rows.append(
+            (
+                record.source,
+                record.fingerprint,
+                [str(e) for e in record.examples],
+                [(f.source, f.method, f.position, f.error) for f in record.faults],
+                sorted(record.decl_deps.items(), key=repr),
+                sorted(record.site_deps.items(), key=repr),
+                sorted(record.type_deps.items(), key=repr),
+            )
+        )
+    return rows
+
+
+def verdict_values(pipeline) -> List[tuple]:
+    """The verdict index's findings, in its order."""
+    return [
+        (pair, f.verdict, f.witnesses, f.evidence, f.definite_types)
+        for pair, f in pipeline.verdicts._findings.items()
+    ]
+
+
 def assert_matches_fresh(registry, pipeline, texts: Sequence[Tuple[str, str]]) -> None:
     """The pipeline's program and answers equal a fresh lenient load's,
-    and its call graph and generalization a fresh pipeline build's."""
+    and its call graph, mine records, verdicts and generalization a
+    fresh pipeline build's."""
     fresh = fresh_program(registry, texts)
     live = pipeline.program
     assert [u.source for u in live.units] == [u.source for u in fresh.units]
@@ -175,10 +209,73 @@ def assert_matches_fresh(registry, pipeline, texts: Sequence[Tuple[str, str]]) -
     assert declaration_dump(live) == declaration_dump(fresh)
     built = CorpusPipeline.build(registry, texts)
     assert call_graph_values(pipeline) == call_graph_values(built)
+    assert record_values(pipeline) == record_values(built)
+    assert verdict_values(pipeline) == verdict_values(built)
     assert mining_values(pipeline) == mining_values(built)
     assert ranked_answers(Prospector(registry, pipeline=pipeline)) == ranked_answers(
         Prospector(registry, fresh)
     )
+
+
+@contextlib.contextmanager
+def checked_narrowing() -> Iterator[Counter]:
+    """Check every skip the dependency indexes make: a declaration record
+    or body entry the resolver reuses unchecked must pass
+    ``_binds_same`` / ``_still_valid``, a mine record the pipeline reuses
+    unchecked must pass ``_record_valid``, and every verdict must be
+    what ``classify_pair`` makes of its group. Yields the number of
+    skips of each kind."""
+    skips: Counter = Counter()
+    maps = {}
+    unaffected = Resolver._unaffected
+    record_unaffected = CorpusPipeline._record_unaffected
+    dep_maps = CorpusPipeline._dep_maps
+    build_index = pipeline_module.build_verdict_index
+
+    def resolver_skip(self, record, suspects):
+        skipped = unaffected(self, record, suspects)
+        if skipped:
+            if isinstance(record, _Declared):
+                skips["declared"] += 1
+                assert self._binds_same(record.trace), record.unit.source
+            else:
+                skips["entry"] += 1
+                assert self._still_valid(record), record.unit.source
+        return skipped
+
+    def capture(self, call_graph, units, fps, rewritten):
+        out = dep_maps(self, call_graph, units, fps, rewritten)
+        maps["deps"] = out[0]
+        return out
+
+    def record_skip(record, fp, suspects):
+        skipped = record_unaffected(record, fp, suspects)
+        if skipped:
+            skips["record"] += 1
+            assert CorpusPipeline._record_valid(record, fp, maps["deps"]), record.source
+        return skipped
+
+    def checked_index(registry, observations, previous=None):
+        index = build_index(registry, observations, previous)
+        for pair, group in index.groups.items():
+            assert index._findings[pair] == classify_pair(group), pair
+        return index
+
+    patches = (
+        (Resolver, "_unaffected", resolver_skip),
+        (CorpusPipeline, "_dep_maps", capture),
+        (CorpusPipeline, "_record_unaffected", staticmethod(record_skip)),
+        (pipeline_module, "build_verdict_index", checked_index),
+    )
+    for owner, name, value in patches:
+        setattr(owner, name, value)
+    try:
+        yield skips
+    finally:
+        Resolver._unaffected = unaffected
+        CorpusPipeline._dep_maps = dep_maps
+        CorpusPipeline._record_unaffected = staticmethod(record_unaffected)
+        pipeline_module.build_verdict_index = build_index
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.typesystem import named
 
 from .conftest import SMALL_CORPUS
 from .resolution_oracle import (
+    checked_narrowing,
     VERSIONS,
     annotation_dump,
     assert_matches_fresh,
@@ -467,6 +468,13 @@ class TestSelectiveInvalidation:
         assert item not in live.search._dist_cache
 
 
+@pytest.fixture
+def narrowing():
+    """Check every record the dependency indexes let a sync reuse unchecked."""
+    with checked_narrowing() as skips:
+        yield skips
+
+
 def _edit_texts(*names_versions):
     return [(name, VERSIONS[name][version]) for name, version in names_versions]
 
@@ -483,6 +491,7 @@ def _take_overloads(pipeline):
     ]
 
 
+@pytest.mark.usefixtures("narrowing")
 class TestIncrementalResolution:
     """Stage 3 re-resolves the bodies only of files whose lookups changed,
     and the result equals a fresh lenient load after every sync."""
@@ -539,6 +548,37 @@ class TestIncrementalResolution:
         want = annotation_dump(fresh_program(small_registry, texts).units)
         first.update_corpus(upserts=_edit_texts(("a.mj", 1)))
         assert annotation_dump(second.corpus.units) == want
+
+    def test_a_touch_checks_no_record_it_cannot_change(self, small_registry, narrowing):
+        texts = _edit_texts(*self.BASE)
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        narrowing.clear()
+        touched = [(s, t + "// touched\n" if s == "u.mj" else t) for s, t in texts]
+        stats = pipeline.sync(touched)
+        assert stats.files_rechecked == ()
+        kept = len(texts) - 1
+        assert narrowing == {"declared": kept, "entry": kept, "record": kept}
+
+    def test_a_touch_rechecks_the_files_that_recorded_its_keys(self, small_registry):
+        # b.mj, c.mj and e.mj slice through c.A's bodies or hierarchy.
+        texts = _edit_texts(*self.BASE)
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        touched = [(s, t + "// touched\n" if s == "a.mj" else t) for s, t in texts]
+        stats = pipeline.sync(touched)
+        assert stats.files_rechecked == ("b.mj", "c.mj", "e.mj")
+        assert_matches_fresh(small_registry, pipeline, touched)
+
+    def test_a_file_resolved_again_is_mined_again(self, small_registry):
+        # c.mj extends A by simple name: removing a.mj rebinds it to d.A.
+        # c.mj's text is the same, but its bodies resolve again, so its
+        # slices must run again too.
+        texts = _edit_texts(("a.mj", 0), ("c.mj", 0), ("d.mj", 0))
+        pipeline = CorpusPipeline.build(small_registry, texts)
+        rest = [(s, t) for s, t in texts if s != "a.mj"]
+        stats = pipeline.sync(rest)
+        assert stats.files_reresolved == ("c.mj",)
+        assert stats.files_remined == ("c.mj",)
+        assert_matches_fresh(small_registry, pipeline, rest)
 
     def test_comment_touch_re_resolves_one_file(self, small_registry):
         texts = _edit_texts(*self.BASE)
@@ -664,6 +704,7 @@ OTHER_GADGET = ("o.mj", "package o;\npublic class Gadget {\n}\n")
 LOCAL_THING = ("l.mj", "package q;\npublic class Thing {\n}\n")
 
 
+@pytest.mark.usefixtures("narrowing")
 class TestDeclarationRecords:
     """A unit is declared again only when a name its declarations probed
     binds differently; every sync still equals a fresh load."""
@@ -722,6 +763,7 @@ BROKEN_WIDGET = (
 )
 
 
+@pytest.mark.usefixtures("narrowing")
 class TestQuarantineMemo:
     """A file quarantined for lookups that found nothing stays out of the
     joint attempt while they still find nothing; every sync still equals

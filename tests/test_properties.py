@@ -50,7 +50,7 @@ from repro.typesystem import (
 )
 
 from .conftest import SMALL_API
-from .resolution_oracle import VERSIONS, assert_matches_fresh
+from .resolution_oracle import VERSIONS, assert_matches_fresh, checked_narrowing
 from .search_oracle import OracleSearch, distances_to, enumerate_paths
 
 # ----------------------------------------------------------------------
@@ -756,7 +756,8 @@ class TestIncrementalResolutionProperties:
         registry = load_api_text(SMALL_API)
         pipeline = CorpusPipeline.build(registry, _texts(state))
         assert_matches_fresh(registry, pipeline, _texts(state))
-        for edit in edits:
-            state = _apply_edit(state, edit)
-            pipeline.sync(_texts(state))
-            assert_matches_fresh(registry, pipeline, _texts(state))
+        with checked_narrowing():
+            for edit in edits:
+                state = _apply_edit(state, edit)
+                pipeline.sync(_texts(state))
+                assert_matches_fresh(registry, pipeline, _texts(state))

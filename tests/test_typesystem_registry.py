@@ -296,6 +296,74 @@ class TestMemberLookupMemo:
         assert registry.clone().get("b.Impl") == named("b.Impl")
 
 
+def _fresh_subtypes(registry):
+    """Each declared type's direct subtypes, from a scan of every declaration."""
+    below = {t: set() for t in registry.all_types()}
+    for decl in registry.all_declarations():
+        if decl.type != registry.object_type:
+            for sup in registry.direct_supertypes(decl.type):
+                below.setdefault(sup, set()).add(decl.type)
+    return {t: sorted(subs, key=lambda x: x.name) for t, subs in below.items()}
+
+
+class TestSubclassIndex:
+    """A clone starts from its source's direct-subtype index and indexes
+    only the declarations it comes to own."""
+
+    def _patched_clone(self, source):
+        clone = source.clone()
+        clone.direct_subtypes(named("a.Base"))  # index before the edits
+        clone.declare("c.Leaf2", superclass="a.Mid")
+        clone.declare("c.Moved", superclass="a.Base")
+        clone.declare("c.Face", kind=TypeKind.INTERFACE)
+        # Patch supertypes in place, as the corpus resolver does.
+        decl = clone.declaration_of(named("c.Moved"))
+        decl.superclass, decl.interfaces = named("a.Leaf"), (named("a.ISel"),)
+        clone.declaration_of(named("c.Face")).interfaces = (named("a.IStructured"),)
+        # A shared declaration, copied on its first write, then re-parented.
+        clone.add_method(Method(named("a.Leaf"), "m", named("java.lang.Object")))
+        clone.declaration_of(named("a.Leaf")).superclass = named("a.Base")
+        clone.invalidate_caches()
+        return clone
+
+    def test_clone_subtypes_equal_a_fresh_index(self, registry):
+        clone = self._patched_clone(registry)
+        for target in (clone, clone.clone(), registry):
+            want = _fresh_subtypes(target)
+            for t in target.all_types():
+                assert list(target.direct_subtypes(t)) == want[t], t
+        assert set(clone.all_subtypes(named("a.Mid"))) == {named("c.Leaf2")}
+        assert named("a.Leaf") in registry.all_subtypes(named("a.Mid"))
+
+    def test_corpus_classes_never_reach_the_source_index(self, registry):
+        before = {t: registry.all_subtypes(t) for t in registry.all_types()}
+        self._patched_clone(registry)
+        assert {t: registry.all_subtypes(t) for t in registry.all_types()} == before
+        assert not any(
+            name.dotted.startswith("c.") for names in registry._subclasses.values()
+            for name in names
+        )
+        assert _fresh_subtypes(registry) == {
+            t: list(registry.direct_subtypes(t)) for t in registry.all_types()
+        }
+
+    def test_source_builds_its_index_once(self, registry, monkeypatch):
+        registry.clone()
+        indexed = []
+        original = TypeRegistry._index_declarations
+
+        def counting(self, names):
+            names = list(names)
+            indexed.extend(names)
+            return original(self, names)
+
+        monkeypatch.setattr(TypeRegistry, "_index_declarations", counting)
+        clone = registry.clone()
+        clone.declare("c.New", superclass="a.Leaf")
+        assert clone.all_subtypes(named("a.Mid")) == (named("a.Leaf"), named("c.New"))
+        assert [n.dotted for n in indexed] == ["c.New"]
+
+
 class TestVisibility:
     def test_member_visibility_recorded(self):
         r = TypeRegistry()
