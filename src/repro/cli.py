@@ -73,10 +73,15 @@ def _build_prospector_from_data(args: argparse.Namespace) -> Prospector:
         else:
             corpus = standard_corpus(registry)
     prospector = Prospector(registry, corpus)
+    _report_quarantine(prospector)
+    return prospector
+
+
+def _report_quarantine(prospector: Prospector) -> None:
+    """Say on stderr what a lenient corpus load or update quarantined."""
     diagnostics = prospector.corpus_diagnostics
     if diagnostics is not None and not diagnostics.ok:
         print(diagnostics.summary(), file=sys.stderr)
-    return prospector
 
 
 def _build_prospector(args: argparse.Namespace) -> Prospector:
@@ -374,6 +379,7 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
         )
         return EXIT_INPUT_ERROR
     stats = prospector.update_corpus(upserts, args.remove)
+    _report_quarantine(prospector)
     t = stats.timings
     if stats.noop:
         print(f"{args.path}: no content changes (all fingerprints match)")

@@ -4,15 +4,14 @@ A corpus is resolved against a **clone** of the API registry so client
 classes and members never leak into the synthesis graph (client methods
 must be inlined by mining, not offered as signature edges).
 
-Two loading disciplines:
-
-* **strict** (default, the historical behavior): the first malformed
-  file raises and nothing loads;
-* **lenient** (``lenient=True``): every file is taken through read →
-  parse → resolve → check with faults isolated per file. Broken files
-  are quarantined into a :class:`~repro.robustness.CorpusDiagnostics`
-  report (file, phase, error) and the healthy remainder loads normally —
-  noisy corpora are the normal case for mining, not an error.
+Every load takes each file through read → parse → resolve → check with
+faults isolated per file. Broken files are quarantined into a
+:class:`~repro.robustness.CorpusDiagnostics` report (file, phase, error)
+and the healthy remainder loads normally — noisy corpora are the normal
+case for mining, not an error. That is the whole of a **lenient** load
+(``lenient=True``); a **strict** one (the default) adds a verdict: it
+raises the first fault's error (the parser's, the joint resolution
+attempt's, or the first check's over all its issues), and nothing loads.
 
 A :class:`~repro.minijava.ResolutionCache` also remembers each file the
 resolve phase quarantined, when everything the file had looked up when
@@ -122,39 +121,30 @@ def load_corpus_texts(
     instead of raising.
     """
     texts = list(texts)
-    diagnostics = CorpusDiagnostics() if lenient else None
+    diagnostics = CorpusDiagnostics()
     units: List[CompilationUnit] = []
     parse_faults: List[Tuple[str, MiniJavaError]] = []
     for source, text in texts:
         try:
             units.append(parse_minijava(text, source))
         except MiniJavaError as exc:
-            if diagnostics is None:
-                raise
             diagnostics.record(source, PHASE_PARSE, exc)
             parse_faults.append((source, exc))
     cache = ResolutionCache()
-    quarantined: List[CompilationUnit] = []
-    if diagnostics is not None:
-        registry, loaded, corpus_types, report = resolve_and_check_lenient(
-            api_registry, units, diagnostics, check, cache
-        )
-        kept = {id(u) for u in loaded}
-        quarantined = [u for u in units if id(u) not in kept]
-        units = loaded
-        diagnostics.loaded = [u.source for u in units]
-    else:
-        registry = clone_registry(api_registry)
-        corpus_types = resolve_program(registry, units, cache=cache)
-        report = check_program(registry, units, cache) if check else None
-        if report is not None:
-            report.raise_if_failed()
+    registry, loaded, corpus_types, report = resolve_and_check_lenient(
+        api_registry, units, diagnostics, check, cache
+    )
+    if not lenient:
+        diagnostics.raise_first()
+    kept = {id(u) for u in loaded}
+    quarantined = [u for u in units if id(u) not in kept]
+    diagnostics.loaded = [u.source for u in loaded]
     return CorpusProgram(
-        units=units,
+        units=loaded,
         registry=registry,
         corpus_types=corpus_types,
         check_report=report,
-        diagnostics=diagnostics,
+        diagnostics=diagnostics if lenient else None,
         texts=texts,
         resolution_cache=cache,
         parse_faults=parse_faults,
@@ -228,9 +218,10 @@ def resolve_and_check_lenient(
             for issue in report.issues:
                 if issue.source not in bad_sources:
                     bad_sources.append(issue.source)
+            failure = report.error()
             for source in bad_sources:
                 first = next(i for i in report.issues if i.source == source)
-                diagnostics.record(source, PHASE_CHECK, first)
+                diagnostics.record(source, PHASE_CHECK, first, failure)
             units = [u for u in units if u.source not in set(bad_sources)]
             # Quarantined classes are declared in the registry; rebuild it
             # from the API so their types don't linger.
@@ -317,10 +308,11 @@ def _resolve_culprit(
 
 @dataclass(frozen=True)
 class _Held:
-    """A quarantined unit whose every lookup, when it failed, found nothing."""
+    """A quarantined unit whose every lookup, when it failed, found nothing,
+    with the error it failed with (a strict sync raises it again)."""
 
     unit: CompilationUnit
-    error: str
+    error: BaseException
     #: The attempt step it failed in; held units are reported in
     #: (step, corpus order), the order the culprit search raises them.
     step: int
@@ -354,7 +346,7 @@ def _remember(cache: ResolutionCache, culprit: CompilationUnit, error: Exception
         simples.extend(trace.simples)
     cache.quarantined[id(culprit)] = _Held(
         unit=culprit,
-        error=str(error),
+        error=error,
         step=failure.step,
         names=tuple(names),
         simples=tuple(simples),

@@ -8,22 +8,25 @@ approximation of the call graph based on the type hierarchy"): a virtual
 call on static type ``T`` may dispatch to the declared method and to any
 override on a subtype of ``T``.
 
-A rebuild after a corpus edit reuses the previous graph
-(:func:`build_call_graph` with ``previous``): a unit whose bodies were
-not resolved again keeps its body walks and call sites, a CHA target
-set is recomputed only when a corpus class beneath its method's owner
-changed its supertypes or declared methods, or came or went, and only
+The graph is an index with two lookups the slice needs: the body of a
+method and the call sites that may invoke it. Nothing reads an order
+over its methods or targets, so a rebuild after a corpus edit patches
+the previous graph (:func:`build_call_graph` with ``previous``): a unit
+whose bodies were not resolved again keeps its body walks and call
+sites, a CHA target set is recomputed only when a corpus class beneath
+its method's owner changed its supertypes or declared methods, or came
+or went, only a changed unit's entries are dropped and added, and only
 the caller lists of targets a changed unit's call sites name are
 rebuilt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..typesystem import Method, NamedType, TypeRegistry
-from .ast import CallExpr, ClassDecl, CompilationUnit, Expr, MethodDecl, method_expressions
+from .ast import CallExpr, CompilationUnit, Expr, MethodDecl, method_expressions
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,9 @@ class UnitCalls:
     unit: CompilationUnit
     bodies: Tuple[Body, ...]
     classes: Tuple[ClassShape, ...]
+    #: Each body's registry method, as it was walked: the keys the unit
+    #: adds to ``CallGraph.methods``.
+    methods: Tuple[Tuple[Method, MethodDecl], ...]
 
 
 @dataclass
@@ -60,7 +66,8 @@ class CallGraph:
 
     #: All corpus methods with bodies, keyed by their registry Method.
     methods: Dict[Method, MethodDecl] = field(default_factory=dict)
-    #: Every call site, indexed by each possible target method.
+    #: Every call site, indexed by each possible target method; each
+    #: list in corpus order, which the slicer walks it in.
     callers_of: Dict[Method, List[CallSite]] = field(default_factory=dict)
     #: All call sites per caller declaration.
     calls_in: Dict[int, List[CallSite]] = field(default_factory=dict)
@@ -96,13 +103,10 @@ class CallGraph:
 
 def _cha_targets(registry: TypeRegistry, method: Method) -> Tuple[Method, ...]:
     """The CHA target set of a call resolved statically to ``method``."""
-    if method.static:
-        return (method,)
-    owner = method.owner
-    if not isinstance(owner, NamedType):
+    if method.static or not isinstance(method.owner, NamedType):
         return (method,)
     targets = [method]
-    for sub in registry.all_subtypes(owner):
+    for sub in registry.all_subtypes(method.owner):
         for m in registry.declared_methods(sub):
             if m.name == method.name and m.parameter_types == method.parameter_types:
                 targets.append(m)
@@ -123,20 +127,18 @@ class _Builder:
             found = memo[method] = _cha_targets(self.registry, method)
         return found
 
-    def walk(self, unit: CompilationUnit) -> Tuple[Body, ...]:
+    def walk(self, unit: CompilationUnit, classes: Tuple[ClassShape, ...]) -> UnitCalls:
         bodies = []
-        for cls in unit.classes:
-            for decl in cls.methods:
-                if decl.body is None:
-                    continue
-                exprs = tuple(method_expressions(decl))
-                sites = tuple(
-                    CallSite(decl, expr, self.targets_of(expr.resolved_method))
-                    for expr in exprs
-                    if isinstance(expr, CallExpr) and expr.resolved_method is not None
-                )
-                bodies.append((decl, exprs, sites))
-        return tuple(bodies)
+        for decl in (d for cls in unit.classes for d in cls.methods if d.body is not None):
+            exprs = tuple(method_expressions(decl))
+            sites = tuple(
+                CallSite(decl, expr, self.targets_of(expr.resolved_method))
+                for expr in exprs
+                if isinstance(expr, CallExpr) and expr.resolved_method is not None
+            )
+            bodies.append((decl, exprs, sites))
+        methods = tuple((d.resolved_method, d) for d, _, _ in bodies if d.resolved_method)
+        return UnitCalls(unit, tuple(bodies), classes, methods)
 
     def retarget(self, calls: UnitCalls, affected: Set[NamedType]) -> UnitCalls:
         """``calls`` with the targets of calls into ``affected`` owners
@@ -153,7 +155,7 @@ class _Builder:
                         moved = True
                 new_sites.append(site)
             bodies.append((decl, exprs, tuple(new_sites)))
-        return UnitCalls(calls.unit, tuple(bodies), calls.classes) if moved else calls
+        return replace(calls, bodies=tuple(bodies)) if moved else calls
 
     def classes(self, unit: CompilationUnit) -> Tuple[ClassShape, ...]:
         shapes = []
@@ -195,34 +197,31 @@ def build_call_graph(
     from ``previous``. A CHA target set is reused unless its method's
     owner is a class whose supertypes or declared methods changed, was
     added or removed, or is a supertype of such a class before or after
-    the change. ``callers_of`` starts from the previous graph's (see
-    :func:`_reused_callers`). Without ``previous`` everything is built
-    afresh.
+    the change. The maps are ``previous``'s, patched for the changed
+    units (see :func:`_patched_callers`). Without ``previous``
+    everything is built afresh.
     """
-    graph = CallGraph()
-    old_units = previous.units if previous is not None else {}
-    if previous is not None:
-        # An owner's memo depends only on the classes below it, the same
-        # in both graphs while it is not affected, so the graphs share it.
-        graph.targets = dict(previous.targets)
+    previous = previous if previous is not None else CallGraph()
+    old_units = previous.units
+    # An owner's memo depends only on the classes below it, the same in
+    # both graphs while it is not affected, so the graphs share it.
+    graph = CallGraph(targets=dict(previous.targets))
     builder = _Builder(registry, graph.targets)
 
-    kept: Dict[int, UnitCalls] = {}
-    fresh: List[CompilationUnit] = []
-    for unit in units:
-        calls = old_units.get(id(unit))
-        if calls is not None and id(unit) not in resolved:
-            kept[id(unit)] = calls
-        else:
-            fresh.append(unit)
-    shapes = {id(unit): builder.classes(unit) for unit in fresh}
+    kept = {
+        id(unit): old_units[id(unit)]
+        for unit in units
+        if id(unit) in old_units and id(unit) not in resolved
+    }
+    shapes = {id(unit): builder.classes(unit) for unit in units if id(unit) not in kept}
 
     # Classes that came, went or changed shape, and what lies above them.
-    before: Dict[NamedType, ClassShape] = {}
-    for key, calls in old_units.items():
-        if key not in kept:
-            for shape in calls.classes:
-                before[shape[0]] = shape
+    before = {
+        shape[0]: shape
+        for key, calls in old_units.items()
+        if key not in kept
+        for shape in calls.classes
+    }
     after = {shape[0]: shape for unit_shapes in shapes.values() for shape in unit_shapes}
     affected: Set[NamedType] = set()
     for t in set(before) | set(after):
@@ -238,72 +237,68 @@ def build_call_graph(
     for unit in units:
         calls = kept.get(id(unit))
         if calls is None:
-            calls = UnitCalls(unit, builder.walk(unit), shapes[id(unit)])
+            calls = builder.walk(unit, shapes[id(unit)])
         elif affected:
             calls = builder.retarget(calls, affected)
         graph.units[id(unit)] = calls
+
+    # A unit changed if its share is new (walked or retargeted) or gone.
+    changed = [calls for key, calls in graph.units.items() if old_units.get(key) is not calls]
+    gone = [calls for key, calls in old_units.items() if graph.units.get(key) is not calls]
+    graph.methods = dict(previous.methods)
+    graph.calls_in = dict(previous.calls_in)
+    graph.expressions = dict(previous.expressions)
+    for calls in gone:
+        for method, _ in calls.methods:
+            graph.methods.pop(method, None)
+        for decl, _, _ in calls.bodies:
+            graph.expressions.pop(id(decl), None)
+            graph.calls_in.pop(id(decl), None)
+    for calls in changed:
+        graph.methods.update(calls.methods)
         for decl, exprs, sites in calls.bodies:
-            if decl.resolved_method is not None:
-                graph.methods[decl.resolved_method] = decl
             graph.expressions[id(decl)] = exprs
             if sites:
                 graph.calls_in[id(decl)] = list(sites)
-    callers = _reused_callers(graph, previous) if previous is not None else None
-    if callers is None:
-        callers = {}
+
+    # A caller list is in corpus order; kept units that moved relative
+    # to each other (a sync of reordered texts) rebuild every list.
+    same = [key for key, calls in graph.units.items() if old_units.get(key) is calls]
+    moved = same != [key for key, calls in old_units.items() if graph.units.get(key) is calls]
+    if old_units and not moved:
+        graph.callers_of = _patched_callers(graph, previous, changed, gone)
+    else:
         for calls in graph.units.values():
             for _, _, sites in calls.bodies:
                 for site in sites:
                     for target in site.targets:
-                        callers.setdefault(target, []).append(site)
-    graph.callers_of = callers
+                        graph.callers_of.setdefault(target, []).append(site)
     return graph
 
 
-def _reused_callers(
-    graph: CallGraph, previous: CallGraph
-) -> Optional[Dict[Method, List[CallSite]]]:
-    """``graph``'s ``callers_of``, from ``previous``'s.
-
-    A unit changed if its share is not the previous graph's (it was
-    walked or retargeted again) or it is gone. Only the lists of the
-    targets a changed unit's call sites name, before or after, are
-    rebuilt, in corpus order; every other list holds only unchanged
-    units' sites and keeps its place. A rebuilt target goes where a
-    fresh build puts it, at its first sight in corpus order: the kept
-    targets are already in that order, so a binary search over them
-    finds its place. ``None`` when the kept units moved relative to
-    each other.
-    """
-    old, new = previous.units, graph.units
-    before = {key: i for i, key in enumerate(old)}
-    shares = list(new.values())
-    changed: List[int] = []
-    last = -1
-    for i, (key, calls) in enumerate(new.items()):
-        if old.get(key) is not calls:
-            changed.append(i)
-        elif before[key] < last:
-            return None
-        else:
-            last = before[key]
+def _patched_callers(
+    graph: CallGraph,
+    previous: CallGraph,
+    changed: Sequence[UnitCalls],
+    gone: Sequence[UnitCalls],
+) -> Dict[Method, List[CallSite]]:
+    """``graph``'s ``callers_of``, from ``previous``'s: only the lists of
+    the targets a changed or gone share's call sites name are rebuilt,
+    from the changed units and the unchanged units those lists held, in
+    corpus order. Every other list holds only unchanged units' sites and
+    stays the same object."""
     dirty: Dict[Method, List[CallSite]] = {}
-    moved = [shares[i] for i in changed]
-    moved.extend(calls for key, calls in old.items() if new.get(key) is not calls)
-    for calls in moved:
+    for calls in (*changed, *gone):
         for _, _, sites in calls.bodies:
             for site in sites:
                 for target in site.targets:
-                    if target not in dirty:
-                        dirty[target] = []
-    # The unchanged units whose sites a rebuilt list held.
+                    dirty.setdefault(target, [])
+    shares = list(graph.units.values())
     at = {id(decl): i for i, calls in enumerate(shares) for decl, _, _ in calls.bodies}
-    naming = set(changed)
-    for target in dirty:
-        for site in previous.callers_of.get(target, ()):
-            i = at.get(id(site.caller))
-            if i is not None:
-                naming.add(i)
+    walked = {id(calls) for calls in changed}
+    naming = {i for i, calls in enumerate(shares) if id(calls) in walked}
+    held = (site for target in dirty for site in previous.callers_of.get(target, ()))
+    naming.update(at[id(site.caller)] for site in held if id(site.caller) in at)
     for i in sorted(naming):
         for _, _, sites in shares[i].bodies:
             for site in sites:
@@ -311,65 +306,10 @@ def _reused_callers(
                     found = dirty.get(target)
                     if found is not None:
                         found.append(site)
-
-    order: Dict[int, Dict[int, int]] = {}
-
-    def rank(target: Method, sites: List[CallSite]) -> Tuple[int, int, int]:
-        """Where a fresh build first sees ``target``: its first site's
-        unit, the site's place among that unit's sites, the target's
-        place among the site's targets."""
-        first = sites[0]
-        i = at[id(first.caller)]
-        places = order.get(i)
-        if places is None:
-            places = order[i] = {
-                id(site): n
-                for n, site in enumerate(
-                    site for _, _, body_sites in shares[i].bodies for site in body_sites
-                )
-            }
-        place = next(k for k, t in enumerate(first.targets) if t is target or t == target)
-        return (i, places[id(first)], place)
-
     callers = dict(previous.callers_of)
     for target, sites in dirty.items():
         if sites:
-            callers[target] = sites  # an old key keeps its place
+            callers[target] = sites
         else:
             callers.pop(target, None)
-    rebuilt = {id(sites) for sites in dirty.values()}
-    items = list(callers.items())
-    if all(
-        (index == 0 or rank(*items[index - 1]) < rank(*items[index]))
-        and (index + 1 == len(items) or rank(*items[index]) < rank(*items[index + 1]))
-        for index, (_, sites) in enumerate(items)
-        if id(sites) in rebuilt
-    ):
-        return callers
-    # A rebuilt key is out of place: merge the rebuilt keys, in first-sight
-    # order, into the kept ones, which are in first-sight order already.
-    kept = [item for item in items if id(item[1]) not in rebuilt]
-    placed = sorted(
-        ((rank(target, sites), target) for target, sites in dirty.items() if sites),
-        key=lambda entry: entry[0],
-    )
-    merged: List[Tuple[Method, List[CallSite]]] = []
-    lo = 0
-    for here, target in placed:
-        start, hi = lo, len(kept)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rank(*kept[mid]) < here:
-                lo = mid + 1
-            else:
-                hi = mid
-        merged.extend(kept[start:lo])
-        merged.append((target, dirty[target]))
-    merged.extend(kept[lo:])
-    # Re-insert from the first key out of place on: ``popitem`` takes the
-    # last entries without hashing their keys, so only the tail rehashes.
-    start = next(i for i, (item, want) in enumerate(zip(items, merged)) if item[0] is not want[0])
-    for _ in range(len(items) - start):
-        callers.popitem()
-    callers.update(merged[start:])
     return callers

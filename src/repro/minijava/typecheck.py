@@ -63,9 +63,13 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.issues
 
+    def error(self) -> MjTypeError:
+        """The error a strict load raises over these issues."""
+        return MjTypeError("\n".join(str(i) for i in self.issues))
+
     def raise_if_failed(self) -> None:
         if self.issues:
-            raise MjTypeError("\n".join(str(i) for i in self.issues))
+            raise self.error()
 
 
 class TypeChecker:

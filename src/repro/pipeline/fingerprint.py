@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 
 def fingerprint_text(text: str) -> str:
@@ -18,9 +18,13 @@ def fingerprint_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fingerprint_texts(texts: Iterable[Tuple[str, str]]) -> Dict[str, str]:
+def fingerprint_texts(
+    texts: Iterable[Tuple[str, str]], known: Mapping[str, Tuple[str, str]] = {}
+) -> Dict[str, str]:
     """``source → fingerprint`` for ``(source, text)`` pairs.
 
+    ``known`` maps a source to a ``(text, fingerprint)`` pair hashed
+    before: a text that is that very string object keeps its fingerprint.
     Duplicate source names are rejected: the pipeline's caches are keyed
     by source, so two files under one name would silently shadow.
     """
@@ -28,7 +32,11 @@ def fingerprint_texts(texts: Iterable[Tuple[str, str]]) -> Dict[str, str]:
     for source, text in texts:
         if source in out:
             raise ValueError(f"duplicate corpus source name: {source!r}")
-        out[source] = fingerprint_text(text)
+        hashed = known.get(source)
+        if hashed is not None and hashed[0] is text:
+            out[source] = hashed[1]
+        else:
+            out[source] = fingerprint_text(text)
     return out
 
 

@@ -5,11 +5,13 @@
 signature graph), as explicit stages with cached, fingerprinted
 artifacts:
 
-1. **fingerprint** — SHA-256 every corpus file; diff against the last
-   sync. Identical content means identical downstream artifacts.
+1. **fingerprint** — SHA-256 every corpus file the last sync did not
+   commit as the same string; diff against the last sync. Identical
+   content means identical downstream artifacts.
 2. **parse** — per-file parse cache keyed by fingerprint; only touched
-   files are re-parsed (lenient mode quarantines parse failures exactly
-   like :func:`repro.corpus.load_corpus_texts`).
+   files are re-parsed, and parse failures are quarantined exactly like
+   :func:`repro.corpus.load_corpus_texts` does (strict mode raises the
+   first quarantined file's error after stage 3).
 3. **resolve/check** — every attempt declares the names of all live
    units into a copy-on-write registry clone. A unit resolves its
    supertypes and members again only when its
@@ -25,10 +27,11 @@ artifacts:
    joint attempt while they still find nothing (the quarantine memo).
    Lenient quarantine semantics are shared with the corpus loader via
    :func:`repro.corpus.resolve_and_check_lenient`.
-4. **call graph + mine + analyze** — the call graph is rebuilt from the
-   previous one: only re-resolved units are walked again, CHA targets
-   are recomputed only above a class that changed, and only the caller
-   lists of targets a changed unit names are rebuilt. Per-file
+4. **call graph + mine + analyze** — the call graph is an index patched
+   from the previous one: only re-resolved units are walked again, CHA
+   targets are recomputed only above a class that changed, only a
+   changed unit's entries are replaced, and only the caller lists of
+   targets a changed unit names are rebuilt. Per-file
    example extraction and cast observations are cached per fingerprint
    plus the file's recorded slicing dependencies (inlined client bodies
    and CHA caller sets queried by either interpretation, referenced
@@ -63,18 +66,11 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 
 from ..analysis.castsafety import CastAnalyzer, CastObservation, build_verdict_index
 from ..analysis.verdicts import CastVerdictIndex
-from ..corpus import CorpusProgram, clone_registry, resolve_and_check_lenient
+from ..corpus import CorpusProgram, resolve_and_check_lenient
 from ..graph import JungloidGraph
 from ..graph.jungloid_graph import MinedDelta
 from ..jungloids import Jungloid
-from ..minijava import (
-    Dependents,
-    MiniJavaError,
-    ResolutionCache,
-    check_program,
-    parse_minijava,
-    resolve_program,
-)
+from ..minijava import Dependents, MiniJavaError, ResolutionCache, parse_minijava
 from ..minijava.ast import CastExpr, CompilationUnit, Expr, method_expressions
 from ..minijava.callgraph import CallGraph, CallSite, UnitCalls, build_call_graph
 from ..mining import (
@@ -381,8 +377,13 @@ class CorpusPipeline:
         #: ``graph`` was adopted, not built here: the first sync diffs
         #: against its splices (see :meth:`from_artifacts`).
         self._adopted = False
+        #: The last sync committed, or raised before changing anything.
+        self._settled = True
         self._pending_record_dicts: Dict[str, dict] = {}
-        self._generalizer = IncrementalGeneralizer(self.min_precast_steps)
+        #: ``None`` after a sync raised with the trie perhaps half edited.
+        self._generalizer: Optional[IncrementalGeneralizer] = IncrementalGeneralizer(
+            self.min_precast_steps
+        )
         #: Each file's generalized examples, in its record's order.
         self._generalized: Dict[str, List[GeneralizedExample]] = {}
         #: Per unit id: what it adds to the dependency maps.
@@ -580,10 +581,12 @@ class CorpusPipeline:
     def sync(self, texts: Iterable[Tuple[str, str]]) -> PipelineUpdateStats:
         """Make the pipeline's outputs match ``texts``, incrementally.
 
-        Stages 1–4 work on staging structures; the trie/graph/attribute
-        commits at the end only run deterministic code, so a failure in
-        the risky stages (parse/resolve/mine) leaves the pipeline on its
-        previous consistent state.
+        A sync that raises leaves no trace: the pipeline keeps its
+        previous outputs, and the next sync undoes what the failed one
+        wrote in place (see :meth:`_forget_attempt`) instead of taking
+        the no-op path. A strict (``lenient=False``) sync runs the
+        lenient stages and raises the first quarantined file's error
+        before anything is committed.
         """
         texts = [(str(s), t) for s, t in texts]
         stats = PipelineUpdateStats(initial=self.graph is None)
@@ -591,7 +594,9 @@ class CorpusPipeline:
 
         # -- Stage 1: fingerprint ---------------------------------------
         t0 = _now_ms()
-        new_fps = fingerprint_texts(texts)
+        new_fps = fingerprint_texts(
+            texts, {s: (t, self._fingerprints[s]) for s, t in self._texts}
+        )
         diff = diff_fingerprints(self._fingerprints, new_fps)
         timings.fingerprint_ms = _now_ms() - t0
         stats.files_total = len(texts)
@@ -600,6 +605,7 @@ class CorpusPipeline:
         stats.files_removed = diff.removed
         if (
             diff.is_empty
+            and self._settled
             and self.graph is not None
             and [s for s, _ in texts] == [s for s, _ in self._texts]
         ):
@@ -610,6 +616,9 @@ class CorpusPipeline:
             stats.revision_before = stats.revision_after = self.graph.revision
             self.last_stats = stats
             return stats
+        if not self._settled:
+            self._forget_attempt()
+        self._settled = False
 
         # -- Stage 2: parse (per-file cache) ----------------------------
         t0 = _now_ms()
@@ -629,8 +638,6 @@ class CorpusPipeline:
             try:
                 unit = parse_minijava(text, source)
             except MiniJavaError as exc:
-                if not self.lenient:
-                    raise
                 new_parse[source] = (fp, None, exc)
                 parse_faults.append((source, exc))
                 continue
@@ -644,28 +651,21 @@ class CorpusPipeline:
         cache.retain(units_all)
         previous_graph = self.call_graph if self._call_graph_current else None
         self._call_graph_current = False
-        diagnostics: Optional[CorpusDiagnostics] = None
-        if self.lenient:
-            diagnostics = CorpusDiagnostics()
-            for source, exc in parse_faults:
-                diagnostics.record(source, PHASE_PARSE, exc)
-            registry, units, corpus_types, report = resolve_and_check_lenient(
-                self.api_registry, units_all, diagnostics, self.check, cache
-            )
-            diagnostics.loaded = [u.source for u in units]
-        else:
-            registry = clone_registry(self.api_registry)
-            units = list(units_all)
-            corpus_types = resolve_program(registry, units, cache=cache)
-            report = check_program(registry, units, cache) if self.check else None
-            if report is not None:
-                report.raise_if_failed()
+        diagnostics = CorpusDiagnostics()
+        for source, exc in parse_faults:
+            diagnostics.record(source, PHASE_PARSE, exc)
+        registry, units, corpus_types, report = resolve_and_check_lenient(
+            self.api_registry, units_all, diagnostics, self.check, cache
+        )
+        if not self.lenient:
+            diagnostics.raise_first()
+        diagnostics.loaded = [u.source for u in units]
         program = CorpusProgram(
             units=units,
             registry=registry,
             corpus_types=corpus_types,
             check_report=report,
-            diagnostics=diagnostics,
+            diagnostics=diagnostics if self.lenient else None,
             texts=list(texts),
         )
         timings.resolve_ms = _now_ms() - t0
@@ -755,7 +755,10 @@ class CorpusPipeline:
         # results and get new ones; a kept file's results change only
         # where the generalizer moved one.
         t0 = _now_ms()
-        for source, old in self._records.items():
+        inserted = self._records  # the records whose examples the trie holds
+        if self._generalizer is None:
+            self._generalizer, inserted = IncrementalGeneralizer(self.min_precast_steps), {}
+        for source, old in inserted.items():
             if new_records.get(source) is old:
                 continue
             for example in old.examples:
@@ -766,7 +769,7 @@ class CorpusPipeline:
             # A rehydrated-but-valid record was never in the trie; the
             # insert loop below covers it because identity differs.
         order = [s for s, _ in texts if s in new_records]
-        fresh = [s for s in order if self._records.get(s) is not new_records[s]]
+        fresh = [s for s in order if inserted.get(s) is not new_records[s]]
         for source in fresh:
             for example in new_records[source].examples:
                 self._generalizer.insert(example)
@@ -845,6 +848,7 @@ class CorpusPipeline:
         self._dep_keys = dep_keys
         self._deps = deps
         self._call_graph_current = True
+        self._settled = True
         self._pending_record_dicts = {}
         self._analysis_obs = new_obs
         self.program = program
@@ -857,6 +861,21 @@ class CorpusPipeline:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _forget_attempt(self) -> None:
+        """Undo what the last sync wrote in place before it raised.
+
+        Its resolution annotated cached ASTs, so every unit it resolved
+        is resolved again; its generalize and graft may have edited the
+        trie and the live graph, so the trie is built afresh and the
+        graph diffed against its own splices, as an adopted one is.
+        """
+        cache = self._resolution_cache
+        for key in cache.resolved:
+            cache.drop(key)
+            cache.drop_declared(key)
+        self._generalizer = None
+        self._adopted = self.graph is not None
 
     def _dep_maps(
         self,
@@ -886,11 +905,7 @@ class CorpusPipeline:
                 keys = _UnitDeps(
                     calls,
                     (unit.source, fps[unit.source]),
-                    tuple(
-                        _method_key(decl.resolved_method)
-                        for decl, _, _ in calls.bodies
-                        if decl.resolved_method is not None
-                    ),
+                    tuple(_method_key(method) for method, _ in calls.methods),
                     tuple(
                         _method_key(target)
                         for _, _, sites in calls.bodies

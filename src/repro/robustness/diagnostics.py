@@ -10,7 +10,7 @@ caller can audit exactly what was left out of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 #: Corpus-loading phases, in pipeline order.
 PHASE_READ = "read"
@@ -27,6 +27,8 @@ class CorpusFault:
     source: str  #: file path / source name
     phase: str  #: one of :data:`LOAD_PHASES`
     error: str
+    #: What a strict load raises for this fault.
+    raised: Optional[BaseException] = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         return f"{self.source} [{self.phase}]: {self.error}"
@@ -48,10 +50,22 @@ class CorpusDiagnostics:
     def fault_count(self) -> int:
         return len(self.faults)
 
-    def record(self, source: str, phase: str, error: object) -> CorpusFault:
-        fault = CorpusFault(source=source, phase=phase, error=str(error))
+    def record(
+        self, source: str, phase: str, error: object, raised: Optional[BaseException] = None
+    ) -> CorpusFault:
+        if raised is None and isinstance(error, BaseException):
+            raised = error
+        if raised is not None:
+            # Its traceback's frames would keep the failed attempt alive.
+            raised = raised.with_traceback(None)
+        fault = CorpusFault(source=source, phase=phase, error=str(error), raised=raised)
         self.faults.append(fault)
         return fault
+
+    def raise_first(self) -> None:
+        """Raise the first fault, as a strict load does."""
+        if self.faults:
+            raise self.faults[0].raised
 
     def quarantined_sources(self) -> List[str]:
         """Unique quarantined source names, first-fault order."""

@@ -135,10 +135,11 @@ def fresh_program(registry, texts: Sequence[Tuple[str, str]]) -> CorpusProgram:
     )
 
 
-def call_graph_values(pipeline) -> Tuple[list, list, list]:
-    """The pipeline's call graph as ``(methods, callers_of, calls_in)``,
-    each in its own order, with declarations named by source and
-    position and targets by repr."""
+def call_graph_values(pipeline) -> Tuple[dict, dict, dict, dict]:
+    """The pipeline's call graph as ``(methods, callers_of, calls_in,
+    expressions)`` mappings, with declarations named by source and
+    position and targets by repr. Nothing reads an order over a map's
+    keys; each site list and expression walk is kept in its order."""
     where = {}
     for unit in pipeline.program.units:
         for cls in unit.classes:
@@ -151,14 +152,19 @@ def call_graph_values(pipeline) -> Tuple[list, list, list]:
 
     graph = pipeline.call_graph
     return (
-        [(repr(m), where[id(decl)]) for m, decl in graph.methods.items()],
-        [(repr(m), [site(s) for s in sites]) for m, sites in graph.callers_of.items()],
-        [[site(s) for s in sites] for sites in graph.calls_in.values()],
+        {repr(m): where[id(decl)] for m, decl in graph.methods.items()},
+        {repr(m): [site(s) for s in sites] for m, sites in graph.callers_of.items()},
+        {where[key]: [site(s) for s in sites] for key, sites in graph.calls_in.items()},
+        {
+            where[key]: [(type(e).__name__, str(e.position)) for e in exprs]
+            for key, exprs in graph.expressions.items()
+        },
     )
 
 
-def mining_values(pipeline) -> Tuple[list, list]:
-    """``(generalized, suffixes)`` as plain values, in order."""
+def mining_values(pipeline) -> Tuple[list, list, int, Counter]:
+    """``(generalized, suffixes)`` as plain values, in order, then the
+    number of examples in the trie and the paths grafted into the graph."""
     mining = pipeline.mining
     return (
         [
@@ -166,6 +172,8 @@ def mining_values(pipeline) -> Tuple[list, list]:
             for g in mining.generalized
         ],
         [j.describe() for j in mining.suffixes],
+        pipeline._generalizer.live_examples,
+        Counter(repr(steps) for steps in pipeline.graph.mined_suffix_keys()),
     )
 
 
@@ -200,14 +208,18 @@ def verdict_values(pipeline) -> List[tuple]:
 def assert_matches_fresh(registry, pipeline, texts: Sequence[Tuple[str, str]]) -> None:
     """The pipeline's program and answers equal a fresh lenient load's,
     and its call graph, mine records, verdicts and generalization a
-    fresh pipeline build's."""
+    fresh pipeline build's. A strict pipeline has no quarantine report,
+    and its texts must load without one."""
     fresh = fresh_program(registry, texts)
     live = pipeline.program
     assert [u.source for u in live.units] == [u.source for u in fresh.units]
-    assert quarantine(live) == quarantine(fresh)
+    if pipeline.lenient:
+        assert quarantine(live) == quarantine(fresh)
+    else:
+        assert live.diagnostics is None and fresh.diagnostics.ok
     assert annotation_dump(live.units) == annotation_dump(fresh.units)
     assert declaration_dump(live) == declaration_dump(fresh)
-    built = CorpusPipeline.build(registry, texts)
+    built = CorpusPipeline.build(registry, texts, lenient=pipeline.lenient)
     assert call_graph_values(pipeline) == call_graph_values(built)
     assert record_values(pipeline) == record_values(built)
     assert verdict_values(pipeline) == verdict_values(built)

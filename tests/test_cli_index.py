@@ -195,6 +195,20 @@ class TestIndexUpdate:
         assert "re-mined 1 file(s)" in captured.out
 
 
+    def test_lenient_update_reports_what_it_quarantined(self, tmp_path, data_files, capsys):
+        api, corpus = data_files
+        snap = tmp_path / "graph.psnap"
+        data = ["--api", str(api), "--corpus", str(corpus), "--lenient-corpus"]
+        assert main(["index", "build", "-o", str(snap), *data]) == 0
+        bad = tmp_path / "bad.mj"
+        bad.write_text("package c; class Bad { Nowhere f() { return null; } }\n")
+        capsys.readouterr()
+        code = main(["index", "update", str(snap), "--set", str(bad), *data])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "corpus degraded: 1 file(s) loaded, 1 quarantined" in captured.err
+        assert "unknown type 'Nowhere'" in captured.err
+
     def test_torn_snapshot_without_previous_builds_the_corpus_once(
         self, tmp_path, data_files, capsys, monkeypatch
     ):

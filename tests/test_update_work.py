@@ -74,7 +74,7 @@ class TestCommentTouch:
             for target in site.targets
         }
         assert named
-        assert list(graph.callers_of) == list(before)
+        assert graph.callers_of.keys() == before.keys()
         for target, sites in graph.callers_of.items():
             assert (sites is before[target]) == (target not in named)
         fresh = build_call_graph(pipeline.program.registry, pipeline.program.units)
@@ -86,8 +86,8 @@ class TestCommentTouch:
 
 class TestSeededEdits:
     def test_caller_lists_match_a_fresh_build(self, scale_api):
-        # Added and dropped idioms, added and removed files: the kept
-        # caller lists, and the key order, equal a fresh build's.
+        # Added and dropped idioms, added and removed files: the maps,
+        # with each caller list in corpus order, equal a fresh build's.
         corpusgen = _corpusgen()
         corpus = corpusgen.generate_corpus(scale_api, files=30, seed=7)
         pipeline = CorpusPipeline.build(scale_api, corpus.texts())
@@ -217,31 +217,30 @@ class TestAddIdiom:
         corpusgen = _corpusgen()
         corpus = corpusgen.generate_corpus(scale_api, files=30, seed=7)
         pipeline = CorpusPipeline.build(scale_api, corpus.texts())
-        fallbacks, indexed = [], []
-        reused = callgraph._reused_callers
+        patches, indexed = [], []
+        patched = callgraph._patched_callers
         index = TypeRegistry._index_declarations
 
-        def reused_callers(graph, previous):
-            callers = reused(graph, previous)
-            fallbacks.append(callers is None)
-            return callers
+        def patched_callers(graph, previous, changed, gone):
+            patches.append(graph)
+            return patched(graph, previous, changed, gone)
 
         def index_declarations(self, names):
             names = list(names)
             indexed.extend(names)
             return index(self, names)
 
-        monkeypatch.setattr(callgraph, "_reused_callers", reused_callers)
+        monkeypatch.setattr(callgraph, "_patched_callers", patched_callers)
         monkeypatch.setattr(TypeRegistry, "_index_declarations", index_declarations)
         kinds = []
         for _ in range(12):
             edit = corpusgen.next_edit(corpus)
-            fallbacks.clear()
+            patches.clear()
             indexed.clear()
             pipeline.update(edit.upserts, edit.removes)
             kinds.append(edit.kind)
             if edit.kind == "add_idiom":
-                assert fallbacks == [False]
+                assert len(patches) == 1  # patched, not built from scratch
                 assert indexed and not any(scale_api.get(n.dotted) for n in indexed)
             graph = pipeline.call_graph
             pipeline.call_graph = build_call_graph(
