@@ -442,8 +442,14 @@ class Prospector:
     # ------------------------------------------------------------------
 
     def _argument_examples(self) -> List[ArgumentExample]:
-        """The current corpus program's argument examples, mined once per
-        program (an update replaces the program)."""
+        """The committed corpus program's argument examples, mined once
+        per program (an update replaces the program).
+
+        An update that raised leaves its annotations on the program's
+        ASTs; a sync of the committed texts undoes them first.
+        """
+        if self.pipeline is not None and not self.pipeline.settled:
+            self.update_corpus()
         corpus = self.corpus
         if corpus is None:
             return []

@@ -37,7 +37,7 @@ from ..minijava import (
     parse_minijava,
     resolve_program,
 )
-from ..minijava.resolver import STEP_NAMES
+from ..minijava.resolver import STEP_NAMES, ResolutionFailure
 from ..robustness import (
     CorpusDiagnostics,
     PHASE_CHECK,
@@ -286,7 +286,13 @@ def _resolve_culprit(
     attempt's ``error`` was raised in (with two broken files no single
     removal helps, and that unit is one of them); fall back to the first
     unit (guaranteeing progress). The fallbacks return no trial.
+
+    A unit that failed on misses only fails again whatever else is
+    removed, so it is the culprit, found without trials.
     """
+    missed = _failed_on_misses(error)
+    if missed is not None and any(u is missed.unit for u in units):
+        return missed.unit, None
     for unit in units:
         rest = [u for u in units if u is not unit]
         registry = clone_registry(api_registry)
@@ -323,33 +329,35 @@ class _Held:
     declares: Tuple[str, ...]
 
 
-def _remember(cache: ResolutionCache, culprit: CompilationUnit, error: Exception) -> None:
-    """Memoize ``culprit``'s quarantine if its failure depends on misses only.
+def _failed_on_misses(error: Exception) -> Optional[ResolutionFailure]:
+    """``error``'s failure, if it depends on misses only.
 
-    The failure must have been raised in the culprit itself, after its
-    names were declared (a duplicate declaration depends on other files),
-    with every probe so far a miss: its resolution up to the error then
-    read nothing but its own AST, so while those probes keep missing it
-    fails again at the same point with the same error.
+    The failure must have been raised in a unit, after its names were
+    declared (a duplicate declaration depends on other files), with every
+    probe so far a miss: its resolution up to the error then read nothing
+    but its own AST, so while those probes keep missing it fails again at
+    the same point with the same error, whichever other units are there.
     """
     failure = failure_of(error)
-    if failure is None or failure.unit is not culprit or failure.step == STEP_NAMES:
-        return
-    names: List[str] = []
-    simples: List[str] = []
+    if failure is None or failure.step == STEP_NAMES:
+        return None
     for trace in failure.traces:
-        if any(t is not None for t in trace.names.values()):
-            return
-        if any(trace.simples.values()):
-            return
-        names.extend(trace.names)
-        simples.extend(trace.simples)
+        if any(t is not None for t in trace.names.values()) or any(trace.simples.values()):
+            return None
+    return failure
+
+
+def _remember(cache: ResolutionCache, culprit: CompilationUnit, error: Exception) -> None:
+    """Memoize ``culprit``'s quarantine if it failed on misses only."""
+    failure = _failed_on_misses(error)
+    if failure is None or failure.unit is not culprit:
+        return
     cache.quarantined[id(culprit)] = _Held(
         unit=culprit,
         error=error,
         step=failure.step,
-        names=tuple(names),
-        simples=tuple(simples),
+        names=tuple(name for trace in failure.traces for name in trace.names),
+        simples=tuple(name for trace in failure.traces for name in trace.simples),
         declares=tuple(str(cls.qualified_name) for cls in culprit.classes),
     )
 

@@ -11,9 +11,10 @@ apply to objects that took the mined path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 from ..jungloids import ElementaryJungloid
+from ..jungloids.elementary import Member, free_variable_counts, member_jungloid
 from ..typesystem import JavaType
 
 
@@ -50,31 +51,85 @@ def node_label(node: Node) -> str:
     return str(node)
 
 
-@dataclass(frozen=True)
 class Edge:
     """A directed, labeled edge: one elementary jungloid between two nodes.
 
     For plain signature edges the node endpoints equal the elementary
     jungloid's input/output types; for mined-path edges the endpoints may
     be typestate nodes whose *base* types equal those types.
+
+    An API member edge (:meth:`of_member`) holds its ``member`` and
+    ``flow`` position and builds its jungloid when ``elementary`` is
+    first read; other edges have ``member`` ``None``. Equality and
+    hashing are by value, and nothing rebinds a field.
     """
 
-    source: Node
-    target: Node
-    elementary: ElementaryJungloid
+    __slots__ = ("source", "target", "member", "flow", "elementary")
+
+    def __init__(self, source: Node, target: Node, elementary: ElementaryJungloid):
+        self.source, self.target, self.elementary = source, target, elementary
+        self.member = self.flow = None
+
+    @staticmethod
+    def of_member(source: Node, target: Node, member: Member, flow: int) -> "Edge":
+        return _UnbuiltEdge(source, target, member, flow)
 
     @property
     def is_widening(self) -> bool:
-        return self.elementary.is_widening
+        return self.member is None and self.elementary.is_widening
 
     @property
     def is_downcast(self) -> bool:
-        return self.elementary.is_downcast
+        return self.member is None and self.elementary.is_downcast
 
     @property
     def search_length(self) -> int:
         """Unit length for the bounded search; widening edges are free."""
         return 0 if self.is_widening else 1
 
+    @property
+    def cost_counts(self) -> Tuple[bool, int, int]:
+        """What :meth:`~repro.jungloids.CostModel.total` charges; a member
+        edge counts it without building its jungloid."""
+        if self.member is None:
+            return self.elementary.cost_counts
+        return (False, *free_variable_counts(self.member, self.flow))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Edge):
+            return NotImplemented
+        if self.source != other.source or self.target != other.target:
+            return False
+        if self.member is not None and other.member is not None:
+            return self.flow == other.flow and self.member == other.member
+        return self.elementary == other.elementary
+
+    def __hash__(self) -> int:
+        if self.member is None:
+            step = self.elementary
+            return hash((self.source, self.target, step.member, step.flow_position))
+        return hash((self.source, self.target, self.member, self.flow))
+
+    def __repr__(self) -> str:
+        return f"Edge({self.source!r}, {self.target!r}, {self.elementary!r})"
+
     def __str__(self) -> str:
         return f"{node_label(self.source)} --[{self.elementary.render('x')}]--> {node_label(self.target)}"
+
+
+class _UnbuiltEdge(Edge):
+    """A member edge before its first ``elementary`` read, which builds
+    the jungloid into the slot and makes the instance a plain
+    :class:`Edge`, so later reads are ordinary slot loads."""
+
+    __slots__ = ()
+
+    def __init__(self, source: Node, target: Node, member: Member, flow: int):
+        self.source, self.target, self.member, self.flow = source, target, member, flow
+
+    def __getattr__(self, name: str):
+        if name != "elementary":
+            raise AttributeError(name)
+        self.elementary = elementary = member_jungloid(self.member, self.flow)
+        self.__class__ = Edge
+        return elementary

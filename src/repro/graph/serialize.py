@@ -9,19 +9,17 @@ rebuilds the jungloid graph, which is what the Section-5 benchmark times.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..jungloids import (
     ElementaryJungloid,
     ElementaryKind,
     Jungloid,
-    constructor_call,
     downcast,
     field_access,
-    instance_call,
-    static_call,
     widening,
 )
+from ..jungloids.elementary import member_jungloid
 from ..typesystem import (
     ArrayType,
     Constructor,
@@ -247,30 +245,19 @@ def elementary_from_dict(registry: TypeRegistry, entry: Dict) -> ElementaryJungl
         if f is None:
             raise ValueError(f"unknown field {member['owner']}.{member['field']}")
         return field_access(f)
-    flow = entry["flow"]
     param_types = tuple(type_from_string(p) for p in member.get("params", []))
     if kind is ElementaryKind.CONSTRUCTOR:
-        for c in registry.constructors_of(owner):
-            if c.parameter_types == param_types:
-                return _variant_with_flow(constructor_call(c), flow)
-        raise ValueError(f"unknown constructor {member['owner']}({member.get('params')})")
-    methods = [
-        m for m in registry.find_method(owner, member["method"]) if m.parameter_types == param_types
-    ]
-    if not methods:
-        raise ValueError(f"unknown method {member['owner']}.{member['method']}")
-    m = methods[0]
-    variants = static_call(m) if m.static else instance_call(m)
-    return _variant_with_flow(variants, flow)
-
-
-def _variant_with_flow(
-    variants: Sequence[ElementaryJungloid], flow: int
-) -> ElementaryJungloid:
-    for v in variants:
-        if v.flow_position == flow:
-            return v
-    raise ValueError(f"no call variant with flow position {flow}")
+        found = [c for c in registry.constructors_of(owner) if c.parameter_types == param_types]
+        if not found:
+            raise ValueError(f"unknown constructor {member['owner']}({member.get('params')})")
+    else:
+        found = [
+            m for m in registry.find_method(owner, member["method"])
+            if m.parameter_types == param_types
+        ]
+        if not found:
+            raise ValueError(f"unknown method {member['owner']}.{member['method']}")
+    return member_jungloid(found[0], entry["flow"])
 
 
 def jungloid_to_dict(j: Jungloid) -> List[Dict]:

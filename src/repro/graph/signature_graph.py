@@ -19,25 +19,9 @@ from __future__ import annotations
 
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..jungloids import (
-    ElementaryJungloid,
-    Jungloid,
-    constructor_call,
-    downcast,
-    field_access,
-    instance_call,
-    static_call,
-    widening,
-)
-from ..typesystem import (
-    ArrayType,
-    JavaType,
-    NamedType,
-    TypeKind,
-    TypeRegistry,
-    VOID,
-    is_reference,
-)
+from ..jungloids import Jungloid, downcast, widening
+from ..jungloids.elementary import Member, flow_positions, member_output_type
+from ..typesystem import ArrayType, NamedType, TypeKind, TypeRegistry, VOID, is_reference
 from .nodes import Edge, Node, node_base_type
 
 
@@ -81,23 +65,12 @@ class SignatureGraph:
         for decl in registry.all_declarations():
             graph.add_node(decl.type)
         for decl in registry.all_declarations():
-            t = decl.type
-            for f in decl.fields:
-                if public_only and not f.is_public:
-                    continue
-                graph.add_elementary(field_access(f))
-            for m in decl.methods:
-                if public_only and not m.is_public:
-                    continue
-                variants = static_call(m) if m.static else instance_call(m)
-                for e in variants:
-                    graph.add_elementary(e)
+            members = [*decl.fields, *decl.methods]
             if decl.kind is TypeKind.CLASS and not decl.abstract:
-                for c in decl.constructors:
-                    if public_only and not c.is_public:
-                        continue
-                    for e in constructor_call(c):
-                        graph.add_elementary(e)
+                members += decl.constructors
+            for member in members:
+                if not public_only or member.is_public:
+                    graph._add_member_edges(member)
         graph._add_widening_edges()
         if include_downcasts:
             graph._add_all_downcast_edges()
@@ -110,10 +83,13 @@ class SignatureGraph:
         return node
 
     def add_edge(self, edge: Edge) -> Edge:
-        self.add_node(edge.source)
-        self.add_node(edge.target)
-        self._out[edge.source].append(edge)
-        self._in[edge.target].append(edge)
+        source, target = edge.source, edge.target
+        if source not in self._out:
+            self.add_node(source)
+        if target not in self._out:
+            self.add_node(target)
+        self._out[source].append(edge)
+        self._in[target].append(edge)
         # An insertion grows the journal and the edge count alike, so it
         # never needs a trim; the graph build makes tens of thousands.
         self._edge_count += 1
@@ -123,10 +99,15 @@ class SignatureGraph:
         return edge
 
     def remove_edge(self, edge: Edge) -> None:
-        """Remove one edge (first match by value); endpoints stay."""
+        """Remove ``edge`` itself; endpoints stay.
+
+        The lists are searched by identity, from the end, where mined
+        edges sit: no edge is compared by value, so no member edge's
+        jungloid is built.
+        """
         try:
-            self._out[edge.source].remove(edge)
-            self._in[edge.target].remove(edge)
+            _remove_identical(self._out[edge.source], edge)
+            _remove_identical(self._in[edge.target], edge)
         except (KeyError, ValueError):
             raise ValueError(f"edge not in graph: {edge}") from None
         self._edge_count -= 1
@@ -187,22 +168,18 @@ class SignatureGraph:
         """
         return tuple(self._out)
 
-    def add_elementary(self, elementary: ElementaryJungloid) -> Optional[Edge]:
-        """Add a plain edge for an elementary jungloid between type nodes.
+    def _add_member_edges(self, member: Member) -> None:
+        """Add an edge per flow position of ``member``, each building its
+        jungloid on first read; a new (array) endpoint becomes a node.
 
-        Edges whose endpoint types are not reference types (or ``void``
-        input) are skipped — primitives are never graph nodes (footnote 4).
+        A member whose output is not a reference type adds none:
+        primitives are never graph nodes (footnote 4).
         """
-        t_in, t_out = elementary.input_type, elementary.output_type
-        if not (is_reference(t_in) or t_in == VOID):
-            return None
+        t_out = member_output_type(member)
         if not is_reference(t_out):
-            return None
-        if isinstance(t_in, ArrayType):
-            self.add_node(t_in)
-        if isinstance(t_out, ArrayType):
-            self.add_node(t_out)
-        return self.add_edge(Edge(t_in, t_out, elementary))
+            return
+        for flow, t_in in flow_positions(member):
+            self.add_edge(Edge.of_member(t_in, t_out, member, flow))
 
     def _add_widening_edges(self) -> None:
         for node in list(self._out):
@@ -266,3 +243,11 @@ class SignatureGraph:
     def path_to_jungloid(path: Iterable[Edge]) -> Jungloid:
         """Convert an edge path into the jungloid it represents."""
         return Jungloid(tuple(e.elementary for e in path))
+
+
+def _remove_identical(edges: List[Edge], edge: Edge) -> None:
+    for i in range(len(edges) - 1, -1, -1):
+        if edges[i] is edge:
+            del edges[i]
+            return
+    raise ValueError("edge not in list")

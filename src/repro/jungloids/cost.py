@@ -39,13 +39,15 @@ class CostModel:
         short-but-free-variable-laden path does not artificially shrink
         the window below the honest solutions.
         """
-        if step.is_widening:
+        return self.total(*step.cost_counts)
+
+    def total(self, is_widening: bool, n_free: int, n_reference_free: int) -> int:
+        """The weight of a step with these :attr:`cost_counts`; graph
+        edges are charged through it too, without building their step."""
+        if is_widening:
             return self.widening_cost
-        if self.charge_primitive_free_variables:
-            n_free = len(step.free_variables)
-        else:
-            n_free = len(step.reference_free_variables())
-        return self.step_cost + n_free * self.free_variable_cost
+        n = n_free if self.charge_primitive_free_variables else n_reference_free
+        return self.step_cost + n * self.free_variable_cost
 
     def cost(self, jungloid: Jungloid) -> int:
         """Total estimated size of the completed code snippet."""

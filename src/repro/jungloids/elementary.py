@@ -101,6 +101,13 @@ class ElementaryJungloid:
         """Free variables of reference type (these cost extra in ranking)."""
         return tuple(v for v in self.free_variables if is_reference(v.type))
 
+    @property
+    def cost_counts(self) -> Tuple[bool, int, int]:
+        """``(is_widening, free variables, reference-typed free
+        variables)``: what :meth:`~repro.jungloids.CostModel.total`
+        charges for this step."""
+        return self.is_widening, len(self.free_variables), len(self.reference_free_variables())
+
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
@@ -187,107 +194,113 @@ def _free_name_for(t: JavaType, index: int) -> str:
     return t.variable_stem + str(index)
 
 
+#: A member that induces elementary jungloids.
+Member = Union[Field, Method, Constructor]
+
+
+def member_output_type(member: Member) -> JavaType:
+    """The type every elementary jungloid of ``member`` produces."""
+    if isinstance(member, Field):
+        return member.type
+    return member.owner if isinstance(member, Constructor) else member.return_type
+
+
+def _has_receiver(member: Member) -> bool:
+    return isinstance(member, Method) and not member.static
+
+
+def flow_positions(member: Member) -> Tuple[Tuple[int, JavaType], ...]:
+    """``(flow position, input type)`` of each elementary jungloid that
+    ``member`` induces, in variant order.
+
+    The receiver comes first (instance members), then each
+    reference-typed parameter; a lone ``(NO_INPUT, void)`` stands for a
+    member nothing can flow into (static fields, static methods and
+    constructors without a reference-typed parameter).
+    """
+    if isinstance(member, Field):
+        return ((NO_INPUT, VOID),) if member.static else ((RECEIVER, member.owner),)
+    positions = [(i, p.type) for i, p in enumerate(member.parameters) if is_reference(p.type)]
+    if _has_receiver(member):
+        positions.insert(0, (RECEIVER, member.owner))
+    return tuple(positions) or ((NO_INPUT, VOID),)
+
+
+def free_variable_counts(member: Member, flow: int) -> Tuple[int, int]:
+    """``(all, reference-typed)`` free variables of ``member_jungloid(member,
+    flow)``, counted without building it: a parameter that takes the flow
+    leaves the free list, and an instance method's receiver joins it."""
+    params = getattr(member, "parameters", ())
+    shift = 0 if flow < 0 else _has_receiver(member) - 1
+    return len(params) + shift, sum(is_reference(p.type) for p in params) + shift
+
+
+def _variants(
+    member: Member, positions: Sequence[Tuple[int, JavaType]]
+) -> Tuple[ElementaryJungloid, ...]:
+    """``member``'s elementary jungloids at ``positions`` (entries of
+    :func:`flow_positions`).
+
+    They share one :class:`FreeVariable` per parameter, and one for the
+    receiver when a parameter takes the flow; each variant's tuple is a
+    slice of these, in declaration order.
+    """
+    if isinstance(member, Field):
+        kind = ElementaryKind.FIELD_ACCESS
+    elif isinstance(member, Constructor):
+        kind = ElementaryKind.CONSTRUCTOR
+    else:
+        kind = ElementaryKind.STATIC_CALL if member.static else ElementaryKind.INSTANCE_CALL
+    params = getattr(member, "parameters", ())
+    free = tuple(FreeVariable(_free_name_for(p.type, i + 1), p.type) for i, p in enumerate(params))
+    receiver: Tuple[FreeVariable, ...] = ()
+    if _has_receiver(member) and any(flow >= 0 for flow, _ in positions):
+        receiver = (FreeVariable(_free_name_for(member.owner, 0), member.owner),)
+    t_out = member_output_type(member)
+    return tuple(
+        ElementaryJungloid(
+            kind, t_in, t_out, member, flow,
+            free if flow < 0 else receiver + free[:flow] + free[flow + 1 :],
+        )
+        for flow, t_in in positions
+    )
+
+
+def member_jungloid(member: Member, flow: int) -> ElementaryJungloid:
+    """The one elementary jungloid of ``member`` whose input flows in at
+    ``flow``; :class:`ValueError` when ``flow`` is not one of
+    :func:`flow_positions`."""
+    chosen = [position for position in flow_positions(member) if position[0] == flow]
+    if not chosen:
+        raise ValueError(f"no call variant with flow position {flow}")
+    return _variants(member, chosen)[0]
+
+
 def field_access(field: Field) -> ElementaryJungloid:
     """Elementary jungloid for a field access ``λx. x.f : T → U``.
 
     Static fields take ``void`` input (they need no object).
     """
-    if field.static:
-        return ElementaryJungloid(
-            kind=ElementaryKind.FIELD_ACCESS,
-            input_type=VOID,
-            output_type=field.type,
-            member=field,
-            flow_position=NO_INPUT,
-        )
-    return ElementaryJungloid(
-        kind=ElementaryKind.FIELD_ACCESS,
-        input_type=field.owner,
-        output_type=field.type,
-        member=field,
-        flow_position=RECEIVER,
-    )
-
-
-def _call_variants(
-    kind: ElementaryKind,
-    member: Union[Method, Constructor],
-    output_type: JavaType,
-    receiver_type: Optional[JavaType],
-) -> Tuple[ElementaryJungloid, ...]:
-    """All elementary jungloids induced by one method/constructor.
-
-    One variant per reference-typed flow position (receiver or parameter);
-    a single ``void``-input variant when nothing can flow in. The
-    variants share one :class:`FreeVariable` per parameter (and one for
-    the receiver, made only when a parameter can take the flow); each
-    variant's tuple is a slice of these, in declaration order.
-    """
-    params = member.parameters
-    free_params = tuple(
-        FreeVariable(_free_name_for(p.type, i + 1), p.type) for i, p in enumerate(params)
-    )
-    variants = []
-    positions = []
-    if receiver_type is not None:
-        positions.append((RECEIVER, receiver_type))
-    flows = [(i, p.type) for i, p in enumerate(params) if is_reference(p.type)]
-    positions.extend(flows)
-    free_receiver: Tuple[FreeVariable, ...] = ()
-    if receiver_type is not None and flows:
-        free_receiver = (FreeVariable(_free_name_for(receiver_type, 0), receiver_type),)
-    for flow_position, input_type in positions:
-        if flow_position == RECEIVER:
-            free = free_params
-        else:
-            free = (
-                free_receiver
-                + free_params[:flow_position]
-                + free_params[flow_position + 1 :]
-            )
-        variants.append(
-            ElementaryJungloid(
-                kind=kind,
-                input_type=input_type,
-                output_type=output_type,
-                member=member,
-                flow_position=flow_position,
-                free_variables=free,
-            )
-        )
-    if not positions:
-        variants.append(
-            ElementaryJungloid(
-                kind=kind,
-                input_type=VOID,
-                output_type=output_type,
-                member=member,
-                flow_position=NO_INPUT,
-                free_variables=free_params,
-            )
-        )
-    return tuple(variants)
+    return _variants(field, flow_positions(field))[0]
 
 
 def static_call(method: Method) -> Tuple[ElementaryJungloid, ...]:
     """Elementary jungloids for a static method (Definition 2, bullet 2)."""
     if not method.static:
         raise ValueError(f"{method} is not static")
-    return _call_variants(ElementaryKind.STATIC_CALL, method, method.return_type, None)
+    return _variants(method, flow_positions(method))
 
 
 def instance_call(method: Method) -> Tuple[ElementaryJungloid, ...]:
     """Elementary jungloids for an instance method (receiver = a parameter)."""
     if method.static:
         raise ValueError(f"{method} is static")
-    return _call_variants(
-        ElementaryKind.INSTANCE_CALL, method, method.return_type, method.owner
-    )
+    return _variants(method, flow_positions(method))
 
 
 def constructor_call(ctor: Constructor) -> Tuple[ElementaryJungloid, ...]:
     """Elementary jungloids for a constructor invocation."""
-    return _call_variants(ElementaryKind.CONSTRUCTOR, ctor, ctor.owner, None)
+    return _variants(ctor, flow_positions(ctor))
 
 
 def widening(sub: JavaType, sup: JavaType) -> ElementaryJungloid:

@@ -101,7 +101,7 @@ def _now_ms() -> float:
 
 def _method_key(method: Method) -> str:
     """Stable textual identity of a method across registry clones."""
-    params = ",".join(str(t) for t in method.parameter_types)
+    params = ",".join([str(p.type) for p in method.parameters])
     tag = "#static" if method.static else ""
     return f"{method.owner}.{method.name}({params}){tag}"
 
@@ -549,6 +549,12 @@ class CorpusPipeline:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
+
+    @property
+    def settled(self) -> bool:
+        """No sync raised since the last commit, so the program's ASTs
+        carry its annotations (the next sync after a raise resolves again)."""
+        return self._settled
 
     def update(
         self,
@@ -1052,7 +1058,7 @@ def _record_call_deps(
     record: FileMineRecord, recorder: _RecordingCallGraph, deps: _DepMaps
 ) -> None:
     """Add the call-graph queries ``recorder`` saw to ``record``'s deps."""
-    for m in recorder.decl_queries:
-        record.decl_deps[_method_key(m)] = deps.decl.get(_method_key(m))
-    for m in recorder.site_queries:
-        record.site_deps[_method_key(m)] = deps.site.get(_method_key(m), ())
+    for key in map(_method_key, recorder.decl_queries):
+        record.decl_deps[key] = deps.decl.get(key)
+    for key in map(_method_key, recorder.site_queries):
+        record.site_deps[key] = deps.site.get(key, ())

@@ -167,8 +167,9 @@ class GraphSearch:
         self._step_parts = StepRankParts(graph.registry, cost_model)
 
     def _edge_cost(self, edge) -> int:
-        """Edge weight = the ranking heuristic's size estimate (§3.2)."""
-        return self.cost_model.step_total(edge.elementary)
+        """Edge weight = the ranking heuristic's size estimate (§3.2),
+        from the edge's counts: a member edge's jungloid is not built."""
+        return self.cost_model.total(*edge.cost_counts)
 
     # ------------------------------------------------------------------
     # Queries: every one is served by solve_batch

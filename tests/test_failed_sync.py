@@ -10,12 +10,16 @@ verdict: it raises the first quarantined file's own error.
 
 import pytest
 
+from repro import Prospector
+from repro.apispec import load_api_text
+from repro.data import corpus_texts
 from repro.graph import JungloidGraph
 from repro.minijava import MjResolveError, MjTypeError
 from repro.mining import IncrementalGeneralizer
 from repro.pipeline import CorpusPipeline
 from repro.pipeline import pipeline as pipeline_module
 
+from .conftest import SMALL_API
 from .resolution_oracle import VERSIONS, annotation_dump, assert_matches_fresh, fresh_program
 
 BASE = [(name, VERSIONS[name][0]) for name in ("h.mj", "a.mj", "e.mj", "u.mj")]
@@ -130,3 +134,66 @@ class TestStrictVerdict:
         pipeline.update(upserts=[("a.mj", VERSIONS["a.mj"][1])])  # x.mj stays held
         held = pipeline.program.diagnostics.faults[0].raised
         assert type(held) is type(searched) and str(held) == str(searched)
+
+
+#: ``g.mj`` passes a ``Widget``'s name into an ``Object`` parameter of the
+#: API, so its one argument example depends on which ``Widget`` it names.
+LOG_API = SMALL_API + """
+package demo.log;
+public class Log {
+  public static void put(Object o);
+}
+"""
+GETS_NAME = """
+package c;
+import demo.log.Log;
+public class G {
+  public void g() { Widget w = new Widget(); Log.put(w.getName()); }
+}
+"""
+LOGGED = ["demo.log.Log.put(arg 0) <- λx. new demo.ui.Widget().getName() : void → java.lang.String"]
+
+
+@pytest.mark.parametrize(
+    "texts, suggested",
+    [(BASE, []), (BASE[:3] + [("g.mj", GETS_NAME)], LOGGED)],
+    ids=["u.mj", "g.mj"],
+)
+def test_argument_suggestions_after_a_failed_update_read_the_committed_state(texts, suggested):
+    # The failed attempt annotates the file that names Widget against
+    # w.mj's c.Widget, which has no getName.
+    registry = load_api_text(LOG_API)
+    prospector = Prospector(registry, pipeline=CorpusPipeline.build(registry, texts, lenient=False))
+    with pytest.raises(MjResolveError, match="c.Widget.getName"):
+        prospector.update_corpus(upserts=[("w.mj", VERSIONS["w.mj"][1])])
+    assert [str(e) for e in prospector.suggest_arguments("demo.log.Log", "put")] == suggested
+    assert prospector.observed_argument_types("demo.log.Log", "put") == (
+        ["java.lang.String"] if suggested else []
+    )
+    fresh = fresh_program(registry, texts)
+    assert annotation_dump(prospector.corpus.units) == annotation_dump(fresh.units)
+    assert prospector.corpus.texts == list(texts)
+
+
+def test_a_file_failing_on_misses_alone_is_blamed_without_trials(
+    standard_registry_and_corpus, monkeypatch
+):
+    # Adding one unresolvable file to the strict bundled corpus: its
+    # lookups all missed, so no other file's removal can help.
+    import repro.corpus.loader as loader
+
+    registry = standard_registry_and_corpus[0]
+    texts = corpus_texts()
+    pipeline = CorpusPipeline.build(registry, texts, lenient=False)
+    calls = []
+    resolve = loader.resolve_program
+
+    def counting(registry, units, cache=None):
+        calls.append(len(units))
+        return resolve(registry, units, cache=cache)
+
+    monkeypatch.setattr(loader, "resolve_program", counting)
+    with pytest.raises(MjResolveError, match="unknown type 'Nowhere'"):
+        pipeline.update(upserts=[("x.mj", VERSIONS["x.mj"][0])])
+    assert len(calls) <= 2
+    assert pipeline.texts == tuple(texts)
