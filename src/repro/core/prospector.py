@@ -8,6 +8,8 @@ engine, :meth:`complete` is the content-assist integration.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import os
 import time
 from dataclasses import dataclass, field
@@ -168,56 +170,59 @@ class Prospector:
         section's verdicts; a section that fails its manifest digest or
         fails to decode leaves it verdict-less and is recorded as a
         :data:`~repro.store.STAGE_ANALYSIS` fault.
+
+        The whole load runs under :func:`_collector_paused`.
         """
-        diagnostics = StoreDiagnostics()
-        loaded = load_with_recovery(SnapshotStore(path), diagnostics)
-        if loaded is None:
-            prospector = _rebuild_rung(rebuild, diagnostics, sleep)
-            prospector.store_diagnostics = diagnostics
-            return prospector
-        # The load audit built this very graph; reuse it when it has the
-        # flavour this instance serves.
-        graph = loaded.graph if loaded.public_only == config.public_only else None
-        pipeline = None
-        if loaded.manifest is not None:
-            data = try_load_stage_sidecar(path, loaded.manifest.stages_sha256)
-            if data is not None:
+        with _collector_paused():
+            diagnostics = StoreDiagnostics()
+            loaded = load_with_recovery(SnapshotStore(path), diagnostics)
+            if loaded is None:
+                prospector = _rebuild_rung(rebuild, diagnostics, sleep)
+                prospector.store_diagnostics = diagnostics
+                return prospector
+            # The load audit built this very graph; reuse it when it has the
+            # flavour this instance serves.
+            graph = loaded.graph if loaded.public_only == config.public_only else None
+            pipeline = None
+            if loaded.manifest is not None:
+                data = try_load_stage_sidecar(path, loaded.manifest.stages_sha256)
+                if data is not None:
+                    try:
+                        pipeline = CorpusPipeline.from_artifacts(
+                            loaded.registry,
+                            data,
+                            graph=graph,
+                            extraction=config.extraction,
+                            public_only=config.public_only,
+                        )
+                    except Exception:  # noqa: BLE001 — serve the snapshot's answers
+                        pass
+            prospector = cls(
+                loaded.registry,
+                None,
+                config,
+                clock,
+                mined=loaded.mined,
+                store_diagnostics=diagnostics,
+                pipeline=pipeline,
+                graph=graph,
+            )
+            if (
+                pipeline is None
+                and loaded.analysis is not None
+                and loaded.analysis_fault is None
+            ):
                 try:
-                    pipeline = CorpusPipeline.from_artifacts(
-                        loaded.registry,
-                        data,
-                        graph=graph,
-                        extraction=config.extraction,
-                        public_only=config.public_only,
+                    prospector.set_verdicts(
+                        CastVerdictIndex.from_dict(loaded.registry, loaded.analysis)
                     )
-                except Exception:  # noqa: BLE001 — serve the snapshot's answers
-                    pass
-        prospector = cls(
-            loaded.registry,
-            None,
-            config,
-            clock,
-            mined=loaded.mined,
-            store_diagnostics=diagnostics,
-            pipeline=pipeline,
-            graph=graph,
-        )
-        if (
-            pipeline is None
-            and loaded.analysis is not None
-            and loaded.analysis_fault is None
-        ):
-            try:
-                prospector.set_verdicts(
-                    CastVerdictIndex.from_dict(loaded.registry, loaded.analysis)
-                )
-            except Exception as exc:  # noqa: BLE001 — serve verdict-less
-                diagnostics.record(
-                    diagnostics.rung_used,
-                    STAGE_ANALYSIS,
-                    f"analysis section unusable: {exc!r}",
-                )
-        return prospector
+                except Exception as exc:  # noqa: BLE001 — serve verdict-less
+                    diagnostics.record(
+                        diagnostics.rung_used,
+                        STAGE_ANALYSIS,
+                        f"analysis section unusable: {exc!r}",
+                    )
+            return prospector
 
     def save_snapshot(self, path: os.PathLike, rotate: bool = True) -> SnapshotManifest:
         """Persist the registry + mined jungloids atomically (with
@@ -518,6 +523,28 @@ class Prospector:
                 **self.mining.trimming_summary(),
             }
         return info
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector: a load makes no cyclic garbage, so a
+    pass would only rescan live objects. If it was on, the exit moves
+    the new objects to the oldest generation (else the first query
+    rescans them), by ``freeze`` then ``unfreeze`` with no pass, or by
+    one generation-1 pass if ``unfreeze`` would thaw what a caller froze."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc.get_freeze_count():
+            gc.collect(1)
+        else:
+            gc.freeze()
+            gc.unfreeze()
+        gc.enable()
 
 
 def _rebuild_rung(

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from ..jungloids import ElementaryJungloid
-from ..jungloids.elementary import Member, free_variable_counts, member_jungloid
+from ..jungloids import ElementaryJungloid, ElementaryKind
+from ..jungloids.elementary import Member, free_variable_counts, member_jungloid, member_kind
 from ..typesystem import JavaType
 
 
@@ -73,6 +73,11 @@ class Edge:
     @staticmethod
     def of_member(source: Node, target: Node, member: Member, flow: int) -> "Edge":
         return _UnbuiltEdge(source, target, member, flow)
+
+    @property
+    def kind(self) -> ElementaryKind:
+        """The step's kind; a member edge reads it off its member."""
+        return self.elementary.kind if self.member is None else member_kind(self.member)
 
     @property
     def is_widening(self) -> bool:

@@ -48,7 +48,7 @@ def graph_stats(graph: SignatureGraph) -> GraphStats:
     by_kind: Dict[str, int] = {}
     total = 0
     for edge in graph.edges():
-        by_kind[edge.elementary.kind.value] = by_kind.get(edge.elementary.kind.value, 0) + 1
+        by_kind[edge.kind.value] = by_kind.get(edge.kind.value, 0) + 1
         total += 1
     typestates = sum(1 for n in graph.nodes if isinstance(n, TypestateNode))
     return GraphStats(

@@ -205,6 +205,15 @@ def member_output_type(member: Member) -> JavaType:
     return member.owner if isinstance(member, Constructor) else member.return_type
 
 
+def member_kind(member: Member) -> ElementaryKind:
+    """The kind of every elementary jungloid ``member`` induces."""
+    if isinstance(member, Field):
+        return ElementaryKind.FIELD_ACCESS
+    if isinstance(member, Constructor):
+        return ElementaryKind.CONSTRUCTOR
+    return ElementaryKind.STATIC_CALL if member.static else ElementaryKind.INSTANCE_CALL
+
+
 def _has_receiver(member: Member) -> bool:
     return isinstance(member, Method) and not member.static
 
@@ -245,12 +254,7 @@ def _variants(
     receiver when a parameter takes the flow; each variant's tuple is a
     slice of these, in declaration order.
     """
-    if isinstance(member, Field):
-        kind = ElementaryKind.FIELD_ACCESS
-    elif isinstance(member, Constructor):
-        kind = ElementaryKind.CONSTRUCTOR
-    else:
-        kind = ElementaryKind.STATIC_CALL if member.static else ElementaryKind.INSTANCE_CALL
+    kind = member_kind(member)
     params = getattr(member, "parameters", ())
     free = tuple(FreeVariable(_free_name_for(p.type, i + 1), p.type) for i, p in enumerate(params))
     receiver: Tuple[FreeVariable, ...] = ()

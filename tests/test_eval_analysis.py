@@ -1,9 +1,12 @@
 """Tests for the static-vs-dynamic agreement report (BENCH_analysis)."""
 
 import json
+import statistics
 
 import pytest
 
+from repro import Prospector
+from repro.data import standard_corpus
 from repro.eval import run_analysis_eval, write_bench_analysis
 from repro.eval.analysis import _write_bench_json
 
@@ -40,11 +43,21 @@ class TestCostMetrics:
         assert report.verdicts_per_second > 0
         assert report.verdict_lookups_timed > 0
 
-    def test_analyze_overhead_under_ten_percent(self, report):
+    def test_analyze_overhead_under_ten_percent(self, report, standard_registry_and_corpus):
         # Acceptance criterion: verdict computation adds <10% to the
-        # staged index build.
+        # staged index build. The analyze stage takes about a
+        # millisecond, so one build's ratio is mostly host noise: gate
+        # the median over five fresh bundled builds.
         assert report.build_overhead_pct is not None
-        assert report.build_overhead_pct < 10.0
+        registry, _ = standard_registry_and_corpus
+        ratios = [
+            run_analysis_eval(
+                Prospector(registry, standard_corpus(registry)), problems=(), timing_rounds=1
+            ).build_overhead_pct
+            for _ in range(5)
+        ]
+        assert None not in ratios
+        assert statistics.median(ratios) < 10.0
 
     def test_witnessed_pairs_counted(self, report):
         assert report.witnessed_pairs > 0

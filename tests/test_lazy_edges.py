@@ -14,7 +14,7 @@ import pytest
 
 from repro import Prospector
 from repro.apispec import SyntheticApiConfig, generate_synthetic_api
-from repro.graph import Edge, JungloidGraph, SignatureGraph, elementary_from_dict
+from repro.graph import Edge, JungloidGraph, SignatureGraph, elementary_from_dict, graph_stats
 from repro.jungloids import CostModel, ElementaryJungloid, Jungloid, downcast, instance_call
 from repro.jungloids.elementary import member_jungloid
 from repro.pipeline import CorpusPipeline
@@ -105,6 +105,13 @@ def test_a_fresh_build_builds_no_member_jungloid(synthetic_registry, member_buil
     graph.add_mined_path(mined)
     graph.remove_mined_path(mined)
     assert len(member_builds) == built
+
+
+@pytest.mark.parametrize("options", GRAPH_OPTIONS, ids=["public", "all", "downcasts"])
+def test_graph_stats_builds_no_member_jungloid(synthetic_registry, member_builds, options):
+    stats = graph_stats(SignatureGraph.from_registry(synthetic_registry, **options))
+    assert member_builds == []
+    assert stats == graph_stats(eager_signature_graph(synthetic_registry, **options))
 
 
 def test_a_member_edge_is_a_value_built_once(synthetic_registry, member_builds):

@@ -1,6 +1,7 @@
 """What a restart builds: the served graph once, laid out the same in
-every process, audited node by node."""
+every process, audited node by node, with no collector pass over it."""
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -13,7 +14,7 @@ import repro
 from repro import Prospector
 from repro.apispec import load_api_text
 from repro.graph import SignatureGraph
-from repro.store import audit_graph
+from repro.store import StoreRecoveryError, audit_graph
 
 from .audit_oracle import audit_graph_per_edge
 from .conftest import SMALL_API
@@ -105,3 +106,109 @@ class TestAuditAgainstOracle:
         issues = audit_graph(registry, graph)
         assert any("--> ISelection-1" in issue.where for issue in issues)
         assert issues == audit_graph_per_edge(registry, graph)
+
+
+@pytest.fixture(scope="module")
+def bundled_snapshot(tmp_path_factory, standard_prospector):
+    snap = tmp_path_factory.mktemp("restart") / "g.psnap"
+    standard_prospector.save_snapshot(snap)
+    return snap
+
+
+@pytest.fixture
+def collections():
+    """The generation of every collector pass, as it starts."""
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(record)
+    yield passes
+    gc.callbacks.remove(record)
+
+
+@pytest.fixture
+def collector_off():
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.fixture
+def frozen_heap():
+    """A caller that froze the heap it had, as a pre-fork server does."""
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+def _fail_to_rebuild():
+    raise OSError("corpus unreadable")
+
+
+def _exhaust_the_ladder(tmp_path):
+    with pytest.raises(StoreRecoveryError):
+        Prospector.from_snapshot(
+            tmp_path / "missing.psnap", rebuild=_fail_to_rebuild, sleep=lambda s: None
+        )
+
+
+class TestNoCollectorPasses:
+    """A load makes no cyclic garbage, so ``from_snapshot`` pauses the
+    collector and its exit moves the new objects to the oldest
+    generation without a pass. Pass counts are deterministic; the time
+    they save is not."""
+
+    def test_no_pass(self, bundled_snapshot, collections):
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        collections.clear()
+        loaded = Prospector.from_snapshot(bundled_snapshot)
+        assert collections == []
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        assert loaded.store_diagnostics.ok and loaded.pipeline is not None
+
+    def test_objects_a_caller_froze_stay_frozen(
+        self, bundled_snapshot, collections, frozen_heap
+    ):
+        collections.clear()
+        Prospector.from_snapshot(bundled_snapshot)
+        assert collections == [1]
+        # unfreeze would have emptied the permanent generation.
+        assert gc.isenabled() and gc.get_freeze_count() > 0
+
+    def test_a_collector_turned_off_stays_off(
+        self, bundled_snapshot, collections, collector_off
+    ):
+        loaded = Prospector.from_snapshot(bundled_snapshot)
+        assert collections == []
+        assert not gc.isenabled()
+        assert loaded.store_diagnostics.ok
+
+    def test_a_failed_ladder_turns_the_collector_back_on(self, tmp_path, collections):
+        collections.clear()
+        _exhaust_the_ladder(tmp_path)
+        assert gc.isenabled()
+        assert collections == []
+
+    def test_a_failed_ladder_leaves_the_collector_off(
+        self, tmp_path, collections, collector_off
+    ):
+        _exhaust_the_ladder(tmp_path)
+        assert not gc.isenabled()
+        assert collections == []
+
+    def test_a_clean_restart_leaves_no_cyclic_garbage(self, bundled_snapshot):
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            loaded = Prospector.from_snapshot(bundled_snapshot)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert loaded.store_diagnostics.ok and loaded.pipeline is not None
+        assert garbage == 0
