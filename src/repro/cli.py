@@ -653,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     iu = ix_sub.add_parser(
         "update",
         help="apply corpus file edits to an existing snapshot incrementally"
-        " (re-mines only touched files via the stage file)",
+        " (the stage file holds the corpus texts)",
     )
     iu.add_argument("path", help="snapshot file to update in place")
     iu.add_argument(

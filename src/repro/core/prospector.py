@@ -160,13 +160,13 @@ class Prospector:
 
         When the stage file next to the snapshot hashes to the loaded
         manifest's ``stages_sha256``, the incremental pipeline is
-        rehydrated from it over the audit graph, so :meth:`update_corpus`
-        stays incremental across restarts and the pipeline's verdicts
-        serve. A missing, damaged or foreign stage file (one saved with
-        another generation, as after a fall back to ``<path>.prev``)
-        leaves a query-only instance (updates then rebuild from
-        scratch) — the stage file is an accelerator, never a correctness
-        dependency. Such an instance serves the header ``analysis``
+        rebuilt from its texts over the audit graph (every loaded file
+        is mined and analyzed again), so :meth:`update_corpus` stays
+        incremental across restarts and the pipeline's verdicts serve.
+        A missing, damaged or foreign stage file (one saved with another
+        generation, as after a fall back to ``<path>.prev``) leaves a
+        query-only instance (updates then rebuild from scratch) — the
+        stage file holds the corpus, never an answer. Such an instance serves the header ``analysis``
         section's verdicts; a section that fails its manifest digest or
         fails to decode leaves it verdict-less and is recorded as a
         :data:`~repro.store.STAGE_ANALYSIS` fault.
@@ -228,11 +228,11 @@ class Prospector:
         """Persist the registry + mined jungloids atomically (with
         checksum manifest and a retained previous generation).
 
-        When the instance carries an incremental pipeline, its stage
-        artifacts are written first to the ``.stages`` file, whose
-        SHA-256 the snapshot's manifest then records, so a later
-        ``index update`` against this snapshot re-mines only touched
-        files."""
+        When the instance carries an incremental pipeline, its texts
+        and load discipline are written first to the ``.stages`` file,
+        whose SHA-256 the snapshot's manifest then records, so a restart
+        from this snapshot can rebuild the pipeline and update
+        incrementally."""
         stages_sha256 = (
             save_stage_sidecar(path, self.pipeline.to_stage_dict())
             if self.pipeline is not None

@@ -15,8 +15,8 @@ out: an *agreement rate* per population, and a *soundness* bit — the
 analyzer must never stamp ``JUSTIFIED`` on a jungloid that then throws
 ``ClassCastException`` (a ``PLAUSIBLE`` miss is imprecision; a
 ``JUSTIFIED`` miss is a bug). The report also times verdict lookups
-(verdicts/sec) and, when the prospector carries the staged pipeline,
-reads the analyze-stage share of the full build.
+(verdicts/sec). It is a correctness gate, not a build timer: the
+benchmark harness times the analyze stage.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class AnalysisEvalReport:
     #: Verdict lookups per second (composed per-jungloid verdicts).
     verdicts_per_second: float = 0.0
     verdict_lookups_timed: int = 0
-    #: Analyze-stage cost as a percentage of the rest of the build
-    #: (``analyze_ms / (total_ms - analyze_ms)``); ``None`` when the
-    #: prospector has no staged pipeline to read timings from.
-    build_overhead_pct: Optional[float] = None
-    analyze_ms: Optional[float] = None
-    build_total_ms: Optional[float] = None
 
     @property
     def soundness_ok(self) -> bool:
@@ -116,9 +110,6 @@ class AnalysisEvalReport:
             "witnessed_pairs": self.witnessed_pairs,
             "verdicts_per_second": self.verdicts_per_second,
             "verdict_lookups_timed": self.verdict_lookups_timed,
-            "build_overhead_pct": self.build_overhead_pct,
-            "analyze_ms": self.analyze_ms,
-            "build_total_ms": self.build_total_ms,
             "soundness_ok": self.soundness_ok,
         }
 
@@ -129,12 +120,6 @@ class AnalysisEvalReport:
             f"verdict lookups: {self.verdicts_per_second:,.0f}/s"
             f" ({self.verdict_lookups_timed} timed)"
         )
-        if self.build_overhead_pct is not None:
-            lines.append(
-                f"analyze stage: {self.analyze_ms:.2f} ms"
-                f" = {self.build_overhead_pct:.1f}% of the rest of the build"
-                f" ({self.build_total_ms:.2f} ms total)"
-            )
         lines.append(
             "soundness: "
             + ("ok (no JUSTIFIED cast failed)" if self.soundness_ok else "VIOLATED")
@@ -187,17 +172,6 @@ def run_analysis_eval(
         report.verdict_lookups_timed = rounds * len(judged)
         if elapsed > 0:
             report.verdicts_per_second = report.verdict_lookups_timed / elapsed
-
-    # Build overhead: the analyze stage's share of the staged build, read
-    # from the pipeline's own stage timings.
-    pipeline = prospector.pipeline
-    if pipeline is not None and pipeline.last_stats is not None:
-        timings = pipeline.last_stats.timings
-        rest = timings.total_ms - timings.analyze_ms
-        report.analyze_ms = timings.analyze_ms
-        report.build_total_ms = timings.total_ms
-        if rest > 0:
-            report.build_overhead_pct = timings.analyze_ms / rest * 100.0
 
     return report
 

@@ -4,8 +4,11 @@ See :mod:`.pipeline` for the stage breakdown. The public surface:
 
 * :class:`CorpusPipeline` — build once, then :meth:`~CorpusPipeline.update`
   with file-level edits; only touched artifacts recompute.
-* :class:`FileMineRecord` / stage (de)serializers — the persistable
-  per-file artifacts a snapshot's stage file stores.
+* :class:`FileMineRecord` — one file's mined examples and the
+  dependency fingerprints that keep them valid across updates (held in
+  memory only);
+* :func:`stages_to_dict` / :func:`check_stage_dict` — the stage file's
+  form: the corpus texts and load discipline a restart syncs from.
 * fingerprint helpers — content hashing and diffing for corpus files.
 """
 

@@ -1,4 +1,5 @@
-"""Per-file stage artifacts of the incremental mining pipeline.
+"""Per-file stage artifacts of the incremental mining pipeline, and the
+stage file's form.
 
 A :class:`FileMineRecord` is everything the extraction stage produced
 for one corpus file — its mined examples, its isolated per-cast faults,
@@ -14,12 +15,12 @@ cached examples are still valid:
   corpus supertypes), its declaring file's fingerprint (subtype tests
   and widening chains read the hierarchy those files define).
 
-Records serialize to plain JSON dicts so the snapshot store can persist
-the whole stage as its stage file; examples round-trip through the member
-serializers in :mod:`repro.graph.serialize`, which means deserialization
-needs the corpus-augmented registry (mined steps may reference client
-types) — the pipeline re-resolves its cached texts first and only then
-rehydrates records.
+Records live only in memory. A file's examples depend on nothing but
+the corpus texts (paper §4: slice each cast, then generalize), so the
+stage file persists the pipeline's *inputs* — the texts and the load
+discipline — and a restart mines them again, as it analyzes them again.
+Nothing derived is read back, so no stored result can disagree with
+what this build's extractor would mine.
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..graph import jungloid_from_dict, jungloid_to_dict
-from ..minijava.ast import Position
 from ..mining import ExampleJungloid
 from ..robustness import ExtractionFault
-from ..typesystem import TypeRegistry
 
 #: ``(source, content_fingerprint)`` of a dependency, or ``None`` when the
 #: dependency resolved to nothing (e.g. a method with no corpus body).
@@ -53,66 +51,6 @@ class FileMineRecord:
     #: corpus type name → declaring file fingerprint (hierarchy reads).
     type_deps: Dict[str, DepFingerprint] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "fingerprint": self.fingerprint,
-            "examples": [
-                {
-                    "steps": jungloid_to_dict(e.jungloid),
-                    "source": e.source,
-                    "method_name": e.method_name,
-                    "cast_position": [e.cast_position.line, e.cast_position.column],
-                }
-                for e in self.examples
-            ],
-            "faults": [
-                {
-                    "source": f.source,
-                    "method": f.method,
-                    "position": f.position,
-                    "error": f.error,
-                }
-                for f in self.faults
-            ],
-            "decl_deps": {k: list(v) if v else None for k, v in self.decl_deps.items()},
-            "site_deps": {k: [list(p) for p in v] for k, v in self.site_deps.items()},
-            "type_deps": {k: list(v) if v else None for k, v in self.type_deps.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, registry: TypeRegistry, data: dict) -> "FileMineRecord":
-        """Rehydrate a record; ``registry`` must contain API + corpus types."""
-        examples = [
-            ExampleJungloid(
-                jungloid=jungloid_from_dict(registry, e["steps"]),
-                source=e["source"],
-                method_name=e["method_name"],
-                cast_position=Position(*e["cast_position"]),
-            )
-            for e in data["examples"]
-        ]
-        if any(e.source != data["source"] for e in examples):
-            # Every example of a file comes from that file.
-            raise StageFormatError(f"record {data['source']!r} holds another file's examples")
-        faults = [ExtractionFault(**f) for f in data["faults"]]
-        return cls(
-            source=data["source"],
-            fingerprint=data["fingerprint"],
-            examples=examples,
-            faults=faults,
-            decl_deps={
-                k: tuple(v) if v else None for k, v in data["decl_deps"].items()
-            },
-            site_deps={
-                k: tuple(tuple(p) for p in v)
-                for k, v in data["site_deps"].items()
-            },
-            type_deps={
-                k: tuple(v) if v else None for k, v in data["type_deps"].items()
-            },
-        )
-
 
 #: Format tag guarding persisted stage artifacts against schema drift.
 STAGE_FORMAT = "prospector-stages-v1"
@@ -120,18 +58,14 @@ STAGE_FORMAT = "prospector-stages-v1"
 
 def stages_to_dict(
     texts: List[Tuple[str, str]],
-    records: Dict[str, FileMineRecord],
-    extraction_config: dict,
     min_precast_steps: int,
     lenient: bool,
     check: bool,
 ) -> dict:
-    """The persistable form of the pipeline's staged state."""
+    """The persistable form of the pipeline's inputs."""
     return {
         "format": STAGE_FORMAT,
         "texts": [[source, text] for source, text in texts],
-        "records": [records[s].to_dict() for s in sorted(records)],
-        "extraction_config": dict(extraction_config),
         "min_precast_steps": int(min_precast_steps),
         "lenient": bool(lenient),
         "check": bool(check),
@@ -143,14 +77,16 @@ class StageFormatError(ValueError):
 
 
 def check_stage_dict(data: object) -> dict:
-    """Validate the outer shape of a persisted stage payload."""
+    """Validate the outer shape of a persisted stage payload. Keys it does
+    not read (``records`` and ``extraction_config``, which older stage
+    files carry) are ignored."""
     if not isinstance(data, dict):
         raise StageFormatError(
             f"stage payload must be a JSON object, got {type(data).__name__}"
         )
     if data.get("format") != STAGE_FORMAT:
         raise StageFormatError(f"unknown stage format: {data.get('format')!r}")
-    for key in ("texts", "records", "extraction_config", "min_precast_steps"):
+    for key in ("texts", "min_precast_steps"):
         if key not in data:
             raise StageFormatError(f"stage payload missing key {key!r}")
     return data

@@ -83,13 +83,7 @@ from ..mining import (
 )
 from ..robustness import CorpusDiagnostics, PHASE_PARSE
 from ..typesystem import ArrayType, Method, NamedType, TypeRegistry
-from .artifacts import (
-    DepFingerprint,
-    FileMineRecord,
-    StageFormatError,
-    check_stage_dict,
-    stages_to_dict,
-)
+from .artifacts import DepFingerprint, FileMineRecord, check_stage_dict, stages_to_dict
 from .fingerprint import diff_fingerprints, fingerprint_texts
 
 
@@ -379,7 +373,6 @@ class CorpusPipeline:
         self._adopted = False
         #: The last sync committed, or raised before changing anything.
         self._settled = True
-        self._pending_record_dicts: Dict[str, dict] = {}
         #: ``None`` after a sync raised with the trie perhaps half edited.
         self._generalizer: Optional[IncrementalGeneralizer] = IncrementalGeneralizer(
             self.min_precast_steps
@@ -479,39 +472,26 @@ class CorpusPipeline:
         api_registry: TypeRegistry,
         data: dict,
         graph: Optional[JungloidGraph] = None,
-        extraction: Optional[ExtractionConfig] = None,
+        extraction: ExtractionConfig = ExtractionConfig(),
         public_only: bool = True,
     ) -> "CorpusPipeline":
-        """Rebuild a pipeline from persisted stage artifacts.
+        """Rebuild a pipeline from a persisted stage file: its texts and
+        load discipline, mined afresh under ``extraction``.
 
         ``graph`` (typically from a snapshot load) is adopted as the
         live graph; the initial sync then applies a suffix delta against
-        it — empty when the artifacts and snapshot agree, corrective
-        when they drifted. Cached mined examples are revalidated against
-        their recorded dependency fingerprints before reuse, so a
-        tampered or stale stage file degrades to re-mining, never to wrong
-        answers. Passing ``extraction`` different from the persisted
-        config discards the cached examples (they were mined under other
-        budgets).
+        it — empty when the snapshot holds what these texts mine,
+        corrective when it does not.
         """
         data = check_stage_dict(data)
-        try:
-            stored = ExtractionConfig(**data["extraction_config"])
-        except TypeError as exc:
-            raise StageFormatError(f"unknown extraction config fields: {exc}") from exc
-        config = extraction if extraction is not None else stored
         pipeline = cls(
             api_registry,
-            extraction=config,
+            extraction=extraction,
             min_precast_steps=int(data["min_precast_steps"]),
             lenient=bool(data.get("lenient", True)),
             check=bool(data.get("check", True)),
             public_only=public_only,
         )
-        if config == stored:
-            pipeline._pending_record_dicts = {
-                r["source"]: r for r in data["records"]
-            }
         if graph is not None:
             pipeline.graph = graph
             pipeline._adopted = True
@@ -536,15 +516,8 @@ class CorpusPipeline:
         return dict(self._records)
 
     def to_stage_dict(self) -> dict:
-        """The persistable stage artifacts (see :mod:`.artifacts`)."""
-        return stages_to_dict(
-            self._texts,
-            self._records,
-            asdict(self.extraction),
-            self.min_precast_steps,
-            self.lenient,
-            self.check,
-        )
+        """The persistable pipeline inputs (see :mod:`.artifacts`)."""
+        return stages_to_dict(self._texts, self.min_precast_steps, self.lenient, self.check)
 
     # ------------------------------------------------------------------
     # Updates
@@ -708,13 +681,6 @@ class CorpusPipeline:
                     continue
                 else:
                     rechecked.add(source)
-            elif source in self._pending_record_dicts:
-                try:
-                    old = FileMineRecord.from_dict(
-                        registry, self._pending_record_dicts[source]
-                    )
-                except Exception:
-                    old = None  # damaged artifact entry: degrade to re-mining
             if old is not None and self._record_valid(old, fp, deps):
                 new_records[source] = old
                 continue
@@ -772,8 +738,6 @@ class CorpusPipeline:
                     self._generalizer.remove(example)
                 except KeyError:
                     pass
-            # A rehydrated-but-valid record was never in the trie; the
-            # insert loop below covers it because identity differs.
         order = [s for s, _ in texts if s in new_records]
         fresh = [s for s in order if inserted.get(s) is not new_records[s]]
         for source in fresh:
@@ -855,7 +819,6 @@ class CorpusPipeline:
         self._deps = deps
         self._call_graph_current = True
         self._settled = True
-        self._pending_record_dicts = {}
         self._analysis_obs = new_obs
         self.program = program
         self.call_graph = call_graph

@@ -1,11 +1,12 @@
-"""Stage file: persisted incremental-pipeline state.
+"""Stage file: the inputs of the incremental pipeline.
 
 A snapshot (`.snap`) persists the *outputs* of a build — registry and
 mined jungloids — which is enough to answer queries after a restart but
-not enough to update incrementally: the per-file mined-example cache and
-its dependency fingerprints would be gone, forcing `index update` to
-re-mine everything. The stage file (``<snapshot>.stages``) persists
-exactly those stage artifacts as plain compact JSON, written atomically.
+not enough to update incrementally: the corpus texts would be gone. The
+stage file (``<snapshot>.stages``) persists the pipeline's inputs (the
+texts and the load discipline, :func:`repro.pipeline.stages_to_dict`)
+as plain compact JSON, written atomically. It holds nothing derived: a
+restart parses, resolves, mines and analyzes the texts again.
 
 The file has no envelope of its own. :func:`save_stage_sidecar` returns
 the SHA-256 of the bytes it wrote, the snapshot saved next records it in
@@ -15,9 +16,9 @@ parsing them. That one digest covers a torn or edited file and a file
 written for another generation — say the newer one, after recovery fell
 back to ``<path>.prev``.
 
-The stage file is strictly an accelerator: a missing, damaged or
-foreign file makes the loader return ``None`` and the caller rebuild —
-it can cost time, never an answer.
+A missing, damaged or foreign file makes the loader return ``None``
+and the caller serve the snapshot alone or rebuild — it can cost time,
+never an answer.
 """
 
 from __future__ import annotations

@@ -43,20 +43,16 @@ class TestCostMetrics:
         assert report.verdicts_per_second > 0
         assert report.verdict_lookups_timed > 0
 
-    def test_analyze_overhead_under_ten_percent(self, report, standard_registry_and_corpus):
+    def test_analyze_overhead_under_ten_percent(self, standard_registry_and_corpus):
         # Acceptance criterion: verdict computation adds <10% to the
         # staged index build. The analyze stage takes about a
         # millisecond, so one build's ratio is mostly host noise: gate
         # the median over five fresh bundled builds.
-        assert report.build_overhead_pct is not None
         registry, _ = standard_registry_and_corpus
-        ratios = [
-            run_analysis_eval(
-                Prospector(registry, standard_corpus(registry)), problems=(), timing_rounds=1
-            ).build_overhead_pct
-            for _ in range(5)
-        ]
-        assert None not in ratios
+        ratios = []
+        for _ in range(5):
+            timings = Prospector(registry, standard_corpus(registry)).pipeline.last_stats.timings
+            ratios.append(timings.analyze_ms / (timings.total_ms - timings.analyze_ms) * 100.0)
         assert statistics.median(ratios) < 10.0
 
     def test_witnessed_pairs_counted(self, report):

@@ -4,14 +4,18 @@ An instance can get its graph from a fresh build, an update, a restart
 from the current snapshot generation, a fall back to ``<path>.prev``
 after a torn save, a corpus rebuild after both generations are torn, a
 restart whose stage file is missing, edited, or from a schema-4
-snapshot's sidecar, or a restart after :func:`repair_snapshot` from any
+snapshot's sidecar, a restart whose stage file an older build saved
+with mine records, or a restart after :func:`repair_snapshot` from any
 rung. After each, the ranked answers and their verdicts must equal a
-fresh build of the texts that generation holds. The snapshot's manifest binds it to its stage file, so a stage
-file whose bytes do not hash to the loaded manifest's ``stages_sha256``
-must never be adopted: adopting one would serve another corpus.
+fresh build of the texts that generation holds. The snapshot's manifest
+binds it to its stage file, so a stage file whose bytes do not hash to
+the loaded manifest's ``stages_sha256`` must never be adopted: adopting
+one would serve another corpus. An adopted stage file gives the texts
+only: a restart mines them again.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -19,6 +23,10 @@ from repro import Prospector
 from repro.apispec import load_api_text
 from repro.core import repair_snapshot
 from repro.corpus import load_corpus_texts
+from repro.data import corpus_texts
+from repro.eval import TABLE1_PROBLEMS
+from repro.mining import ExtractionConfig
+from repro.pipeline import fingerprint_text
 from repro.store import (
     PREVIOUS_SUFFIX,
     RUNG_CURRENT,
@@ -27,11 +35,12 @@ from repro.store import (
     STAGE_ANALYSIS,
     SnapshotStore,
     payload_digest,
+    save_stage_sidecar,
     stage_sidecar_path,
 )
 
 from .conftest import SMALL_API, SMALL_CORPUS
-from .resolution_oracle import QUERIES, VERSIONS, ranked_answers
+from .resolution_oracle import QUERIES, VERSIONS, assert_matches_fresh, ranked_answers
 
 #: The queries, plus one whose answer ``h.mj`` mines.
 ROUTE_QUERIES = QUERIES + (("demo.ui.Viewer", "demo.ui.Item"),)
@@ -110,6 +119,10 @@ def edit_header(path, edit):
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
+def loaded_sources(prospector):
+    return tuple(u.source for u in prospector.pipeline.program.units)
+
+
 class TestRoutes:
     def test_fresh_build_and_update(self, want):
         registry = load_api_text(SMALL_API)
@@ -123,7 +136,7 @@ class TestRoutes:
     def test_current_generation_adopts_its_stage_file(self, snap, want):
         loaded = restart(snap)
         assert loaded.pipeline is not None
-        assert loaded.pipeline.last_stats.files_remined == ()
+        assert loaded.pipeline.last_stats.files_remined == loaded_sources(loaded)
         assert answers(loaded) == want["B"]
         # ... and updates incrementally from there.
         stats = loaded.update_corpus(upserts=[("h.mj", SMALL_CORPUS)])
@@ -238,8 +251,77 @@ class TestRepairRoutes:
         assert answers(repaired) == want["B"]
         loaded = restart(snap)
         assert loaded.pipeline is not None
-        assert loaded.pipeline.last_stats.files_remined == ()
+        assert loaded.pipeline.last_stats.files_remined == loaded_sources(loaded)
         assert answers(loaded) == want["B"]
         stats = loaded.update_corpus(upserts=[("h.mj", SMALL_CORPUS)])
         assert stats.files_remined == ("h.mj",)
         assert answers(loaded) == fresh_answers(TEXTS_B + [("h.mj", SMALL_CORPUS)])
+
+
+def stale_record(source, text):
+    """A mine record in the form older builds saved in the stage file:
+    it claims ``source`` mines nothing and records no dependency a check
+    could find stale, as one saved by an extractor that mined
+    differently would."""
+    return {
+        "source": source,
+        "fingerprint": fingerprint_text(text),
+        "examples": [],
+        "faults": [],
+        "decl_deps": {},
+        "site_deps": {},
+        "type_deps": {},
+    }
+
+
+def with_stale_record(snap, source, text):
+    """Rewrite the stage file in the older form, with a stale record for
+    ``source`` mined under the default extraction config, and re-bind
+    the manifest's ``stages_sha256`` to it."""
+    path = stage_sidecar_path(snap)
+    data = json.loads(path.read_bytes())
+    data["records"] = [stale_record(source, text)]
+    data["extraction_config"] = asdict(ExtractionConfig())
+    digest = save_stage_sidecar(snap, data)
+    edit_header(snap, lambda header: header["manifest"].update(stages_sha256=digest))
+
+
+def batch_answers(prospector, queries):
+    return [
+        [(s.jungloid.render_expression("x"), str(s.verdict)) for s in outcome.results]
+        for outcome in prospector.query_batch(queries)
+    ]
+
+
+class TestStageFileHoldsTheCorpus:
+    """A stage file gives a restart its texts; anything derived that an
+    older build saved in it is ignored."""
+
+    def test_a_restarted_pipeline_matches_a_fresh_build(self, snap):
+        loaded = restart(snap)
+        assert_matches_fresh(load_api_text(SMALL_API), loaded.pipeline, TEXTS_B)
+
+    def test_an_older_stage_file_is_adopted_and_its_records_ignored(self, snap, want):
+        with_stale_record(snap, "b.mj", VERSIONS["b.mj"][0])
+        loaded = restart(snap)
+        assert loaded.store_diagnostics.ok
+        assert loaded.pipeline is not None
+        assert loaded.pipeline.last_stats.files_remined == loaded_sources(loaded)
+        assert loaded.pipeline.records["b.mj"].examples  # mined, not the stale record
+        assert answers(loaded) == want["B"]
+
+    def test_a_stale_record_in_the_bundled_stage_file_is_not_served(
+        self, tmp_path, standard_prospector
+    ):
+        snap = tmp_path / "g.psnap"
+        standard_prospector.save_snapshot(snap)
+        with_stale_record(snap, "gef_canvas.mj", dict(corpus_texts())["gef_canvas.mj"])
+        loaded = restart(snap)
+        assert loaded.store_diagnostics.ok
+        assert loaded.pipeline is not None
+        assert loaded.pipeline.last_stats.files_remined == loaded_sources(loaded)
+        queries = [(p.t_in, p.t_out) for p in TABLE1_PROBLEMS]
+        assert len(queries) == 20
+        want = ranked_answers(standard_prospector, queries)
+        assert ranked_answers(loaded, queries) == want
+        assert batch_answers(loaded, queries) == batch_answers(standard_prospector, queries) == want
