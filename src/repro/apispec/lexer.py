@@ -3,14 +3,15 @@
 The stub language is a Java-signature subset: package headers, class and
 interface declarations with modifiers, and member signatures (no bodies).
 The lexer produces a flat token stream with line/column positions for
-error reporting; ``//`` and ``/* */`` comments are skipped.
+error reporting; ``//`` and ``/* */`` comments are skipped. It matches
+one compiled master pattern per token, as the mini-Java lexer does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
-from typing import Iterator, List
+from typing import List, NamedTuple
 
 from .errors import ApiLexError
 
@@ -70,8 +71,27 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+#: Skips whitespace and comments, then matches one token. An ASCII
+#: ``word`` always starts an identifier or keyword; a ``uword`` starts
+#: with a Unicode word character that is not a decimal digit, which
+#: :func:`tokenize` accepts only when ``str.isalpha`` does.
+_MASTER = re.compile(
+    r"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
+    (?:
+      (?P<word>[A-Za-z_$][\w$]*)
+    | (?P<punct>[{}()\[\],;.])
+    | (?P<uword>[^\W\d][\w$]*)
+    | (?P<open_comment>/\*)
+    | (?P<other>.)
+    | (?P<eof>\Z)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -86,55 +106,34 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize stub-file text, raising :class:`ApiLexError` on bad input."""
-    return list(_tokens(text))
-
-
-def _tokens(text: str) -> Iterator[Token]:
-    i = 0
-    line = 1
-    column = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            column = 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise ApiLexError("unterminated block comment", line, column)
-            skipped = text[i : end + 2]
-            newlines = skipped.count("\n")
+    tokens: List[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    new = tuple.__new__  # skips Token's Python-level __new__
+    ident, keyword = TokenKind.IDENT, TokenKind.KEYWORD
+    line, line_start = 1, 0  # line_start: index of the line's first char
+    pos = 0  # ``line`` and ``line_start`` hold at ``pos``, the last token's end
+    while True:
+        m = match(text, pos)
+        group = m.lastgroup
+        start, end = m.span(group)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
             if newlines:
                 line += newlines
-                column = len(skipped) - skipped.rfind("\n")
-            else:
-                column += len(skipped)
-            i = end + 2
-            continue
-        if ch.isalpha() or ch == "_" or ch == "$":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                i += 1
-            word = text[start:i]
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            yield Token(kind, word, line, column)
-            column += i - start
-            continue
-        if ch in _PUNCT:
-            yield Token(_PUNCT[ch], ch, line, column)
-            i += 1
-            column += 1
-            continue
-        raise ApiLexError(f"unexpected character {ch!r}", line, column)
-    yield Token(TokenKind.EOF, "", line, column)
+                line_start = text.rindex("\n", pos, start) + 1
+        column = start - line_start + 1
+        if group == "word" or (group == "uword" and text[start].isalpha()):
+            word = text[start:end]
+            append(new(Token, (keyword if word in KEYWORDS else ident, word, line, column)))
+        elif group == "punct":
+            ch = text[start]
+            append(new(Token, (_PUNCT[ch], ch, line, column)))
+        elif group == "eof":
+            append(Token(TokenKind.EOF, "", line, column))
+            return tokens
+        elif group == "open_comment":
+            raise ApiLexError("unterminated block comment", line, column)
+        else:
+            raise ApiLexError(f"unexpected character {text[start]!r}", line, column)
+        pos = end

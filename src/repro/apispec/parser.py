@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import ApiParseError
-from .lexer import KEYWORDS, Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, tokenize
 
 _PRIMITIVES = frozenset(
     {"boolean", "byte", "short", "char", "int", "long", "float", "double"}
@@ -102,19 +102,18 @@ class RawFile:
 class _Parser:
     def __init__(self, tokens: List[Token], source: str = "<api>"):
         self._tokens = tokens
+        self._last = len(tokens) - 1  # the EOF token's index
         self._pos = 0
+        self._cur = tokens[0]
         self._source = source
 
     # -- token plumbing -------------------------------------------------
 
-    @property
-    def _cur(self) -> Token:
-        return self._tokens[self._pos]
-
     def _advance(self) -> Token:
         tok = self._cur
-        if tok.kind is not TokenKind.EOF:
+        if self._pos < self._last:
             self._pos += 1
+            self._cur = self._tokens[self._pos]
         return tok
 
     def _error(self, message: str) -> ApiParseError:

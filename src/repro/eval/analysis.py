@@ -14,22 +14,19 @@ dynamic outcome (``CLASS_CAST`` or not). Two aggregate numbers fall
 out: an *agreement rate* per population, and a *soundness* bit — the
 analyzer must never stamp ``JUSTIFIED`` on a jungloid that then throws
 ``ClassCastException`` (a ``PLAUSIBLE`` miss is imprecision; a
-``JUSTIFIED`` miss is a bug). The report also times verdict lookups
-(verdicts/sec). It is a correctness gate, not a build timer: the
-benchmark harness times the analyze stage.
+``JUSTIFIED`` miss is a bug). The report is a correctness gate and
+holds no timer: the benchmark harness times the analyze stage.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..analysis import CastVerdict
 from ..core import Prospector
-from ..jungloids import Jungloid
 from ..runtime import Outcome, Runtime, eclipse_behavior_model
 from ..store import atomic_write_text
 from .problems import TABLE1_PROBLEMS, Table1Problem
@@ -91,9 +88,6 @@ class AnalysisEvalReport:
     )
     #: Distinct witnessed cast pairs in the verdict index.
     witnessed_pairs: int = 0
-    #: Verdict lookups per second (composed per-jungloid verdicts).
-    verdicts_per_second: float = 0.0
-    verdict_lookups_timed: int = 0
 
     @property
     def soundness_ok(self) -> bool:
@@ -108,18 +102,12 @@ class AnalysisEvalReport:
             "top_ranked": self.top_ranked.to_dict(),
             "mined_examples": self.mined_examples.to_dict(),
             "witnessed_pairs": self.witnessed_pairs,
-            "verdicts_per_second": self.verdicts_per_second,
-            "verdict_lookups_timed": self.verdict_lookups_timed,
             "soundness_ok": self.soundness_ok,
         }
 
     def format_report(self) -> str:
         lines = [str(self.top_ranked), str(self.mined_examples)]
         lines.append(f"witnessed cast pairs: {self.witnessed_pairs}")
-        lines.append(
-            f"verdict lookups: {self.verdicts_per_second:,.0f}/s"
-            f" ({self.verdict_lookups_timed} timed)"
-        )
         lines.append(
             "soundness: "
             + ("ok (no JUSTIFIED cast failed)" if self.soundness_ok else "VIOLATED")
@@ -132,7 +120,6 @@ def run_analysis_eval(
     problems: Sequence[Table1Problem] = TABLE1_PROBLEMS,
     top_k: int = 3,
     runtime: Optional[Runtime] = None,
-    timing_rounds: int = 20,
 ) -> AnalysisEvalReport:
     """Score the static analyzer against the mock runtime.
 
@@ -144,34 +131,17 @@ def run_analysis_eval(
     if prospector.verdicts is not None:
         report.witnessed_pairs = len(prospector.verdicts)
 
-    judged: List[Jungloid] = []
-
     for problem in problems:
         for result in prospector.query(problem.t_in, problem.t_out)[:top_k]:
             verdict = prospector.verify(result.jungloid).verdict
             outcome = runtime.execute(result.jungloid).outcome
             report.top_ranked.add(verdict, outcome)
-            judged.append(result.jungloid)
 
     if prospector.mining is not None:
         for example in prospector.mining.examples:
             verdict = prospector.verify(example.jungloid).verdict
             outcome = runtime.execute(example.jungloid).outcome
             report.mined_examples.add(verdict, outcome)
-            judged.append(example.jungloid)
-
-    # Throughput: composed per-jungloid verdicts over the population just
-    # judged, repeated enough rounds to get a measurable interval.
-    if judged:
-        rounds = max(1, int(timing_rounds))
-        start = time.perf_counter()
-        for _ in range(rounds):
-            for jungloid in judged:
-                prospector.verify(jungloid)
-        elapsed = time.perf_counter() - start
-        report.verdict_lookups_timed = rounds * len(judged)
-        if elapsed > 0:
-            report.verdicts_per_second = report.verdict_lookups_timed / elapsed
 
     return report
 

@@ -61,17 +61,19 @@ KEYWORDS = frozenset(
 )
 
 #: Skips whitespace and comments, then matches one token: one alternative
-#: per token class, tried in this order. ``word`` and ``int`` use Unicode
-#: classes: ``[^\W\d]`` is a superset of ``str.isalpha`` and ``\d`` a
-#: subset of ``str.isdigit``; :func:`tokenize` settles the few non-ASCII
-#: numerals on which they disagree.
+#: per token class, tried in this order. An ASCII ``word`` always starts
+#: an identifier or keyword; a ``uword`` uses the Unicode classes:
+#: ``[^\W\d]`` is a superset of ``str.isalpha`` and ``\d`` a subset of
+#: ``str.isdigit``, so :func:`tokenize` settles the few non-ASCII
+#: characters on which they disagree.
 _MASTER = re.compile(
     r"""
     (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
     (?:
-      (?P<word>(?:[^\W\d]|\$)[\w$]*)
+      (?P<word>[A-Za-z_$][\w$]*)
     | (?P<open_comment>/\*)
     | (?P<punct>==|!=|<=|>=|&&|\|\||[{}()\[\];,.=<>+\-*/%!])
+    | (?P<uword>[^\W\d][\w$]*)
     | (?P<int>\d[\dxXa-fA-FlL]*)
     | (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<char>'(?:\\.|[^\\])')
@@ -118,37 +120,44 @@ def tokenize(text: str) -> List[MjToken]:
     tokens: List[MjToken] = []
     append = tokens.append
     match = _MASTER.match
+    new = tuple.__new__  # skips MjToken's Python-level __new__
+    ident, keyword, punct = MjTokenKind.IDENT, MjTokenKind.KEYWORD, MjTokenKind.PUNCT
     line, line_start = 1, 0  # line_start: index of the line's first char
-    pos = counted = 0  # ``line`` counts the newlines before ``counted``
+    pos = 0  # ``line`` and ``line_start`` hold at ``pos``, the last token's end
     while True:
         m = match(text, pos)
         group = m.lastgroup
         start, end = m.span(group)
-        newlines = text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", counted, start) + 1
-        counted = start
+        if start != pos:
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, start) + 1
         column = start - line_start + 1
         if group == "word":
-            word = m.group(group)
-            first = word[0]
-            if first.isalpha() or first in "_$":
-                kind = MjTokenKind.KEYWORD if word in KEYWORDS else MjTokenKind.IDENT
-                append(MjToken(kind, word, line, column))
+            word = text[start:end]
+            append(new(MjToken, (keyword if word in KEYWORDS else ident, word, line, column)))
+        elif group == "punct":
+            append(new(MjToken, (punct, text[start:end], line, column)))
+        elif group == "uword":
+            first = text[start]
+            if first.isalpha():
+                append(MjToken(ident, text[start:end], line, column))
             elif first.isdigit():
                 end = _int_end(text, start + 1)
                 append(MjToken(MjTokenKind.INT_LIT, text[start:end], line, column))
             else:
                 raise MjLexError(f"unexpected character {first!r}", line, column)
-        elif group == "punct":
-            append(MjToken(MjTokenKind.PUNCT, m.group(group), line, column))
         elif group == "int":
             end = _int_end(text, end)
             append(MjToken(MjTokenKind.INT_LIT, text[start:end], line, column))
         elif group == "string" or group == "char":
             kind = MjTokenKind.STRING_LIT if group == "string" else MjTokenKind.CHAR_LIT
             append(MjToken(kind, text[start + 1 : end - 1], line, column))
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
         elif group == "eof":
             append(MjToken(MjTokenKind.EOF, "", line, column))
             return tokens

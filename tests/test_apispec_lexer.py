@@ -1,8 +1,12 @@
 """Tests for the .api stub lexer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apispec import ApiLexError, Token, TokenKind, tokenize
+from repro.data import api_stub_texts
+
+from .api_lexer_oracle import oracle_tokenize
 
 
 def kinds(text):
@@ -71,3 +75,56 @@ class TestHelpers:
         tok = Token(TokenKind.KEYWORD, "class", 1, 1)
         assert tok.is_keyword("class")
         assert not tok.is_keyword("interface")
+
+
+# ----------------------------------------------------------------------
+# Differential test against the original character loop
+# ----------------------------------------------------------------------
+
+#: Stub fragments: identifiers (ASCII and not), keywords, every
+#: punctuation mark, both comment kinds, CRLF and other whitespace, and
+#: the broken or stray pieces each error comes from.
+_FRAGMENTS = (
+    "x", "Foo", "_tmp", "$gen", "a1", "café", "πr", "Ⅻx", "java.lang.String",
+    "package", "class", "interface", "extends", "public", "static", "void", "int",
+    "{", "}", "(", ")", "[", "]", ",", ";", ".",
+    "// line", "// to eof", "/* block */", "/* multi\r\nline */", "/**/", "/*/", "*/",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\f", "\u00a0",
+    "/*", "/", "#", "@", "1", "²", "½", "=", "<", '"',
+)
+
+
+def _outcome(lex, source):
+    """The token tuples, or the error's message, line and column."""
+    try:
+        return [tuple(token) for token in lex(source)]
+    except ApiLexError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=12))
+    def test_fragments(self, parts):
+        source = "".join(parts)
+        assert _outcome(tokenize, source) == _outcome(oracle_tokenize, source)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(alphabet=" \t\r\n/*{}()[];,.xX_$é²½1#", max_size=30))
+    def test_characters(self, source):
+        assert _outcome(tokenize, source) == _outcome(oracle_tokenize, source)
+
+    def test_bundled_stubs(self):
+        for name, text in api_stub_texts():
+            assert _outcome(tokenize, text) == _outcome(oracle_tokenize, text), name
+
+    @pytest.mark.parametrize(
+        "source", ["a /* no end", "class\r\n  @", "x\n /* one\n */ ²", "½"]
+    )
+    def test_errors_keep_message_and_position(self, source):
+        outcome = _outcome(tokenize, source)
+        assert outcome[0] == "error"
+        assert outcome == _outcome(oracle_tokenize, source)
+
+    def test_eof_after_a_line_comment_is_past_the_comment(self):
+        assert tokenize("class // x")[-1] == (TokenKind.EOF, "", 1, 11)

@@ -13,7 +13,7 @@ from repro.eval.analysis import _write_bench_json
 
 @pytest.fixture(scope="module")
 def report(standard_prospector):
-    return run_analysis_eval(standard_prospector, timing_rounds=2)
+    return run_analysis_eval(standard_prospector)
 
 
 class TestAgreement:
@@ -39,10 +39,6 @@ class TestAgreement:
 
 
 class TestCostMetrics:
-    def test_verdict_throughput_measured(self, report):
-        assert report.verdicts_per_second > 0
-        assert report.verdict_lookups_timed > 0
-
     def test_analyze_overhead_under_ten_percent(self, standard_registry_and_corpus):
         # Acceptance criterion: verdict computation adds <10% to the
         # staged index build. The analyze stage takes about a

@@ -1,7 +1,10 @@
 """Tests for the mini-Java parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.apispec import SyntheticApiConfig, generate_synthetic_api
+from repro.data import corpus_texts
 from repro.minijava import (
     AssignStmt,
     BinaryExpr,
@@ -12,7 +15,9 @@ from repro.minijava import (
     FieldAccessExpr,
     IfStmt,
     LocalVarDecl,
+    MiniJavaError,
     MjParseError,
+    MjTokenKind,
     NewExpr,
     ReturnStmt,
     StringLit,
@@ -20,7 +25,11 @@ from repro.minijava import (
     VarRef,
     WhileStmt,
     parse_minijava,
+    tokenize,
 )
+
+from .parser_oracle import oracle_parse_minijava
+from .test_update_work import _corpusgen
 
 
 def parse_method_body(body, params="") -> Block:
@@ -98,6 +107,13 @@ class TestStatements:
         with pytest.raises(MjParseError):
             parse_method_body("f() = 1;")
 
+    def test_invalid_assignment_target_is_reported_at_the_target(self):
+        source = "class A {\n  void m() {\n    f() = x;\n    int y = 1;\n  }\n}"
+        with pytest.raises(MjParseError) as exc:
+            parse_minijava(source)
+        assert (exc.value.line, exc.value.column) == (3, 5)
+        assert "invalid assignment target (found 'f')" in str(exc.value)
+
     def test_if_else_and_while(self):
         body = parse_method_body(
             "if (a) { f(); } else g(); while (b) { h(); }", params="boolean a, boolean b"
@@ -165,6 +181,22 @@ class TestExpressions:
         assert plus.op == "+"
         assert plus.right.op == "*"
 
+    def test_binary_operators_are_left_associative(self):
+        expr = parse_expr("a - b - c", params="int a, int b, int c")
+        assert expr.op == "-" and expr.left.op == "-"
+        assert isinstance(expr.right, VarRef) and expr.right.name == "c"
+        # Each node sits at its operator token.
+        assert (expr.position.column, expr.left.position.column) == (
+            expr.left.right.position.column + 2,
+            expr.left.left.position.column + 2,
+        )
+
+    def test_string_literal_is_not_punctuation(self):
+        expr = parse_expr('f("(")')
+        assert isinstance(expr, CallExpr) and isinstance(expr.args[0], StringLit)
+        with pytest.raises(MjParseError, match="expected ';'"):
+            parse_expr('f "(" )')
+
     def test_unary_not(self):
         expr = parse_expr("!a", params="boolean a")
         assert expr.op == "!"
@@ -173,3 +205,104 @@ class TestExpressions:
         expr = parse_expr("(Foo) f()", params="")
         assert isinstance(expr, CastExpr)
         assert isinstance(expr.operand, CallExpr)
+
+
+# ----------------------------------------------------------------------
+# Differential test against the original parser
+# ----------------------------------------------------------------------
+
+#: Expression and statement fragments as token lists, joined by spaces.
+#: Atoms include a string literal whose text is ``(``.
+_ATOMS = st.sampled_from([
+    ["x"], ["a", ".", "b"], ["f", "(", ")"], ["g", "(", "x", ",", "1", ")"],
+    ["new", "A", "(", ")"], ["new", "a", ".", "B", "(", "x", ")"], ["this"], ["null"],
+    ["true"], ["false"], ["1"], ['"("'], ["'c'"], ["o", ".", "m", "(", "p", ")", ".", "q"],
+])
+_TYPES = st.sampled_from([
+    ["A"], ["int"], ["a", ".", "b", ".", "C"], ["A", "[", "]"], ["int", "[", "]", "[", "]"],
+])
+_BINARY_OPS = st.sampled_from(
+    ["||", "&&", "==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/", "%"]
+)
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.builds(lambda left, op, right: left + [op] + right, inner, _BINARY_OPS, inner),
+        st.builds(lambda op, operand: [op] + operand, st.sampled_from(["!", "-"]), inner),
+        # A cast, or a parenthesised expression that looks like one.
+        st.builds(lambda t, operand: ["("] + t + [")"] + operand, _TYPES, inner),
+        inner.map(lambda e: ["("] + e + [")"]),
+    ),
+    max_leaves=10,
+)
+_STATEMENTS = st.one_of(
+    _EXPRESSIONS.map(lambda e: e + [";"]),
+    st.builds(lambda target, value: target + ["="] + value + [";"], _EXPRESSIONS, _EXPRESSIONS),
+    st.builds(lambda t, init: t + ["v", "="] + init + [";"], _TYPES, _EXPRESSIONS),
+    _EXPRESSIONS.map(lambda e: ["return"] + e + [";"]),
+    st.builds(
+        lambda cond, e: ["if", "("] + cond + [")"] + e + [";", "else", "{", "}"],
+        _EXPRESSIONS, _EXPRESSIONS,
+    ),
+    _EXPRESSIONS.map(lambda e: ["while", "("] + e + [")", "{", "}"]),
+)
+_STRAY = st.sampled_from(
+    ["(", ")", ";", ".", "=", "+", "!", ",", "[", "]", "{", "}", "int", "A", "new", "return",
+     '"("', "')'"]
+)
+
+
+def _outcome(parse, source, name="<minijava>"):
+    """The AST, or the error's message, line and column."""
+    try:
+        return parse(source, name)
+    except MiniJavaError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+def _assert_agrees(source, name="<minijava>"):
+    assert _outcome(parse_minijava, source, name) == _outcome(
+        oracle_parse_minijava, source, name
+    ), name
+
+
+def _token_ends(text):
+    """The offset just past each token of ``text`` (EOF excluded)."""
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    quoted = (MjTokenKind.STRING_LIT, MjTokenKind.CHAR_LIT)
+    return [
+        line_starts[tok.line - 1] + tok.column - 1 + len(tok.text) + 2 * (tok.kind in quoted)
+        for tok in tokenize(text)[:-1]
+    ]
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_STATEMENTS, min_size=1, max_size=3), st.data())
+    def test_fragments(self, statements, data):
+        tokens = [tok for statement in statements for tok in statement]
+        edit = data.draw(st.sampled_from(["none", "drop", "stray"]))
+        if edit == "drop":
+            del tokens[data.draw(st.integers(0, len(tokens) - 1))]
+        elif edit == "stray":
+            tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(_STRAY))
+        _assert_agrees("class C {\n  void m() {\n    " + " ".join(tokens) + "\n  }\n}")
+
+    def test_bundled_corpus(self):
+        for name, text in corpus_texts():
+            _assert_agrees(text, name)
+
+    @pytest.mark.parametrize("seed", [7, 11, 20050612])
+    def test_generated_corpus(self, scale_api, seed):
+        for name, text in _corpusgen().generate_corpus(scale_api, files=100, seed=seed).texts():
+            _assert_agrees(text, name)
+
+    def test_bundled_files_truncated_after_every_seventh_token(self):
+        for name, text in corpus_texts():
+            for end in _token_ends(text)[6::7]:
+                _assert_agrees(text[:end], name)
+
+
+@pytest.fixture(scope="module")
+def scale_api():
+    return generate_synthetic_api(SyntheticApiConfig())
