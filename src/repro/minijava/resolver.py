@@ -162,9 +162,9 @@ class _Declared:
 
 class Dependents:
     """A reverse index over records: for each of its tables, each key a
-    record recorded -> the owners (unit ids, sources) whose records
-    recorded it. Most keys have one owner or a few, so owners are held
-    in tuples."""
+    record recorded -> its owners (unit ids, sources, or units'
+    (source, fingerprint)), once per occurrence. Most keys have one owner
+    or a few, so owners are held in tuples."""
 
     __slots__ = ("tables",)
 
@@ -180,7 +180,7 @@ class Dependents:
                 table[key] = table.get(key, ()) + (owner,)
 
     def remove(self, owner: Hashable, *keys: Iterable[Hashable]) -> None:
-        """Undo :meth:`add` with the same keys."""
+        """Undo :meth:`add` with the same keys: drop every occurrence."""
         for table, recorded in zip(self.tables, keys):
             for key in recorded:
                 owners = tuple(o for o in table.get(key, ()) if o != owner)

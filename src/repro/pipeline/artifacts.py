@@ -56,17 +56,11 @@ class FileMineRecord:
 STAGE_FORMAT = "prospector-stages-v1"
 
 
-def stages_to_dict(
-    texts: List[Tuple[str, str]],
-    min_precast_steps: int,
-    lenient: bool,
-    check: bool,
-) -> dict:
+def stages_to_dict(texts: List[Tuple[str, str]], lenient: bool, check: bool) -> dict:
     """The persistable form of the pipeline's inputs."""
     return {
         "format": STAGE_FORMAT,
         "texts": [[source, text] for source, text in texts],
-        "min_precast_steps": int(min_precast_steps),
         "lenient": bool(lenient),
         "check": bool(check),
     }
@@ -78,15 +72,14 @@ class StageFormatError(ValueError):
 
 def check_stage_dict(data: object) -> dict:
     """Validate the outer shape of a persisted stage payload. Keys it does
-    not read (``records`` and ``extraction_config``, which older stage
-    files carry) are ignored."""
+    not read (``records``, ``extraction_config`` and
+    ``min_precast_steps``, which older stage files carry) are ignored."""
     if not isinstance(data, dict):
         raise StageFormatError(
             f"stage payload must be a JSON object, got {type(data).__name__}"
         )
     if data.get("format") != STAGE_FORMAT:
         raise StageFormatError(f"unknown stage format: {data.get('format')!r}")
-    for key in ("texts", "min_precast_steps"):
-        if key not in data:
-            raise StageFormatError(f"stage payload missing key {key!r}")
+    if "texts" not in data:
+        raise StageFormatError("stage payload missing key 'texts'")
     return data

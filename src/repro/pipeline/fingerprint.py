@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 def fingerprint_text(text: str) -> str:
@@ -47,35 +47,18 @@ class FingerprintDiff:
     added: Tuple[str, ...]
     changed: Tuple[str, ...]
     removed: Tuple[str, ...]
-    unchanged: Tuple[str, ...]
 
     @property
     def is_empty(self) -> bool:
         return not (self.added or self.changed or self.removed)
-
-    @property
-    def touched(self) -> Tuple[str, ...]:
-        return self.added + self.changed
 
 
 def diff_fingerprints(
     old: Dict[str, str], new: Dict[str, str]
 ) -> FingerprintDiff:
     """Classify every source across two fingerprint maps."""
-    added: List[str] = []
-    changed: List[str] = []
-    unchanged: List[str] = []
-    for source, fp in new.items():
-        if source not in old:
-            added.append(source)
-        elif old[source] != fp:
-            changed.append(source)
-        else:
-            unchanged.append(source)
-    removed = [source for source in old if source not in new]
     return FingerprintDiff(
-        added=tuple(added),
-        changed=tuple(changed),
-        removed=tuple(removed),
-        unchanged=tuple(unchanged),
+        added=tuple(source for source in new if source not in old),
+        changed=tuple(source for source, fp in new.items() if old.get(source, fp) != fp),
+        removed=tuple(source for source in old if source not in new),
     )

@@ -2,54 +2,12 @@
 
 :class:`CorpusPipeline` is the one way a corpus becomes a graph (paper
 §4: slice each cast, generalize to suffixes, splice them into the
-signature graph), as explicit stages with cached, fingerprinted
-artifacts:
-
-1. **fingerprint** — SHA-256 every corpus file the last sync did not
-   commit as the same string; diff against the last sync. Identical
-   content means identical downstream artifacts.
-2. **parse** — per-file parse cache keyed by fingerprint; only touched
-   files are re-parsed, and parse failures are quarantined exactly like
-   :func:`repro.corpus.load_corpus_texts` does (strict mode raises the
-   first quarantined file's error after stage 3).
-3. **resolve/check** — every attempt declares the names of all live
-   units into a copy-on-write registry clone. A unit resolves its
-   supertypes and members again only when its
-   :class:`~repro.minijava.ResolutionCache` declaration record went
-   stale (a name they probed binds differently, or a new AST), and its
-   bodies only when its body entry went stale: a name the bodies probed
-   binds differently, or a corpus type they read changed its
-   declaration (new AST, shadowing class, new overload, edited
-   supertype). Only the records of units that probed a changed name or
-   read a changed type are checked; the cache's reverse indexes find
-   them. A unit's check issues are cached on the same entry, and
-   a file quarantined for lookups that found nothing stays out of the
-   joint attempt while they still find nothing (the quarantine memo).
-   Lenient quarantine semantics are shared with the corpus loader via
-   :func:`repro.corpus.resolve_and_check_lenient`.
-4. **call graph + mine + analyze** — the call graph is an index patched
-   from the previous one: only re-resolved units are walked again, CHA
-   targets are recomputed only above a class that changed, only a
-   changed unit's entries are replaced, and only the caller lists of
-   targets a changed unit names are rebuilt. Per-file
-   example extraction and cast observations are cached per fingerprint
-   plus the file's recorded slicing dependencies (inlined client bodies
-   and CHA caller sets queried by either interpretation, referenced
-   corpus-type hierarchy). The dependency maps are patched for the
-   changed units, and only the records of files that recorded a key
-   whose value changed are checked (a reverse index finds them); only
-   files whose content *or* dependencies changed are re-sliced. Only
-   cast pairs whose observations changed are classified again.
-5. **generalize** — an incremental reference-counted cast trie
-   (:class:`repro.mining.IncrementalGeneralizer`); re-mined files'
-   examples are removed/inserted, never the whole structure rebuilt,
-   and only they and the examples under a trie key those edits touched
-   get a new suffix.
-6. **graft** — the suffixes whose use count rose from or fell to zero
-   are spliced into / out of the live
-   :class:`~repro.graph.JungloidGraph`, whose edge journal lets a search
-   engine patch its compiled graph and keep the distance maps the
-   delta cannot move.
+signature graph). Each stage is one small object that owns its cached,
+fingerprinted artifacts and its reverse index, takes the upstream
+stage's change set and hands its own on, in this order: parse, resolve,
+call graph, mine, analyze, generalize, graft. :meth:`CorpusPipeline.sync`
+runs them, times each into :class:`StageTimings`, and commits each only
+after every stage has run.
 
 The pipeline's contract, enforced by the differential test suite: after
 any sequence of :meth:`update` calls, ranked query answers are identical
@@ -60,15 +18,16 @@ compiled search kernel don't move at all.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..analysis.castsafety import CastAnalyzer, CastObservation, build_verdict_index
 from ..analysis.verdicts import CastVerdictIndex
 from ..corpus import CorpusProgram, resolve_and_check_lenient
 from ..graph import JungloidGraph
-from ..graph.jungloid_graph import MinedDelta
 from ..jungloids import Jungloid
 from ..minijava import Dependents, MiniJavaError, ResolutionCache, parse_minijava
 from ..minijava.ast import CastExpr, CompilationUnit, Expr, method_expressions
@@ -87,10 +46,14 @@ from .artifacts import DepFingerprint, FileMineRecord, check_stage_dict, stages_
 from .fingerprint import diff_fingerprints, fingerprint_texts
 
 
-def _now_ms() -> float:
+def _timed(timings: "StageTimings", stage: str, run: Callable, *args):
+    """``run(*args)``, its CPU time stored as ``timings.<stage>_ms``."""
     # The calling thread's CPU time, as the benchmark measures: other
     # processes on a loaded host do not inflate a stage.
-    return time.thread_time() * 1000.0
+    t0 = time.thread_time()
+    out = run(*args)
+    setattr(timings, f"{stage}_ms", (time.thread_time() - t0) * 1000.0)
+    return out
 
 
 def _method_key(method: Method) -> str:
@@ -143,7 +106,7 @@ def _collect_named(t, out: Set[str]) -> None:
 
 
 def _referenced_corpus_types(
-    unit: CompilationUnit, registry: TypeRegistry, class_src: Dict[str, DepFingerprint]
+    unit: CompilationUnit, registry: TypeRegistry, class_src: Dict[str, tuple]
 ) -> Set[str]:
     """Type names the unit references, closed over corpus supertypes.
 
@@ -202,11 +165,11 @@ def _referenced_corpus_types(
 
 
 class _UnitDeps(NamedTuple):
-    """What one unit adds to the dependency maps; kept while its share of
+    """What one unit adds to the dependency index; kept while its share of
     the call graph is."""
 
     calls: UnitCalls
-    #: The unit's (source, fingerprint).
+    #: The unit's (source, fingerprint): its owner in the index.
     entry: Tuple[str, str]
     #: Keys of the methods whose bodies it declares.
     decls: Tuple[str, ...]
@@ -216,26 +179,10 @@ class _UnitDeps(NamedTuple):
     classes: Tuple[str, ...]
 
 
-class _DepMaps(NamedTuple):
-    """The current dependency fingerprints a mine record is checked against."""
-
-    #: Method key -> (source, fingerprint) of the unit declaring its body.
-    decl: Dict[str, Tuple[str, str]]
-    #: Method key -> (source, fingerprint) of every call site naming it, sorted.
-    site: Dict[str, Tuple[Tuple[str, str], ...]]
-    #: Simple class name -> (source, fingerprint) of the last unit, in
-    #: corpus order, declaring a class of that name.
-    types: Dict[str, Tuple[str, str]]
-    #: Simple class name -> ids of the units declaring it.
-    declarers: Dict[str, Tuple[int, ...]]
-    #: Files whose unchanged text was resolved again in this sync: their
-    #: annotations, which a slice reads, may differ from when a value
-    #: naming them was recorded.
-    rewritten: FrozenSet[str] = frozenset()
-
-
 #: A sync's dependency keys whose value changed: decl, site, type names.
 _Changed = Tuple[Set[str], Set[str], Set[str]]
+#: Mine records by source, in corpus order.
+_Records = Dict[str, FileMineRecord]
 
 
 @dataclass
@@ -253,21 +200,7 @@ class StageTimings:
 
     @property
     def total_ms(self) -> float:
-        return (
-            self.fingerprint_ms
-            + self.parse_ms
-            + self.resolve_ms
-            + self.callgraph_ms
-            + self.mine_ms
-            + self.analyze_ms
-            + self.generalize_ms
-            + self.graft_ms
-        )
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["total_ms"] = self.total_ms
-        return data
+        return sum(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
@@ -308,33 +241,494 @@ class PipelineUpdateStats:
     initial: bool = False
     timings: StageTimings = field(default_factory=StageTimings)
 
-    def to_dict(self) -> dict:
-        return {
-            "files_total": self.files_total,
-            "files_added": list(self.files_added),
-            "files_changed": list(self.files_changed),
-            "files_removed": list(self.files_removed),
-            "files_reresolved": list(self.files_reresolved),
-            "files_rechecked": list(self.files_rechecked),
-            "files_remined": list(self.files_remined),
-            "files_reused": self.files_reused,
-            "files_reanalyzed": list(self.files_reanalyzed),
-            "casts_reanalyzed": self.casts_reanalyzed,
-            "examples_total": self.examples_total,
-            "suffixes_total": self.suffixes_total,
-            "suffixes_added": self.suffixes_added,
-            "suffixes_removed": self.suffixes_removed,
-            "affected_targets": self.affected_targets,
-            "revision_before": self.revision_before,
-            "revision_after": self.revision_after,
-            "noop": self.noop,
-            "initial": self.initial,
-            "timings": self.timings.to_dict(),
-        }
-
 
 #: Parse-cache entry: (fingerprint, parsed unit or None, parse fault or None).
 _ParseEntry = Tuple[str, Optional[CompilationUnit], Optional[Exception]]
+
+
+class _ParseStage:
+    """Fingerprint and parse: SHA-256 every corpus file the last sync did
+    not commit as the same string and diff against the last sync
+    (identical content means identical downstream artifacts), then parse.
+    Owns the committed texts, their fingerprints and the per-file parse
+    cache keyed by fingerprint, so only touched files are re-parsed; parse
+    failures are quarantined exactly like
+    :func:`repro.corpus.load_corpus_texts` does (strict mode raises the
+    first quarantined file's error after the resolve stage). Takes the
+    new texts; hands on their fingerprints, then their units and parse
+    faults."""
+
+    def __init__(self) -> None:
+        self.texts: List[Tuple[str, str]] = []
+        self.fps: Dict[str, str] = {}
+        self.cache: Dict[str, _ParseEntry] = {}
+
+    def fingerprint(self, texts: List[Tuple[str, str]], stats: PipelineUpdateStats):
+        fps = fingerprint_texts(texts, {s: (t, self.fps[s]) for s, t in self.texts})
+        diff = diff_fingerprints(self.fps, fps)
+        stats.files_added, stats.files_changed = diff.added, diff.changed
+        stats.files_removed = diff.removed
+        return fps, diff
+
+    def run(self, texts: List[Tuple[str, str]], fps: Dict[str, str]):
+        cache: Dict[str, _ParseEntry] = {}
+        units: List[CompilationUnit] = []
+        faults: List[Tuple[str, Exception]] = []
+        for source, text in texts:
+            entry = self.cache.get(source)
+            if entry is None or entry[0] != fps[source]:
+                try:
+                    entry = (fps[source], parse_minijava(text, source), None)
+                except MiniJavaError as exc:
+                    entry = (fps[source], None, exc)
+            cache[source] = entry
+            if entry[1] is not None:
+                units.append(entry[1])
+            else:
+                faults.append((source, entry[2]))
+        self._next = (texts, fps, cache)
+        return units, faults
+
+    def commit(self) -> None:
+        self.texts, self.fps, self.cache = self._next
+
+
+class _ResolveStage:
+    """Resolve and check. Every attempt declares the names of all live
+    units into a copy-on-write registry clone. A unit resolves its
+    supertypes and members again only when its declaration record went
+    stale (a name they probed binds differently, or a new AST), and its
+    bodies only when its body entry went stale: a name the bodies probed
+    binds differently, or a corpus type they read changed its
+    declaration (new AST, shadowing class, new overload, edited
+    supertype). Only the records of units that probed a changed name or
+    read a changed type are checked; the cache's reverse indexes find
+    them. A unit's check issues are cached on the same entry, and a file
+    quarantined for lookups that found nothing stays out of the joint
+    attempt while they still find nothing (the quarantine memo). Lenient
+    quarantine semantics are shared with the corpus loader via
+    :func:`repro.corpus.resolve_and_check_lenient`.
+
+    Owns the :class:`~repro.minijava.ResolutionCache` (those records and
+    indexes); takes the parsed units, hands on the program, and leaves
+    the units whose bodies ran in ``cache.resolved`` and those whose
+    records were checked in ``cache.checked``."""
+
+    def __init__(self, api_registry: TypeRegistry, lenient: bool, check: bool):
+        self.api_registry, self.lenient, self.check = api_registry, lenient, check
+        self.cache = ResolutionCache()
+
+    def run(self, texts, units, faults, stats: PipelineUpdateStats) -> CorpusProgram:
+        self.cache.retain(units)
+        diagnostics = CorpusDiagnostics()
+        for source, exc in faults:
+            diagnostics.record(source, PHASE_PARSE, exc)
+        registry, loaded, corpus_types, report = resolve_and_check_lenient(
+            self.api_registry, units, diagnostics, self.check, self.cache
+        )
+        if not self.lenient:
+            diagnostics.raise_first()
+        diagnostics.loaded = [u.source for u in loaded]
+        stats.files_reresolved = tuple(u.source for u in loaded if id(u) in self.cache.resolved)
+        return CorpusProgram(
+            units=loaded,
+            registry=registry,
+            corpus_types=corpus_types,
+            check_report=report,
+            diagnostics=diagnostics if self.lenient else None,
+            texts=list(texts),
+        )
+
+
+class _CallGraphStage:
+    """Call graph and dependency index. The graph is patched from the
+    previous one: only re-resolved units are walked again, CHA targets
+    are recomputed only above a class that changed, only a changed
+    unit's entries are replaced, and only the caller lists of targets a
+    changed unit names are rebuilt.
+
+    Owns the graph the next build patches and the index a mine record is
+    checked against: a :class:`~repro.minijava.Dependents` whose owner is
+    each unit's (source, fingerprint) entry, with one table each for the
+    method keys whose bodies it declares, the keys its call sites name
+    (once per target of each site) and its class simple names. Takes the
+    program and the units resolved again; leaves the graph in ``graph``
+    and hands on the keys whose value changed, or ``None`` when any may
+    have."""
+
+    def __init__(self) -> None:
+        #: The graph of the last run; ``None`` after a sync raised, whose
+        #: resolution may have annotated its units since it was built.
+        self.graph: Optional[CallGraph] = None
+        #: Per unit id of the last committed graph: its keys in the index.
+        self.keys: Dict[int, _UnitDeps] = {}
+        #: Patched in place, so ``None`` after a sync raised.
+        self.index: Optional[Dependents] = None
+        #: Each loaded source's place in corpus order.
+        self.place: Dict[str, int] = {}
+        #: Files whose unchanged text was resolved again in this sync:
+        #: their annotations, which a slice reads, may differ from when a
+        #: value naming them was recorded.
+        self.rewritten: FrozenSet[str] = frozenset()
+
+    def decl(self, key: str) -> DepFingerprint:
+        """The unit declaring method ``key``'s body (a loaded corpus
+        declares each class once, so each key once)."""
+        owners = self.index.tables[0].get(key)
+        return owners[-1] if owners else None
+
+    def sites(self, key: str) -> Tuple[Tuple[str, str], ...]:
+        """The unit of every call site naming method ``key``, sorted."""
+        return tuple(sorted(self.index.tables[1].get(key, ())))
+
+    def declarer(self, name: str) -> DepFingerprint:
+        """The last unit, in corpus order, declaring a class ``name``."""
+        owners = self.index.tables[2].get(name)
+        return max(owners, key=lambda entry: self.place[entry[0]]) if owners else None
+
+    def record_calls(self, record: FileMineRecord, recorder: _RecordingCallGraph) -> None:
+        """Add the call-graph queries ``recorder`` saw to ``record``'s deps."""
+        for key in map(_method_key, recorder.decl_queries):
+            record.decl_deps[key] = self.decl(key)
+        for key in map(_method_key, recorder.site_queries):
+            record.site_deps[key] = self.sites(key)
+
+    def _values(self, keys: _Changed) -> Tuple[dict, ...]:
+        decls, sites, names = keys
+        return (
+            {k: self.decl(k) for k in decls},
+            {k: self.sites(k) for k in sites},
+            {n: self.declarer(n) for n in names},
+        )
+
+    def run(
+        self, program: CorpusProgram, fps: Dict[str, str], resolved: Set[int]
+    ) -> Optional[_Changed]:
+        """The index is patched for the units whose share of the call graph
+        was rebuilt and the units that are gone; a unit's keys are computed
+        again only when its share was rebuilt. With no index, or when kept
+        units moved relative to each other, it is built afresh."""
+        units = program.units
+        graph = self.graph = build_call_graph(program.registry, units, self.graph, resolved)
+        old = self.keys
+        self.rewritten = frozenset(u.source for u in units if id(u) in resolved and id(u) in old)
+        keys: Dict[int, _UnitDeps] = {}
+        fresh: List[_UnitDeps] = []
+        for unit in units:
+            calls = graph.units[id(unit)]
+            unit_keys = old.get(id(unit))
+            if unit_keys is None or unit_keys.calls is not calls:
+                unit_keys = _UnitDeps(
+                    calls,
+                    (unit.source, fps[unit.source]),
+                    tuple(_method_key(method) for method, _ in calls.methods),
+                    tuple(
+                        _method_key(target)
+                        for _, _, sites in calls.bodies
+                        for site in sites
+                        for target in site.targets
+                    ),
+                    tuple(cls.name for cls in unit.classes),
+                )
+                fresh.append(unit_keys)
+            keys[id(unit)] = unit_keys
+        self._next = keys
+        place = {unit.source: i for i, unit in enumerate(units)}
+        if self.index is None or [k for k in old if k in keys] != [k for k in keys if k in old]:
+            self.index, self.place = Dependents(3), place
+            for unit_keys in keys.values():
+                self.index.add(unit_keys.entry, *unit_keys[2:])
+            return None
+        gone = [unit_keys for k, unit_keys in old.items() if keys.get(k) is not unit_keys]
+        touched: _Changed = (set(), set(), set())
+        for unit_keys in gone + fresh:
+            for table, owned in zip(touched, unit_keys[2:]):
+                table.update(owned)
+        before = self._values(touched)
+        # A site's owners hold one entry per occurrence, so a unit's share
+        # of a site list is every occurrence of its entry.
+        for unit_keys in gone:
+            self.index.remove(unit_keys.entry, *unit_keys[2:])
+        for unit_keys in fresh:
+            self.index.add(unit_keys.entry, *unit_keys[2:])
+        self.place = place
+        changed = tuple(
+            {k for k, value in was.items() if now[k] != value}
+            for was, now in zip(before, self._values(touched))
+        )
+        for unit_keys in fresh:
+            if unit_keys.entry[0] in self.rewritten:
+                for table, owned in zip(changed, unit_keys[2:]):
+                    table.update(owned)
+        return changed
+
+    def commit(self) -> None:
+        self.keys = self._next
+
+
+class _MineStage:
+    """Mine. A file's examples are cached per fingerprint plus its
+    recorded slicing dependencies (inlined client bodies and CHA caller
+    sets queried by either interpretation, referenced corpus-type
+    hierarchy); only the records of files that recorded a changed key are
+    checked, and only files whose content *or* dependencies changed are
+    re-sliced. Owns each file's :class:`FileMineRecord` and a
+    :class:`~repro.minijava.Dependents` from every decl, site and
+    type-name key a record recorded to the sources whose records did.
+    Takes the changed keys; hands on the records and the re-mined files."""
+
+    def __init__(self, extraction: ExtractionConfig, deps: _CallGraphStage):
+        self.extraction, self.deps = extraction, deps
+        self.records: _Records = {}
+        self.users = Dependents(3)
+
+    def run(
+        self,
+        program: CorpusProgram,
+        fps: Dict[str, str],
+        changed: Optional[_Changed],
+        checked: Set[int],
+        stats: PipelineUpdateStats,
+    ) -> Tuple[_Records, Set[str]]:
+        # An unchanged file's record is checked only when it recorded a
+        # key whose value changed (or there is no change set).
+        suspects = self.users.of(*changed) | self.deps.rewritten if changed is not None else None
+        rechecked = {u.source for u in program.units if id(u) in checked}
+        records: _Records = {}
+        remined: List[str] = []
+        for unit in program.units:
+            source, fp = unit.source, fps[unit.source]
+            old = self.records.get(source)
+            if old is not None and old.fingerprint == fp:
+                if self.record_unaffected(old, fp, suspects):
+                    records[source] = old
+                    continue
+                rechecked.add(source)
+                if self.record_valid(old, fp, self.deps):
+                    records[source] = old
+                    continue
+            records[source] = self.mine_unit(unit, program, fp)
+            remined.append(source)
+        stats.files_remined = tuple(remined)
+        stats.files_reused = len(records) - len(remined)
+        stats.files_rechecked = tuple(u.source for u in program.units if u.source in rechecked)
+        return records, set(remined)
+
+    @staticmethod
+    def record_unaffected(record: FileMineRecord, fp: str, suspects: Optional[Set[str]]) -> bool:
+        """Is ``record`` the last sync's record of an unchanged file that
+        recorded no key whose value changed? It was valid against the last
+        sync's index, so :meth:`record_valid` would pass it."""
+        return suspects is not None and record.fingerprint == fp and record.source not in suspects
+
+    @staticmethod
+    def record_valid(record: FileMineRecord, fp: str, deps: _CallGraphStage) -> bool:
+        """Is a cached record still exact for the current corpus state?
+
+        Its file and every file a recorded value names must be unchanged,
+        and none of them resolved again (a file is resolved again when a
+        name it probed binds differently or a type it read changed, and
+        its annotations with it)."""
+        if (
+            record.fingerprint != fp
+            or record.source in deps.rewritten
+            or any(deps.decl(key) != want for key, want in record.decl_deps.items())
+            or any(deps.sites(key) != want for key, want in record.site_deps.items())
+            or any(deps.declarer(name) != want for name, want in record.type_deps.items())
+        ):
+            return False
+        if deps.rewritten:
+            named = [e for e in record.decl_deps.values() if e]
+            named += [e for entries in record.site_deps.values() for e in entries]
+            named += [e for e in record.type_deps.values() if e]
+            return not any(source in deps.rewritten for source, _ in named)
+        return True
+
+    def mine_unit(self, unit: CompilationUnit, program: CorpusProgram, fp: str) -> FileMineRecord:
+        """Slice one unit, recording its dependency fingerprints."""
+        deps = self.deps
+        recorder = _RecordingCallGraph(deps.graph)
+        extractor = JungloidExtractor(
+            program.registry, program.units, program.corpus_types, recorder, self.extraction
+        )
+        record = FileMineRecord(unit.source, fp, extractor.extract_unit(unit))
+        record.faults = list(extractor.faults)
+        names = _referenced_corpus_types(unit, program.registry, deps.index.tables[2])
+        record.type_deps = {name: deps.declarer(name) for name in names}
+        deps.record_calls(record, recorder)
+        return record
+
+    def commit(self, records: _Records, reanalyzed: Set[str]) -> None:
+        """Adopt ``records``, re-indexing the new ones and the re-analyzed
+        ones, whose call deps the analyzer extended."""
+        for source, old in self.records.items():
+            if records.get(source) is not old or source in reanalyzed:
+                self.users.remove(source, old.decl_deps, old.site_deps, old.type_deps)
+        for source, record in records.items():
+            if self.records.get(source) is not record or source in reanalyzed:
+                self.users.add(source, record.decl_deps, record.site_deps, record.type_deps)
+        self.records = records
+
+
+class _AnalyzeStage:
+    """Analyze. Owns each file's cast observations and the verdict index
+    over them; takes the records and the re-mined files, recomputes their
+    observations and classifies again only the cast pairs whose
+    observations changed; hands on the re-analyzed files."""
+
+    def __init__(self, extraction: ExtractionConfig, deps: _CallGraphStage):
+        self.extraction, self.deps = extraction, deps
+        self.observations: Dict[str, Tuple[CastObservation, ...]] = {}
+        self.verdicts: Optional[CastVerdictIndex] = None
+
+    def run(
+        self,
+        program: CorpusProgram,
+        records: _Records,
+        remined: Set[str],
+        stats: PipelineUpdateStats,
+    ) -> Set[str]:
+        # Re-mined files are re-analyzed, and the analyzer's call-graph
+        # queries join their recorded dependencies: its join reads every
+        # flow, where the extractor stops at its example cap or a fault.
+        observations: Dict[str, Tuple[CastObservation, ...]] = {}
+        reanalyzed: List[str] = []
+        recorder = _RecordingCallGraph(self.deps.graph)
+        analyzer = CastAnalyzer(
+            program.registry, program.units, program.corpus_types, recorder, self.extraction
+        )
+        for unit in program.units:
+            source = unit.source
+            cached = self.observations.get(source)
+            if cached is not None and source not in remined:
+                observations[source] = cached
+                continue
+            recorder.clear()
+            observations[source] = tuple(analyzer.analyze_unit(unit))
+            reanalyzed.append(source)
+            self.deps.record_calls(records[source], recorder)
+        merged = [obs for unit in program.units for obs in observations[unit.source]]
+        self._next = (observations, build_verdict_index(program.registry, merged, self.verdicts))
+        stats.files_reanalyzed = tuple(reanalyzed)
+        stats.casts_reanalyzed = sum(len(observations[s]) for s in reanalyzed)
+        return set(reanalyzed)
+
+    def commit(self) -> None:
+        self.observations, self.verdicts = self._next
+
+
+class _GeneralizeStage:
+    """Generalize. Owns the incremental reference-counted cast trie
+    (:class:`repro.mining.IncrementalGeneralizer`), each file's
+    generalized examples (in its record's order) and the mining result.
+    Takes the records the trie holds and the new ones: re-mined files'
+    examples are removed/inserted, never the whole structure rebuilt,
+    and only they and the examples under a trie key those edits touched
+    get a new suffix. Hands on the suffixes whose use count rose from
+    zero and fell to zero."""
+
+    def __init__(self) -> None:
+        #: ``None`` after a sync raised with the trie perhaps half edited.
+        self.generalizer: Optional[IncrementalGeneralizer] = IncrementalGeneralizer()
+        self.generalized: Dict[str, List[GeneralizedExample]] = {}
+        self.mining: Optional[MiningResult] = None
+
+    def run(
+        self, inserted: _Records, records: _Records, stats: PipelineUpdateStats
+    ) -> Tuple[List[Jungloid], Tuple[Jungloid, ...], Tuple[Jungloid, ...]]:
+        # Files whose record is not the one whose examples the trie holds
+        # lose their examples' results and get new ones; a kept file's
+        # results change only where the generalizer moved one.
+        if self.generalizer is None:
+            self.generalizer, inserted = IncrementalGeneralizer(), {}
+        trie, order = self.generalizer, list(records)
+        for source, old in inserted.items():
+            if records.get(source) is old:
+                continue
+            for example in old.examples:
+                with contextlib.suppress(KeyError):
+                    trie.remove(example)
+        fresh = [s for s in order if inserted.get(s) is not records[s]]
+        for source in fresh:
+            for example in records[source].examples:
+                trie.insert(example)
+        results = trie.generalize([e for s in fresh for e in records[s].examples])
+        generalized_by = {s: self.generalized.get(s, []) for s in order}
+        for source in fresh:
+            generalized_by[source] = []
+        for result in results:
+            generalized_by[result.example.source].append(result)
+        moved = {id(g.example): g for g in trie.moved}
+        for source in {g.example.source for g in trie.moved}:
+            generalized_by[source] = [moved.get(id(g.example), g) for g in generalized_by[source]]
+        generalized = [g for s in order for g in generalized_by[s]]
+        suffixes = unique_suffixes(generalized)
+        mining = MiningResult(
+            examples=[e for s in order for e in records[s].examples],
+            generalized=generalized,
+            suffixes=suffixes,
+            faults=[f for s in order for f in records[s].faults],
+        )
+        stats.examples_total, stats.suffixes_total = len(mining.examples), len(suffixes)
+        self._next = (generalized_by, mining)
+        # Suffixes are canonical objects: the ones whose use count rose
+        # from zero are new (grafted in the new list's order), the ones
+        # that fell to zero gone (in the old order).
+        born = {id(j) for j in trie.added}
+        died = {id(j) for j in trie.removed}
+        old = self.mining.suffixes if self.mining is not None else ()
+        added = tuple(j for j in suffixes if id(j) in born) if born else ()
+        removed = tuple(j for j in old if id(j) in died) if died else ()
+        return suffixes, added, removed
+
+    def commit(self) -> None:
+        self.generalized, self.mining = self._next
+
+
+class _GraftStage:
+    """Graft. Owns the live :class:`~repro.graph.JungloidGraph`, edited in
+    place; takes the suffix delta and splices it in / out. The graph's
+    edge journal lets a search engine patch its compiled graph and keep
+    the distance maps the delta cannot move."""
+
+    def __init__(self, api_registry: TypeRegistry, public_only: bool):
+        self.api_registry, self.public_only = api_registry, public_only
+        self.graph: Optional[JungloidGraph] = None
+        #: ``graph`` was adopted, not built here (see
+        #: :meth:`CorpusPipeline.from_artifacts`), or a sync raised after
+        #: perhaps editing it: the next graft diffs against its splices.
+        self.adopted = False
+
+    def run(
+        self,
+        suffixes: List[Jungloid],
+        added: Tuple[Jungloid, ...],
+        removed: Tuple[Jungloid, ...],
+        stats: PipelineUpdateStats,
+    ) -> None:
+        if self.graph is None:
+            self.graph = JungloidGraph.build(
+                self.api_registry, suffixes, public_only=self.public_only
+            )
+            stats.suffixes_added = len(suffixes)
+            stats.affected_targets = self.graph.node_count()
+            stats.revision_after = self.graph.revision
+            return
+        if self.adopted:
+            # Diff against the adopted graph's splices, in its order.
+            live = dict.fromkeys(self.graph.mined_suffix_keys())
+            new = {j.steps for j in suffixes}
+            added = tuple(j for j in suffixes if j.steps not in live)
+            removed = tuple(Jungloid(key) for key in live if key not in new)
+        applied = self.graph.apply_mined_delta(added, removed)
+        stats.suffixes_added = len(added)
+        stats.suffixes_removed = len(removed)
+        stats.affected_targets = len(applied.affected_targets)
+        stats.revision_before = applied.revision_before
+        stats.revision_after = applied.revision_after
+
+    def commit(self) -> None:
+        self.adopted = False
 
 
 class CorpusPipeline:
@@ -350,53 +744,28 @@ class CorpusPipeline:
         self,
         api_registry: TypeRegistry,
         extraction: ExtractionConfig = ExtractionConfig(),
-        min_precast_steps: int = 1,
         lenient: bool = True,
         check: bool = True,
         public_only: bool = True,
     ):
         self.api_registry = api_registry
         self.extraction = extraction
-        self.min_precast_steps = int(min_precast_steps)
         self.lenient = bool(lenient)
         self.check = bool(check)
         self.public_only = bool(public_only)
 
-        self._texts: List[Tuple[str, str]] = []
-        self._fingerprints: Dict[str, str] = {}
-        self._parse_cache: Dict[str, _ParseEntry] = {}
-        #: Body-resolution records of the parsed units (see stage 3).
-        self._resolution_cache = ResolutionCache()
-        self._records: Dict[str, FileMineRecord] = {}
-        #: ``graph`` was adopted, not built here: the first sync diffs
-        #: against its splices (see :meth:`from_artifacts`).
-        self._adopted = False
+        self._parse = _ParseStage()
+        self._resolve = _ResolveStage(api_registry, self.lenient, self.check)
+        self._calls = _CallGraphStage()
+        self._mine = _MineStage(extraction, self._calls)
+        self._analyze = _AnalyzeStage(extraction, self._calls)
+        self._generalize = _GeneralizeStage()
+        self._graft = _GraftStage(api_registry, self.public_only)
         #: The last sync committed, or raised before changing anything.
         self._settled = True
-        #: ``None`` after a sync raised with the trie perhaps half edited.
-        self._generalizer: Optional[IncrementalGeneralizer] = IncrementalGeneralizer(
-            self.min_precast_steps
-        )
-        #: Each file's generalized examples, in its record's order.
-        self._generalized: Dict[str, List[GeneralizedExample]] = {}
-        #: Per unit id: what it adds to the dependency maps.
-        self._dep_keys: Dict[int, _UnitDeps] = {}
-        #: The dependency maps of the last sync, and the sources whose
-        #: records recorded each decl, site and type-name key.
-        self._deps: Optional[_DepMaps] = None
-        self._users = Dependents(3)
-        #: ``call_graph`` was built after its units' last resolution, so
-        #: the next build can start from it.
-        self._call_graph_current = False
-        #: Per-file cast observations; invalidated with files_remined.
-        self._analysis_obs: Dict[str, Tuple[CastObservation, ...]] = {}
 
         self.program: Optional[CorpusProgram] = None
         self.call_graph: Optional[CallGraph] = None
-        self.mining: Optional[MiningResult] = None
-        self.graph: Optional[JungloidGraph] = None
-        #: The cast-verdict index for the current corpus state.
-        self.verdicts: Optional[CastVerdictIndex] = None
         self.last_stats: Optional[PipelineUpdateStats] = None
 
     # ------------------------------------------------------------------
@@ -421,7 +790,6 @@ class CorpusPipeline:
         api_registry: TypeRegistry,
         program: CorpusProgram,
         extraction: ExtractionConfig = ExtractionConfig(),
-        min_precast_steps: int = 1,
         public_only: bool = True,
         check: Optional[bool] = None,
     ) -> "CorpusPipeline":
@@ -445,7 +813,6 @@ class CorpusPipeline:
         pipeline = cls(
             api_registry,
             extraction=extraction,
-            min_precast_steps=min_precast_steps,
             lenient=program.diagnostics is not None,
             check=program.check_report is not None if check is None else check,
             public_only=public_only,
@@ -455,14 +822,11 @@ class CorpusPipeline:
             # Seed the parse and resolution caches with the program's so
             # the initial sync only re-declares and mines.
             program.resolution_cache = None
-            pipeline._resolution_cache = cache
+            pipeline._resolve.cache = cache
             fps = fingerprint_texts(program.texts)
-            for unit in [*program.units, *program.quarantined_units]:
-                if unit.source in fps:
-                    pipeline._parse_cache[unit.source] = (fps[unit.source], unit, None)
-            for source, exc in program.parse_faults:
-                if source in fps:
-                    pipeline._parse_cache[source] = (fps[source], None, exc)
+            parsed = [(u.source, u, None) for u in [*program.units, *program.quarantined_units]]
+            parsed += [(source, None, exc) for source, exc in program.parse_faults]
+            pipeline._parse.cache = {s: (fps[s], u, exc) for s, u, exc in parsed if s in fps}
         pipeline.sync(program.texts)
         return pipeline
 
@@ -487,16 +851,13 @@ class CorpusPipeline:
         pipeline = cls(
             api_registry,
             extraction=extraction,
-            min_precast_steps=int(data["min_precast_steps"]),
             lenient=bool(data.get("lenient", True)),
             check=bool(data.get("check", True)),
             public_only=public_only,
         )
         if graph is not None:
-            pipeline.graph = graph
-            pipeline._adopted = True
-        texts = [(str(s), t) for s, t in data["texts"]]
-        pipeline.sync(texts)
+            pipeline._graft.graph, pipeline._graft.adopted = graph, True
+        pipeline.sync([(str(s), t) for s, t in data["texts"]])
         return pipeline
 
     # ------------------------------------------------------------------
@@ -505,19 +866,32 @@ class CorpusPipeline:
 
     @property
     def texts(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple(self._texts)
+        return tuple(self._parse.texts)
+
+    @property
+    def graph(self) -> Optional[JungloidGraph]:
+        return self._graft.graph
+
+    @property
+    def mining(self) -> Optional[MiningResult]:
+        return self._generalize.mining
+
+    @property
+    def verdicts(self) -> Optional[CastVerdictIndex]:
+        """The cast-verdict index for the current corpus state."""
+        return self._analyze.verdicts
 
     @property
     def suffixes(self) -> Tuple[Jungloid, ...]:
         return tuple(self.mining.suffixes) if self.mining is not None else ()
 
     @property
-    def records(self) -> Dict[str, FileMineRecord]:
-        return dict(self._records)
+    def records(self) -> _Records:
+        return dict(self._mine.records)
 
     def to_stage_dict(self) -> dict:
         """The persistable pipeline inputs (see :mod:`.artifacts`)."""
-        return stages_to_dict(self._texts, self.min_precast_steps, self.lenient, self.check)
+        return stages_to_dict(self._parse.texts, self.lenient, self.check)
 
     # ------------------------------------------------------------------
     # Updates
@@ -537,24 +911,15 @@ class CorpusPipeline:
         """Apply file-level edits: replace/add ``upserts``, drop ``removes``.
 
         Replaced files keep their position in corpus order; new files
-        append. Equivalent to a full :meth:`sync` of the edited text
-        list, which is exactly what the differential suite checks.
+        append, in the order they are first named. A source named twice
+        takes its last text. Equivalent to a full :meth:`sync` of the
+        edited text list, which is exactly what the differential suite
+        checks.
         """
-        upserts = [(str(s), t) for s, t in upserts]
+        pending = {str(s): t for s, t in upserts}
         removed = {str(s) for s in removes}
-        pending = dict(upserts)
-        texts: List[Tuple[str, str]] = []
-        for source, text in self._texts:
-            if source in removed:
-                continue
-            if source in pending:
-                texts.append((source, pending.pop(source)))
-            else:
-                texts.append((source, text))
-        for source, text in upserts:
-            if source in pending and source not in removed:
-                texts.append((source, text))
-                pending.pop(source)
+        texts = [(s, pending.pop(s, t)) for s, t in self._parse.texts if s not in removed]
+        texts += [(s, t) for s, t in pending.items() if s not in removed]
         return self.sync(texts)
 
     def sync(self, texts: Iterable[Tuple[str, str]]) -> PipelineUpdateStats:
@@ -568,28 +933,12 @@ class CorpusPipeline:
         before anything is committed.
         """
         texts = [(str(s), t) for s, t in texts]
-        stats = PipelineUpdateStats(initial=self.graph is None)
-        timings = stats.timings
-
-        # -- Stage 1: fingerprint ---------------------------------------
-        t0 = _now_ms()
-        new_fps = fingerprint_texts(
-            texts, {s: (t, self._fingerprints[s]) for s, t in self._texts}
-        )
-        diff = diff_fingerprints(self._fingerprints, new_fps)
-        timings.fingerprint_ms = _now_ms() - t0
-        stats.files_total = len(texts)
-        stats.files_added = diff.added
-        stats.files_changed = diff.changed
-        stats.files_removed = diff.removed
-        if (
-            diff.is_empty
-            and self._settled
-            and self.graph is not None
-            and [s for s, _ in texts] == [s for s, _ in self._texts]
-        ):
-            stats.noop = True
-            stats.files_reused = len(self._records)
+        stats = PipelineUpdateStats(initial=self.graph is None, files_total=len(texts))
+        timed = functools.partial(_timed, stats.timings)
+        fps, diff = timed("fingerprint", self._parse.fingerprint, texts, stats)
+        same_order = [s for s, _ in texts] == [s for s, _ in self._parse.texts]
+        if diff.is_empty and self._settled and self.graph is not None and same_order:
+            stats.noop, stats.files_reused = True, len(self._mine.records)
             stats.examples_total = len(self.mining.examples) if self.mining else 0
             stats.suffixes_total = len(self.suffixes)
             stats.revision_before = stats.revision_after = self.graph.revision
@@ -599,429 +948,44 @@ class CorpusPipeline:
             self._forget_attempt()
         self._settled = False
 
-        # -- Stage 2: parse (per-file cache) ----------------------------
-        t0 = _now_ms()
-        new_parse: Dict[str, _ParseEntry] = {}
-        units_all: List[CompilationUnit] = []
-        parse_faults: List[Tuple[str, Exception]] = []
-        for source, text in texts:
-            fp = new_fps[source]
-            cached = self._parse_cache.get(source)
-            if cached is not None and cached[0] == fp:
-                new_parse[source] = cached
-                if cached[1] is not None:
-                    units_all.append(cached[1])
-                elif cached[2] is not None:
-                    parse_faults.append((source, cached[2]))
-                continue
-            try:
-                unit = parse_minijava(text, source)
-            except MiniJavaError as exc:
-                new_parse[source] = (fp, None, exc)
-                parse_faults.append((source, exc))
-                continue
-            new_parse[source] = (fp, unit, None)
-            units_all.append(unit)
-        timings.parse_ms = _now_ms() - t0
-
-        # -- Stage 3: resolve + check (bodies only where lookups changed) -
-        t0 = _now_ms()
-        cache = self._resolution_cache
-        cache.retain(units_all)
-        previous_graph = self.call_graph if self._call_graph_current else None
-        self._call_graph_current = False
-        diagnostics = CorpusDiagnostics()
-        for source, exc in parse_faults:
-            diagnostics.record(source, PHASE_PARSE, exc)
-        registry, units, corpus_types, report = resolve_and_check_lenient(
-            self.api_registry, units_all, diagnostics, self.check, cache
+        units, faults = timed("parse", self._parse.run, texts, fps)
+        program = timed("resolve", self._resolve.run, texts, units, faults, stats)
+        changed = timed("callgraph", self._calls.run, program, fps, self._resolve.cache.resolved)
+        records, remined = timed(
+            "mine", self._mine.run, program, fps, changed, self._resolve.cache.checked, stats
         )
-        if not self.lenient:
-            diagnostics.raise_first()
-        diagnostics.loaded = [u.source for u in units]
-        program = CorpusProgram(
-            units=units,
-            registry=registry,
-            corpus_types=corpus_types,
-            check_report=report,
-            diagnostics=diagnostics if self.lenient else None,
-            texts=list(texts),
+        reanalyzed = timed("analyze", self._analyze.run, program, records, remined, stats)
+        suffixes, added, removed = timed(
+            "generalize", self._generalize.run, self._mine.records, records, stats
         )
-        timings.resolve_ms = _now_ms() - t0
-        stats.files_reresolved = tuple(
-            u.source for u in units if id(u) in cache.resolved
-        )
+        timed("graft", self._graft.run, suffixes, added, removed, stats)
 
-        # -- Stage 4a: call graph + dependency fingerprint maps ---------
-        t0 = _now_ms()
-        call_graph = build_call_graph(registry, units, previous_graph, cache.resolved)
-        rewritten = frozenset(
-            u.source for u in units if id(u) in cache.resolved and id(u) in self._dep_keys
-        )
-        deps, dep_keys, changed = self._dep_maps(call_graph, units, new_fps, rewritten)
-        timings.callgraph_ms = _now_ms() - t0
-
-        # -- Stage 4b: mine (per-file cache + dependency validation) ----
-        # An unchanged file's record is checked only when it recorded a
-        # key whose value changed (or there is no change set).
-        t0 = _now_ms()
-        suspects = self._users.of(*changed) | rewritten if changed is not None else None
-        rechecked = {u.source for u in units if id(u) in cache.checked}
-        new_records: Dict[str, FileMineRecord] = {}
-        remined: List[str] = []
-        for unit in units:
-            source = unit.source
-            fp = new_fps[source]
-            old = self._records.get(source)
-            if old is not None:
-                if old.fingerprint != fp:
-                    old = None  # the file changed
-                elif self._record_unaffected(old, fp, suspects):
-                    new_records[source] = old
-                    continue
-                else:
-                    rechecked.add(source)
-            if old is not None and self._record_valid(old, fp, deps):
-                new_records[source] = old
-                continue
-            new_records[source] = self._mine_unit(
-                unit, registry, units, corpus_types, call_graph, deps, fp
-            )
-            remined.append(source)
-        timings.mine_ms = _now_ms() - t0
-        stats.files_remined = tuple(remined)
-        stats.files_reused = len(new_records) - len(remined)
-        stats.files_rechecked = tuple(u.source for u in units if u.source in rechecked)
-
-        # -- Stage 4c: analyze (cast observations, per-file cache) ------
-        # Re-mined files are re-analyzed, and the analyzer's call-graph
-        # queries join their recorded dependencies: its join reads every
-        # flow, where the extractor stops at its example cap or a fault.
-        t0 = _now_ms()
-        new_obs: Dict[str, Tuple[CastObservation, ...]] = {}
-        reanalyzed: List[str] = []
-        remined_set = set(remined)
-        recorder = _RecordingCallGraph(call_graph)
-        analyzer = CastAnalyzer(registry, units, corpus_types, recorder, self.extraction)
-        for unit in units:
-            source = unit.source
-            cached_obs = self._analysis_obs.get(source)
-            if cached_obs is not None and source not in remined_set:
-                new_obs[source] = cached_obs
-                continue
-            recorder.clear()
-            new_obs[source] = tuple(analyzer.analyze_unit(unit))
-            reanalyzed.append(source)
-            _record_call_deps(new_records[source], recorder, deps)
-        verdicts = build_verdict_index(
-            registry,
-            [obs for unit in units for obs in new_obs[unit.source]],
-            self.verdicts,
-        )
-        timings.analyze_ms = _now_ms() - t0
-        stats.files_reanalyzed = tuple(reanalyzed)
-        stats.casts_reanalyzed = sum(len(new_obs[s]) for s in reanalyzed)
-
-        # -- Stage 5: generalize (incremental trie) ---------------------
-        # Files whose record is not the last sync's lose their examples'
-        # results and get new ones; a kept file's results change only
-        # where the generalizer moved one.
-        t0 = _now_ms()
-        inserted = self._records  # the records whose examples the trie holds
-        if self._generalizer is None:
-            self._generalizer, inserted = IncrementalGeneralizer(self.min_precast_steps), {}
-        for source, old in inserted.items():
-            if new_records.get(source) is old:
-                continue
-            for example in old.examples:
-                try:
-                    self._generalizer.remove(example)
-                except KeyError:
-                    pass
-        order = [s for s, _ in texts if s in new_records]
-        fresh = [s for s in order if inserted.get(s) is not new_records[s]]
-        for source in fresh:
-            for example in new_records[source].examples:
-                self._generalizer.insert(example)
-        results = self._generalizer.generalize(
-            [e for s in fresh for e in new_records[s].examples]
-        )
-        generalized_by = {s: self._generalized.get(s, []) for s in order}
-        for source in fresh:
-            generalized_by[source] = []
-        for result in results:
-            generalized_by[result.example.source].append(result)
-        moved = {id(g.example): g for g in self._generalizer.moved}
-        for source in {g.example.source for g in self._generalizer.moved}:
-            generalized_by[source] = [
-                moved.get(id(g.example), g) for g in generalized_by[source]
-            ]
-        generalized = [g for s in order for g in generalized_by[s]]
-        suffixes = unique_suffixes(generalized)
-        mining = MiningResult(
-            examples=[e for s in order for e in new_records[s].examples],
-            generalized=generalized,
-            suffixes=suffixes,
-            faults=[f for s in order for f in new_records[s].faults],
-        )
-        timings.generalize_ms = _now_ms() - t0
-        stats.examples_total = len(mining.examples)
-        stats.suffixes_total = len(suffixes)
-
-        # -- Stage 6: graft the suffix delta ----------------------------
-        t0 = _now_ms()
-        if self.graph is None:
-            self.graph = JungloidGraph.build(
-                self.api_registry, suffixes, public_only=self.public_only
-            )
-            stats.suffixes_added = len(suffixes)
-            stats.affected_targets = self.graph.node_count()
-            stats.revision_before = 0
-            stats.revision_after = self.graph.revision
-        else:
-            if self._adopted:
-                # Diff against the adopted graph's splices, in its order.
-                live = dict.fromkeys(self.graph.mined_suffix_keys())
-                new = {j.steps for j in suffixes}
-                added = tuple(j for j in suffixes if j.steps not in live)
-                removed = tuple(Jungloid(key) for key in live if key not in new)
-            else:
-                # Suffixes are canonical objects: the ones whose use count
-                # rose from zero are new (grafted in the new list's order),
-                # the ones that fell to zero gone (in the old order).
-                born = {id(j) for j in self._generalizer.added}
-                died = {id(j) for j in self._generalizer.removed}
-                added = tuple(j for j in suffixes if id(j) in born) if born else ()
-                removed = tuple(j for j in self.suffixes if id(j) in died) if died else ()
-            applied: MinedDelta = self.graph.apply_mined_delta(added, removed)
-            stats.suffixes_added = len(added)
-            stats.suffixes_removed = len(removed)
-            stats.affected_targets = len(applied.affected_targets)
-            stats.revision_before = applied.revision_before
-            stats.revision_after = applied.revision_after
-        timings.graft_ms = _now_ms() - t0
-
-        # -- Commit ------------------------------------------------------
-        reanalyzed_set = set(reanalyzed)
-        for source, old in self._records.items():
-            if new_records.get(source) is not old or source in reanalyzed_set:
-                self._users.remove(source, old.decl_deps, old.site_deps, old.type_deps)
-        for source, record in new_records.items():
-            if self._records.get(source) is not record or source in reanalyzed_set:
-                self._users.add(source, record.decl_deps, record.site_deps, record.type_deps)
-        self._texts = texts
-        self._fingerprints = new_fps
-        self._parse_cache = new_parse
-        self._records = new_records
-        self._generalized = generalized_by
-        self._adopted = False
-        self._dep_keys = dep_keys
-        self._deps = deps
-        self._call_graph_current = True
+        # Every stage ran: commit them.
+        for stage in (self._parse, self._calls, self._analyze, self._generalize, self._graft):
+            stage.commit()
+        self._mine.commit(records, reanalyzed)
         self._settled = True
-        self._analysis_obs = new_obs
         self.program = program
-        self.call_graph = call_graph
-        self.mining = mining
-        self.verdicts = verdicts
+        self.call_graph = self._calls.graph
         self.last_stats = stats
         return stats
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
 
     def _forget_attempt(self) -> None:
         """Undo what the last sync wrote in place before it raised.
 
         Its resolution annotated cached ASTs, so every unit it resolved
-        is resolved again; its generalize and graft may have edited the
-        trie and the live graph, so the trie is built afresh and the
-        graph diffed against its own splices, as an adopted one is.
+        is resolved again and the call graph is built afresh; its
+        call-graph stage may have patched the dependency index, so the
+        index is built afresh and every mine record checked, as after a
+        restart; its generalize and graft may have edited the trie and
+        the live graph, so the trie is built afresh and the graph diffed
+        against its own splices, as an adopted one is.
         """
-        cache = self._resolution_cache
+        cache = self._resolve.cache
         for key in cache.resolved:
             cache.drop(key)
             cache.drop_declared(key)
-        self._generalizer = None
-        self._adopted = self.graph is not None
+        self._calls.graph = self._calls.index = None
+        self._generalize.generalizer = None
+        self._graft.adopted = self.graph is not None
 
-    def _dep_maps(
-        self,
-        call_graph: CallGraph,
-        units: Sequence[CompilationUnit],
-        fps: Dict[str, str],
-        rewritten: FrozenSet[str],
-    ) -> Tuple[_DepMaps, Dict[int, _UnitDeps], Optional[_Changed]]:
-        """The dependency fingerprints of every corpus method and type, and
-        the keys whose value changed since the last sync, or names a
-        ``rewritten`` file.
-
-        The last sync's maps are patched for the units whose share of the
-        call graph was rebuilt and the units that are gone; a unit's keys
-        are computed again only when its share was rebuilt. With no last
-        sync, or when kept units moved relative to each other, the maps
-        are built afresh and the changed keys are ``None``: everything
-        may have changed.
-        """
-        old_keys = self._dep_keys
-        dep_keys: Dict[int, _UnitDeps] = {}
-        fresh: List[_UnitDeps] = []
-        for unit in units:
-            calls = call_graph.units[id(unit)]
-            keys = old_keys.get(id(unit))
-            if keys is None or keys.calls is not calls:
-                keys = _UnitDeps(
-                    calls,
-                    (unit.source, fps[unit.source]),
-                    tuple(_method_key(method) for method, _ in calls.methods),
-                    tuple(
-                        _method_key(target)
-                        for _, _, sites in calls.bodies
-                        for site in sites
-                        for target in site.targets
-                    ),
-                    tuple(cls.name for cls in unit.classes),
-                )
-                fresh.append(keys)
-            dep_keys[id(unit)] = keys
-        old = self._deps
-        if old is not None and [k for k in old_keys if k in dep_keys] == [
-            k for k in dep_keys if k in old_keys
-        ]:
-            maps = _DepMaps(
-                dict(old.decl), dict(old.site), dict(old.types), dict(old.declarers), rewritten
-            )
-            gone = [keys for k, keys in old_keys.items() if dep_keys.get(k) is not keys]
-        else:
-            old = None
-            maps = _DepMaps({}, {}, {}, {}, rewritten)
-            gone = []
-            fresh = list(dep_keys.values())
-        decl, site, types, declarers, _ = maps
-        touched_decls: Set[str] = set()
-        touched_sites: Set[str] = set()
-        touched_names: Set[str] = set()
-        # A site entry names one file's version, so a unit's share of a
-        # site list is every occurrence of its entry.
-        for keys in gone:
-            uid = id(keys.calls.unit)
-            for key in keys.decls:
-                decl.pop(key, None)
-                touched_decls.add(key)
-            for key in set(keys.callees):
-                site[key] = tuple(e for e in site[key] if e != keys.entry)
-                touched_sites.add(key)
-            for name in keys.classes:
-                declarers[name] = tuple(k for k in declarers[name] if k != uid)
-                touched_names.add(name)
-        for keys in fresh:
-            uid = id(keys.calls.unit)
-            for key in keys.decls:
-                decl[key] = keys.entry
-                touched_decls.add(key)
-            for key in keys.callees:
-                site[key] = site.get(key, ()) + (keys.entry,)
-                touched_sites.add(key)
-            for name in keys.classes:
-                declarers[name] = declarers.get(name, ()) + (uid,)
-                touched_names.add(name)
-        for key in touched_sites:
-            if site[key]:
-                site[key] = tuple(sorted(site[key]))
-            else:
-                del site[key]
-        if touched_names:
-            place = {k: i for i, k in enumerate(dep_keys)}
-            for name in touched_names:
-                if declarers[name]:
-                    types[name] = dep_keys[max(declarers[name], key=place.__getitem__)].entry
-                else:
-                    del declarers[name]
-                    types.pop(name, None)
-        if old is None:
-            return maps, dep_keys, None
-        changed = (
-            {k for k in touched_decls if decl.get(k) != old.decl.get(k)},
-            {k for k in touched_sites if site.get(k, ()) != old.site.get(k, ())},
-            {n for n in touched_names if types.get(n) != old.types.get(n)},
-        )
-        for keys in fresh:
-            if keys.entry[0] in rewritten:
-                for table, owned in zip(changed, (keys.decls, keys.callees, keys.classes)):
-                    table.update(owned)
-        return maps, dep_keys, changed
-
-    @staticmethod
-    def _record_unaffected(
-        record: FileMineRecord, fp: str, suspects: Optional[Set[str]]
-    ) -> bool:
-        """Is ``record`` the last sync's record of an unchanged file that
-        recorded no key whose value changed? It was valid against the last
-        sync's maps, so :meth:`_record_valid` would pass it."""
-        return suspects is not None and record.fingerprint == fp and record.source not in suspects
-
-    @staticmethod
-    def _record_valid(record: FileMineRecord, fp: str, deps: _DepMaps) -> bool:
-        """Is a cached record still exact for the current corpus state?
-
-        Its file and every file a recorded value names must be unchanged,
-        and none of them resolved again (a file is resolved again when a
-        name it probed binds differently or a type it read changed, and
-        its annotations with it)."""
-        if record.fingerprint != fp or record.source in deps.rewritten:
-            return False
-        for key, want in record.decl_deps.items():
-            if deps.decl.get(key) != want:
-                return False
-        for key, want in record.site_deps.items():
-            if deps.site.get(key, ()) != want:
-                return False
-        for name, want in record.type_deps.items():
-            if deps.types.get(name) != want:
-                return False
-        if deps.rewritten:
-            named = [e for e in record.decl_deps.values() if e]
-            named += [e for entries in record.site_deps.values() for e in entries]
-            named += [e for e in record.type_deps.values() if e]
-            return not any(source in deps.rewritten for source, _ in named)
-        return True
-
-    def _mine_unit(
-        self,
-        unit: CompilationUnit,
-        registry: TypeRegistry,
-        units: Sequence[CompilationUnit],
-        corpus_types: Sequence[NamedType],
-        call_graph: CallGraph,
-        deps: _DepMaps,
-        fp: str,
-    ) -> FileMineRecord:
-        """Slice one unit, recording its dependency fingerprints."""
-        recorder = _RecordingCallGraph(call_graph)
-        extractor = JungloidExtractor(
-            registry, units, corpus_types, recorder, self.extraction
-        )
-        examples = extractor.extract_unit(unit)
-        record = FileMineRecord(
-            source=unit.source,
-            fingerprint=fp,
-            examples=examples,
-            faults=list(extractor.faults),
-            type_deps={
-                name: deps.types.get(name)
-                for name in _referenced_corpus_types(unit, registry, deps.types)
-            },
-        )
-        _record_call_deps(record, recorder, deps)
-        return record
-
-
-def _record_call_deps(
-    record: FileMineRecord, recorder: _RecordingCallGraph, deps: _DepMaps
-) -> None:
-    """Add the call-graph queries ``recorder`` saw to ``record``'s deps."""
-    for key in map(_method_key, recorder.decl_queries):
-        record.decl_deps[key] = deps.decl.get(key)
-    for key in map(_method_key, recorder.site_queries):
-        record.site_deps[key] = deps.site.get(key, ())

@@ -172,7 +172,7 @@ def mining_values(pipeline) -> Tuple[list, list, int, Counter]:
             for g in mining.generalized
         ],
         [j.describe() for j in mining.suffixes],
-        pipeline._generalizer.live_examples,
+        pipeline._generalize.generalizer.live_examples,
         Counter(repr(steps) for steps in pipeline.graph.mined_suffix_keys()),
     )
 
@@ -224,6 +224,9 @@ def assert_matches_fresh(registry, pipeline, texts: Sequence[Tuple[str, str]]) -
     assert record_values(pipeline) == record_values(built)
     assert verdict_values(pipeline) == verdict_values(built)
     assert mining_values(pipeline) == mining_values(built)
+    # The trie holds the very examples whose results the pipeline serves.
+    held = {id(g.example) for g, _, _ in pipeline._generalize.generalizer._results.values()}
+    assert held == {id(g.example) for g in pipeline.mining.generalized}
     assert ranked_answers(Prospector(registry, pipeline=pipeline)) == ranked_answers(
         Prospector(registry, fresh)
     )
@@ -234,14 +237,15 @@ def checked_narrowing() -> Iterator[Counter]:
     """Check every skip the dependency indexes make: a declaration record
     or body entry the resolver reuses unchecked must pass
     ``_binds_same`` / ``_still_valid``, a mine record the pipeline reuses
-    unchecked must pass ``_record_valid``, and every verdict must be
+    unchecked must pass ``record_valid``, and every verdict must be
     what ``classify_pair`` makes of its group. Yields the number of
     skips of each kind."""
     skips: Counter = Counter()
     maps = {}
     unaffected = Resolver._unaffected
-    record_unaffected = CorpusPipeline._record_unaffected
-    dep_maps = CorpusPipeline._dep_maps
+    mine_stage, call_graph_stage = pipeline_module._MineStage, pipeline_module._CallGraphStage
+    record_unaffected = mine_stage.record_unaffected
+    dep_maps = call_graph_stage.run
     build_index = pipeline_module.build_verdict_index
 
     def resolver_skip(self, record, suspects):
@@ -255,16 +259,15 @@ def checked_narrowing() -> Iterator[Counter]:
                 assert self._still_valid(record), record.unit.source
         return skipped
 
-    def capture(self, call_graph, units, fps, rewritten):
-        out = dep_maps(self, call_graph, units, fps, rewritten)
-        maps["deps"] = out[0]
-        return out
+    def capture(self, program, fps, resolved):
+        maps["deps"] = self
+        return dep_maps(self, program, fps, resolved)
 
     def record_skip(record, fp, suspects):
         skipped = record_unaffected(record, fp, suspects)
         if skipped:
             skips["record"] += 1
-            assert CorpusPipeline._record_valid(record, fp, maps["deps"]), record.source
+            assert mine_stage.record_valid(record, fp, maps["deps"]), record.source
         return skipped
 
     def checked_index(registry, observations, previous=None):
@@ -275,8 +278,8 @@ def checked_narrowing() -> Iterator[Counter]:
 
     patches = (
         (Resolver, "_unaffected", resolver_skip),
-        (CorpusPipeline, "_dep_maps", capture),
-        (CorpusPipeline, "_record_unaffected", staticmethod(record_skip)),
+        (call_graph_stage, "run", capture),
+        (mine_stage, "record_unaffected", staticmethod(record_skip)),
         (pipeline_module, "build_verdict_index", checked_index),
     )
     for owner, name, value in patches:
@@ -285,8 +288,8 @@ def checked_narrowing() -> Iterator[Counter]:
         yield skips
     finally:
         Resolver._unaffected = unaffected
-        CorpusPipeline._dep_maps = dep_maps
-        CorpusPipeline._record_unaffected = staticmethod(record_unaffected)
+        call_graph_stage.run = dep_maps
+        mine_stage.record_unaffected = staticmethod(record_unaffected)
         pipeline_module.build_verdict_index = build_index
 
 

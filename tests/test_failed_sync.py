@@ -8,6 +8,9 @@ it must equal a fresh build. A strict sync is the lenient one plus a
 verdict: it raises the first quarantined file's own error.
 """
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro import Prospector
@@ -44,15 +47,17 @@ class Injected(RuntimeError):
 STAGES = {
     "resolve": (pipeline_module, "resolve_and_check_lenient"),
     "callgraph": (pipeline_module, "build_call_graph"),
-    "mine": (CorpusPipeline, "_mine_unit"),
+    "mine": (pipeline_module._MineStage, "mine_unit"),
     "analyze": (pipeline_module, "build_verdict_index"),
     "generalize": (IncrementalGeneralizer, "generalize"),
     "graft": (JungloidGraph, "apply_mined_delta"),
 }
 
 
-def _raise_once_after(monkeypatch, owner, name):
-    """Make ``owner.name`` raise :class:`Injected` once, after it ran."""
+@contextlib.contextmanager
+def raising_once_after(owner, name):
+    """Make ``owner.name`` raise :class:`Injected` once, after it ran;
+    yields the list the first call appends ``name`` to."""
     original = getattr(owner, name)
     fired = []
 
@@ -63,19 +68,18 @@ def _raise_once_after(monkeypatch, owner, name):
             raise Injected(name)
         return result
 
-    monkeypatch.setattr(owner, name, wrapper)
-    return fired
+    with mock.patch.object(owner, name, wrapper):
+        yield fired
 
 
 @pytest.mark.parametrize("lenient", [True, False], ids=["lenient", "strict"])
 @pytest.mark.parametrize("stage", sorted(STAGES))
-def test_a_raise_after_any_stage_leaves_no_trace(small_registry, monkeypatch, stage, lenient):
+def test_a_raise_after_any_stage_leaves_no_trace(small_registry, stage, lenient):
     pipeline = CorpusPipeline.build(small_registry, BASE, lenient=lenient)
-    fired = _raise_once_after(monkeypatch, *STAGES[stage])
-    with pytest.raises(Injected):
+    with raising_once_after(*STAGES[stage]) as fired, pytest.raises(Injected):
         pipeline.sync(EDIT)
     assert fired
-    resolved = pipeline._resolution_cache.resolved
+    resolved = pipeline._resolve.cache.resolved
     annotated = {u.source for u in pipeline.program.units if id(u) in resolved}
     assert "u.mj" in annotated
     stats = pipeline.sync(BASE)

@@ -47,7 +47,6 @@ class TestFingerprints:
         assert diff.added == ("d.mj",)
         assert diff.changed == ("b.mj",)
         assert diff.removed == ("c.mj",)
-        assert diff.unchanged == ("a.mj",)
         assert not diff.is_empty
         assert diff_fingerprints(old, old).is_empty
 
@@ -58,7 +57,7 @@ def small_pipeline(small_registry):
 
 
 #: The stage file's keys: the pipeline's inputs and nothing derived.
-STAGE_KEYS = {"format", "texts", "min_precast_steps", "lenient", "check"}
+STAGE_KEYS = {"format", "texts", "lenient", "check"}
 
 
 class TestRecordRoundTrip:
@@ -112,6 +111,17 @@ class TestFromArtifacts:
         stats = reborn.update([("other.mj", other)], ())
         assert stats.files_remined == ("other.mj",)
         assert stats.files_reused == 1
+
+    def test_an_older_stage_file_is_adopted_and_its_knob_ignored(
+        self, small_registry, small_pipeline
+    ):
+        # Stage files used to carry the generalizer's min_precast_steps.
+        data = json.loads(json.dumps(small_pipeline.to_stage_dict()))
+        data["min_precast_steps"] = 3
+        reborn = CorpusPipeline.from_artifacts(small_registry, check_stage_dict(data))
+        assert reborn.texts == small_pipeline.texts
+        assert [j.steps for j in reborn.suffixes] == [j.steps for j in small_pipeline.suffixes]
+        assert "min_precast_steps" not in reborn.to_stage_dict()
 
     def test_changed_extraction_config_discards_cache(
         self, small_registry, small_pipeline

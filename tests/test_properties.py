@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import contextlib
 import functools
 import string
 
@@ -51,6 +52,7 @@ from repro.typesystem import (
 
 from .conftest import SMALL_API
 from .resolution_oracle import VERSIONS, assert_matches_fresh, checked_narrowing
+from .test_failed_sync import STAGES, Injected, raising_once_after
 from .search_oracle import OracleSearch, distances_to, enumerate_paths
 
 # ----------------------------------------------------------------------
@@ -694,7 +696,9 @@ _EDIT_FILES = sorted(VERSIONS)
 _POSITIONS = ("start", "middle", "end")
 
 #: One corpus edit: put a version of a file in place (or insert it at a
-#: position), remove a file, or touch a file with a comment.
+#: position), remove a file, touch a file with a comment, or make the
+#: next edit's sync raise after a stage of ``tests/test_failed_sync.STAGES``
+#: (and retry it).
 corpus_edits = st.one_of(
     st.tuples(
         st.just("set"),
@@ -704,6 +708,7 @@ corpus_edits = st.one_of(
     ),
     st.tuples(st.just("remove"), st.sampled_from(_EDIT_FILES)),
     st.tuples(st.just("touch"), st.sampled_from(_EDIT_FILES)),
+    st.tuples(st.just("fail"), st.sampled_from(sorted(STAGES))),
 )
 
 
@@ -748,7 +753,8 @@ def _texts(state):
 
 class TestIncrementalResolutionProperties:
     """Random edit sequences: after every sync the pipeline's annotations,
-    quarantine and ranked answers equal a fresh lenient load's."""
+    quarantine and ranked answers equal a fresh lenient load's. A sync
+    that raised commits nothing, and its retry is checked too."""
 
     @settings(max_examples=40, deadline=None)
     @given(corpus_states(), st.lists(corpus_edits, min_size=1, max_size=5))
@@ -756,8 +762,25 @@ class TestIncrementalResolutionProperties:
         registry = load_api_text(SMALL_API)
         pipeline = CorpusPipeline.build(registry, _texts(state))
         assert_matches_fresh(registry, pipeline, _texts(state))
+        armed = None
         with checked_narrowing():
             for edit in edits:
+                if edit[0] == "fail":
+                    armed = edit[1]
+                    continue
                 state = _apply_edit(state, edit)
-                pipeline.sync(_texts(state))
+                annotated = set()
+                if armed:
+                    with raising_once_after(*STAGES[armed]) as fired:
+                        with contextlib.suppress(Injected):
+                            pipeline.sync(_texts(state))
+                    if fired:
+                        # The committed units the failed sync resolved
+                        # again: the retry resolves them once more.
+                        resolved = pipeline._resolve.cache.resolved
+                        annotated = {u.source for u in pipeline.program.units if id(u) in resolved}
+                    armed = None
+                stats = pipeline.sync(_texts(state))
+                loaded = {u.source for u in pipeline.program.units}
+                assert annotated & loaded <= set(stats.files_reresolved)
                 assert_matches_fresh(registry, pipeline, _texts(state))

@@ -282,6 +282,7 @@ def with_stale_record(snap, source, text):
     data = json.loads(path.read_bytes())
     data["records"] = [stale_record(source, text)]
     data["extraction_config"] = asdict(ExtractionConfig())
+    data["min_precast_steps"] = 1
     digest = save_stage_sidecar(snap, data)
     edit_header(snap, lambda header: header["manifest"].update(stages_sha256=digest))
 

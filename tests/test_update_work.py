@@ -15,6 +15,7 @@ from repro.minijava import callgraph
 from repro.minijava.callgraph import build_call_graph
 from repro.minijava.resolver import Resolver
 from repro.pipeline import CorpusPipeline
+from repro.pipeline import pipeline as pipeline_module
 from repro.typesystem import TypeRegistry
 
 from .resolution_oracle import call_graph_values
@@ -114,10 +115,10 @@ def scale_corpus(scale_api):
 def checks(monkeypatch):
     """Every run of a validity check or of ``classify_pair``: the traces
     ``_binds_same`` checked, the sources of the entries ``_still_valid``
-    and the records ``_record_valid`` checked, the pairs classified."""
+    and the records ``record_valid`` checked, the pairs classified."""
     runs = {"binds": [], "still": [], "record": [], "classify": []}
     binds, still = Resolver._binds_same, Resolver._still_valid
-    record_valid, classify = CorpusPipeline._record_valid, castsafety.classify_pair
+    record_valid, classify = pipeline_module._MineStage.record_valid, castsafety.classify_pair
 
     def binds_same(self, trace):
         runs["binds"].append(trace)
@@ -137,29 +138,29 @@ def checks(monkeypatch):
 
     monkeypatch.setattr(Resolver, "_binds_same", binds_same)
     monkeypatch.setattr(Resolver, "_still_valid", still_valid)
-    monkeypatch.setattr(CorpusPipeline, "_record_valid", staticmethod(valid))
+    monkeypatch.setattr(pipeline_module._MineStage, "record_valid", staticmethod(valid))
     monkeypatch.setattr(castsafety, "classify_pair", classify_pair)
     return runs
 
 
 def _dependents(before, after, records, edited):
     """The sources other than ``edited`` whose mine records recorded a
-    key whose value differs between two fresh builds' dependency maps."""
+    key whose value differs between two fresh builds' dependency indexes."""
     out = set()
     for source, record in records.items():
         if source == edited:
             continue
-        for table, keys in (
-            ("decl", record.decl_deps), ("site", record.site_deps), ("types", record.type_deps)
+        for value, keys in (
+            ("decl", record.decl_deps), ("sites", record.site_deps), ("declarer", record.type_deps)
         ):
-            old, new = getattr(before, table), getattr(after, table)
-            if any(old.get(k, ()) != new.get(k, ()) for k in keys):
+            old, new = getattr(before, value), getattr(after, value)
+            if any(old(k) != new(k) for k in keys):
                 out.add(source)
     return out
 
 
 def _pairs(pipeline, source):
-    return {obs.pair for obs in pipeline._analysis_obs.get(source, ())}
+    return {obs.pair for obs in pipeline._analyze.observations.get(source, ())}
 
 
 class TestChecksFollowTheEdit:
@@ -171,13 +172,14 @@ class TestChecksFollowTheEdit:
         texts, built = scale_corpus
         source, text = texts[len(texts) // 2]
         pipeline = CorpusPipeline.build(scale_api, texts)
-        records, before, pairs = pipeline.records, pipeline._deps, _pairs(pipeline, source)
+        records, before, pairs = pipeline.records, pipeline._calls, _pairs(pipeline, source)
         edited = [(s, t + "// touched\n" if s == source else t) for s, t in texts]
-        after = CorpusPipeline.build(scale_api, edited)._deps
+        after = CorpusPipeline.build(scale_api, edited)._calls
+        # The index is patched in place: read it before the update.
+        want = _dependents(before, after, records, source)
         for runs in checks.values():
             runs.clear()
         stats = pipeline.update(upserts=[(source, text + "// touched\n")])
-        want = _dependents(before, after, records, source)
         assert checks["binds"] == [] and checks["still"] == []
         assert sorted(checks["record"]) == sorted(want)
         assert set(stats.files_rechecked) == want
@@ -194,7 +196,7 @@ class TestChecksFollowTheEdit:
             rest = [(s, t) for s, t in texts if s != source]
             if names and not any(n in t for _, t in rest for n in names):
                 after = CorpusPipeline.build(scale_api, rest)
-                if not _dependents(built._deps, after._deps, built.records, source):
+                if not _dependents(built._calls, after._calls, built.records, source):
                     break
         else:
             pytest.fail("every file is named by another")
