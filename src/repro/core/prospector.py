@@ -8,14 +8,13 @@ engine, :meth:`complete` is the content-assist integration.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis import CastVerdictIndex, JungloidVerdict
+from ..collector import _collector_paused
 from ..corpus import CorpusProgram
 from ..graph import JungloidGraph, graph_stats
 from ..jungloids import CostModel, DEFAULT_COST_MODEL, Jungloid
@@ -523,28 +522,6 @@ class Prospector:
                 **self.mining.trimming_summary(),
             }
         return info
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic collector: a load makes no cyclic garbage, so a
-    pass would only rescan live objects. If it was on, the exit moves
-    the new objects to the oldest generation (else the first query
-    rescans them), by ``freeze`` then ``unfreeze`` with no pass, or by
-    one generation-1 pass if ``unfreeze`` would thaw what a caller froze."""
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        if gc.get_freeze_count():
-            gc.collect(1)
-        else:
-            gc.freeze()
-            gc.unfreeze()
-        gc.enable()
 
 
 def _rebuild_rung(

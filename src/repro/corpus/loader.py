@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..collector import _collector_paused
 from ..minijava import (
     CheckReport,
     CompilationUnit,
@@ -107,6 +108,7 @@ class CorpusProgram:
         return sum(len(c.methods) for u in self.units for c in u.classes)
 
 
+@_collector_paused()
 def load_corpus_texts(
     api_registry: TypeRegistry,
     texts: Iterable[Tuple[str, str]],
@@ -118,7 +120,7 @@ def load_corpus_texts(
     The returned program owns a cloned registry containing API + client
     declarations; ``api_registry`` is left untouched. With
     ``lenient=True`` broken files are quarantined (see module docstring)
-    instead of raising.
+    instead of raising. The load runs with the cyclic collector paused.
     """
     texts = list(texts)
     diagnostics = CorpusDiagnostics()

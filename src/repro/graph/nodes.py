@@ -11,10 +11,10 @@ apply to objects that took the mined path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 from ..jungloids import ElementaryJungloid, ElementaryKind
-from ..jungloids.elementary import Member, free_variable_counts, member_jungloid, member_kind
+from ..jungloids.elementary import Member, member_jungloid, member_kind
 from ..typesystem import JavaType
 
 
@@ -60,19 +60,23 @@ class Edge:
 
     An API member edge (:meth:`of_member`) holds its ``member`` and
     ``flow`` position and builds its jungloid when ``elementary`` is
-    first read; other edges have ``member`` ``None``. Equality and
-    hashing are by value, and nothing rebinds a field.
+    first read; other edges have ``member`` ``None``. ``cost_counts`` is
+    what :meth:`~repro.jungloids.CostModel.total` charges: a member
+    edge is handed its counts by the graph build, other edges read them
+    off their step. Equality and hashing are by value, and nothing
+    rebinds a field.
     """
 
-    __slots__ = ("source", "target", "member", "flow", "elementary")
+    __slots__ = ("source", "target", "member", "flow", "elementary", "cost_counts")
 
     def __init__(self, source: Node, target: Node, elementary: ElementaryJungloid):
         self.source, self.target, self.elementary = source, target, elementary
         self.member = self.flow = None
+        self.cost_counts = elementary.cost_counts
 
     @staticmethod
-    def of_member(source: Node, target: Node, member: Member, flow: int) -> "Edge":
-        return _UnbuiltEdge(source, target, member, flow)
+    def of_member(source: Node, target: Node, member: Member, flow: int, cost_counts) -> "Edge":
+        return _UnbuiltEdge(source, target, member, flow, cost_counts)
 
     @property
     def kind(self) -> ElementaryKind:
@@ -91,14 +95,6 @@ class Edge:
     def search_length(self) -> int:
         """Unit length for the bounded search; widening edges are free."""
         return 0 if self.is_widening else 1
-
-    @property
-    def cost_counts(self) -> Tuple[bool, int, int]:
-        """What :meth:`~repro.jungloids.CostModel.total` charges; a member
-        edge counts it without building its jungloid."""
-        if self.member is None:
-            return self.elementary.cost_counts
-        return (False, *free_variable_counts(self.member, self.flow))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Edge):
@@ -129,8 +125,9 @@ class _UnbuiltEdge(Edge):
 
     __slots__ = ()
 
-    def __init__(self, source: Node, target: Node, member: Member, flow: int):
+    def __init__(self, source: Node, target: Node, member: Member, flow: int, cost_counts):
         self.source, self.target, self.member, self.flow = source, target, member, flow
+        self.cost_counts = cost_counts
 
     def __getattr__(self, name: str):
         if name != "elementary":

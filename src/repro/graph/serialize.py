@@ -9,7 +9,7 @@ rebuilds the jungloid graph, which is what the Section-5 benchmark times.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..jungloids import (
     ElementaryJungloid,
@@ -31,6 +31,7 @@ from ..typesystem import (
     PRIMITIVES,
     TypeKind,
     TypeRegistry,
+    TypeSystemError,
     VOID,
     Visibility,
     array_of,
@@ -152,6 +153,25 @@ def registry_to_dict(registry: TypeRegistry) -> Dict:
 def registry_from_dict(data: Dict) -> TypeRegistry:
     if data.get("format") != "prospector-registry-v1":
         raise ValueError(f"unknown registry format: {data.get('format')!r}")
+    # One decode parses each distinct type string, parameter and
+    # visibility once; the memos live as long as this call.
+    parse_type = _parsed_once(type_from_string)
+    visibility = _parsed_once(Visibility)
+    parameter = _parsed_once(lambda p: Parameter(p[0], parse_type(p[1])))
+
+    def parameters(entry: Dict) -> Tuple[Parameter, ...]:
+        return tuple(parameter((p["name"], p["type"])) for p in entry["params"])
+
+    def method(owner: NamedType, m: Dict) -> Method:
+        return Method(
+            owner=owner,
+            name=m["name"],
+            return_type=parse_type(m["returns"]),
+            parameters=parameters(m),
+            static=m["static"],
+            visibility=visibility(m["visibility"]),
+        )
+
     registry = TypeRegistry()
     for entry in data["types"]:
         registry.declare(
@@ -162,7 +182,7 @@ def registry_from_dict(data: Dict) -> TypeRegistry:
             abstract=entry["abstract"],
         )
     for m in data.get("object_methods", []):
-        registry.add_method(_method_from_dict(registry.object_type, m))
+        registry.add_method(method(registry.object_type, m))
     for entry in data["types"]:
         owner = registry.lookup(entry["name"])
         for f in entry["fields"]:
@@ -170,35 +190,34 @@ def registry_from_dict(data: Dict) -> TypeRegistry:
                 Field(
                     owner=owner,
                     name=f["name"],
-                    type=type_from_string(f["type"]),
+                    type=parse_type(f["type"]),
                     static=f["static"],
-                    visibility=Visibility(f["visibility"]),
+                    visibility=visibility(f["visibility"]),
                 )
             )
         for m in entry["methods"]:
-            registry.add_method(_method_from_dict(owner, m))
+            registry.add_method(method(owner, m))
         for c in entry["constructors"]:
-            registry.add_constructor(
-                Constructor(
-                    owner=owner,
-                    parameters=tuple(
-                        Parameter(p["name"], type_from_string(p["type"])) for p in c["params"]
-                    ),
-                    visibility=Visibility(c["visibility"]),
-                )
-            )
+            ctor = Constructor(owner, parameters(c), visibility(c["visibility"]))
+            registry.add_constructor(ctor)
     return registry
 
 
-def _method_from_dict(owner: NamedType, m: Dict) -> Method:
-    return Method(
-        owner=owner,
-        name=m["name"],
-        return_type=type_from_string(m["returns"]),
-        parameters=tuple(Parameter(p["name"], type_from_string(p["type"])) for p in m["params"]),
-        static=m["static"],
-        visibility=Visibility(m["visibility"]),
-    )
+def _parsed_once(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``parse``, remembering its result per argument; an unhashable
+    argument goes to ``parse`` every time, so it fails as ``parse`` does."""
+    memo: Dict[Any, Any] = {}
+
+    def parsed(arg: Any) -> Any:
+        try:
+            return memo[arg]
+        except KeyError:
+            result = memo[arg] = parse(arg)
+            return result
+        except TypeError:
+            return parse(arg)
+
+    return parsed
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +327,7 @@ def bundle_from_json(text: str) -> Tuple[TypeRegistry, List[Jungloid]]:
     except KeyError as exc:
         key = str(exc.args[0]) if exc.args else "?"
         raise BundleFormatError(f"bundle missing key {key!r}", key=key) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, TypeSystemError) as exc:
         raise BundleFormatError(f"bundle malformed: {exc}") from exc
     return registry, mined
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..jungloids import Jungloid, downcast, widening
-from ..jungloids.elementary import Member, flow_positions, member_output_type
+from ..jungloids.elementary import Member, flow_positions, free_variable_counts, member_output_type
 from ..typesystem import ArrayType, NamedType, TypeKind, TypeRegistry, VOID, is_reference
 from .nodes import Edge, Node, node_base_type
 
@@ -36,6 +36,8 @@ class SignatureGraph:
         self._in: Dict[Node, List[Edge]] = {}
         self._revision = 0
         self._edge_count = 0
+        #: Member edges' shared ``cost_counts``, by ``free_variable_counts``.
+        self._cost_counts: Dict[tuple, Tuple[Tuple[bool, int, int], ...]] = {}
         #: Edge journal: revision ``_journal_base + i + 1`` added (flag 1)
         #: or removed (0) ``_journal_edges[i]``.
         self._journal_edges: List[Edge] = []
@@ -171,6 +173,7 @@ class SignatureGraph:
     def _add_member_edges(self, member: Member) -> None:
         """Add an edge per flow position of ``member``, each building its
         jungloid on first read; a new (array) endpoint becomes a node.
+        Its free variables are counted once; equal counts share tuples.
 
         A member whose output is not a reference type adds none:
         primitives are never graph nodes (footnote 4).
@@ -178,8 +181,14 @@ class SignatureGraph:
         t_out = member_output_type(member)
         if not is_reference(t_out):
             return
-        for flow, t_in in flow_positions(member):
-            self.add_edge(Edge.of_member(t_in, t_out, member, flow))
+        positions = flow_positions(member)
+        counts = free_variable_counts(member, positions)
+        shared = self._cost_counts.get(counts)
+        if shared is None:
+            shared = self._cost_counts[counts] = tuple((False, *c) for c in counts)
+        free, flowing = shared
+        for flow, t_in in positions:
+            self.add_edge(Edge.of_member(t_in, t_out, member, flow, free if flow < 0 else flowing))
 
     def _add_widening_edges(self) -> None:
         for node in list(self._out):

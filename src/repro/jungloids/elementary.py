@@ -235,13 +235,14 @@ def flow_positions(member: Member) -> Tuple[Tuple[int, JavaType], ...]:
     return tuple(positions) or ((NO_INPUT, VOID),)
 
 
-def free_variable_counts(member: Member, flow: int) -> Tuple[int, int]:
-    """``(all, reference-typed)`` free variables of ``member_jungloid(member,
-    flow)``, counted without building it: a parameter that takes the flow
-    leaves the free list, and an instance method's receiver joins it."""
-    params = getattr(member, "parameters", ())
-    shift = 0 if flow < 0 else _has_receiver(member) - 1
-    return len(params) + shift, sum(is_reference(p.type) for p in params) + shift
+def free_variable_counts(member: Member, positions) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """``(all, reference-typed)`` free variables of ``member``'s jungloids at
+    a negative flow position, then at a parameter (it leaves the free list,
+    a method's receiver joins it), given ``positions = flow_positions(member)``:
+    one per reference-typed parameter, after the receiver's or ``NO_INPUT``."""
+    n_free, first = len(getattr(member, "parameters", ())), positions[0][0]
+    n_reference, shift = len(positions) - (first < 0), (first == RECEIVER) - 1
+    return (n_free, n_reference), (n_free + shift, n_reference + shift)
 
 
 def _variants(

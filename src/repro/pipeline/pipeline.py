@@ -18,7 +18,6 @@ compiled search kernel don't move at all.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import time
 from dataclasses import dataclass, field, fields
@@ -26,6 +25,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Option
 
 from ..analysis.castsafety import CastAnalyzer, CastObservation, build_verdict_index
 from ..analysis.verdicts import CastVerdictIndex
+from ..collector import _collector_paused
 from ..corpus import CorpusProgram, resolve_and_check_lenient
 from ..graph import JungloidGraph
 from ..jungloids import Jungloid
@@ -646,8 +646,7 @@ class _GeneralizeStage:
             if records.get(source) is old:
                 continue
             for example in old.examples:
-                with contextlib.suppress(KeyError):
-                    trie.remove(example)
+                trie.remove(example)
         fresh = [s for s in order if inserted.get(s) is not records[s]]
         for source in fresh:
             for example in records[source].examples:
@@ -781,7 +780,8 @@ class CorpusPipeline:
     ) -> "CorpusPipeline":
         """Full staged build from ``(source, text)`` corpus files."""
         pipeline = cls(api_registry, **kwargs)
-        pipeline.sync(texts)
+        with _collector_paused():
+            pipeline.sync(texts)
         return pipeline
 
     @classmethod
@@ -827,7 +827,8 @@ class CorpusPipeline:
             parsed = [(u.source, u, None) for u in [*program.units, *program.quarantined_units]]
             parsed += [(source, None, exc) for source, exc in program.parse_faults]
             pipeline._parse.cache = {s: (fps[s], u, exc) for s, u, exc in parsed if s in fps}
-        pipeline.sync(program.texts)
+        with _collector_paused():
+            pipeline.sync(program.texts)
         return pipeline
 
     @classmethod

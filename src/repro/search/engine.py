@@ -163,13 +163,19 @@ class GraphSearch:
         #: Counting hook: fresh distance-map runs (cache misses).
         #: Batch tests assert on this to prove distance maps are shared.
         self.distance_computes = 0
+        self._count_costs: Dict[Tuple[bool, int, int], int] = {}
         # Per-step cost, crossings and generality, filled lazily.
         self._step_parts = StepRankParts(graph.registry, cost_model)
 
     def _edge_cost(self, edge) -> int:
         """Edge weight = the ranking heuristic's size estimate (§3.2),
-        from the edge's counts: a member edge's jungloid is not built."""
-        return self.cost_model.total(*edge.cost_counts)
+        charged once per distinct ``cost_counts``: a member edge's
+        jungloid is not built."""
+        counts = edge.cost_counts
+        try:
+            return self._count_costs[counts]
+        except KeyError:
+            return self._count_costs.setdefault(counts, self.cost_model.total(*counts))
 
     # ------------------------------------------------------------------
     # Queries: every one is served by solve_batch

@@ -89,6 +89,20 @@ def test_a_raise_after_any_stage_leaves_no_trace(small_registry, stage, lenient)
     assert_matches_fresh(small_registry, pipeline, NEW)
 
 
+def test_a_trie_that_lost_a_committed_example_fails_the_sync(small_registry):
+    # The trie must hold every committed record's examples: one it lost
+    # makes the next sync that drops them raise, so the sync after that
+    # builds the trie afresh.
+    pipeline = CorpusPipeline.build(small_registry, BASE)
+    (example, *_) = pipeline._mine.records["h.mj"].examples
+    pipeline._generalize.generalizer.remove(example)
+    touched = [(s, t + "// touched\n" if s == "h.mj" else t) for s, t in BASE]
+    with pytest.raises(KeyError, match="never inserted"):
+        pipeline.sync(touched)
+    assert not pipeline.sync(touched).noop
+    assert_matches_fresh(small_registry, pipeline, touched)
+
+
 def test_a_strict_sync_that_fails_to_resolve_leaves_no_trace(small_registry):
     # w.mj v1 declares a c.Widget without getName, which u.mj calls: the
     # failed attempt annotated u.mj against it.

@@ -1,11 +1,14 @@
 """Tests for registry / jungloid / bundle serialization."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.apispec import generate_synthetic_api, SyntheticApiConfig, load_api_text
+from repro.data import standard_registry
 from repro.graph import (
+    BundleFormatError,
     bundle_from_json,
     bundle_to_json,
     elementary_from_dict,
@@ -18,7 +21,9 @@ from repro.graph import (
     type_from_string,
     type_to_string,
 )
+from repro.graph import serialize
 from repro.jungloids import Jungloid, ElementaryKind, downcast, instance_call, widening
+from repro.store import SnapshotCorruptError, SnapshotStore, payload_digest
 from repro.typesystem import ArrayType, PRIMITIVES, VOID, named
 
 API = """
@@ -239,3 +244,98 @@ class TestBundle:
     def test_bundle_bad_format(self):
         with pytest.raises(ValueError):
             bundle_from_json('{"format": "bogus"}')
+
+
+def _type_strings(data):
+    """Every type string of a registry dict, once per occurrence."""
+    members = [*data["object_methods"]]
+    for entry in data["types"]:
+        members += [*entry["fields"], *entry["methods"], *entry["constructors"]]
+    for member in members:
+        yield from (member[key] for key in ("type", "returns") if key in member)
+        yield from (p["type"] for p in member.get("params", ()))
+
+
+def _first(data, kind, with_params=False):
+    """The first ``kind`` entry ("fields", "methods" or "constructors")."""
+    return next(
+        member
+        for entry in data["registry"]["types"]
+        for member in entry[kind]
+        if member.get("params") or not with_params
+    )
+
+
+#: ``API`` plus a method that takes parameters.
+DECODE_API = API + """
+package t;
+public class Box {
+  public Box wrap(s.Base b, int n);
+}
+"""
+#: One bad string per member kind and key, and what decoding it says.
+BAD_ENTRIES = {
+    "field-visibility": (lambda d: _first(d, "fields"), "visibility", "bogus"),
+    "method-visibility": (lambda d: _first(d, "methods"), "visibility", "bogus"),
+    "constructor-visibility": (lambda d: _first(d, "constructors"), "visibility", "bogus"),
+    "field-type": (lambda d: _first(d, "fields"), "type", "9bad"),
+    "method-returns": (lambda d: _first(d, "methods"), "returns", "9bad"),
+    "method-parameter": (lambda d: _first(d, "methods", True)["params"][0], "type", "9bad"),
+    "constructor-parameter": (lambda d: _first(d, "constructors", True)["params"][0], "type", "a..b"),
+}
+BAD_MESSAGES = {
+    "bogus": "bundle malformed: 'bogus' is not a valid Visibility",
+    "9bad": "bundle malformed: invalid name '9bad': not a valid identifier",
+    "a..b": "bundle malformed: invalid name '': not a valid identifier",
+}
+
+
+class TestRegistryDecode:
+    """One decode parses each distinct string once, and fails as before."""
+
+    @pytest.fixture(scope="class", params=["scale", "bundled"])
+    def data(self, request):
+        if request.param == "scale":
+            return registry_to_dict(generate_synthetic_api(SyntheticApiConfig()))
+        return registry_to_dict(standard_registry())
+
+    def test_the_dict_round_trips(self, data):
+        assert registry_to_dict(registry_from_dict(data)) == data
+
+    def test_each_type_string_is_parsed_once(self, data, monkeypatch):
+        parsed = Counter()
+        original = serialize.type_from_string
+
+        def counting(text):
+            parsed[text] += 1
+            return original(text)
+
+        monkeypatch.setattr(serialize, "type_from_string", counting)
+        registry_from_dict(data)
+        occurrences = list(_type_strings(data))
+        assert parsed == Counter(set(occurrences))
+        assert len(occurrences) > 2 * len(parsed)
+
+    @pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+    def test_a_bad_string_is_a_bundle_format_error(self, case):
+        data = json.loads(bundle_to_json(load_api_text(DECODE_API)))
+        entry, key, bad = BAD_ENTRIES[case]
+        entry(data)[key] = bad
+        with pytest.raises(BundleFormatError) as raised:
+            bundle_from_json(json.dumps(data))
+        assert str(raised.value) == BAD_MESSAGES[bad]
+
+    @pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+    def test_a_checksummed_bad_string_is_corruption(self, case, tmp_path):
+        store = SnapshotStore(tmp_path / "g.psnap")
+        store.save(load_api_text(DECODE_API))
+        head, _, payload = store.path.read_bytes().partition(b"\n")
+        header, data = json.loads(head), json.loads(payload)
+        entry, key, bad = BAD_ENTRIES[case]
+        entry(data)[key] = bad
+        payload = json.dumps(data).encode()
+        header["manifest"].update(payload_bytes=len(payload), payload_sha256=payload_digest(payload))
+        store.path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SnapshotCorruptError) as raised:
+            store.load()
+        assert str(raised.value) == f"{store.path}: {BAD_MESSAGES[bad]}"

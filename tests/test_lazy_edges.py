@@ -4,17 +4,30 @@
 flow position. Against the eager build in ``tests/graph_oracle.py`` it
 must lay out the same nodes and adjacency lists, edge for edge, and the
 engine must charge every edge what the cost model charges its jungloid,
-without building any.
+without building any. The build counts each member's free variables
+once; the compile and its patches count none.
 """
 
 import json
+import sys
 
 import pytest
 
 from repro import Prospector
 from repro.apispec import SyntheticApiConfig, generate_synthetic_api
 from repro.graph import Edge, JungloidGraph, SignatureGraph, elementary_from_dict, graph_stats
-from repro.jungloids import CostModel, ElementaryJungloid, Jungloid, downcast, instance_call
+from repro.jungloids import (
+    CostModel,
+    DEFAULT_COST_MODEL,
+    ElementaryJungloid,
+    ElementaryKind,
+    Jungloid,
+    NO_INPUT,
+    RECEIVER,
+    downcast,
+    instance_call,
+)
+from repro.jungloids import elementary
 from repro.jungloids.elementary import member_jungloid
 from repro.pipeline import CorpusPipeline
 from repro.search.engine import GraphSearch
@@ -50,6 +63,24 @@ def member_builds(monkeypatch):
 
     monkeypatch.setattr(ElementaryJungloid, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Every ``free_variable_counts`` result, from any module that imports it."""
+    calls = []
+    original = elementary.free_variable_counts
+
+    def counting(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, "free_variable_counts", None) is original
+        ):
+            monkeypatch.setattr(module, "free_variable_counts", counting)
+    return calls
 
 
 GRAPH_OPTIONS = [
@@ -92,14 +123,7 @@ def test_a_fresh_build_builds_no_member_jungloid(synthetic_registry, member_buil
     assert member_builds == []
     # Removing a mined path finds its edges by identity: no member
     # edge on the way is compared by value.
-    m, sub = next(
-        (m, sub)
-        for decl in synthetic_registry.all_declarations()
-        for m in decl.methods
-        if not m.static and isinstance(m.return_type, NamedType)
-        for sub in synthetic_registry.all_subtypes(m.return_type)
-    )
-    mined = Jungloid.of(instance_call(m)[0], downcast(m.return_type, sub))
+    mined = _a_mined_path(synthetic_registry)
     built = len(member_builds)
     graph.add_mined_path(mined)
     graph.remove_mined_path(mined)
@@ -149,3 +173,84 @@ def test_a_saved_scale_snapshot_decodes_every_step_as_before(synthetic_registry,
         )
         decoded += 1
     assert decoded > 1000
+
+
+def test_counts_come_from_the_build_once_per_member(registry, counted):
+    graph = JungloidGraph.build(registry)
+    member_edges = [e for e in graph.edges() if e.member is not None]
+    assert len(counted) == len({id(e.member) for e in member_edges}) < len(member_edges)
+    # Members with equal counts share their two tuples.
+    assert len({id(e.cost_counts) for e in member_edges}) <= 2 * len(set(counted))
+    counted.clear()
+    search = GraphSearch(graph)
+    compiled = search._compiled_graph()
+    assert counted == [] and compiled.edge_count == graph.edge_count()
+    graph.add_mined_path(_a_mined_path(registry))
+    assert search._compiled_graph() is compiled
+    assert counted == []
+
+
+def _a_mined_path(registry) -> Jungloid:
+    """An instance call, then a downcast of its result."""
+    m, sub = next(
+        (m, sub)
+        for decl in registry.all_declarations()
+        for m in decl.methods
+        if not m.static and isinstance(m.return_type, NamedType)
+        for sub in registry.all_subtypes(m.return_type)
+    )
+    return Jungloid.of(instance_call(m)[0], downcast(m.return_type, sub))
+
+
+def _shape(edge: Edge):
+    """A member edge's kind, and where its input flows in."""
+    return edge.kind, edge.flow if edge.flow < 0 else "parameter"
+
+
+EVERY_MEMBER_SHAPE = {
+    (ElementaryKind.FIELD_ACCESS, RECEIVER),  # instance field
+    (ElementaryKind.FIELD_ACCESS, NO_INPUT),  # static field
+    (ElementaryKind.INSTANCE_CALL, RECEIVER),
+    (ElementaryKind.INSTANCE_CALL, "parameter"),
+    (ElementaryKind.STATIC_CALL, NO_INPUT),
+    (ElementaryKind.STATIC_CALL, "parameter"),
+    (ElementaryKind.CONSTRUCTOR, NO_INPUT),  # no reference parameter
+    (ElementaryKind.CONSTRUCTOR, "parameter"),
+}
+
+
+def test_the_bundled_graph_has_every_member_shape(standard_registry_and_corpus):
+    graph = JungloidGraph.build(standard_registry_and_corpus[0])
+    assert {_shape(e) for e in graph.edges() if e.member is not None} == EVERY_MEMBER_SHAPE
+
+
+def _assert_compiled_costs(search: GraphSearch, model: CostModel) -> None:
+    """Every live out-slot and in-slot of the snapshot costs what the
+    model charges its edge's jungloid."""
+    compiled, graph = search._compiled_graph(), search.graph
+    node_id = compiled.node_id
+    for u, node in enumerate(compiled.nodes):
+        slots = range(compiled.out_start[u], compiled.out_end[u])
+        got = [compiled.out_cost[i] for i in slots]
+        assert got == [model.step_total(compiled.out_edges_ref[i].elementary) for i in slots]
+        slots = range(compiled.in_start[u], compiled.in_end[u])
+        got = sorted((compiled.in_source[i], compiled.in_cost[i]) for i in slots)
+        want = [(node_id[e.source], model.step_total(e.elementary)) for e in graph.in_edges(node)]
+        assert got == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "model", [DEFAULT_COST_MODEL, CostModel(charge_primitive_free_variables=True)],
+    ids=["default", "all-free"],
+)
+def test_compiled_and_patched_costs_equal_each_steps_total(registry, model):
+    graph = JungloidGraph.build(registry)
+    search = GraphSearch(graph, cost_model=model)
+    _assert_compiled_costs(search, model)
+    compiled = search._compiled_graph()
+    mined = _a_mined_path(registry)
+    graph.add_mined_path(mined)
+    _assert_compiled_costs(search, model)
+    graph.remove_mined_path(mined)
+    _assert_compiled_costs(search, model)
+    assert search._compiled_graph() is compiled  # patched, not compiled again

@@ -1,5 +1,6 @@
 """What a restart builds: the served graph once, laid out the same in
-every process, audited node by node, with no collector pass over it."""
+every process, audited node by node, with no collector pass over it
+(nor over a fresh build)."""
 
 import gc
 import hashlib
@@ -13,7 +14,11 @@ import pytest
 import repro
 from repro import Prospector
 from repro.apispec import load_api_text
+from repro.corpus import load_corpus_texts
+from repro.data import corpus_texts
 from repro.graph import SignatureGraph
+from repro.minijava import MjResolveError
+from repro.pipeline import CorpusPipeline
 from repro.store import StoreRecoveryError, audit_graph
 
 from .audit_oracle import audit_graph_per_edge
@@ -212,3 +217,78 @@ class TestNoCollectorPasses:
             gc.garbage.clear()
         assert loaded.store_diagnostics.ok and loaded.pipeline is not None
         assert garbage == 0
+
+
+#: A file no strict build can resolve.
+UNRESOLVABLE = ("bad.mj", "package x;\npublic class Bad {\n  public void use(Nowhere gone) { }\n}\n")
+
+
+def _prospector_build(registry, texts):
+    """``Prospector(registry, corpus)`` over a corpus loaded beforehand;
+    an unresolvable file joins the program's texts after its load."""
+    corpus = load_corpus_texts(registry, [t for t in texts if t is not UNRESOLVABLE])
+    corpus.texts.extend(t for t in texts if t is UNRESOLVABLE)
+    return lambda: Prospector(registry, corpus)
+
+
+#: Each fresh build, as a factory of the call to measure.
+FRESH_BUILDS = {
+    "pipeline-build": lambda registry, texts: lambda: CorpusPipeline.build(
+        registry, texts, lenient=False
+    ),
+    "prospector": _prospector_build,
+    "load-corpus-texts": lambda registry, texts: lambda: load_corpus_texts(registry, texts),
+}
+
+
+class TestNoCollectorPassesInAFreshBuild:
+    """A fresh build of the bundled corpus makes no cyclic garbage
+    either, and runs under the same pause as a restart."""
+
+    @pytest.fixture(params=sorted(FRESH_BUILDS))
+    def build(self, request, standard_registry_and_corpus):
+        registry = standard_registry_and_corpus[0]
+        factory = FRESH_BUILDS[request.param]
+        return lambda texts=corpus_texts(): factory(registry, list(texts))
+
+    def test_no_pass(self, build, collections):
+        run = build()
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        collections.clear()
+        run()
+        assert collections == []
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def test_no_cyclic_garbage(self, build):
+        run = build()
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            built = run()
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert built is not None and garbage == 0
+
+    def test_objects_a_caller_froze_stay_frozen(self, build, collections, frozen_heap):
+        run = build()
+        collections.clear()
+        run()
+        assert collections == [1]
+        assert gc.isenabled() and gc.get_freeze_count() > 0
+
+    def test_a_collector_turned_off_stays_off(self, build, collections, collector_off):
+        build()()
+        assert collections == []
+        assert not gc.isenabled()
+
+    def test_a_failed_strict_build_turns_the_collector_back_on(self, build, collections):
+        run = build([*corpus_texts(), UNRESOLVABLE])
+        collections.clear()
+        with pytest.raises(MjResolveError, match="unknown type 'Nowhere'"):
+            run()
+        assert gc.isenabled()
+        assert collections == []
