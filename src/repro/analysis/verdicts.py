@@ -260,7 +260,7 @@ class CastVerdictIndex:
         return rank
 
     # ------------------------------------------------------------------
-    # Persistence (snapshot schema v3+ carries this dict in the header)
+    # Persistence (a snapshot carries this dict in its header)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:

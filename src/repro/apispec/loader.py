@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..collector import _collector_paused
 from ..typesystem import (
     Constructor,
     Field,
@@ -174,13 +175,15 @@ class _Linker:
         return tuple(params)
 
 
+@_collector_paused()
 def load_api_texts(
     texts: Iterable[Tuple[str, str]], registry: Optional[TypeRegistry] = None
 ) -> TypeRegistry:
     """Parse and link several ``(source_name, text)`` stub files at once.
 
     Files are linked as one unit, so forward and cross-file references are
-    fine. Returns the (possibly fresh) registry.
+    fine. Returns the (possibly fresh) registry. Runs with the cyclic
+    collector paused, like a corpus load.
     """
     registry = registry if registry is not None else TypeRegistry()
     files = [parse_api(text, source) for source, text in texts]

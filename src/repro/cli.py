@@ -362,10 +362,10 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
     upserts = _parse_set_specs(args.set)
     prospector = _load_snapshot(args.path, args)
     if prospector.pipeline is None:
-        # No usable stage file (old snapshot, or damaged): degrade to
-        # a full rebuild from the corpus, which recreates the pipeline —
-        # the update below then runs against it and the save writes a
-        # fresh stage file, so the *next* update is incremental again.
+        # No usable stage file (missing, damaged, or another generation's):
+        # degrade to a full rebuild from the corpus, which recreates the
+        # pipeline — the update below then runs against it and the save writes
+        # a fresh stage file, so the *next* update is incremental again.
         print(
             f"note: no usable stage file for {args.path};"
             " rebuilding from corpus (next update will be incremental)",

@@ -181,21 +181,20 @@ class Prospector:
                 return prospector
             # The load audit built this very graph; reuse it when it has the
             # flavour this instance serves.
-            graph = loaded.graph if loaded.public_only == config.public_only else None
+            graph = loaded.graph if loaded.manifest.public_only == config.public_only else None
             pipeline = None
-            if loaded.manifest is not None:
-                data = try_load_stage_sidecar(path, loaded.manifest.stages_sha256)
-                if data is not None:
-                    try:
-                        pipeline = CorpusPipeline.from_artifacts(
-                            loaded.registry,
-                            data,
-                            graph=graph,
-                            extraction=config.extraction,
-                            public_only=config.public_only,
-                        )
-                    except Exception:  # noqa: BLE001 — serve the snapshot's answers
-                        pass
+            data = try_load_stage_sidecar(path, loaded.manifest.stages_sha256)
+            if data is not None:
+                try:
+                    pipeline = CorpusPipeline.from_artifacts(
+                        loaded.registry,
+                        data,
+                        graph=graph,
+                        extraction=config.extraction,
+                        public_only=config.public_only,
+                    )
+                except Exception:  # noqa: BLE001 — serve the snapshot's answers
+                    pass
             prospector = cls(
                 loaded.registry,
                 None,

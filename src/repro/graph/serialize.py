@@ -87,6 +87,20 @@ def type_from_string(text: str) -> JavaType:
 # Registry <-> JSON
 # ----------------------------------------------------------------------
 
+def _params_to_list(member: Any) -> List[Dict]:
+    return [{"name": p.name, "type": type_to_string(p.type)} for p in member.parameters]
+
+
+def _method_to_dict(m: Method) -> Dict:
+    return {
+        "name": m.name,
+        "returns": type_to_string(m.return_type),
+        "params": _params_to_list(m),
+        "static": m.static,
+        "visibility": m.visibility.value,
+    }
+
+
 def registry_to_dict(registry: TypeRegistry) -> Dict:
     types = []
     for decl in registry.all_declarations():
@@ -107,25 +121,9 @@ def registry_to_dict(registry: TypeRegistry) -> Dict:
                 }
                 for f in decl.fields
             ],
-            "methods": [
-                {
-                    "name": m.name,
-                    "returns": type_to_string(m.return_type),
-                    "params": [
-                        {"name": p.name, "type": type_to_string(p.type)} for p in m.parameters
-                    ],
-                    "static": m.static,
-                    "visibility": m.visibility.value,
-                }
-                for m in decl.methods
-            ],
+            "methods": [_method_to_dict(m) for m in decl.methods],
             "constructors": [
-                {
-                    "params": [
-                        {"name": p.name, "type": type_to_string(p.type)} for p in c.parameters
-                    ],
-                    "visibility": c.visibility.value,
-                }
+                {"params": _params_to_list(c), "visibility": c.visibility.value}
                 for c in decl.constructors
             ],
         }
@@ -134,28 +132,20 @@ def registry_to_dict(registry: TypeRegistry) -> Dict:
     obj = registry.declaration_of(registry.object_type)
     return {
         "format": "prospector-registry-v1",
-        "object_methods": [
-            {
-                "name": m.name,
-                "returns": type_to_string(m.return_type),
-                "params": [
-                    {"name": p.name, "type": type_to_string(p.type)} for p in m.parameters
-                ],
-                "static": m.static,
-                "visibility": m.visibility.value,
-            }
-            for m in obj.methods
-        ],
+        "object_methods": [_method_to_dict(m) for m in obj.methods],
         "types": types,
     }
 
 
 def registry_from_dict(data: Dict) -> TypeRegistry:
+    return _decode_registry(data, _parsed_once(type_from_string))
+
+
+def _decode_registry(data: Dict, parse_type: Callable[[str], JavaType]) -> TypeRegistry:
     if data.get("format") != "prospector-registry-v1":
         raise ValueError(f"unknown registry format: {data.get('format')!r}")
     # One decode parses each distinct type string, parameter and
-    # visibility once; the memos live as long as this call.
-    parse_type = _parsed_once(type_from_string)
+    # visibility once; the memos live as long as the decode.
     visibility = _parsed_once(Visibility)
     parameter = _parsed_once(lambda p: Parameter(p[0], parse_type(p[1])))
 
@@ -203,19 +193,24 @@ def registry_from_dict(data: Dict) -> TypeRegistry:
     return registry
 
 
-def _parsed_once(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """``parse``, remembering its result per argument; an unhashable
-    argument goes to ``parse`` every time, so it fails as ``parse`` does."""
+def _parsed_once(
+    parse: Callable[[Any], Any], key: Optional[Callable[[Any], Any]] = None
+) -> Callable[[Any], Any]:
+    """``parse``, remembering its result per argument (or per ``key`` of
+    it); an argument whose key cannot be taken or hashed goes to
+    ``parse`` every time, so it fails as ``parse`` does."""
     memo: Dict[Any, Any] = {}
+    missing = object()
 
     def parsed(arg: Any) -> Any:
         try:
-            return memo[arg]
-        except KeyError:
-            result = memo[arg] = parse(arg)
-            return result
-        except TypeError:
+            k = arg if key is None else key(arg)
+            found = memo.get(k, missing)
+        except (AttributeError, TypeError):
             return parse(arg)
+        if found is missing:
+            found = memo[k] = parse(arg)
+        return found
 
     return parsed
 
@@ -250,9 +245,15 @@ def elementary_to_dict(e: ElementaryJungloid) -> Dict:
 
 
 def elementary_from_dict(registry: TypeRegistry, entry: Dict) -> ElementaryJungloid:
+    return _decode_step(registry, entry, type_from_string)
+
+
+def _decode_step(
+    registry: TypeRegistry, entry: Dict, parse_type: Callable[[str], JavaType]
+) -> ElementaryJungloid:
     kind = ElementaryKind(entry["kind"])
-    t_in = type_from_string(entry["input"])
-    t_out = type_from_string(entry["output"])
+    t_in = parse_type(entry["input"])
+    t_out = parse_type(entry["output"])
     if kind is ElementaryKind.WIDENING:
         return widening(t_in, t_out)
     if kind is ElementaryKind.DOWNCAST:
@@ -264,7 +265,7 @@ def elementary_from_dict(registry: TypeRegistry, entry: Dict) -> ElementaryJungl
         if f is None:
             raise ValueError(f"unknown field {member['owner']}.{member['field']}")
         return field_access(f)
-    param_types = tuple(type_from_string(p) for p in member.get("params", []))
+    param_types = tuple(parse_type(p) for p in member.get("params", []))
     if kind is ElementaryKind.CONSTRUCTOR:
         found = [c for c in registry.constructors_of(owner) if c.parameter_types == param_types]
         if not found:
@@ -320,8 +321,12 @@ def bundle_from_json(text: str) -> Tuple[TypeRegistry, List[Jungloid]]:
             f"unknown bundle format: {data.get('format')!r}", key="format"
         )
     try:
-        registry = registry_from_dict(data["registry"])
-        mined = [jungloid_from_dict(registry, steps) for steps in data["mined"]]
+        # One memo parses each distinct type string once, and mined
+        # jungloids share steps: each distinct step is decoded once.
+        parse_type = _parsed_once(type_from_string)
+        registry = _decode_registry(data["registry"], parse_type)
+        step = _parsed_once(lambda e: _decode_step(registry, e, parse_type), key=_step_key)
+        mined = [Jungloid(tuple(step(s) for s in steps)) for steps in data["mined"]]
     except BundleFormatError:
         raise
     except KeyError as exc:
@@ -330,6 +335,16 @@ def bundle_from_json(text: str) -> Tuple[TypeRegistry, List[Jungloid]]:
     except (TypeError, ValueError, TypeSystemError) as exc:
         raise BundleFormatError(f"bundle malformed: {exc}") from exc
     return registry, mined
+
+
+def _step_key(entry: Dict) -> Tuple:
+    """Every value :func:`_decode_step` reads: equal keys, equal steps."""
+    member = entry.get("member") or {}
+    return (
+        entry.get("kind"), entry.get("input"), entry.get("output"), entry.get("flow"),
+        member.get("owner"), member.get("field"), member.get("method"),
+        tuple(member.get("params", ())),
+    )
 
 
 def load_graph_from_json(text: str) -> JungloidGraph:

@@ -5,9 +5,11 @@ resilience (see DESIGN.md, "Durable snapshot store"):
 
 * **Atomicity** — :func:`atomic_write_bytes`/:func:`atomic_write_text`
   make every write temp-file + fsync + rename;
-* **Integrity** — :class:`SnapshotStore` embeds a manifest (schema
-  version, payload SHA-256, type/mined/node/edge counts) and verifies
-  it on load; :func:`audit_bundle` re-derives the graph invariants;
+* **Integrity** — :class:`SnapshotStore` embeds a manifest (payload,
+  analysis and stage-file SHA-256s, type/mined/node/edge counts) and
+  verifies it on load; :func:`audit_bundle` re-derives the graph
+  invariants. Loading reads schema 5 only: a ``dump-bundle`` export or
+  a file of another schema is a fault like a torn one;
 * **Recovery** — :func:`load_with_recovery` descends current snapshot →
   previous generation, recording every rung in a
   :class:`StoreDiagnostics`; the corpus-rebuild rung and repair belong

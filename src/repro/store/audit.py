@@ -1,8 +1,8 @@
 """Post-load integrity audit for deserialized graph bundles.
 
 A snapshot that parses is not necessarily a snapshot that is *right*:
-the registry may have drifted since it was written, a migration may have
-dropped a member, or a subtle corruption may survive JSON parsing. The
+the registry may have drifted since it was written, or a subtle
+corruption may survive JSON parsing. The
 audit re-derives every invariant the engine relies on:
 
 * every mined step's member (field / method / constructor) still
@@ -227,13 +227,9 @@ def audit_counts(
 def audit_bundle(
     registry: TypeRegistry,
     mined: Sequence[Jungloid],
-    manifest: Optional["SnapshotManifest"] = None,
-    graph: Optional["JungloidGraph"] = None,
+    manifest: "SnapshotManifest",
+    graph: "JungloidGraph",
 ) -> List[IntegrityIssue]:
     """The full post-load audit; an empty list means the bundle is sound."""
-    issues = audit_mined(registry, mined)
-    if graph is not None:
-        issues.extend(audit_graph(registry, graph))
-    if manifest is not None:
-        issues.extend(audit_counts(registry, mined, manifest, graph))
-    return issues
+    issues = audit_mined(registry, mined) + audit_graph(registry, graph)
+    return issues + audit_counts(registry, mined, manifest, graph)

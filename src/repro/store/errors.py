@@ -22,7 +22,8 @@ class SnapshotReadError(SnapshotError):
 
 class SnapshotFormatError(SnapshotError):
     """The file is well-formed but not a snapshot we understand
-    (wrong magic, schema version from the future, missing manifest key)."""
+    (wrong magic, a schema version other than the current one, missing
+    manifest key)."""
 
 
 class SnapshotCorruptError(SnapshotError):

@@ -64,8 +64,6 @@ class StoreDiagnostics:
     faults: List[StoreFault] = field(default_factory=list)
     #: The rung that finally answered; ``None`` while/if none has.
     rung_used: Optional[str] = None
-    #: Schema version a successful load was migrated from, if any.
-    migrated_from: Optional[int] = None
     #: Rebuild attempts actually made (0 if that rung was never reached).
     rebuild_attempts: int = 0
 
@@ -104,8 +102,6 @@ class StoreDiagnostics:
             head = "store degraded: current snapshot loaded without its analysis section"
         else:
             head = f"store degraded: recovered via {self.rung_used}"
-        if self.migrated_from is not None:
-            head += f" (migrated from schema v{self.migrated_from})"
         lines = [head]
         lines.extend(f"  {fault}" for fault in self.faults)
         return "\n".join(lines)
@@ -128,7 +124,6 @@ def _load_rung(
         diagnostics.record(rung, stage, exc)
         return None
     diagnostics.rung_used = rung
-    diagnostics.migrated_from = loaded.migrated_from
     if loaded.analysis_fault is not None:
         diagnostics.record(rung, STAGE_ANALYSIS, loaded.analysis_fault)
     return loaded

@@ -17,21 +17,13 @@ JSON bundle of :mod:`repro.graph.serialize` a durable envelope:
 * **Generations** — saving rotates the existing snapshot to
   ``<path>.prev``, so one good generation always survives a save that
   crashes between rotate and replace.
-* **Migration** — schema version 1 is a bare ``prospector-bundle-v1``
-  JSON file (what ``dump-bundle`` writes); :meth:`SnapshotStore.load`
-  recognizes and upgrades it in memory, recording the migration.
-  Version 2 is the headered format without the optional ``analysis``
-  key; version 3 may carry the serialized cast-verdict index in the
-  header, leaving the payload bytes untouched. Version 4 also records
-  the section's digest in the manifest (``analysis_sha256``, over its
-  canonical JSON), so an edited section is caught too. Version 5
-  (current) also records the SHA-256 of the stage file saved with it
-  (``stages_sha256``; see :mod:`.stages`), so the manifest alone binds
-  the snapshot to its stage file.
-  v1/v2 files load as migrations with ``analysis=None`` (verdicts are
-  recomputed lazily); a v3 file loads as a migration with its section
-  unchecked; a v4 file loads as a migration whose stage file is not
-  adopted.
+* **One layout** — :meth:`SnapshotStore.load` reads schema 5 only:
+  the manifest records the payload's SHA-256, the header ``analysis``
+  section's (``analysis_sha256``, over its canonical JSON) and the
+  stage file's (``stages_sha256``; see :mod:`.stages`). Any other file
+  — a ``dump-bundle`` export, an older or newer schema — is a fault of
+  its rung, and the recovery ladder serves ``.prev`` or the rebuild
+  rung: a snapshot is a cache of the corpus.
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -62,12 +54,8 @@ from .errors import (
 
 #: Magic string in the header line.
 SNAPSHOT_FORMAT = "prospector-snapshot"
-#: Current schema version. Version 1 is the bare legacy bundle;
-#: version 2 lacks the optional header ``analysis`` key; version 3
-#: carries it without a digest; version 4 lacks ``stages_sha256``.
+#: The one schema version :meth:`SnapshotStore.load` reads.
 SCHEMA_VERSION = 5
-#: The first version whose manifest covers the ``analysis`` section.
-ANALYSIS_DIGEST_VERSION = 4
 #: Suffix of the retained previous generation.
 PREVIOUS_SUFFIX = ".prev"
 
@@ -137,45 +125,37 @@ class SnapshotManifest:
     #: ``None`` when the snapshot carries none.
     analysis_sha256: Optional[str] = None
     #: SHA-256 of the stage file saved with this snapshot; ``None``
-    #: when it was saved without one (or predates schema 5).
+    #: when it was saved without one.
     stages_sha256: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "payload_sha256": self.payload_sha256,
-            "payload_bytes": self.payload_bytes,
-            "type_count": self.type_count,
-            "mined_count": self.mined_count,
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "public_only": self.public_only,
-            "created_unix": self.created_unix,
-            "analysis_sha256": self.analysis_sha256,
-            "stages_sha256": self.stages_sha256,
-        }
+        return asdict(self)  # the fields, in declaration order
 
     @classmethod
     def from_dict(cls, data: dict) -> "SnapshotManifest":
-        digests = {key: data.get(key) for key in ("analysis_sha256", "stages_sha256")}
-        for key, digest in digests.items():
-            if digest is not None and not isinstance(digest, str):
-                raise SnapshotFormatError(f"manifest field malformed: {key} {digest!r}")
+        """Read every key :meth:`to_dict` writes; the digests may be null."""
         try:
-            return cls(
+            manifest = cls(
                 payload_sha256=str(data["payload_sha256"]),
                 payload_bytes=int(data["payload_bytes"]),
                 type_count=int(data["type_count"]),
                 mined_count=int(data["mined_count"]),
                 node_count=int(data["node_count"]),
                 edge_count=int(data["edge_count"]),
-                public_only=bool(data.get("public_only", True)),
-                created_unix=float(data.get("created_unix", 0.0)),
-                **digests,
+                public_only=bool(data["public_only"]),
+                created_unix=float(data["created_unix"]),
+                analysis_sha256=data["analysis_sha256"],
+                stages_sha256=data["stages_sha256"],
             )
         except KeyError as exc:
             raise SnapshotFormatError(f"manifest missing key {exc.args[0]!r}") from exc
         except (TypeError, ValueError) as exc:
             raise SnapshotFormatError(f"manifest field malformed: {exc}") from exc
+        for key in ("analysis_sha256", "stages_sha256"):
+            digest = getattr(manifest, key)
+            if digest is not None and not isinstance(digest, str):
+                raise SnapshotFormatError(f"manifest field malformed: {key} {digest!r}")
+        return manifest
 
 
 @dataclass(frozen=True)
@@ -184,25 +164,18 @@ class LoadedSnapshot:
 
     registry: TypeRegistry
     mined: Tuple[Jungloid, ...]
-    manifest: Optional[SnapshotManifest]  #: None for migrated legacy bundles
-    migrated_from: Optional[int]  #: source schema version, if migrated
+    manifest: SnapshotManifest
     path: Path
-    #: The graph the audit built (with :attr:`public_only`), so a loader
-    #: can serve from it instead of building it again.
+    #: The graph the audit built (with the manifest's ``public_only``),
+    #: so a loader can serve from it instead of building it again.
     graph: JungloidGraph
-    #: The header's serialized cast-verdict index (schema v3+), as read:
-    #: the loader that decodes it rejects a malformed one. ``None`` when
-    #: the snapshot predates the analysis or was saved without one.
+    #: The header's serialized cast-verdict index, as read: the loader
+    #: that decodes it rejects a malformed one. ``None`` when the
+    #: snapshot was saved without one.
     analysis: Optional[object] = None
-    #: Why the ``analysis`` section fails the manifest's digest (schema
-    #: v4); ``None`` when it matches or the schema predates the digest.
-    #: A section with a fault must not be used.
+    #: Why the ``analysis`` section fails the manifest's digest; ``None``
+    #: when it matches. A section with a fault must not be used.
     analysis_fault: Optional[str] = None
-
-    @property
-    def public_only(self) -> bool:
-        """The manifest's graph flavour (legacy bundles were public-only)."""
-        return self.manifest.public_only if self.manifest else True
 
 
 def payload_digest(payload: bytes) -> str:
@@ -326,60 +299,38 @@ class SnapshotStore:
         except OSError as exc:
             raise SnapshotReadError(f"cannot read snapshot {path}: {exc}") from exc
 
-    def _split(self, raw: bytes, path: Path) -> Tuple[Optional[dict], bytes]:
-        """Split header line from payload; ``None`` header means legacy."""
+    def _split(self, raw: bytes, path: Path) -> Tuple[dict, bytes]:
+        """Split the schema-5 header line from the payload."""
         if not raw.strip():
             raise SnapshotCorruptError(f"{path}: empty snapshot file")
-        newline = raw.find(b"\n")
-        head = raw if newline < 0 else raw[:newline]
+        head, newline, payload = raw.partition(b"\n")
         try:
             header = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None, raw
-        if not isinstance(header, dict):
-            return None, raw
-        if header.get("format") != SNAPSHOT_FORMAT:
-            return None, raw  # maybe a bare legacy bundle; caller decides
-        if newline < 0:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SnapshotCorruptError(f"{path}: header line is not JSON: {exc}") from exc
+        form = header.get("format") if isinstance(header, dict) else None
+        if form != SNAPSHOT_FORMAT:
+            raise SnapshotFormatError(f"{path}: not a snapshot (format {form!r})")
+        version = header.get("schema_version")
+        if version != SCHEMA_VERSION:
+            newer = isinstance(version, int) and version > SCHEMA_VERSION
+            raise SnapshotFormatError(
+                f"{path}: schema_version {version!r} is"
+                f" {'newer than' if newer else 'not'} supported (reads {SCHEMA_VERSION})"
+            )
+        if not newline:
             raise SnapshotCorruptError(f"{path}: header present but payload missing")
-        return header, raw[newline + 1 :]
+        return header, payload
 
     def load(self, which: str = "current") -> LoadedSnapshot:
-        """Read, verify, parse, migrate, and audit one generation.
+        """Read, verify, parse and audit one generation.
 
         Raises a :class:`~repro.store.errors.SnapshotError` subclass on
         the first problem found; :func:`~repro.store.verify_snapshot`
         reports instead of raising.
         """
         path = self._path_for(which)
-        raw = self.read_raw(which)
-        header, payload = self._split(raw, path)
-
-        if header is None:
-            # Legacy rung: the whole file must be a bare v1 bundle.
-            try:
-                registry, mined = bundle_from_json(raw.decode("utf-8", "strict"))
-            except UnicodeDecodeError as exc:
-                raise SnapshotCorruptError(f"{path}: undecodable bytes: {exc}") from exc
-            except BundleFormatError as exc:
-                raise SnapshotCorruptError(f"{path}: {exc}") from exc
-            return LoadedSnapshot(
-                registry=registry,
-                mined=tuple(mined),
-                manifest=None,
-                migrated_from=1,
-                path=path,
-                graph=_audited_graph(path, registry, mined, None),
-            )
-
-        version = header.get("schema_version")
-        if not isinstance(version, int) or version < 1:
-            raise SnapshotFormatError(f"{path}: bad schema_version {version!r}")
-        if version > SCHEMA_VERSION:
-            raise SnapshotFormatError(
-                f"{path}: schema_version {version} is newer than supported"
-                f" {SCHEMA_VERSION}"
-            )
+        header, payload = self._split(self.read_raw(which), path)
         manifest = SnapshotManifest.from_dict(header.get("manifest") or {})
         if len(payload) != manifest.payload_bytes:
             raise SnapshotCorruptError(
@@ -398,42 +349,27 @@ class SnapshotStore:
             # Checksum passed but the payload is still bad: the writer
             # persisted garbage. Treat as corruption, not a format error.
             raise SnapshotCorruptError(f"{path}: {exc}") from exc
+        # The audit builds the graph to check edge endpoints and the
+        # manifest's node/edge counts; a loader serves that graph.
+        graph = JungloidGraph.build(registry, mined, public_only=manifest.public_only)
+        issues = audit_bundle(registry, mined, manifest, graph)
+        if issues:
+            raise SnapshotIntegrityError(
+                f"{path}: integrity audit found {len(issues)} issue(s):"
+                + "".join(f"\n  {issue}" for issue in issues),
+                issues=issues,
+            )
         analysis = header.get("analysis")
         return LoadedSnapshot(
             registry=registry,
             mined=tuple(mined),
             manifest=manifest,
-            migrated_from=version if version != SCHEMA_VERSION else None,
             path=path,
-            graph=_audited_graph(path, registry, mined, manifest),
+            graph=graph,
             analysis=analysis,
-            analysis_fault=(
-                _analysis_fault(manifest, analysis)
-                if version >= ANALYSIS_DIGEST_VERSION
-                else None
-            ),
+            analysis_fault=_analysis_fault(manifest, analysis),
         )
 
     def exists(self, which: str = "current") -> bool:
         return self._path_for(which).exists()
 
-
-def _audited_graph(
-    path: Path,
-    registry: TypeRegistry,
-    mined: Sequence[Jungloid],
-    manifest: Optional[SnapshotManifest],
-) -> JungloidGraph:
-    """The full post-load audit, including a graph build so edge
-    endpoints and node/edge counts are checked against the manifest.
-    Returns that graph."""
-    public_only = manifest.public_only if manifest else True
-    graph = JungloidGraph.build(registry, mined, public_only=public_only)
-    issues = audit_bundle(registry, mined, manifest=manifest, graph=graph)
-    if issues:
-        raise SnapshotIntegrityError(
-            f"{path}: integrity audit found {len(issues)} issue(s):"
-            + "".join(f"\n  {issue}" for issue in issues),
-            issues=issues,
-        )
-    return graph

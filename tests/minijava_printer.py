@@ -1,15 +1,15 @@
 """Pretty-printer: mini-Java ASTs back to source.
 
-Used for corpus tooling and debugging, and by the test suite to check
-the front end round-trips: ``print(parse(text))`` re-parses to the same
-tree (printing is a fixpoint after one normalization pass).
+A test helper: the suite uses it to check that the front end
+round-trips, i.e. ``print(parse(text))`` re-parses to the same tree
+(printing is a fixpoint after one normalization pass).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from .ast import (
+from repro.minijava.ast import (
     AssignStmt,
     BinaryExpr,
     Block,

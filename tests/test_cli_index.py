@@ -187,7 +187,9 @@ class TestIndexUpdate:
         snap.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         capsys.readouterr()
         corpus.write_text(MINI_CORPUS + "// touched\n")
-        assert "rebuilding from corpus" in self._update(snap, api, corpus, capsys).err
+        err = self._update(snap, api, corpus, capsys).err
+        assert "schema_version 4 is not supported" in err
+        assert "recovered via rebuild-from-corpus" in err
         assert json.loads(snap.read_bytes().partition(b"\n")[0])["schema_version"] == 5
         corpus.write_text(MINI_CORPUS)
         captured = self._update(snap, api, corpus, capsys)

@@ -22,7 +22,14 @@ from repro.graph import (
     type_to_string,
 )
 from repro.graph import serialize
-from repro.jungloids import Jungloid, ElementaryKind, downcast, instance_call, widening
+from repro.jungloids import (
+    ElementaryKind,
+    Jungloid,
+    downcast,
+    field_access,
+    instance_call,
+    widening,
+)
 from repro.store import SnapshotCorruptError, SnapshotStore, payload_digest
 from repro.typesystem import ArrayType, PRIMITIVES, VOID, named
 
@@ -225,6 +232,16 @@ class TestEveryKindRoundtrip:
         assert [j.steps for j in loaded.mined] == [j.steps for j in mined]
 
 
+#: ``API`` plus an overloaded method.
+OVERLOAD_API = API + """
+package u;
+public class Over {
+  public s.Base pick(s.Base b);
+  public s.Base pick(s.Leaf l);
+}
+"""
+
+
 class TestBundle:
     def test_bundle_roundtrip_and_rebuild(self):
         r = load_api_text(API)
@@ -240,6 +257,48 @@ class TestBundle:
 
         graph = load_graph_from_json(text)
         assert graph.mined_path_count() == 1
+
+    def test_repeated_steps_decode_to_one_object(self):
+        r = load_api_text(OVERLOAD_API)
+        base, leaf = r.lookup("s.Base"), r.lookup("s.Leaf")
+        twin = field_access(r.find_field(base, "twin"))
+        label = instance_call(r.find_method(base, "label")[0])[0]
+        cast = downcast(base, leaf)
+        # Overloads: entries that differ only in their parameter types.
+        picks = [instance_call(m)[0] for m in r.find_method(r.lookup("u.Over"), "pick")]
+        mined = [
+            Jungloid((twin, label)),
+            Jungloid((twin, twin, label)),
+            Jungloid((twin, cast)),
+            Jungloid((cast,)),
+            *(Jungloid((pick,)) for pick in picks),
+        ]
+        text = bundle_to_json(r, mined)
+        registry2, mined2 = bundle_from_json(text)
+        assert [j.steps for j in mined2] == [j.steps for j in mined]
+        twins = [j.steps[0] for j in mined2[:3]] + [mined2[1].steps[1]]
+        assert all(step is twins[0] for step in twins)
+        assert mined2[0].steps[1] is mined2[1].steps[2]
+        assert mined2[2].steps[1] is mined2[3].steps[0]
+        assert bundle_to_json(registry2, mined2) == text
+
+    def test_a_bundle_parses_each_type_string_once(self, monkeypatch):
+        r = load_api_text(API)
+        base, leaf = r.lookup("s.Base"), r.lookup("s.Leaf")
+        label = instance_call(r.find_method(base, "label")[0])[0]
+        mined = [Jungloid((downcast(base, leaf), widening(leaf, base), label))]
+        text = bundle_to_json(r, mined)
+        parsed = Counter()
+        original = serialize.type_from_string
+
+        def counting(type_string):
+            parsed[type_string] += 1
+            return original(type_string)
+
+        monkeypatch.setattr(serialize, "type_from_string", counting)
+        bundle_from_json(text)
+        assert set(parsed.values()) == {1}
+        assert {"s.Base", "s.Leaf", "java.lang.String"} <= set(parsed)
 
     def test_bundle_bad_format(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ import pytest
 
 from repro.data import corpus_texts
 from repro.minijava import parse_minijava
-from repro.minijava.printer import print_expression, print_unit
 from repro.minijava.parser import parse_minijava as parse
+
+from .minijava_printer import print_expression, print_unit
 
 
 def roundtrip(source: str) -> str:

@@ -2,12 +2,13 @@
 
 An instance can get its graph from a fresh build, an update, a restart
 from the current snapshot generation, a fall back to ``<path>.prev``
-after a torn save, a corpus rebuild after both generations are torn, a
-restart whose stage file is missing, edited, or from a schema-4
-snapshot's sidecar, a restart whose stage file an older build saved
-with mine records, or a restart after :func:`repair_snapshot` from any
-rung. After each, the ranked answers and their verdicts must equal a
-fresh build of the texts that generation holds. The snapshot's manifest
+after a torn save or a refused layout (a ``dump-bundle`` export, an
+older or newer schema), a corpus rebuild after both generations are
+torn or refused, a restart whose stage file is missing, edited, or a
+schema-2 sidecar, a restart whose stage file an older build saved with
+mine records, or a restart after :func:`repair_snapshot` from any rung.
+After each, the ranked answers and their verdicts must equal a fresh
+build of the texts that generation holds. The snapshot's manifest
 binds it to its stage file, so a stage file whose bytes do not hash to
 the loaded manifest's ``stages_sha256`` must never be adopted: adopting
 one would serve another corpus. An adopted stage file gives the texts
@@ -33,10 +34,14 @@ from repro.store import (
     RUNG_PREVIOUS,
     RUNG_REBUILD,
     STAGE_ANALYSIS,
+    STAGE_VERIFY,
+    SnapshotCorruptError,
+    SnapshotFormatError,
     SnapshotStore,
     payload_digest,
     save_stage_sidecar,
     stage_sidecar_path,
+    verify_snapshot,
 )
 
 from .conftest import SMALL_API, SMALL_CORPUS
@@ -119,6 +124,42 @@ def edit_header(path, edit):
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
+def _downgrade(version, *dropped):
+    """A header edit to ``version`` that drops the manifest keys (and
+    header sections) that version did not write."""
+
+    def edit(header):
+        header["schema_version"] = version
+        for key in dropped:
+            if key == "analysis":
+                header.pop(key, None)
+            else:
+                header["manifest"].pop(key)
+
+    return edit
+
+
+#: Header edits that make a schema-5 file each layout the store refuses.
+LAYOUTS = {
+    "v2": _downgrade(2, "analysis", "analysis_sha256", "stages_sha256"),
+    "v3": _downgrade(3, "analysis_sha256", "stages_sha256"),
+    "v4": _downgrade(4, "stages_sha256"),
+    "v6": _downgrade(6),
+}
+
+
+def refuse(path, layout):
+    """Rewrite one generation as ``layout``: a header edit, or the
+    payload alone as a ``dump-bundle`` export (compact or pretty)."""
+    if layout in LAYOUTS:
+        edit_header(path, LAYOUTS[layout])
+        return
+    payload = path.read_bytes().partition(b"\n")[2]
+    if layout == "bundle-pretty":
+        payload = json.dumps(json.loads(payload), indent=2).encode("utf-8")
+    path.write_bytes(payload)
+
+
 def loaded_sources(prospector):
     return tuple(u.source for u in prospector.pipeline.program.units)
 
@@ -169,12 +210,7 @@ class TestRoutes:
 
     def test_v4_snapshot_with_a_v2_sidecar(self, snap, want):
         manifest = SnapshotStore(snap).load().manifest
-
-        def downgrade(header):
-            header["schema_version"] = 4
-            header["manifest"].pop("stages_sha256")
-
-        edit_header(snap, downgrade)
+        edit_header(snap, LAYOUTS["v4"])
         # The schema-2 sidecar envelope: a header line bound to the
         # snapshot's payload digest, then the stage JSON.
         path = stage_sidecar_path(snap)
@@ -187,10 +223,12 @@ class TestRoutes:
             "snapshot_sha256": manifest.payload_sha256,
         }
         path.write_bytes(json.dumps(envelope).encode("utf-8") + b"\n" + payload)
-        loaded = restart(snap)
-        assert loaded.store_diagnostics.migrated_from == 4
+        # The v4 file is refused; .prev (A) serves, and the sidecar
+        # binds to neither generation.
+        loaded = restart(snap, RUNG_PREVIOUS)
+        assert "schema_version 4" in loaded.store_diagnostics.faults[0].error
         assert loaded.pipeline is None
-        assert answers(loaded) == want["B"]
+        assert answers(loaded) == want["A"]
 
     def test_only_the_loaded_manifest_binds(self, snap):
         # Whatever the route, an adopted stage file hashes to the
@@ -326,3 +364,36 @@ class TestStageFileHoldsTheCorpus:
         want = ranked_answers(standard_prospector, queries)
         assert ranked_answers(loaded, queries) == want
         assert batch_answers(loaded, queries) == batch_answers(standard_prospector, queries) == want
+
+
+@pytest.mark.parametrize("layout", ["bundle", "bundle-pretty", "v2", "v3", "v4", "v6"])
+class TestRefusedLayouts:
+    """A snapshot is schema 5 or a fault of its rung: the ladder serves
+    ``.prev`` when it is sound, else the rebuild rung."""
+
+    def test_load_and_verify_refuse_it(self, snap, layout):
+        refuse(snap, layout)
+        store = SnapshotStore(snap)
+        error = SnapshotCorruptError if layout == "bundle-pretty" else SnapshotFormatError
+        with pytest.raises(error):
+            store.load()
+        diagnostics = verify_snapshot(store)
+        assert [(f.rung, f.stage) for f in diagnostics.faults] == [
+            (RUNG_CURRENT, STAGE_VERIFY)
+        ]
+        assert diagnostics.rung_used is None
+
+    def test_previous_generation_serves(self, snap, want, layout):
+        refuse(snap, layout)
+        loaded = restart(snap, RUNG_PREVIOUS)
+        assert answers(loaded) == want["A"]
+
+    def test_rebuild_rung_serves_when_both_are_refused(self, snap, want, layout):
+        refuse(snap, layout)
+        refuse(snap.with_name(snap.name + PREVIOUS_SUFFIX), layout)
+        loaded = restart(snap, RUNG_REBUILD, rebuild=lambda: fresh_build(TEXTS_B))
+        assert [f.rung for f in loaded.store_diagnostics.faults] == [
+            RUNG_CURRENT,
+            RUNG_PREVIOUS,
+        ]
+        assert answers(loaded) == want["B"]

@@ -1,6 +1,6 @@
 """What a restart builds: the served graph once, laid out the same in
 every process, audited node by node, with no collector pass over it
-(nor over a fresh build)."""
+(nor over a fresh build or a registry load)."""
 
 import gc
 import hashlib
@@ -15,7 +15,7 @@ import repro
 from repro import Prospector
 from repro.apispec import load_api_text
 from repro.corpus import load_corpus_texts
-from repro.data import corpus_texts
+from repro.data import corpus_texts, standard_registry
 from repro.graph import SignatureGraph
 from repro.minijava import MjResolveError
 from repro.pipeline import CorpusPipeline
@@ -292,3 +292,16 @@ class TestNoCollectorPassesInAFreshBuild:
             run()
         assert gc.isenabled()
         assert collections == []
+
+
+class TestNoCollectorPassesInARegistryLoad:
+    def test_standard_registry_makes_no_pass(self, collections):
+        # Start from an empty youngest generation, so a pass can only
+        # come from the call's own allocations.
+        gc.collect()
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        collections.clear()
+        registry = standard_registry()
+        assert collections == []
+        assert len(registry) > 0
+        assert gc.isenabled() and gc.get_freeze_count() == 0

@@ -145,10 +145,8 @@ class TestAuditOnLoad:
             store.load()
         assert any(i.kind == KIND_COUNT_MISMATCH for i in exc_info.value.issues)
 
-    def test_full_bundle_audit_is_clean(self, small_prospector):
-        issues = audit_bundle(
-            small_prospector.registry,
-            small_prospector.mined_jungloids,
-            graph=small_prospector.graph,
-        )
-        assert issues == []
+    def test_full_bundle_audit_is_clean(self, tmp_path, small_prospector):
+        registry, mined = small_prospector.registry, small_prospector.mined_jungloids
+        graph = small_prospector.graph
+        manifest = SnapshotStore(tmp_path / "graph.psnap").save(registry, mined, graph=graph)
+        assert audit_bundle(registry, mined, manifest, graph) == []

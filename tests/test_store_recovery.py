@@ -313,12 +313,18 @@ class TestDiagnostics:
         assert diagnostics.ok
 
     def test_summary_migrated(self, tmp_path, small_registry):
+        """A bare bundle, which once loaded as a schema-1 migration, is
+        now a fault: the summary names it and claims no migration."""
         from repro.graph import bundle_to_json
 
-        path = tmp_path / "legacy.json"
+        path = tmp_path / "export.json"
         path.write_text(bundle_to_json(small_registry, []), encoding="utf-8")
         diagnostics = verify_snapshot(SnapshotStore(path))
-        assert "migrated from schema v1" in diagnostics.summary()
+        summary = diagnostics.summary()
+        assert summary.startswith("snapshot damaged")
+        assert "current-snapshot [verify]" in summary
+        assert "not a snapshot (format 'prospector-bundle-v1')" in summary
+        assert "migrated from schema" not in summary
 
     def test_summary_lists_faults(self, saved_store):
         corrupt_file(saved_store.path, lambda b: truncate_bytes(b, 30))
@@ -366,7 +372,7 @@ class TestAuditedGraphReuse:
     def test_recovered_store_carries_the_audited_graph(self, saved_store, build_calls):
         loaded, _ = load(saved_store)
         assert build_calls == [True]
-        assert loaded.graph is not None and loaded.public_only
+        assert loaded.graph is not None and loaded.manifest.public_only
 
     def test_other_flavour_builds_its_own_graph(self, saved_store, build_calls):
         config = ProspectorConfig(public_only=False)

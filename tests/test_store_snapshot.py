@@ -55,7 +55,6 @@ class TestSaveAndLoad:
         assert loaded.registry.stats() == small_prospector.registry.stats()
         assert len(loaded.mined) == len(small_prospector.mined_jungloids)
         assert loaded.manifest == manifest
-        assert loaded.migrated_from is None
 
     def test_manifest_counts_match_reality(self, tmp_path, small_prospector):
         store = SnapshotStore(tmp_path / "graph.psnap")
@@ -116,18 +115,21 @@ class TestSaveAndLoad:
 
 
 class TestSchemaVersions:
-    def test_legacy_bare_bundle_migrates(self, tmp_path, small_registry):
-        path = tmp_path / "legacy.json"
-        path.write_text(bundle_to_json(small_registry, []), encoding="utf-8")
-        loaded = SnapshotStore(path).load()
-        assert loaded.migrated_from == 1
-        assert loaded.manifest is None
-        assert loaded.registry.stats() == small_registry.stats()
+    """The store reads schema 5 only; every other layout is refused."""
 
-    def test_pretty_legacy_bundle_migrates(self, tmp_path, small_registry):
-        path = tmp_path / "legacy.json"
+    def test_bare_bundle_is_refused(self, tmp_path, small_registry):
+        # A compact dump-bundle export is one JSON line: its format names it.
+        path = tmp_path / "export.json"
+        path.write_text(bundle_to_json(small_registry, []), encoding="utf-8")
+        with pytest.raises(SnapshotFormatError, match="prospector-bundle-v1"):
+            SnapshotStore(path).load()
+
+    def test_pretty_bare_bundle_is_refused(self, tmp_path, small_registry):
+        # A --pretty export's first line is "{", not a JSON header.
+        path = tmp_path / "export.json"
         path.write_text(bundle_to_json(small_registry, [], indent=2), encoding="utf-8")
-        assert SnapshotStore(path).load().migrated_from == 1
+        with pytest.raises(SnapshotCorruptError, match="header line is not JSON"):
+            SnapshotStore(path).load()
 
     def test_future_schema_rejected(self, tmp_path, small_registry):
         store = SnapshotStore(tmp_path / "graph.psnap")
@@ -146,21 +148,30 @@ class TestSchemaVersions:
         with pytest.raises(SnapshotFormatError, match="payload_sha256"):
             SnapshotManifest.from_dict({"payload_bytes": 3})
 
-    def test_v2_header_migrates_with_analysis_none(self, tmp_path, small_registry):
+    def test_v2_header_is_refused(self, tmp_path, small_registry):
         # A pre-analysis (v2) snapshot: same payload, no "analysis" key.
         store = SnapshotStore(tmp_path / "graph.psnap")
         store.save(small_registry)
-        raw = store.path.read_bytes()
-        head, _, payload = raw.partition(b"\n")
-        header = json.loads(head)
-        header["schema_version"] = 2
-        header.pop("analysis", None)
-        store.path.write_bytes(
-            json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
-        )
-        loaded = store.load()
-        assert loaded.migrated_from == 2
-        assert loaded.analysis is None
+
+        def downgrade(header):
+            header["schema_version"] = 2
+            header.pop("analysis", None)
+            for key in ("analysis_sha256", "stages_sha256"):
+                header["manifest"].pop(key)
+
+        rewrite_header(store, downgrade)
+        with pytest.raises(SnapshotFormatError, match="schema_version 2 is not supported"):
+            store.load()
+
+    def test_manifest_reads_every_key_it_writes(self, tmp_path, small_registry):
+        store = SnapshotStore(tmp_path / "graph.psnap")
+        written = store.save(small_registry).to_dict()
+        assert written["analysis_sha256"] is None and written["stages_sha256"] is None
+        assert SnapshotManifest.from_dict(written).to_dict() == written
+        for key in written:
+            partial = {k: v for k, v in written.items() if k != key}
+            with pytest.raises(SnapshotFormatError, match=f"missing key '{key}'"):
+                SnapshotManifest.from_dict(partial)
 
     def test_v3_analysis_round_trips(self, tmp_path, small_prospector):
         store = SnapshotStore(tmp_path / "graph.psnap")
@@ -172,9 +183,7 @@ class TestSchemaVersions:
             graph=small_prospector.graph,
             analysis=analysis,
         )
-        loaded = store.load()
-        assert loaded.migrated_from is None
-        assert loaded.analysis == analysis
+        assert store.load().analysis == analysis
 
     def test_analysis_key_does_not_change_payload_digest(
         self, tmp_path, small_prospector
@@ -256,8 +265,11 @@ class TestAnalysisDigest:
         assert "SHA-256 mismatch" in loaded.analysis_fault
 
     def test_missing_digest_is_a_fault(self, store):
-        rewrite_header(store, lambda header: header["manifest"].pop("analysis_sha256"))
+        rewrite_header(store, lambda header: header["manifest"].update(analysis_sha256=None))
         assert "no analysis_sha256" in store.load().analysis_fault
+        rewrite_header(store, lambda header: header["manifest"].pop("analysis_sha256"))
+        with pytest.raises(SnapshotFormatError, match="missing key 'analysis_sha256'"):
+            store.load()
 
     def test_dropped_section_is_a_fault(self, store):
         rewrite_header(store, lambda header: header.pop("analysis"))
@@ -265,17 +277,17 @@ class TestAnalysisDigest:
         assert loaded.analysis is None
         assert "lacks" in loaded.analysis_fault
 
-    def test_v3_section_loads_unchecked(self, store):
+    def test_v3_header_is_refused(self, store):
+        # A v3 section carried no digest, so it could be edited unseen.
         def downgrade(header):
             header["schema_version"] = 3
             header["manifest"].pop("analysis_sha256")
+            header["manifest"].pop("stages_sha256")
             header["analysis"]["pairs"][0]["verdict"] = "inviable"
 
         rewrite_header(store, downgrade)
-        loaded = store.load()
-        assert loaded.migrated_from == 3
-        assert loaded.analysis_fault is None
-        assert loaded.analysis["pairs"][0]["verdict"] == "inviable"
+        with pytest.raises(SnapshotFormatError, match="schema_version 3 is not supported"):
+            store.load()
 
     def test_malformed_digest_is_a_format_error(self, store):
         def corrupt(header):
@@ -294,7 +306,7 @@ class TestStagesDigest:
         assert store.save(small_registry, stages_sha256=digest).stages_sha256 == digest
         assert store.load().manifest.stages_sha256 == digest
 
-    def test_v4_header_loads_as_a_migration(self, tmp_path, small_registry):
+    def test_v4_header_is_refused(self, tmp_path, small_registry):
         store = SnapshotStore(tmp_path / "graph.psnap")
         store.save(small_registry, stages_sha256="c" * 64)
 
@@ -303,9 +315,8 @@ class TestStagesDigest:
             header["manifest"].pop("stages_sha256")
 
         rewrite_header(store, downgrade)
-        loaded = store.load()
-        assert loaded.migrated_from == 4
-        assert loaded.manifest.stages_sha256 is None
+        with pytest.raises(SnapshotFormatError, match="schema_version 4 is not supported"):
+            store.load()
 
     def test_malformed_stage_digest_is_a_format_error(self, tmp_path, small_registry):
         store = SnapshotStore(tmp_path / "graph.psnap")
